@@ -1,0 +1,10 @@
+"""Make ``repro`` importable for ``pytest bench/`` without an install."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
