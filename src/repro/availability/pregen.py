@@ -31,7 +31,6 @@ Seed derivation for the scalar path is bulk: the per-host ``"arrivals"`` /
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -43,36 +42,9 @@ from repro.util.rng import RandomSource, derive_seeds
 #: Recognised pregeneration sampling backends.
 AVAIL_BACKENDS = ("scalar", "numpy")
 
-#: Environment override for the backend (mirrors ``REPRO_EVENT_QUEUE``).
-BACKEND_ENV = "REPRO_AVAIL_BACKEND"
-
-#: Environment override for the pregeneration worker count.
-JOBS_ENV = "REPRO_PREGEN_JOBS"
-
 #: Floor on hosts per multi-process chunk, so pool/pickle overhead stays
 #: amortised even when the population is small relative to the job count.
 _MIN_CHUNK = 256
-
-
-def resolve_backend(configured: str = "scalar") -> str:
-    """Backend after the ``REPRO_AVAIL_BACKEND`` environment override."""
-    backend = os.environ.get(BACKEND_ENV, "").strip().lower() or configured
-    if backend not in AVAIL_BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV} must be one of {AVAIL_BACKENDS}, got {backend!r}"
-        )
-    return backend
-
-
-def resolve_jobs(configured: int = 1) -> int:
-    """Worker count after the ``REPRO_PREGEN_JOBS`` environment override."""
-    raw = os.environ.get(JOBS_ENV, "").strip()
-    if raw:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            return max(int(configured), 1)
-    return max(int(configured), 1)
 
 
 def shift_episodes(
@@ -321,13 +293,9 @@ def pregenerate_prefixes(
 
 __all__ = [
     "AVAIL_BACKENDS",
-    "BACKEND_ENV",
-    "JOBS_ENV",
     "PregenResult",
     "episode_prefix",
     "materialise_prefix",
     "pregenerate_prefixes",
-    "resolve_backend",
-    "resolve_jobs",
     "shift_episodes",
 ]

@@ -14,8 +14,9 @@ validates the bus graph:
 * While a handler runs, attribute accesses *on the handler's own
   instance* are recorded under ``(owner class, handler name)``. Accesses
   to other objects, and accesses outside any dispatch (deferred lambdas
-  the engine runs later), are ignored — matching the static model's
-  attribution rules.
+  the engine runs later, bus taps such as the invariant auditor — even
+  when a nested publish fires them mid-handler), are ignored — matching
+  the static model's attribution rules.
 * Method fetches are dropped (statically they are call edges, and their
   bodies' field effects are already folded in by the closure); property
   and data-field fetches are kept.
@@ -55,9 +56,11 @@ class EffectRecorder:
         self.writes: Dict[ObservedKey, Set[str]] = {}
         #: (event type name, phase name, handler name) dispatch log.
         self.dispatches: List[Tuple[str, str, str]] = []
-        self._stack: List[Callable[..., None]] = []
+        #: Running handlers, innermost last; None while a bus tap runs.
+        self._stack: List[Optional[Callable[..., None]]] = []
         self._instrumented: Dict[type, Tuple[Any, Any]] = {}
         self._bus: Optional[Any] = None
+        self._taps: List[Callable[..., None]] = []
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -73,6 +76,8 @@ class EffectRecorder:
         for cls in sorted(set(owners), key=lambda c: c.__qualname__):
             self._instrument(cls)
         bus.set_dispatch_interceptor(self._dispatch)
+        self._taps = list(bus._taps)
+        bus._taps[:] = [self._outside_dispatch(tap) for tap in self._taps]
         self._bus = bus
         return self
 
@@ -84,6 +89,7 @@ class EffectRecorder:
         self._instrumented.clear()
         if self._bus is not None:
             self._bus.set_dispatch_interceptor(None)
+            self._bus._taps[:] = self._taps
             self._bus = None
 
     def __enter__(self) -> "EffectRecorder":
@@ -107,6 +113,16 @@ class EffectRecorder:
             handler(event)
         finally:
             self._stack.pop()
+
+    def _outside_dispatch(self, tap: Callable[..., None]) -> Callable[..., None]:
+        def run(event: Any, phases: Any) -> None:
+            self._stack.append(None)
+            try:
+                tap(event, phases)
+            finally:
+                self._stack.pop()
+
+        return run
 
     def _instrument(self, cls: type) -> None:
         if cls in self._instrumented:
@@ -132,6 +148,8 @@ class EffectRecorder:
         if not stack or name.startswith("__"):
             return
         handler = stack[-1]
+        if handler is None:
+            return  # a bus tap is observing, not a handler acting
         owner = getattr(handler, "__self__", None)
         if owner is None or obj is not owner:
             return  # only the running handler's own instance is attributed

@@ -40,27 +40,14 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.experiments.config import EmulationConfig, SimulationConfig, Strategy
 from repro.runtime.runner import MapPhaseResult
 from repro.simulator.metrics import DurabilityMetrics, OverheadBreakdown
+from repro.util.validation import env_override
 
 #: Code-version salt folded into every cache key. Bump whenever a change
 #: alters simulated trajectories (placement, scheduling, network,
 #: failure semantics, ...) so stale results cannot leak into new sweeps.
 CACHE_SALT = "adapt-cells-v1"
 
-#: Environment variable consulted when no explicit worker count is given.
-JOBS_ENV = "REPRO_JOBS"
-
 ExperimentConfig = Union[EmulationConfig, SimulationConfig]
-
-
-def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS``; 1 (serial) when unset/invalid."""
-    raw = os.environ.get(JOBS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise ValueError(f"{JOBS_ENV} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -156,7 +143,7 @@ class SweepExecutor:
         cache_dir: Optional[Union[str, Path]] = None,
         salt: str = CACHE_SALT,
     ) -> None:
-        self.jobs = default_jobs() if jobs is None else max(int(jobs), 1)
+        self.jobs = env_override("REPRO_JOBS", 1) if jobs is None else max(int(jobs), 1)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.salt = salt
         self.cache_hits = 0

@@ -39,19 +39,13 @@ one loop in reverse registration order.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.availability.estimators import AvailabilityEstimate
 from repro.availability.generator import HostAvailability
-from repro.availability.pregen import (
-    AVAIL_BACKENDS,
-    pregenerate_prefixes,
-    resolve_backend,
-    resolve_jobs,
-)
+from repro.availability.pregen import AVAIL_BACKENDS, pregenerate_prefixes
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId, NodeIds
 from repro.core.predictor import PerformancePredictor
@@ -67,7 +61,7 @@ from repro.mapreduce.speculation import SpeculationPolicy
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.runtime.services import ServiceRegistry
 from repro.simulator.chaos import ChaosEngine
-from repro.simulator.engine import EVENT_QUEUES, Simulator
+from repro.simulator.engine import Simulator
 from repro.simulator.events import (
     BlockLost,
     EventBus,
@@ -96,7 +90,7 @@ from repro.simulator.topology import TOPOLOGIES, make_topology
 from repro.simulator.trace import TraceRecorder
 from repro.util.rng import RandomSource
 from repro.util.units import MB, mbit_per_s
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, env_override
 
 _DETECTIONS = ("heartbeat", "oracle")
 
@@ -222,12 +216,6 @@ class ClusterConfig:
     #: at any job count: every host's stream is independently keyed. The
     #: ``REPRO_PREGEN_JOBS`` environment variable overrides at build time.
     pregen_jobs: int = 1
-    #: Event-queue implementation: "heap" (compacting binary heap, the
-    #: default) or "calendar" (bucketed calendar queue for high event
-    #: density). Both are exact — identical (time, seq) pop order — and
-    #: byte-identical on the golden scenarios. The ``REPRO_EVENT_QUEUE``
-    #: environment variable overrides this at build time.
-    event_queue: str = "heap"
     #: Root seed; every random stream in the cluster derives from it.
     seed: int = 0
 
@@ -259,10 +247,6 @@ class ClusterConfig:
             )
         if self.pregen_jobs < 1:
             raise ValueError(f"pregen_jobs must be >= 1, got {self.pregen_jobs}")
-        if self.event_queue not in EVENT_QUEUES:
-            raise ValueError(
-                f"event_queue must be one of {EVENT_QUEUES}, got {self.event_queue!r}"
-            )
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
@@ -468,8 +452,8 @@ def build_cluster(
         raise ValueError("need at least one host")
     build_start = time.perf_counter()  # simlint: ignore[D002]
     profile = BuildProfile(
-        backend=resolve_backend(config.avail_backend),
-        jobs=resolve_jobs(config.pregen_jobs),
+        backend=env_override("REPRO_AVAIL_BACKEND", config.avail_backend, AVAIL_BACKENDS),
+        jobs=env_override("REPRO_PREGEN_JOBS", config.pregen_jobs),
     )
     names = [h.host_id for h in hosts]
     if len(set(names)) != len(names):
@@ -479,16 +463,7 @@ def build_cluster(
     ids = NodeIds()
     node_id_of = {name: ids.intern(name) for name in names}
 
-    # Like REPRO_AUDIT below: the environment variable lets CI drive the
-    # whole suite through the alternate queue without touching configs.
-    queue_name = (
-        os.environ.get("REPRO_EVENT_QUEUE", "").strip().lower() or config.event_queue
-    )
-    if queue_name not in EVENT_QUEUES:
-        raise ValueError(
-            f"REPRO_EVENT_QUEUE must be one of {EVENT_QUEUES}, got {queue_name!r}"
-        )
-    sim = Simulator(queue=queue_name)
+    sim = Simulator()
     rng = RandomSource(config.seed)
     bus = EventBus()
     tracer: Optional[TraceRecorder] = None
@@ -782,9 +757,7 @@ def build_cluster(
     # Cross-layer invariant auditing. The environment variable lets CI (and
     # local debugging) force strict audits over any existing configuration
     # without plumbing a flag through every entry point.
-    audit_mode = os.environ.get("REPRO_AUDIT", "").strip().lower() or config.audit
-    if audit_mode not in AUDIT_MODES:
-        raise ValueError(f"REPRO_AUDIT must be one of {AUDIT_MODES}, got {audit_mode!r}")
+    audit_mode = env_override("REPRO_AUDIT", config.audit, AUDIT_MODES)
     auditor: Optional[InvariantAuditor] = None
     if audit_mode != "off":
         auditor = InvariantAuditor(

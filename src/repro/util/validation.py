@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Type, TypeVar
+import os
+from typing import Optional, Sequence, Type, TypeVar, Union, overload
 
 T = TypeVar("T")
 
@@ -38,3 +39,34 @@ def check_type(name: str, value: object, expected: Type[T]) -> T:
             f"{name} must be {expected.__name__}, got {type(value).__name__}"
         )
     return value
+
+
+@overload
+def env_override(name: str, configured: str, choices: Sequence[str]) -> str:
+    ...
+
+
+@overload
+def env_override(name: str, configured: int) -> int:
+    ...
+
+
+def env_override(
+    name: str, configured: Union[str, int], choices: Optional[Sequence[str]] = None
+) -> Union[str, int]:
+    """The environment variable ``name`` when set and non-blank, else ``configured``.
+
+    With ``choices`` the (lower-cased) value must be one of them; without,
+    it must be a positive int. A bad value raises ValueError naming ``name``.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return configured
+    if choices is not None:
+        value = raw.lower()
+        if value not in choices:
+            raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
+        return value
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)

@@ -10,14 +10,14 @@ import pytest
 
 from repro.availability.generator import build_group_hosts
 from repro.availability.pregen import (
+    AVAIL_BACKENDS,
     episode_prefix,
     materialise_prefix,
     pregenerate_prefixes,
-    resolve_backend,
-    resolve_jobs,
     shift_episodes,
 )
 from repro.util.rng import RandomSource, derive_seed, derive_seeds
+from repro.util.validation import env_override
 
 
 def hosts_for(n, seed_ratio=0.8):
@@ -109,23 +109,24 @@ class TestParallelFanOut:
 class TestKnobResolution:
     def test_backend_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_AVAIL_BACKEND", "numpy")
-        assert resolve_backend("scalar") == "numpy"
+        assert env_override("REPRO_AVAIL_BACKEND", "scalar", AVAIL_BACKENDS) == "numpy"
         monkeypatch.setenv("REPRO_AVAIL_BACKEND", "")
-        assert resolve_backend("scalar") == "scalar"
+        assert env_override("REPRO_AVAIL_BACKEND", "scalar", AVAIL_BACKENDS) == "scalar"
 
     def test_unknown_backend_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_AVAIL_BACKEND", "cuda")
         with pytest.raises(ValueError, match="REPRO_AVAIL_BACKEND"):
-            resolve_backend("scalar")
+            env_override("REPRO_AVAIL_BACKEND", "scalar", AVAIL_BACKENDS)
         monkeypatch.delenv("REPRO_AVAIL_BACKEND")
         with pytest.raises(ValueError):
             pregenerate_prefixes(hosts_for(2), RandomSource(0), 10.0, backend="cuda")
 
     def test_jobs_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREGEN_JOBS", "7")
-        assert resolve_jobs(1) == 7
+        assert env_override("REPRO_PREGEN_JOBS", 1) == 7
         monkeypatch.setenv("REPRO_PREGEN_JOBS", "not-a-number")
-        assert resolve_jobs(3) == 3
+        with pytest.raises(ValueError, match="REPRO_PREGEN_JOBS"):
+            env_override("REPRO_PREGEN_JOBS", 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

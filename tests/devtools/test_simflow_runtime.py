@@ -25,8 +25,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Heartbeat detection, the replication monitor, permanent failures and
 #: hard-downtime reads: the widest handler set the flat topology wires.
+#: The strict auditor's bus tap reads other services' fields from inside
+#: nested publishes; none of that may be attributed to the handler.
 CONFIG_HEARTBEAT = ClusterConfig(
     seed=11,
+    audit="strict",
     detection="heartbeat",
     replication_monitor=True,
     access_during_downtime=False,

@@ -15,7 +15,6 @@ from repro.experiments.parallel import (
     CellSpec,
     SweepExecutor,
     cell_cache_key,
-    default_jobs,
     result_from_jsonable,
     result_to_jsonable,
 )
@@ -58,12 +57,10 @@ class TestCellSpec:
 class TestJobsResolution:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert default_jobs() == 1
         assert SweepExecutor().jobs == 1
 
     def test_env_sets_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "4")
-        assert default_jobs() == 4
         assert SweepExecutor().jobs == 4
 
     def test_explicit_jobs_beats_env(self, monkeypatch):
@@ -72,8 +69,8 @@ class TestJobsResolution:
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ValueError):
-            default_jobs()
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            SweepExecutor()
 
 
 class TestResultRoundTrip:

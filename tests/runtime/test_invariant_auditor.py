@@ -7,6 +7,7 @@ expected invariant name. A clean run must stay clean, strict mode must
 raise, and attaching the auditor must not change a seeded trajectory.
 """
 
+import heapq
 import json
 import math
 
@@ -248,7 +249,7 @@ class TestEventStreamFaults:
         run_job(cluster, ingest(cluster))
         assert cluster.sim.now > 1.0
         stale = EventHandle(0.0, lambda: None, "stale")
-        cluster.sim.queue.push((0.0, -1, stale))
+        heapq.heappush(cluster.sim._heap, (0.0, -1, stale))
         names = violation_names(cluster.auditor.audit())
         assert "event-heap-time" in names
 
