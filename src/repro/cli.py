@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.availability.generator import build_group_hosts, table2_groups
 from repro.core.model import expected_attempts, expected_downtime, expected_rework, expected_task_time
@@ -38,6 +38,12 @@ from repro.experiments.largescale import run_simulation_point, table1_statistics
 from repro.util.rng import RandomSource
 from repro.util.tables import format_table
 from repro.util.units import MB
+
+T = TypeVar("T")
+
+
+class _UsageError(Exception):
+    """A command-line value that an experiment config rejected."""
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -57,7 +63,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "groups": _cmd_groups,
         "lint": _cmd_lint,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
+
+
+def _experiment_config(factory: Callable[..., T], **fields: object) -> T:
+    """``factory(**fields)``, with a rejected value reported as a usage error.
+
+    Only the config's own validation is caught: a ValueError raised later,
+    by the run itself, still surfaces as a traceback.
+    """
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -342,7 +363,8 @@ def _cmd_placement(args: argparse.Namespace) -> int:
 
 
 def _cmd_emulate(args: argparse.Namespace) -> int:
-    config = EmulationConfig(
+    config = _experiment_config(
+        EmulationConfig,
         node_count=args.nodes,
         interrupted_ratio=args.ratio,
         bandwidth_mbps=args.bandwidth,
@@ -386,7 +408,8 @@ def _cmd_emulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = SimulationConfig(
+    config = _experiment_config(
+        SimulationConfig,
         node_count=args.nodes,
         bandwidth_mbps=args.bandwidth,
         block_size_bytes=int(args.block_size_mb * MB),
@@ -409,7 +432,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.simulator.scenarios import ChaosCampaign
 
     campaign = ChaosCampaign.load(args.campaign)
-    config = EmulationConfig(
+    config = _experiment_config(
+        EmulationConfig,
         node_count=args.nodes,
         interrupted_ratio=args.ratio,
         bandwidth_mbps=args.bandwidth,

@@ -8,6 +8,16 @@ numbers, a slot on a boundary is shared by the adjacent nodes — the paper's
 slot returns its owner directly, while a collision chain is resolved by a
 second uniform draw weighted by the chain members' rates.
 
+The table stores the node intervals ``[a_i, b_i)`` rather than one chain
+per slot. Node *i* covers slots ``floor(a_i)`` to ``min(ceil(b_i), m) - 1``;
+both bounds are non-decreasing in *i*, so slot ``r``'s candidates are the
+contiguous index range ``[bisect_right(lasts, r), bisect_right(firsts, r))``,
+and its chain is the candidates whose overlap with ``[r, r+1)`` exceeds
+``1e-12``, in node order. That is exactly the chain a per-slot layout would
+hold, but a (re)build costs O(n log n) instead of O(m), and a draw costs
+O(log n + chain). The difference matters because ADAPT's plan rebuilds the
+table every time its threshold cap removes a node.
+
 This module implements both the paper-faithful chain resolution (weights =
 global rates, as the pseudo-code literally states) and an exact variant
 (weights = each node's slot-interval overlap) selectable with
@@ -20,6 +30,7 @@ property tests exploit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.ids import NodeId
@@ -74,33 +85,64 @@ class WeightedHashTable:
         self._rates = [float(r) / total for r in rates]
         self._num_slots = int(num_slots)
         self._chain_weighting = chain_weighting
-        self._slots = self._build_slots()
+        self._build_intervals()
 
-    def _build_slots(self) -> List[List[Tuple[int, float]]]:
-        """Lay node intervals over the slots.
+    def _build_intervals(self) -> None:
+        """Lay node intervals over the slots and check every chain.
 
-        Returns, per slot, the chain of (node index, overlap length) pairs
-        for every node whose interval ``[a_i, b_i)`` intersects the slot
-        ``[j, j+1)``.
+        Keeps, per positive-rate node, ``(node index, a_i, b_i)`` plus the
+        first and one-past-last slot it covers, from the cumulative
+        recurrence ``b_i = a_i + m * rate_i``.
         """
-        slots: List[List[Tuple[int, float]]] = [[] for _ in range(self._num_slots)]
+        m = self._num_slots
+        intervals: List[Tuple[int, float, float]] = []
+        firsts: List[int] = []
+        lasts: List[int] = []
         a = 0.0
         for index, rate in enumerate(self._rates):
             if rate == 0.0:
                 continue
-            b = a + rate * self._num_slots
-            first = int(math.floor(a))
+            b = a + rate * m
+            intervals.append((index, a, b))
+            firsts.append(int(math.floor(a)))
             # Guard the final interval against float drift past the table end.
-            last = min(int(math.ceil(b)), self._num_slots)
-            for j in range(first, last):
-                overlap = min(b, j + 1.0) - max(a, float(j))
-                if overlap > 1e-12:
-                    slots[j].append((index, overlap))
+            lasts.append(min(int(math.ceil(b)), m))
             a = b
-        for j, chain in enumerate(slots):
+        self._intervals = intervals
+        self._firsts = firsts
+        self._lasts = lasts
+        # A slot strictly inside an interval overlaps it by exactly 1.0 and
+        # no other interval reaches it, so a chain can only be empty — or
+        # longer than one — at an interval's first or last slot, or past the
+        # last interval's end. Checking those slots in order finds the
+        # first empty slot, and the longest chain.
+        edges = {first for first in firsts if first < m}
+        edges.update(last - 1 for last in lasts)
+        if lasts[-1] < m:
+            edges.add(lasts[-1])
+        longest = 0
+        for slot in sorted(edges):
+            chain = self._chain_at(slot)
             if not chain:
-                raise AssertionError(f"hash table slot {j} has an empty chain")
-        return slots
+                raise AssertionError(f"hash table slot {slot} has an empty chain")
+            longest = max(longest, len(chain))
+        self._max_chain_length = longest
+
+    def _chain_at(self, slot: int) -> List[Tuple[int, float]]:
+        """The chain of (node index, overlap length) pairs at ``slot``."""
+        low, high = float(slot), slot + 1.0
+        return [
+            (index, overlap)
+            for index, a, b in self._intervals[
+                bisect_right(self._lasts, slot) : bisect_right(self._firsts, slot)
+            ]
+            if (overlap := min(b, high) - max(a, low)) > 1e-12
+        ]
+
+    def _chain_weights(self, chain: List[Tuple[int, float]]) -> List[float]:
+        if self._chain_weighting == "overlap":
+            return [overlap for _i, overlap in chain]
+        return [self._rates[i] for i, _overlap in chain]
 
     # -- queries ---------------------------------------------------------------
 
@@ -123,24 +165,23 @@ class WeightedHashTable:
 
     def chain(self, slot: int) -> List[NodeId]:
         """The node chain stored at a hash-table key (collision list)."""
-        return [self._node_ids[i] for i, _overlap in self._slots[slot]]
+        # Indexing a range keeps list semantics: negative keys count from
+        # the end and out-of-range keys raise IndexError.
+        slot = range(self._num_slots)[slot]
+        return [self._node_ids[i] for i, _overlap in self._chain_at(slot)]
 
     def max_chain_length(self) -> int:
         """Longest collision chain; bounded by n in degenerate tables."""
-        return max(len(chain) for chain in self._slots)
+        return self._max_chain_length
 
     # -- dataPlacement ----------------------------------------------------------
 
     def place(self, rng: RandomSource) -> NodeId:
         """One ``dataPlacement`` draw: returns the selected node id."""
-        r = rng.randrange(self._num_slots)
-        chain = self._slots[r]
+        chain = self._chain_at(rng.randrange(self._num_slots))
         if len(chain) == 1:
             return self._node_ids[chain[0][0]]
-        if self._chain_weighting == "overlap":
-            weights = [overlap for _i, overlap in chain]
-        else:
-            weights = [self._rates[i] for i, _overlap in chain]
+        weights = self._chain_weights(chain)
         omega = sum(weights)
         r1 = rng.random()
         low = 0.0
@@ -166,14 +207,12 @@ class WeightedHashTable:
         """
         probs = {node_id: 0.0 for node_id in self._node_ids}
         slot_p = 1.0 / self._num_slots
-        for chain in self._slots:
+        for slot in range(self._num_slots):
+            chain = self._chain_at(slot)
             if len(chain) == 1:
                 probs[self._node_ids[chain[0][0]]] += slot_p
                 continue
-            if self._chain_weighting == "overlap":
-                weights = [overlap for _i, overlap in chain]
-            else:
-                weights = [self._rates[i] for i, _overlap in chain]
+            weights = self._chain_weights(chain)
             omega = sum(weights)
             for (index, _overlap), weight in zip(chain, weights, strict=True):
                 probs[self._node_ids[index]] += slot_p * weight / omega

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.ids import NodeId
@@ -223,45 +223,48 @@ class _WeightedPlan(PlacementPlan):
         chain_weighting: str = "rate",
     ) -> None:
         super().__init__(nodes, num_blocks, replication)
-        self._rate_of = rate_of
-        self._capped = capped
+        # The cap and the rates depend only on the plan's inputs, so they
+        # are computed once here instead of on every cap check and rebuild.
+        # Threshold m(k+1)/n over the *original* population size n.
+        self._cap: Optional[int] = None
+        if capped:
+            cap = self._num_blocks * (self._replication + 1) / len(self._allocated)
+            self._cap = max(int(math.ceil(cap)), 1)
+        self._rates = [max(rate_of(n), 0.0) for n in self._nodes]
         self._chain_weighting = chain_weighting
         self._table: Optional[WeightedHashTable] = None
-        self._table_nodes: List[NodeView] = []
         self._table_ids: Set[NodeId] = set()
         self._rebuild_table()
 
     def _capacity(self, node_id: NodeId) -> Optional[int]:
-        if not self._capped:
-            return None
-        # Threshold m(k+1)/n over the *original* population size n.
-        n = len(self._allocated)
-        cap = self._num_blocks * (self._replication + 1) / n
-        return max(int(math.ceil(cap)), 1)
+        return self._cap
 
     def _rebuild_table(self) -> None:
-        members = [n for n in self._nodes if not self._at_capacity(n.node_id)]
+        members = [
+            (n.node_id, rate)
+            for n, rate in zip(self._nodes, self._rates, strict=True)
+            if not self._at_capacity(n.node_id)
+        ]
         if not members:
             self._table = None
-            self._table_nodes = []
             self._table_ids = set()
             return
-        rates = [max(self._rate_of(n), 0.0) for n in members]
+        ids = [node_id for node_id, _rate in members]
+        rates = [rate for _node_id, rate in members]
         if sum(rates) <= 0.0:
             # Degenerate estimates (all nodes unusable): fall back to uniform.
             rates = [1.0] * len(members)
         self._table = WeightedHashTable(
-            [n.node_id for n in members],
+            ids,
             rates,
             num_slots=max(self._num_blocks, len(members)),
             chain_weighting=self._chain_weighting,
         )
-        self._table_nodes = members
-        self._table_ids = {n.node_id for n in members}
+        self._table_ids = set(ids)
 
     def expected_share(self, node_id: NodeId) -> float:
         """Current expected fraction of placements going to ``node_id``."""
-        if self._table is None or node_id not in [n.node_id for n in self._table_nodes]:
+        if self._table is None or node_id not in self._table_ids:
             return 0.0
         return self._table.rate(node_id)
 
@@ -277,7 +280,7 @@ class _WeightedPlan(PlacementPlan):
         # every at-capacity member — so scanning ``chosen`` against the
         # table (instead of the whole table, O(n) per block) triggers
         # rebuilds at exactly the same instants.
-        if self._capped and any(
+        if self._cap is not None and any(
             node_id in self._table_ids and self._at_capacity(node_id)
             for node_id in chosen
         ):

@@ -1,7 +1,9 @@
 """Tests for Algorithm 1's weighted hash table."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hashtable import WeightedHashTable
@@ -11,6 +13,79 @@ from repro.util.rng import RandomSource
 def table(rates, slots=100, weighting="rate"):
     ids = [f"n{i}" for i in range(len(rates))]
     return WeightedHashTable(ids, rates, slots, chain_weighting=weighting)
+
+
+# -- reference: one explicit chain list per slot ------------------------------
+#
+# Algorithm 1's layout taken literally. The interval-indexed table must
+# reproduce these lists, the draws made from them, and the probabilities
+# summed over them exactly.
+
+
+def reference_slots(rates, num_slots):
+    """Per slot, the chain of (node index, overlap length) pairs.
+
+    ``rates`` are the table's normalised rates.
+    """
+    slots = [[] for _ in range(num_slots)]
+    a = 0.0
+    for index, rate in enumerate(rates):
+        if rate == 0.0:
+            continue
+        b = a + rate * num_slots
+        first = int(math.floor(a))
+        last = min(int(math.ceil(b)), num_slots)
+        for j in range(first, last):
+            overlap = min(b, j + 1.0) - max(a, float(j))
+            if overlap > 1e-12:
+                slots[j].append((index, overlap))
+        a = b
+    for j, chain in enumerate(slots):
+        if not chain:
+            raise AssertionError(f"hash table slot {j} has an empty chain")
+    return slots
+
+
+def reference_weights(chain, rates, weighting):
+    if weighting == "overlap":
+        return [overlap for _i, overlap in chain]
+    return [rates[i] for i, _overlap in chain]
+
+
+def reference_place(slots, rates, weighting, rng):
+    chain = slots[rng.randrange(len(slots))]
+    if len(chain) == 1:
+        return chain[0][0]
+    weights = reference_weights(chain, rates, weighting)
+    omega = sum(weights)
+    r1 = rng.random()
+    low = 0.0
+    for (index, _overlap), weight in zip(chain, weights, strict=True):
+        high = low + weight / omega
+        if low <= r1 < high:
+            return index
+        low = high
+    return chain[-1][0]
+
+
+def reference_probabilities(slots, rates, weighting):
+    probs = [0.0] * len(rates)
+    slot_p = 1.0 / len(slots)
+    for chain in slots:
+        if len(chain) == 1:
+            probs[chain[0][0]] += slot_p
+            continue
+        weights = reference_weights(chain, rates, weighting)
+        omega = sum(weights)
+        for (index, _overlap), weight in zip(chain, weights, strict=True):
+            probs[index] += slot_p * weight / omega
+    return probs
+
+
+#: Zero rates and positive rates spread log-uniformly down to 1e-12.
+rate_values = st.one_of(
+    st.just(0.0), st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
+)
 
 
 class TestConstruction:
@@ -64,6 +139,10 @@ class TestConstruction:
         assert t.max_chain_length() <= 2
         assert t.chain(0) == ["n0"]
         assert t.chain(9) == ["n1"]
+        # Keys index like a list of slots.
+        assert t.chain(-1) == ["n1"]
+        with pytest.raises(IndexError):
+            t.chain(10)
 
 
 class TestSelectionProbabilities:
@@ -145,3 +224,83 @@ class TestPlacement:
         rng = RandomSource(2)
         picks = set(t.place_many(rng, 500))
         assert len(picks) > 10  # most nodes reachable through the chains
+
+
+class TestReferenceOracle:
+    """The interval-indexed table against the per-slot reference."""
+
+    @given(
+        rates=st.integers(1, 256)
+        .flatmap(lambda n: st.lists(rate_values, min_size=n, max_size=n))
+        .filter(any),
+        # Each power-of-four band up to 25,600 alike; about half the tables
+        # have fewer slots than nodes.
+        slots=st.sampled_from([1, 4, 16, 64, 256, 1024, 4096, 16_384]).flatmap(
+            lambda low: st.integers(low, min(4 * low, 25_600))
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_slot_reference(self, rates, slots, seed):
+        for weighting in ("rate", "overlap"):
+            t = table(rates, slots=slots, weighting=weighting)
+            ref = reference_slots(t._rates, slots)
+            assert [t._chain_at(j) for j in range(slots)] == ref
+            assert t.max_chain_length() == max(len(chain) for chain in ref)
+
+            rng, ref_rng = RandomSource(seed), RandomSource(seed)
+            expected = [
+                f"n{reference_place(ref, t._rates, weighting, ref_rng)}"
+                for _ in range(300)
+            ]
+            assert t.place_many(rng, 300) == expected
+            assert rng.random() == ref_rng.random()
+
+            ref_probs = reference_probabilities(ref, t._rates, weighting)
+            assert t.selection_probabilities() == {
+                f"n{i}": p for i, p in enumerate(ref_probs)
+            }
+
+    @pytest.mark.parametrize(
+        "rates, empty_slot",
+        [
+            # The intervals end halfway: slots 5-9 belong to no node.
+            ([0.25, 0.25], 5),
+            # The last interval reaches 1e-13 into slot 9, under the
+            # 1e-12 overlap floor.
+            ([0.5, 0.4 + 1e-14], 9),
+        ],
+    )
+    def test_empty_chain_guard(self, rates, empty_slot):
+        t = table([1.0, 1.0], slots=10)
+        t._rates = rates
+        message = f"slot {empty_slot} has an empty chain"
+        with pytest.raises(AssertionError, match=message):
+            t._build_intervals()
+        with pytest.raises(AssertionError, match=message):
+            reference_slots(rates, 10)
+
+    @given(
+        rates=st.lists(rate_values, min_size=1, max_size=32).filter(any),
+        slots=st.integers(1, 1024),
+        shortfall=st.one_of(
+            st.floats(0.0, 3.0),
+            # Where the last slot's overlap crosses the 1e-12 floor.
+            st.floats(-2e-12, 2e-12).map(lambda d: 1.0 + d),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_empty_chain_guard_matches_reference(self, rates, slots, shortfall):
+        # Intervals that end ``shortfall`` slots before the table end: the
+        # table raises exactly when, and where, the reference does.
+        assume(shortfall < slots)
+        t = table(rates, slots=slots)
+        t._rates = [r * (slots - shortfall) / slots for r in t._rates]
+        try:
+            ref = reference_slots(t._rates, slots)
+        except AssertionError as exc:
+            with pytest.raises(AssertionError, match=f"^{exc}$"):
+                t._build_intervals()
+        else:
+            t._build_intervals()
+            assert [t._chain_at(j) for j in range(slots)] == ref

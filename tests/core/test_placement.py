@@ -1,5 +1,7 @@
 """Tests for the placement policies (existing / naive / ADAPT)."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.availability.estimators import AvailabilityEstimate
+from repro.core.hashtable import WeightedHashTable
 from repro.core.model import expected_task_time
 from repro.core.placement import (
     AdaptPlacement,
@@ -15,6 +18,7 @@ from repro.core.placement import (
     RandomPlacement,
     make_policy,
 )
+from repro.experiments.config import SimulationConfig
 from repro.util.rng import RandomSource
 
 GAMMA = 12.0
@@ -230,6 +234,35 @@ class TestBatchedPlacement:
         cap = max(int(math.ceil(num_blocks * (replication + 1) / n)), 1)
         assert all(count <= cap for count in plan.allocations().values())
         assert sum(plan.allocations().values()) == num_blocks * replication
+
+    @pytest.mark.parametrize(
+        "replication, digest", [(1, "fb62a8a70d47469a"), (2, "6f07f266f7bfce05")]
+    )
+    def test_rebuild_heavy_capped_adapt_pinned(self, monkeypatch, replication, digest):
+        # 64 SETI hosts and 6400 blocks: the cap fires 29 times, and each
+        # time the table is rebuilt over 6400 slots. Pins the number of
+        # tables built and the whole replica stream.
+        views = [
+            NodeView(
+                node_id=h.host_id,
+                estimate=AvailabilityEstimate(
+                    arrival_rate=h.arrival_rate, recovery_mean=h.service_mean, observations=1
+                ),
+            )
+            for h in SimulationConfig(node_count=64, seed=1).hosts()
+        ]
+        builds = []
+        table_init = WeightedHashTable.__init__
+
+        def counting_init(table, *args, **kwargs):
+            builds.append(table)
+            table_init(table, *args, **kwargs)
+
+        monkeypatch.setattr(WeightedHashTable, "__init__", counting_init)
+        plan = AdaptPlacement().build_plan(views, 6400, replication, 100.0)
+        replica_lists = plan.choose_replicas_many(RandomSource(3), 6400)
+        assert len(builds) == 30
+        assert hashlib.sha256(json.dumps(replica_lists).encode()).hexdigest()[:16] == digest
 
 
 class TestRackConstraint:

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+CAMPAIGN_PATH = Path(__file__).parents[2] / "examples" / "chaos_smoke.json"
 
 
 class TestCli:
@@ -102,3 +106,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "MTBI" in out
         assert "160290" in out  # the paper's reference values are shown
+
+
+class TestInvalidConfigValues:
+    """A value the experiment config rejects is a usage error (exit 2,
+    one line naming the field), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["emulate", "--ratio", "1.5"], "interrupted_ratio"),
+            (["simulate", "--nodes", "0"], "node_count"),
+            (
+                ["chaos", "--campaign", str(CAMPAIGN_PATH), "--blocks-per-node", "0"],
+                "blocks_per_node",
+            ),
+        ],
+        ids=["emulate", "simulate", "chaos"],
+    )
+    def test_rejected_value_is_usage_error(self, capsys, argv, field):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and field in errors[0]
