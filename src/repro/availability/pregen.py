@@ -27,13 +27,17 @@ Seed derivation for the scalar path is bulk: the per-host ``"arrivals"`` /
 (:func:`repro.util.rng.derive_seeds`) and fed back through
 ``RandomSource.from_derived``, which is bit-identical to the per-host
 ``substream`` chain the lazy path uses.
+
+The lazy path itself reads burn-in-shifted streams through
+:data:`SHIFTED_STREAMS`, which folds each host's burn-in once per process
+and seed (:class:`ShiftedStreams`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.availability.generator import HostAvailability
 from repro.availability.process import DowntimeEpisode
@@ -90,6 +94,103 @@ def materialise_prefix(
     return prefix
 
 
+def host_episodes(
+    host: HostAvailability, rng: RandomSource
+) -> Optional[Iterator[DowntimeEpisode]]:
+    """The host's unshifted episode stream under the injector root ``rng``.
+
+    Keyed by ``substream("failures", host.host_id)``, so a realisation
+    depends on the root and the host's name alone. None for dedicated hosts.
+    """
+    process = host.process(rng.substream("failures", host.host_id))
+    return None if process is None else process.episodes(float("inf"))
+
+
+class EpisodeLog:
+    """An append-only log of one stream's episodes, read through cursors.
+
+    ``source`` is the one generator that extends the log; each cursor
+    replays the log from the start and pulls from ``source`` only past
+    its end. Every cursor therefore sees the source's exact sequence,
+    however cursors interleave, and closing a cursor leaves the log and
+    ``source`` untouched.
+    """
+
+    __slots__ = ("episodes", "source")
+
+    def __init__(self, source: Iterator[DowntimeEpisode]) -> None:
+        self.episodes: List[DowntimeEpisode] = []
+        #: None once the source is exhausted.
+        self.source: Optional[Iterator[DowntimeEpisode]] = source
+
+    def cursor(self) -> Iterator[DowntimeEpisode]:
+        """A new reader positioned at the first episode."""
+        episodes = self.episodes
+        i = 0
+        while True:
+            if i == len(episodes):
+                if self.source is None:
+                    return
+                episode = next(self.source, None)
+                if episode is None:
+                    self.source = None
+                    return
+                episodes.append(episode)
+            yield episodes[i]
+            i += 1
+
+
+class ShiftedStreams:
+    """Burn-in-shifted episode streams, folded once per process.
+
+    A host's stream is a pure function of the injector's root
+    ``(seed, path)``, the host id, the exact arrival and service laws
+    (:attr:`Distribution.key`) and ``burn_in``, so builds that agree on
+    all of them can share one :class:`EpisodeLog`: the second same-seed
+    build skips the burn-in fold. Logs of one root are kept at a time; a
+    cursor under a new root drops them all, which bounds what is retained
+    by one population's streams.
+    """
+
+    def __init__(self) -> None:
+        self._root: Optional[Tuple[int, Tuple[object, ...]]] = None
+        self._logs: Dict[Tuple[object, ...], EpisodeLog] = {}
+
+    def __len__(self) -> int:
+        return len(self._logs)
+
+    def clear(self) -> None:
+        self._root = None
+        self._logs = {}
+
+    def cursor(
+        self, host: HostAvailability, rng: RandomSource, burn_in: float
+    ) -> Optional[Iterator[DowntimeEpisode]]:
+        """A cursor over ``host``'s shifted stream; None for dedicated hosts.
+
+        ``rng`` is the injector's stream root, as in :func:`episode_prefix`.
+        """
+        if host.arrival is None or host.service is None:
+            return None
+        root = (rng.seed, rng.path)
+        if root != self._root:
+            self.clear()
+            self._root = root
+        key = (host.host_id, host.arrival.key, host.service.key, burn_in)
+        log = self._logs.get(key)
+        if log is None:
+            source = host_episodes(host, rng)
+            assert source is not None
+            log = self._logs[key] = EpisodeLog(shift_episodes(source, burn_in))
+        return log.cursor()
+
+
+#: The process-wide memo ``FailureInjector.attach_host`` reads every
+#: burn-in stream through. Fresh-start streams (no burn-in) stay private:
+#: they have no fold to save, and sharing them would only retain history.
+SHIFTED_STREAMS = ShiftedStreams()
+
+
 def episode_prefix(
     host: HostAvailability,
     rng: RandomSource,
@@ -98,14 +199,13 @@ def episode_prefix(
 ) -> Optional[List[DowntimeEpisode]]:
     """One host's episode prefix, bit-identical to the lazy injector path.
 
-    ``rng`` is the injector's stream root (the one ``attach_host`` derives
-    ``substream("failures", host.host_id)`` from). Returns None for
-    dedicated hosts — they have no interruption stream at all.
+    ``rng`` is the injector's stream root (the one ``attach_host`` passes
+    to :func:`host_episodes`). Returns None for dedicated hosts — they
+    have no interruption stream at all.
     """
-    process = host.process(rng.substream("failures", host.host_id))
-    if process is None:
+    stream = host_episodes(host, rng)
+    if stream is None:
         return None
-    stream: Iterator[DowntimeEpisode] = process.episodes(float("inf"))
     if burn_in > 0.0:
         stream = shift_episodes(stream, burn_in)
     return materialise_prefix(stream, horizon)
@@ -293,8 +393,12 @@ def pregenerate_prefixes(
 
 __all__ = [
     "AVAIL_BACKENDS",
+    "EpisodeLog",
     "PregenResult",
+    "SHIFTED_STREAMS",
+    "ShiftedStreams",
     "episode_prefix",
+    "host_episodes",
     "materialise_prefix",
     "pregenerate_prefixes",
     "shift_episodes",

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.availability.generator import HostAvailability
-from repro.availability.pregen import materialise_prefix, shift_episodes
+from repro.availability.pregen import SHIFTED_STREAMS, host_episodes, materialise_prefix
 from repro.availability.process import DowntimeEpisode, InterruptionProcess
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId
@@ -159,15 +159,21 @@ class FailureInjector:
         stationary state — like cutting a random window out of a long trace:
         a host may already be down at t=0, with the correct residual
         downtime. A burn-in of several population MTBIs is enough; 0 keeps
-        the legacy fresh start.
+        the legacy fresh start. A burn-in stream is read through the
+        process-wide :data:`~repro.availability.pregen.SHIFTED_STREAMS`
+        memo, so a later same-seed build skips the burn-in fold and reads
+        the episodes the first build drew; fresh-start streams stay
+        private generators.
 
         ``pregen_horizon`` eagerly materialises every episode starting
         before that simulated time at attach, then *closes* the per-host
-        episode generator so its suspended frame holds no memory for the
-        rest of the run. The stream is per-node and values are position-
-        determined, so up to the horizon the delivered episodes (and the
-        engine's event sequence numbers) are byte-identical to the lazy
-        path. The horizon is a contract: a run that advances past it sees
+        stream so it holds no memory for the rest of the run. Without
+        burn-in that frees the episode generator itself; with burn-in it
+        closes this node's cursor, and the memo keeps the generator for
+        the next same-seed build. The stream is per-node and values are
+        position-determined, so up to the horizon the delivered episodes
+        (and the engine's event sequence numbers) are byte-identical to the
+        lazy path. The horizon is a contract: a run that advances past it sees
         no further interruptions, so callers must pick a horizon at or
         beyond the simulated window they intend to run (the scale-kernel
         bench opts in; see tools/bench_engine.py).
@@ -206,14 +212,12 @@ class FailureInjector:
             self._episode_streams[node_id] = iter(episodes)
             self._schedule_next(node_id)
             return
-        process = host.process(self._rng.substream("failures", host.host_id))
-        if process is None:
-            return
-        raw = process.episodes(float("inf"))
         if burn_in > 0.0:
-            stream: Iterator[DowntimeEpisode] = self._shift_stream(raw, burn_in)
+            stream = SHIFTED_STREAMS.cursor(host, self._rng, burn_in)
         else:
-            stream = raw
+            stream = host_episodes(host, self._rng)
+        if stream is None:
+            return
         if pregen_horizon is not None:
             stream = self._pregenerate(stream, pregen_horizon)
         self._episode_streams[node_id] = stream
@@ -235,18 +239,12 @@ class FailureInjector:
         interruptions beyond it, which is why ``attach_host`` documents
         the horizon as a contract, not a hint.
 
-        The source generator is closed even when the materialised prefix is
-        empty or materialisation raises (``materialise_prefix`` closes in a
-        ``finally``), so no attach path can leave a suspended frame behind.
+        The source is closed even when the materialised prefix is empty or
+        materialisation raises (``materialise_prefix`` closes in a
+        ``finally``), so no attach path leaves a suspended frame behind
+        beyond the generators the burn-in memo keeps.
         """
         return iter(materialise_prefix(stream, horizon))
-
-    @staticmethod
-    def _shift_stream(
-        episodes: Iterator[DowntimeEpisode], burn_in: float
-    ) -> Iterator[DowntimeEpisode]:
-        """Shift episodes ``burn_in`` seconds earlier, clipping at t=0."""
-        return shift_episodes(episodes, burn_in)
 
     def attach_trace(
         self, trace: AvailabilityTrace, node_id: Optional[NodeId] = None

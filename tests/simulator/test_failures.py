@@ -4,7 +4,10 @@ import pytest
 
 from repro.availability.distributions import Deterministic, Exponential
 from repro.availability.generator import HostAvailability
+from repro.availability.pregen import SHIFTED_STREAMS
 from repro.availability.traces import AvailabilityTrace
+from repro.experiments.config import SimulationConfig
+from repro.runtime import runner
 from repro.simulator.engine import Simulator
 from repro.simulator.failures import FailureInjector
 from repro.util.rng import RandomSource
@@ -459,3 +462,48 @@ class TestInjectedEpisodePrefix:
         sim.run(until=1000.0)
         assert rec.events == []
         assert not injector.is_down("h0")
+
+
+class TestSharedBurnInStreams:
+    """Same-seed lazy builds fold each host's burn-in once per process."""
+
+    def _setup(self):
+        config = SimulationConfig(node_count=12, tasks_per_node=2.0, seed=1)
+        cluster_config = config.cluster_config(seed=5)
+        assert cluster_config.stationary_burn_in > 0.0
+        return config.hosts(), cluster_config
+
+    def _run(self, monkeypatch, hosts, cluster_config, policy):
+        """run_map_phase, also returning the cluster's fired event count."""
+        built = []
+        real = runner.build_cluster
+
+        def capture(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(runner, "build_cluster", capture)
+        result = runner.run_map_phase(hosts, cluster_config, policy, blocks_per_node=2.0)
+        return result, built[0].sim.events_fired
+
+    def test_second_build_reuses_every_burn_in(self, monkeypatch, episode_calls):
+        hosts, cluster_config = self._setup()
+        SHIFTED_STREAMS.clear()
+        shared = [
+            self._run(monkeypatch, hosts, cluster_config, policy)
+            for policy in ("existing", "adapt")
+        ]
+        interrupted = sum(1 for host in hosts if not host.is_dedicated)
+        assert interrupted > 0
+        assert len(episode_calls) == interrupted
+        for policy, outcome in zip(("existing", "adapt"), shared, strict=True):
+            SHIFTED_STREAMS.clear()
+            assert self._run(monkeypatch, hosts, cluster_config, policy) == outcome
+
+    def test_fresh_start_streams_stay_private(self):
+        SHIFTED_STREAMS.clear()
+        _, injector = make_injector()
+        injector.attach_host(interrupted_host("h0"))
+        assert len(SHIFTED_STREAMS) == 0
+        injector.attach_host(interrupted_host("h1"), burn_in=50.0)
+        assert len(SHIFTED_STREAMS) == 1
