@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.util.rng import RandomSource
 from repro.util.validation import check_positive
 
 #: Kinderman-Monahan rejection constant — must match ``random.NV_MAGICCONST``
-#: exactly for the batched normal path to be bit-identical to
-#: ``Random.normalvariate``.
+#: exactly for the inlined lognormal fold in ``repro.availability.process``
+#: to be bit-identical to ``Random.normalvariate``.
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
@@ -64,20 +64,6 @@ class Distribution(ABC):
     def sample(self, rng: RandomSource) -> float:
         """Draw one sample using ``rng``."""
 
-    def sample_many(self, rng: RandomSource, count: int) -> List[float]:
-        """Draw ``count`` samples.
-
-        Contract (pinned by ``tests/availability/test_vectorized.py``):
-        the returned sequence is **bit-identical** to ``count`` scalar
-        :meth:`sample` calls on the same stream, and the stream is left in
-        the same state — so batched and scalar consumers can interleave
-        freely. Subclasses override this with batched transforms that
-        reproduce CPython's ``random`` module formulas exactly (numpy's
-        transcendental ufuncs differ from libm by 1 ulp on a fraction of
-        inputs, so golden-bearing transforms stay on ``math.*``).
-        """
-        return [self.sample(rng) for _ in range(count)]
-
 
 class Exponential(Distribution):
     """Exponential distribution, parameterised by its mean (1/rate)."""
@@ -105,13 +91,6 @@ class Exponential(Distribution):
     def sample(self, rng: RandomSource) -> float:
         return rng.expovariate(self.rate)
 
-    def sample_many(self, rng: RandomSource, count: int) -> List[float]:
-        # Random.expovariate(lambd) is -log(1 - random()) / lambd; one
-        # uniform per draw, so a straight batch over random_many.
-        lambd = self.rate
-        log = math.log
-        return [-log(1.0 - u) / lambd for u in rng.random_many(count)]
-
     def __repr__(self) -> str:
         return f"Exponential(mean={self._mean:g})"
 
@@ -136,9 +115,6 @@ class Deterministic(Distribution):
 
     def sample(self, rng: RandomSource) -> float:
         return self._value
-
-    def sample_many(self, rng: RandomSource, count: int) -> List[float]:
-        return [self._value] * count
 
     def __repr__(self) -> str:
         return f"Deterministic(value={self._value:g})"
@@ -192,29 +168,6 @@ class Lognormal(Distribution):
     def sample(self, rng: RandomSource) -> float:
         return rng.lognormvariate(self._mu, self._sigma)
 
-    def sample_many(self, rng: RandomSource, count: int) -> List[float]:
-        # Inlined Random.lognormvariate: exp() of the Kinderman-Monahan
-        # rejection sampler behind Random.normalvariate. The rejection
-        # loop consumes a data-dependent number of uniforms, so it pulls
-        # from the bound sampler directly — never over-drawing the stream.
-        rnd = rng.raw_random
-        mu = self._mu
-        sigma = self._sigma
-        magic = _NV_MAGICCONST
-        log = math.log
-        exp = math.exp
-        out: List[float] = []
-        append = out.append
-        for _ in range(count):
-            while True:
-                u1 = rnd()
-                u2 = 1.0 - rnd()
-                z = magic * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -log(u2):
-                    break
-            append(exp(mu + z * sigma))
-        return out
-
     def __repr__(self) -> str:
         return f"Lognormal(mean={self._mean:g}, cov={self._cov:g})"
 
@@ -250,13 +203,6 @@ class Weibull(Distribution):
 
     def sample(self, rng: RandomSource) -> float:
         return rng.weibullvariate(self._scale, self._shape)
-
-    def sample_many(self, rng: RandomSource, count: int) -> List[float]:
-        # Random.weibullvariate: scale * (-log(1 - random())) ** (1/shape).
-        scale = self._scale
-        inv_shape = 1.0 / self._shape
-        log = math.log
-        return [scale * (-log(1.0 - u)) ** inv_shape for u in rng.random_many(count)]
 
     def __repr__(self) -> str:
         return f"Weibull(scale={self._scale:g}, shape={self._shape:g})"
@@ -303,12 +249,6 @@ class Pareto(Distribution):
     def sample(self, rng: RandomSource) -> float:
         return self._xm * rng.paretovariate(self._alpha)
 
-    def sample_many(self, rng: RandomSource, count: int) -> List[float]:
-        # Random.paretovariate: (1 - random()) ** (-1/alpha), scaled by xm.
-        xm = self._xm
-        exponent = -1.0 / self._alpha
-        return [xm * (1.0 - u) ** exponent for u in rng.random_many(count)]
-
     def __repr__(self) -> str:
         return f"Pareto(xm={self._xm:g}, alpha={self._alpha:g})"
 
@@ -346,11 +286,6 @@ class ShiftedPareto(Distribution):
         # inverse CDF: F(x) = 1 - (1 + x/scale)^-alpha
         u = rng.random()
         return self._scale * ((1.0 - u) ** (-1.0 / self._alpha) - 1.0)
-
-    def sample_many(self, rng: RandomSource, count: int) -> List[float]:
-        scale = self._scale
-        exponent = -1.0 / self._alpha
-        return [scale * ((1.0 - u) ** exponent - 1.0) for u in rng.random_many(count)]
 
     def __repr__(self) -> str:
         return f"ShiftedPareto(scale={self._scale:g}, alpha={self._alpha:g})"

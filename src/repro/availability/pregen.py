@@ -1,32 +1,25 @@
-"""Bulk availability pregeneration: the cluster-build episode kernel.
+"""Availability pregeneration: the cluster-build episode kernel.
 
-``build_cluster`` with ``pregen_horizon`` set used to materialise every
-per-host episode prefix one lazy generator at a time inside
-``FailureInjector.attach_host`` — at 226k hosts that busy-period fold is
-~97% of cluster build time. This module lifts the materialisation out of
-the injector so it can be batched three ways:
+``build_cluster`` with ``pregen_horizon`` set materialises every host's
+episode prefix up to the horizon before the run and hands each prefix to
+``FailureInjector.attach_host(episodes=...)``, so the run loop pays no
+sampling cost and keeps no suspended generator per host. At 226k hosts
+that busy-period fold is ~97% of cluster build time, so
+:func:`pregenerate_prefixes` runs it two ways:
 
-* **Serial, bit-identical** (:func:`episode_prefix`): the same draws in
-  the same order as the lazy path — the default.
-* **Multi-process, bit-identical** (:func:`pregenerate_prefixes` with
-  ``jobs > 1``): every host's stream is independently keyed by
-  ``(seed, host name)``, so host chunks are embarrassingly parallel.
-  Chunks fan out over a ``ProcessPoolExecutor`` (the
-  ``experiments/parallel.py`` idiom) and results are reassembled **by
-  chunk position**, never completion order, so parallel output is
-  byte-identical to serial.
+* **Scalar, bit-identical** (the default): :func:`episode_prefix` per
+  host, the same draws in the same order as the lazy injector path.
+  With ``jobs > 1`` host chunks fan out over a ``ProcessPoolExecutor``
+  (the ``experiments/parallel.py`` idiom): every host's stream is
+  independently keyed by ``(seed, host name)``, and results are
+  reassembled **by chunk position**, never completion order, so parallel
+  output is byte-identical to serial.
 * **Numpy-vectorized, opt-in approximate** (``backend="numpy"``, or
   ``REPRO_AVAIL_BACKEND=numpy``): the busy-period fold becomes a
   Lindley-style vector recursion (:mod:`repro.availability.numpy_backend`).
   Draws come from numpy's PCG64, not CPython's Mersenne Twister, so
   realisations are *statistically* equivalent (same laws; KS-tested) but
   not byte-identical — the backend carries its own golden pins.
-
-Seed derivation for the scalar path is bulk: the per-host ``"arrivals"`` /
-``"service"`` substream seeds are derived with one incremental hash pass
-(:func:`repro.util.rng.derive_seeds`) and fed back through
-``RandomSource.from_derived``, which is bit-identical to the per-host
-``substream`` chain the lazy path uses.
 
 The lazy path itself reads burn-in-shifted streams through
 :data:`SHIFTED_STREAMS`, which folds each host's burn-in once per process
@@ -35,13 +28,12 @@ and seed (:class:`ShiftedStreams`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.availability.generator import HostAvailability
+from repro.availability.numpy_backend import episode_prefix_numpy
 from repro.availability.process import DowntimeEpisode
-from repro.util.rng import RandomSource, derive_seeds
+from repro.util.rng import RandomSource, derive_seed
 
 #: Recognised pregeneration sampling backends.
 AVAIL_BACKENDS = ("scalar", "numpy")
@@ -211,120 +203,34 @@ def episode_prefix(
     return materialise_prefix(stream, horizon)
 
 
-@dataclass
-class PregenResult:
-    """Prefixes (parallel to the host list) plus phase timings."""
-
-    #: Per host: the materialised prefix, or None for dedicated hosts.
-    prefixes: List[Optional[List[DowntimeEpisode]]] = field(default_factory=list)
-    #: Seconds spent bulk-deriving per-host stream seeds.
-    seed_seconds: float = 0.0
-    #: Seconds spent sampling/folding episodes (everything else).
-    sample_seconds: float = 0.0
-    #: The backend that actually ran ("scalar" or "numpy").
-    backend: str = "scalar"
-    #: Worker processes used (1 = in-process).
-    jobs: int = 1
+#: Per host: the materialised prefix, or None for a dedicated host.
+Prefixes = List[Optional[List[DowntimeEpisode]]]
 
 
-def _scalar_chunk(
-    hosts: Sequence[HostAvailability],
-    root_seed: int,
-    rng_path: Tuple[object, ...],
-    horizon: float,
-    burn_in: float,
-) -> Tuple[List[Optional[List[DowntimeEpisode]]], float]:
-    """Scalar prefixes for a host chunk; returns (prefixes, seed_seconds).
+def _numpy_prefix(
+    host: HostAvailability, rng: RandomSource, horizon: float, burn_in: float
+) -> Optional[List[DowntimeEpisode]]:
+    """One host's numpy-backend prefix, keyed under a ``"numpy"`` leaf.
 
-    Per-host ``"arrivals"`` / ``"service"`` substream seeds are derived in
-    one incremental hash pass and turned into streams via
-    ``RandomSource.from_derived`` — bit-identical to the per-host
-    ``substream`` chain of :func:`episode_prefix` / the lazy injector.
+    Falls back to the exact scalar path when the distribution pair is
+    outside the vectorized family.
     """
-    t0 = perf_counter()  # simlint: ignore[D002]
-    names = [host.host_id for host in hosts]
-    clock_seeds = derive_seeds(
-        root_seed, (*rng_path, "failures"), ((name, "arrivals") for name in names)
-    )
-    svc_seeds = derive_seeds(
-        root_seed, (*rng_path, "failures"), ((name, "service") for name in names)
-    )
-    seed_seconds = perf_counter() - t0  # simlint: ignore[D002]
-
-    prefixes: List[Optional[List[DowntimeEpisode]]] = []
-    inf = float("inf")
-    for host, clock_seed, svc_seed in zip(hosts, clock_seeds, svc_seeds, strict=True):
-        if host.arrival is None or host.service is None:
-            prefixes.append(None)
-            continue
-        base_path = (*rng_path, "failures", host.host_id)
-        process = host.process(RandomSource(root_seed, base_path))
-        assert process is not None
-        clock = RandomSource.from_derived(
-            clock_seed, root_seed, (*base_path, "arrivals")
-        )
-        svc_rng = RandomSource.from_derived(
-            svc_seed, root_seed, (*base_path, "service")
-        )
-        stream: Iterator[DowntimeEpisode] = process.episodes(
-            inf, clock=clock, svc_rng=svc_rng
-        )
-        if burn_in > 0.0:
-            stream = shift_episodes(stream, burn_in)
-        prefixes.append(materialise_prefix(stream, horizon))
-    return prefixes, seed_seconds
-
-
-def _numpy_chunk(
-    hosts: Sequence[HostAvailability],
-    root_seed: int,
-    rng_path: Tuple[object, ...],
-    horizon: float,
-    burn_in: float,
-) -> Tuple[List[Optional[List[DowntimeEpisode]]], float]:
-    """Numpy-backend prefixes for a host chunk (scalar fallback per host
-    when a distribution pair is outside the vectorized family)."""
-    from repro.availability import numpy_backend
-
-    t0 = perf_counter()  # simlint: ignore[D002]
-    names = [host.host_id for host in hosts]
-    np_seeds = derive_seeds(
-        root_seed, (*rng_path, "failures"), ((name, "numpy") for name in names)
-    )
-    seed_seconds = perf_counter() - t0  # simlint: ignore[D002]
-
-    prefixes: List[Optional[List[DowntimeEpisode]]] = []
-    for host, np_seed in zip(hosts, np_seeds, strict=True):
-        if host.arrival is None or host.service is None:
-            prefixes.append(None)
-            continue
-        prefix = numpy_backend.episode_prefix_numpy(
-            host.arrival, host.service, np_seed, horizon, burn_in=burn_in
-        )
-        if prefix is None:
-            # Distribution pair not vectorized: exact scalar path instead.
-            prefix = episode_prefix(
-                host, RandomSource(root_seed, rng_path), horizon, burn_in
-            )
-        prefixes.append(prefix)
-    return prefixes, seed_seconds
+    if host.arrival is None or host.service is None:
+        return None
+    seed = derive_seed(rng.seed, *rng.path, "failures", host.host_id, "numpy")
+    prefix = episode_prefix_numpy(host.arrival, host.service, seed, horizon, burn_in=burn_in)
+    if prefix is None:
+        prefix = episode_prefix(host, rng, horizon, burn_in)
+    return prefix
 
 
 def _pregen_chunk(
-    args: Tuple[
-        str,
-        List[HostAvailability],
-        int,
-        Tuple[object, ...],
-        float,
-        float,
-    ],
-) -> Tuple[List[Optional[List[DowntimeEpisode]]], float]:
+    args: Tuple[str, List[HostAvailability], RandomSource, float, float],
+) -> Prefixes:
     """Picklable worker entry point: one (backend, host-chunk) unit."""
-    backend, hosts, root_seed, rng_path, horizon, burn_in = args
-    if backend == "numpy":
-        return _numpy_chunk(hosts, root_seed, rng_path, horizon, burn_in)
-    return _scalar_chunk(hosts, root_seed, rng_path, horizon, burn_in)
+    backend, hosts, rng, horizon, burn_in = args
+    one = _numpy_prefix if backend == "numpy" else episode_prefix
+    return [one(host, rng, horizon, burn_in) for host in hosts]
 
 
 def pregenerate_prefixes(
@@ -334,7 +240,7 @@ def pregenerate_prefixes(
     burn_in: float = 0.0,
     jobs: int = 1,
     backend: str = "scalar",
-) -> PregenResult:
+) -> Prefixes:
     """Materialise every host's episode prefix for ``horizon``.
 
     The result list parallels ``hosts`` (None for dedicated hosts) and —
@@ -352,49 +258,29 @@ def pregenerate_prefixes(
     if backend not in AVAIL_BACKENDS:
         raise ValueError(f"backend must be one of {AVAIL_BACKENDS}, got {backend!r}")
     jobs = max(int(jobs), 1)
-    result = PregenResult(backend=backend, jobs=jobs)
-    if not hosts:
-        return result
-
-    t0 = perf_counter()  # simlint: ignore[D002]
-    root_seed = rng.seed
-    rng_path = rng.path
     if jobs == 1 or len(hosts) <= _MIN_CHUNK:
-        prefixes, seed_seconds = _pregen_chunk(
-            (backend, list(hosts), root_seed, rng_path, horizon, burn_in)
-        )
-        result.prefixes = prefixes
-        result.seed_seconds = seed_seconds
-        result.jobs = 1
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return _pregen_chunk((backend, list(hosts), rng, horizon, burn_in))
 
-        chunk_size = max((len(hosts) + jobs - 1) // jobs, _MIN_CHUNK)
-        chunks = [
-            list(hosts[i : i + chunk_size]) for i in range(0, len(hosts), chunk_size)
-        ]
-        workers = min(jobs, len(chunks))
-        specs = [
-            (backend, chunk, root_seed, rng_path, horizon, burn_in)
-            for chunk in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Reassembled by chunk position (map preserves input order),
-            # never completion order — parallel == serial, byte for byte.
-            outputs = list(pool.map(_pregen_chunk, specs))
-        seed_seconds = 0.0
-        for prefixes, chunk_seed_seconds in outputs:
-            result.prefixes.extend(prefixes)
-            seed_seconds += chunk_seed_seconds
-        result.seed_seconds = seed_seconds
-    result.sample_seconds = max(perf_counter() - t0 - result.seed_seconds, 0.0)  # simlint: ignore[D002]
-    return result
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk_size = max((len(hosts) + jobs - 1) // jobs, _MIN_CHUNK)
+    specs = [
+        (backend, list(hosts[i : i + chunk_size]), rng, horizon, burn_in)
+        for i in range(0, len(hosts), chunk_size)
+    ]
+    prefixes: Prefixes = []
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
+        # Reassembled by chunk position (map preserves input order),
+        # never completion order — parallel == serial, byte for byte.
+        for chunk in pool.map(_pregen_chunk, specs):
+            prefixes.extend(chunk)
+    return prefixes
 
 
 __all__ = [
     "AVAIL_BACKENDS",
     "EpisodeLog",
-    "PregenResult",
+    "Prefixes",
     "SHIFTED_STREAMS",
     "ShiftedStreams",
     "episode_prefix",

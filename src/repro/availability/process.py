@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.availability.distributions import (
     _NV_MAGICCONST,
@@ -135,23 +135,14 @@ class InterruptionProcess:
             )
         return self.service_mean / (1.0 - self.utilization)
 
-    def episodes(
-        self,
-        horizon: float,
-        clock: Optional[RandomSource] = None,
-        svc_rng: Optional[RandomSource] = None,
-    ) -> Iterator[DowntimeEpisode]:
+    def episodes(self, horizon: float) -> Iterator[DowntimeEpisode]:
         """Yield downtime episodes whose *start* falls in [0, horizon).
 
         Episodes are emitted in increasing start order and never overlap.
         The last episode may end after ``horizon``; callers that need a
         bounded trace clip it (see ``AvailabilityTrace.from_episodes``).
-
-        ``clock`` / ``svc_rng`` let bulk pregeneration
-        (:mod:`repro.availability.pregen`) pass in streams built from
-        bulk-derived seeds; they must equal the default substream
-        derivations (``"arrivals"`` / ``"service"`` under this process's
-        rng) for the realisation to stay byte-identical.
+        Arrivals draw from this process's ``"arrivals"`` substream and
+        recoveries from its ``"service"`` substream.
 
         This loop dominates whole-cluster build and run time at scale
         (~98% of the 16k-node kernel cell), so the two distribution pairs
@@ -165,10 +156,8 @@ class InterruptionProcess:
         generic scalar path (pinned by tests/availability/test_vectorized.py).
         """
         check_positive("horizon", horizon)
-        if clock is None:
-            clock = self._rng.substream("arrivals")
-        if svc_rng is None:
-            svc_rng = self._rng.substream("service")
+        clock = self._rng.substream("arrivals")
+        svc_rng = self._rng.substream("service")
         arrival = self._arrival
         service = self._service
         if type(arrival) is Exponential:
@@ -184,7 +173,12 @@ class InterruptionProcess:
         svc_rng: RandomSource,
         horizon: float,
     ) -> Iterator[DowntimeEpisode]:
-        """Reference busy-period fold: one ``Distribution.sample`` per draw."""
+        """Reference busy-period fold: one ``Distribution.sample`` per draw.
+
+        It serves every pair without an inlined fold below (deterministic
+        recovery, non-exponential arrivals), and the inlined folds are
+        pinned bit-identical to it.
+        """
         arrival = self._arrival
         service = self._service
         max_per = self._max_per_episode
@@ -309,31 +303,3 @@ class InterruptionProcess:
             f"InterruptionProcess(arrival={self._arrival!r}, "
             f"service={self._service!r})"
         )
-
-
-def merge_episode_stream(
-    episodes: Iterator[DowntimeEpisode],
-    lookahead: Optional[int] = None,
-) -> Iterator[DowntimeEpisode]:
-    """Merge any episodes that touch or overlap into single episodes.
-
-    :class:`InterruptionProcess` already emits disjoint episodes; this
-    helper exists for trace post-processing (e.g. traces assembled from
-    recorded event logs where windows may abut).
-    """
-    pending: Optional[DowntimeEpisode] = None
-    for episode in episodes:
-        if pending is None:
-            pending = episode
-            continue
-        if episode.start <= pending.end:
-            pending = DowntimeEpisode(
-                start=pending.start,
-                end=max(pending.end, episode.end),
-                interruption_count=pending.interruption_count + episode.interruption_count,
-            )
-        else:
-            yield pending
-            pending = episode
-    if pending is not None:
-        yield pending

@@ -65,7 +65,6 @@ EffectKey = Tuple[str, str]
 DRAW_METHODS = frozenset(
     {
         "random",
-        "random_many",
         "raw_random",
         "uniform",
         "randint",
@@ -83,7 +82,7 @@ DRAW_METHODS = frozenset(
 )
 
 #: RandomSource methods that derive child streams without drawing.
-DERIVE_METHODS = frozenset({"substream", "from_derived", "derive_seed", "derive_seeds"})
+DERIVE_METHODS = frozenset({"substream", "derive_seed"})
 
 #: Method names that mutate their receiver in place: a call through a
 #: field (``self._queue.append(x)``) writes the field.

@@ -281,8 +281,7 @@ class RngDiscipline(ProjectRule):
                             node.col_offset,
                             "RandomSource seeded with a literal constant; "
                             "derive the stream from the run's root seed via "
-                            "substream()/derive_seeds so substream discipline "
-                            "holds",
+                            "substream() so substream discipline holds",
                         ),
                     )
 

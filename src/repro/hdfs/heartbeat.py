@@ -19,7 +19,7 @@ with the instant :class:`~repro.hdfs.detection.OracleDetector`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.ids import NodeId
 from repro.core.predictor import PerformancePredictor
@@ -66,8 +66,11 @@ class HeartbeatService:
         #: Nodes whose beats are lost in transit (chaos partitions with
         #: heartbeats blocked); counted so overlapping partitions nest.
         self._suppress_counts: Dict[NodeId, int] = {}
-        self._on_dead: List[Callable[[str, float], None]] = []
-        self._on_returned: List[Callable[[str, float], None]] = []
+
+    @property
+    def bus(self) -> EventBus:
+        """The bus this service publishes belief changes on."""
+        return self._bus
 
     @property
     def interval(self) -> float:
@@ -77,21 +80,6 @@ class HeartbeatService:
     def timeout(self) -> float:
         """Silence length after which a node is declared dead."""
         return self._interval * self._miss_threshold
-
-    def subscribe(
-        self,
-        on_dead: Optional[Callable[[str, float], None]] = None,
-        on_returned: Optional[Callable[[str, float], None]] = None,
-    ) -> None:
-        """Register ``(node_id, time)`` belief-change callbacks (legacy API).
-
-        Cluster wiring consumes the bus's ``NodeDeclaredDead`` /
-        ``NodeReturned`` events instead; this remains for standalone use.
-        """
-        if on_dead is not None:
-            self._on_dead.append(on_dead)
-        if on_returned is not None:
-            self._on_returned.append(on_returned)
 
     # -- wiring -----------------------------------------------------------------
 
@@ -263,8 +251,6 @@ class HeartbeatService:
         self._last_beat[node_id] = now
         if not self._namenode.is_live(node_id):
             self._namenode.mark_alive(node_id)
-            for callback in self._on_returned:
-                callback(node_id, now)
             self._bus.publish(NodeReturned(time=now, node_id=node_id))
         self._schedule_beat(node_id)
         self._arm_watchdog(node_id)
@@ -287,6 +273,4 @@ class HeartbeatService:
             return
         if self._namenode.is_live(node_id):
             self._namenode.mark_dead(node_id)
-            for callback in self._on_dead:
-                callback(node_id, now)
             self._bus.publish(NodeDeclaredDead(time=now, node_id=node_id))

@@ -8,8 +8,8 @@ a surviving replica to a fresh node. That recovery traffic is exactly the
 the pipeline:
 
 * :class:`ReplicationMonitor` subscribes to the failure-detection signals
-  (``on_dead`` / ``on_returned`` from the heartbeat watchdog, or the oracle
-  equivalents) and maintains a priority queue of under-replicated blocks
+  (``NodeDeclaredDead`` / ``NodeReturned``, from the heartbeat watchdog or
+  the oracle) and maintains a priority queue of under-replicated blocks
   keyed by live replica count — a block down to its last copy jumps the
   queue.
 * Copies run over the shared :class:`~repro.simulator.network.Network`

@@ -203,7 +203,8 @@ class ClusterConfig:
     #: run loop pays no sampling cost (or suspended-frame memory) up to the
     #: horizon. Byte-identical to lazy sampling within the horizon; past it
     #: no further interruptions occur, so set this at or beyond the window
-    #: you intend to simulate. None keeps the lazy default.
+    #: you intend to simulate (``Cluster.run_until_job_done`` raises when a
+    #: job outlives it). None keeps the lazy default.
     pregen_horizon: Optional[float] = None
     #: Episode sampling backend for pregeneration: "scalar" (exact, the
     #: golden-bearing default) or "numpy" (vectorized; statistically
@@ -291,14 +292,10 @@ class ClusterConfig:
 class BuildProfile:
     """Wall-clock breakdown of one ``build_cluster`` call.
 
-    ``seed_derivation_seconds`` and ``sample_seconds`` are sub-spans of
-    ``pregen_seconds`` (reported by the pregeneration kernel itself);
-    the remaining phases are disjoint. ``total_seconds`` covers the whole
+    The itemised phases are disjoint. ``total_seconds`` covers the whole
     build including un-itemised glue, so the itemised phases sum to less.
     """
 
-    seed_derivation_seconds: float = 0.0
-    sample_seconds: float = 0.0
     pregen_seconds: float = 0.0
     object_construction_seconds: float = 0.0
     bus_wiring_seconds: float = 0.0
@@ -309,8 +306,6 @@ class BuildProfile:
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot (bench_engine's build_breakdown)."""
         return {
-            "seed_derivation_seconds": round(self.seed_derivation_seconds, 4),
-            "sample_seconds": round(self.sample_seconds, 4),
             "pregen_seconds": round(self.pregen_seconds, 4),
             "object_construction_seconds": round(self.object_construction_seconds, 4),
             "bus_wiring_seconds": round(self.bus_wiring_seconds, 4),
@@ -409,6 +404,10 @@ class Cluster:
         The failure injector's event stream is endless, so "run until the
         heap drains" never terminates; this helper steps until the
         JobTracker reports completion (or the safety budget trips).
+
+        A job that finishes past ``config.pregen_horizon`` raises: the
+        pregenerated streams end at the horizon, so every interruption
+        after it went unsimulated and the result would be silently skewed.
         """
         executed = 0
         while not self.jobtracker.is_done:
@@ -420,6 +419,13 @@ class Cluster:
                     f"job did not finish within {max_events} events; "
                     "likely a livelock (check replica reachability settings)"
                 )
+        horizon = self.config.pregen_horizon
+        if horizon is not None and self.sim.now > horizon:
+            raise RuntimeError(
+                f"job finished at t={self.sim.now} s, past pregen_horizon={horizon} s; "
+                "no interruption after the horizon was simulated, so raise "
+                "pregen_horizon to cover the whole run"
+            )
 
     def stop(self) -> None:
         """Tear the cluster down: stop every registered service.
@@ -717,7 +723,7 @@ def build_cluster(
         # suspends a generator frame. With the default scalar backend this
         # is byte-identical to per-host lazy sampling (streams keyed by
         # (seed, host name) alone); prefixes arrive burn-in-shifted.
-        result = pregenerate_prefixes(
+        prefixes = pregenerate_prefixes(
             hosts,
             rng,
             config.pregen_horizon,
@@ -725,9 +731,7 @@ def build_cluster(
             jobs=profile.jobs,
             backend=profile.backend,
         )
-        profile.seed_derivation_seconds = result.seed_seconds
-        profile.sample_seconds = result.sample_seconds
-        for host, prefix in zip(hosts, result.prefixes, strict=True):
+        for host, prefix in zip(hosts, prefixes, strict=True):
             injector.attach_host(
                 host, node_id=node_id_of[host.host_id], episodes=prefix
             )

@@ -1,31 +1,28 @@
 """Failure injection: drives per-node up/down state during a simulation.
 
-Each attached node is either driven by a lazy
-:class:`~repro.availability.process.InterruptionProcess` (the emulation
-mode — interruptions drawn live from the Table 2 distributions) or by a
-pre-materialised :class:`~repro.availability.traces.AvailabilityTrace`
-(the large-scale mode — replaying SETI@home-style traces).
+Each attached node is driven by one episode stream: its
+:class:`~repro.availability.process.InterruptionProcess` sampled lazily,
+an episode prefix materialised before the run
+(:mod:`repro.availability.pregen`, with ``ClusterConfig.pregen_horizon``),
+or a recorded :class:`~repro.availability.traces.AvailabilityTrace`
+replayed as is.
 
 Transitions are published on the cluster's typed event bus
 (:mod:`repro.simulator.events`) as :class:`~repro.simulator.events.NodeDown`
 / :class:`~repro.simulator.events.NodeUp` /
 :class:`~repro.simulator.events.PermanentFailure` events, dispatched
 through the bus's explicit phases at the exact simulated instant of the
-transition. The legacy ``subscribe(on_down=..., on_up=...,
-on_permanent=...)`` helper remains as a thin wrapper that registers
-bus handlers (all in one phase, preserving subscription order) for tests
-and standalone use.
+transition. Observers subscribe to those events on :attr:`FailureInjector.bus`.
 
 Beyond the recoverable episodes above, the injector can model *permanent*
 node loss (a downtime episode that never ends — the volunteer left and the
 disk is gone) via :meth:`FailureInjector.schedule_permanent_failure`, and
 *correlated* multi-node outages (a switch or site failure taking several
 hosts down at once) via :meth:`FailureInjector.schedule_outage`. Permanent
-loss fires a dedicated ``on_permanent`` chain *first* (the disk is
-destroyed at the failure instant — storage layers wipe and account before
-anything reacts), then the ordinary ``on_down`` chain (if the node was
-still up), so subscribers can distinguish "blocks temporarily unreachable"
-from "replicas destroyed".
+loss publishes ``PermanentFailure`` *first* (the disk is destroyed at the
+failure instant — storage layers wipe and account before anything
+reacts), then ``NodeDown`` (if the node was still up), so subscribers can
+distinguish "blocks temporarily unreachable" from "replicas destroyed".
 
 :meth:`FailureInjector.stop` tears the injector down: every armed event is
 cancelled, so an abandoned cluster cannot fire transitions into torn-down
@@ -34,11 +31,11 @@ state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.availability.generator import HostAvailability
-from repro.availability.pregen import SHIFTED_STREAMS, host_episodes, materialise_prefix
-from repro.availability.process import DowntimeEpisode, InterruptionProcess
+from repro.availability.pregen import SHIFTED_STREAMS, host_episodes
+from repro.availability.process import DowntimeEpisode
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId
 from repro.simulator.engine import EventHandle, Simulator
@@ -47,27 +44,8 @@ from repro.simulator.events import (
     NodeDown,
     NodeUp,
     PermanentFailure,
-    Phase,
 )
 from repro.util.rng import RandomSource
-
-DownListener = Callable[[NodeId, float], None]
-UpListener = Callable[[NodeId, float], None]
-PermanentListener = Callable[[NodeId, float], None]
-
-#: Phase used for legacy ``subscribe()`` wrappers: subscription order alone
-#: determines their relative order, as the old callback lists did.
-_LEGACY_PHASE = Phase.SCHEDULING
-
-
-def _adapt_listener(listener: Callable[[str, float], None]) -> Callable[..., None]:
-    """Wrap a ``(node_id, time)`` callback as a node-event bus handler."""
-
-    def handler(event: "NodeDown | NodeUp | PermanentFailure") -> None:
-        listener(event.node_id, event.time)
-
-    return handler
-
 
 class FailureInjector:
     """Schedules downtime episodes and publishes transitions on the bus."""
@@ -103,50 +81,12 @@ class FailureInjector:
         """The bus this injector publishes transitions on."""
         return self._bus
 
-    def subscribe(
-        self,
-        on_down: Optional[DownListener] = None,
-        on_up: Optional[UpListener] = None,
-        on_permanent: Optional[PermanentListener] = None,
-    ) -> None:
-        """Register ``(node_id, time)`` transition callbacks (legacy API).
-
-        Wraps each callback as a bus handler in a single fixed phase, so
-        relative order among ``subscribe`` callers stays subscription
-        order — the old callback-list contract. New code should subscribe
-        on :attr:`bus` with an explicit phase instead.
-
-        ``on_permanent`` fires once per permanently failed node, *before*
-        the ``on_down`` chain (if the node was up at that instant): the
-        disk is gone the moment the failure strikes, and detection-side
-        reactions in the down chain must observe the wiped state.
-        """
-        if on_down is not None:
-            self._bus.subscribe(
-                NodeDown,
-                _adapt_listener(on_down),
-                phase=_LEGACY_PHASE,
-            )
-        if on_up is not None:
-            self._bus.subscribe(
-                NodeUp,
-                _adapt_listener(on_up),
-                phase=_LEGACY_PHASE,
-            )
-        if on_permanent is not None:
-            self._bus.subscribe(
-                PermanentFailure,
-                _adapt_listener(on_permanent),
-                phase=_LEGACY_PHASE,
-            )
-
     # -- attachment ---------------------------------------------------------------
 
     def attach_host(
         self,
         host: HostAvailability,
         burn_in: float = 0.0,
-        pregen_horizon: Optional[float] = None,
         node_id: Optional[NodeId] = None,
         episodes: Optional[Sequence[DowntimeEpisode]] = None,
     ) -> None:
@@ -165,32 +105,21 @@ class FailureInjector:
         the episodes the first build drew; fresh-start streams stay
         private generators.
 
-        ``pregen_horizon`` eagerly materialises every episode starting
-        before that simulated time at attach, then *closes* the per-host
-        stream so it holds no memory for the rest of the run. Without
-        burn-in that frees the episode generator itself; with burn-in it
-        closes this node's cursor, and the memo keeps the generator for
-        the next same-seed build. The stream is per-node and values are
-        position-determined, so up to the horizon the delivered episodes
-        (and the engine's event sequence numbers) are byte-identical to the
-        lazy path. The horizon is a contract: a run that advances past it sees
-        no further interruptions, so callers must pick a horizon at or
-        beyond the simulated window they intend to run (the scale-kernel
-        bench opts in; see tools/bench_engine.py).
-
         ``node_id`` is the dense int id the injector keys its runtime
         state (and published events) by; it defaults to ``host.host_id``
         so standalone components keep routing by name. The RNG substream
         is *always* keyed by the host's name, so failure realisations are
         invariant under the identity representation.
 
-        ``episodes`` injects an externally materialised episode prefix
-        (bulk pregeneration — :mod:`repro.availability.pregen`) instead of
-        sampling one here: no per-host RNG substream is derived and no
+        ``episodes`` injects a materialised episode prefix
+        (:func:`~repro.availability.pregen.pregenerate_prefixes`) instead
+        of sampling one here: no per-host RNG substream is derived and no
         generator is built, so attach becomes pure bookkeeping. The prefix
         must already include any burn-in shift, which is why combining
-        ``episodes`` with ``burn_in`` or ``pregen_horizon`` is rejected.
-        Pass None (not an empty sequence) for dedicated hosts.
+        ``episodes`` with a non-zero ``burn_in`` is rejected. Pass None
+        (not an empty sequence) for dedicated hosts. A prefix ends at its
+        horizon: past its last episode the node is never interrupted
+        again, which ``Cluster.run_until_job_done`` turns into an error.
         """
         if node_id is None:
             node_id = host.host_id  # type: ignore[assignment]
@@ -198,53 +127,22 @@ class FailureInjector:
             raise ValueError(f"node {node_id!r} already attached")
         if burn_in < 0:
             raise ValueError(f"burn_in must be non-negative, got {burn_in}")
-        if pregen_horizon is not None and pregen_horizon < 0:
-            raise ValueError(
-                f"pregen_horizon must be non-negative, got {pregen_horizon}"
-            )
-        if episodes is not None and (pregen_horizon is not None or burn_in > 0.0):
+        if episodes is not None and burn_in > 0.0:
             raise ValueError(
                 "episodes is an already-materialised prefix; it cannot be "
-                "combined with pregen_horizon or a non-zero burn_in"
+                "combined with a non-zero burn_in"
             )
         self._register(node_id)
         if episodes is not None:
-            self._episode_streams[node_id] = iter(episodes)
-            self._schedule_next(node_id)
-            return
-        if burn_in > 0.0:
+            stream: Optional[Iterator[DowntimeEpisode]] = iter(episodes)
+        elif burn_in > 0.0:
             stream = SHIFTED_STREAMS.cursor(host, self._rng, burn_in)
         else:
             stream = host_episodes(host, self._rng)
         if stream is None:
             return
-        if pregen_horizon is not None:
-            stream = self._pregenerate(stream, pregen_horizon)
         self._episode_streams[node_id] = stream
         self._schedule_next(node_id)
-
-    @staticmethod
-    def _pregenerate(
-        stream: Iterator[DowntimeEpisode], horizon: float
-    ) -> Iterator[DowntimeEpisode]:
-        """Materialise the prefix of episodes starting before ``horizon``.
-
-        The first episode at or past the horizon is kept too (it was pulled
-        to detect the boundary, and keeping it preserves the engine's
-        ``schedule_at`` sequence allocation exactly), then the source
-        generator is *closed*: its suspended frame — per-host RNG
-        substreams, loop locals — is freed immediately, which at 226k
-        concurrent hosts is the difference between hundreds of megabytes
-        and none. The trade: a run that advances past the horizon sees no
-        interruptions beyond it, which is why ``attach_host`` documents
-        the horizon as a contract, not a hint.
-
-        The source is closed even when the materialised prefix is empty or
-        materialisation raises (``materialise_prefix`` closes in a
-        ``finally``), so no attach path leaves a suspended frame behind
-        beyond the generators the burn-in memo keeps.
-        """
-        return iter(materialise_prefix(stream, horizon))
 
     def attach_trace(
         self, trace: AvailabilityTrace, node_id: Optional[NodeId] = None
@@ -280,8 +178,8 @@ class FailureInjector:
         """Arm a permanent loss of ``node_id`` at ``at_time``.
 
         At that instant the node goes (or stays) down forever: its episode
-        stream is dropped, any pending recovery is cancelled, and the
-        ``on_permanent`` chain fires. A second permanent failure for the
+        stream is dropped, any pending recovery is cancelled, and
+        ``PermanentFailure`` is published. A second permanent failure for the
         same node is a silent no-op at fire time.
         """
         self._require_node(node_id)
@@ -338,7 +236,7 @@ class FailureInjector:
     def _begin_injected(self, node_id: NodeId, episode: DowntimeEpisode) -> None:
         if self._stopped or self._permanent[node_id] or self._is_down[node_id]:
             return
-        # An armed stream begin-event would double-fire on_down while the
+        # An armed stream begin-event would double-publish NodeDown while the
         # outage holds the node; _begin_episode guards on is_down and folds
         # such overlaps away, so the stream stays consistent.
         self._begin_episode(node_id, episode, from_stream=False)

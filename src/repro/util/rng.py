@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -40,35 +40,6 @@ def derive_seed(root_seed: int, *keys: object) -> int:
     return int.from_bytes(h.digest()[:8], "big") & _MASK_64
 
 
-#: A ``derive_seeds`` leaf: one trailing key, or a tuple of trailing keys.
-SeedLeaf = Union[object, Tuple[object, ...]]
-
-
-def derive_seeds(
-    root_seed: int, prefix: Sequence[object], leaves: Iterable[SeedLeaf]
-) -> List[int]:
-    """Bulk :func:`derive_seed` over a shared key prefix, one hash pass.
-
-    Element ``i`` equals ``derive_seed(root_seed, *prefix, *leaf_i)`` (a
-    non-tuple leaf counts as a single trailing key) — the prefix is hashed
-    once and each leaf finishes a *copy* of that state, so deriving one
-    seed per node is one short hash update per node instead of a full
-    re-hash of the path. Incremental SHA-256 equals one-shot SHA-256 over
-    the concatenated bytes, so the values are bit-identical to the scalar
-    derivation; ``tests/util`` pins the equality.
-    """
-    base = _hash_path(root_seed, prefix)
-    out: List[int] = []
-    for leaf in leaves:
-        h = base.copy()
-        parts = leaf if isinstance(leaf, tuple) else (leaf,)
-        for key in parts:
-            h.update(b"\x1f")
-            h.update(str(key).encode("utf-8"))
-        out.append(int.from_bytes(h.digest()[:8], "big") & _MASK_64)
-    return out
-
-
 class RandomSource:
     """A seeded random stream with named sub-stream derivation.
 
@@ -84,21 +55,17 @@ class RandomSource:
         _path: Sequence[object] = (),
         *,
         _hash: Optional["hashlib._Hash"] = None,
-        _derived: Optional[int] = None,
     ) -> None:
         self._seed = int(seed)
         self._path: tuple = tuple(_path)
-        if _derived is None:
-            if _hash is None:
-                _hash = _hash_path(self._seed, self._path)
-            _derived = int.from_bytes(_hash.digest()[:8], "big") & _MASK_64
+        if _hash is None:
+            _hash = _hash_path(self._seed, self._path)
         #: SHA-256 state covering (seed, path); kept so substream derivation
         #: copies it and hashes only the new trailing keys instead of
-        #: re-hashing the whole path. None until first needed (e.g. after
-        #: unpickling or a ``from_derived`` construction).
-        self._h = _hash
-        self._derived = _derived
-        self._random = random.Random(_derived)
+        #: re-hashing the whole path. None after unpickling until first
+        #: needed.
+        self._h: Optional["hashlib._Hash"] = _hash
+        self._random = random.Random(int.from_bytes(_hash.digest()[:8], "big") & _MASK_64)
 
     @property
     def seed(self) -> int:
@@ -129,33 +96,18 @@ class RandomSource:
             h.update(str(key).encode("utf-8"))
         return RandomSource(self._seed, self._path + tuple(keys), _hash=h)
 
-    @classmethod
-    def from_derived(
-        cls, derived_seed: int, root_seed: int, path: Sequence[object] = ()
-    ) -> "RandomSource":
-        """Construct from a :func:`derive_seeds` value without re-hashing.
-
-        ``derived_seed`` must equal ``derive_seed(root_seed, *path)``; the
-        resulting source is then bit-identical to
-        ``RandomSource(root_seed, path)`` (same generator state, and
-        ``substream`` still works — the hash state is rebuilt lazily).
-        """
-        return cls(root_seed, path, _derived=int(derived_seed))
-
     # SHA-256 objects are not picklable; drop the cached hash state and let
     # it rebuild lazily, while preserving the generator state exactly.
     def __getstate__(self) -> Dict[str, object]:
         return {
             "seed": self._seed,
             "path": self._path,
-            "derived": self._derived,
             "random_state": self._random.getstate(),
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self._seed = state["seed"]  # type: ignore[assignment]
         self._path = tuple(state["path"])  # type: ignore[arg-type]
-        self._derived = state["derived"]  # type: ignore[assignment]
         self._h = None
         self._random = random.Random()  # simlint: ignore[D001]
         self._random.setstate(state["random_state"])  # type: ignore[arg-type]
@@ -165,17 +117,6 @@ class RandomSource:
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._random.random()
-
-    def random_many(self, count: int) -> List[float]:
-        """``count`` uniforms in [0, 1) — exactly ``count`` calls of
-        :meth:`random`, batched.
-
-        The returned list is position-identical to ``count`` scalar draws,
-        and the stream is left in the same state, so batched and scalar
-        consumers interleave without divergence.
-        """
-        r = self._random.random
-        return [r() for _ in range(count)]
 
     @property
     def raw_random(self) -> Callable[[], float]:
@@ -249,15 +190,3 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self._seed}, path={self._path!r})"
-
-
-def spawn_sources(root: RandomSource, keys: Iterable[object]) -> List[RandomSource]:
-    """Derive one substream per key, in key order."""
-    return [root.substream(key) for key in keys]
-
-
-def resolve_seed(seed: Optional[int], fallback: int = 0) -> int:
-    """Normalise an optional user-supplied seed to a concrete integer."""
-    if seed is None:
-        return fallback
-    return int(seed)

@@ -22,7 +22,7 @@ from repro.availability.numpy_backend import (
     episode_prefix_numpy,
 )
 from repro.availability.pregen import episode_prefix, pregenerate_prefixes
-from repro.util.rng import RandomSource
+from repro.util.rng import RandomSource, derive_seed
 
 ARRIVAL = Exponential(mean=3600.0)
 
@@ -67,6 +67,37 @@ class TestGoldenPins:
             (8415.928103373239, 9415.928103373239, 2),
             (18443.89963139544, 18943.89963139544, 1),
             (21515.97848966059, 23015.97848966059, 3),
+        ]
+
+
+class TestSeedTree:
+    def test_pregen_seeds_each_host_from_its_failures_path(self):
+        # Each host's PCG64 seed is derive_seed(root, *path, "failures",
+        # host, "numpy"). The pins fix the realisations, so any change to
+        # that key path shows here.
+        hosts = [
+            HostAvailability(
+                host_id=name, arrival=ARRIVAL, service=Lognormal(mean=600.0, cov=1.5)
+            )
+            for name in ("node-00000", "node-00001")
+        ]
+        rng = RandomSource(7).substream("cell", 3)
+        first, second = pregenerate_prefixes(
+            hosts, rng, 40_000.0, burn_in=500.0, backend="numpy"
+        )
+        for host, got in zip(hosts, (first, second), strict=True):
+            seed = derive_seed(7, "cell", 3, "failures", host.host_id, "numpy")
+            assert got == episode_prefix_numpy(
+                host.arrival, host.service, seed, 40_000.0, burn_in=500.0
+            )
+        assert (len(first), len(second)) == (11, 14)
+        assert [(e.start, e.end, e.interruption_count) for e in first[:2]] == [
+            (2692.675000203688, 3001.198223433882, 1),
+            (11337.92378586893, 11464.491773578955, 1),
+        ]
+        assert [(e.start, e.end, e.interruption_count) for e in second[:2]] == [
+            (1045.495131684485, 1445.4511242451945, 1),
+            (1874.9538930683666, 2056.9330491490305, 1),
         ]
 
 
@@ -187,10 +218,7 @@ class TestStatisticalEquivalence:
     def _samples(self):
         horizon = 3_000_000.0
         scalar = episode_prefix(self.HOST, RandomSource(123), horizon)
-        result = pregenerate_prefixes(
-            [self.HOST], RandomSource(123), horizon, backend="numpy"
-        )
-        vector = result.prefixes[0]
+        [vector] = pregenerate_prefixes([self.HOST], RandomSource(123), horizon, backend="numpy")
         return scalar, vector
 
     def test_durations_and_gaps_same_law(self):

@@ -1,9 +1,9 @@
-"""Tests for bulk episode pregeneration (repro.availability.pregen).
+"""Tests for episode pregeneration (repro.availability.pregen).
 
-The load-bearing property is *bit-identity*: the bulk scalar path — bulk
-seed derivation, injected streams, optional multi-process fan-out — must
-deliver exactly the episodes the lazy per-host path delivers, because the
-golden determinism suite pins the default build byte-for-byte.
+The load-bearing property is *bit-identity*: the scalar path — per-host
+prefixes, optional multi-process fan-out — must deliver exactly the
+episodes the lazy per-host path delivers, because the golden determinism
+suite pins the default build byte-for-byte.
 """
 
 from itertools import islice
@@ -22,7 +22,7 @@ from repro.availability.pregen import (
     shift_episodes,
 )
 from repro.availability.process import DowntimeEpisode
-from repro.util.rng import RandomSource, derive_seed, derive_seeds
+from repro.util.rng import RandomSource
 from repro.util.validation import env_override
 
 
@@ -41,31 +41,12 @@ def lazy_prefix(host, rng, horizon, burn_in=0.0):
     return materialise_prefix(stream, horizon)
 
 
-class TestSeedDerivation:
-    def test_derive_seeds_matches_per_leaf_derive_seed(self):
-        leaves = [("h0", "arrivals"), ("h1", "arrivals"), ("h2", "service")]
-        bulk = derive_seeds(123, ("failures",), leaves)
-        assert bulk == [derive_seed(123, "failures", *leaf) for leaf in leaves]
-
-    def test_from_derived_matches_substream_chain(self):
-        root = RandomSource(9)
-        direct = root.substream("failures", "h7").substream("arrivals")
-        derived = derive_seed(9, "failures", "h7", "arrivals")
-        rebuilt = RandomSource.from_derived(derived, 9, ("failures", "h7", "arrivals"))
-        assert [direct.random() for _ in range(16)] == [
-            rebuilt.random() for _ in range(16)
-        ]
-
-
 class TestScalarBitIdentity:
     def test_bulk_equals_lazy_per_host(self):
         hosts = hosts_for(40)
         horizon, burn_in = 50_000.0, 300.0
-        result = pregenerate_prefixes(
-            hosts, RandomSource(3), horizon, burn_in=burn_in
-        )
-        assert result.backend == "scalar"
-        for host, prefix in zip(hosts, result.prefixes, strict=True):
+        prefixes = pregenerate_prefixes(hosts, RandomSource(3), horizon, burn_in=burn_in)
+        for host, prefix in zip(hosts, prefixes, strict=True):
             expected = lazy_prefix(host, RandomSource(3), horizon, burn_in)
             assert prefix == expected, host.host_id
 
@@ -78,8 +59,8 @@ class TestScalarBitIdentity:
 
     def test_dedicated_hosts_get_none(self):
         hosts = hosts_for(10, seed_ratio=0.5)
-        result = pregenerate_prefixes(hosts, RandomSource(1), 1000.0)
-        for host, prefix in zip(hosts, result.prefixes, strict=True):
+        prefixes = pregenerate_prefixes(hosts, RandomSource(1), 1000.0)
+        for host, prefix in zip(hosts, prefixes, strict=True):
             if host.is_dedicated:
                 assert prefix is None
             else:
@@ -88,28 +69,28 @@ class TestScalarBitIdentity:
     def test_prefix_contract_boundary_episode(self):
         hosts = [h for h in hosts_for(6) if not h.is_dedicated]
         horizon = 5_000.0
-        result = pregenerate_prefixes(hosts, RandomSource(2), horizon)
-        for prefix in result.prefixes:
+        for prefix in pregenerate_prefixes(hosts, RandomSource(2), horizon):
             assert prefix[-1].start >= horizon
             for episode in prefix[:-1]:
                 assert episode.start < horizon
 
 
 class TestParallelFanOut:
-    def test_jobs_do_not_change_bytes(self):
+    def test_jobs_do_not_change_bytes(self, pools):
         # Enough hosts to exceed the minimum chunk size and engage the pool.
         hosts = hosts_for(600)
         horizon = 10_000.0
         serial = pregenerate_prefixes(hosts, RandomSource(4), horizon, jobs=1)
         parallel = pregenerate_prefixes(hosts, RandomSource(4), horizon, jobs=3)
-        assert parallel.jobs == 3
-        assert serial.prefixes == parallel.prefixes
+        assert pools == [3]
+        assert serial == parallel
 
-    def test_small_populations_stay_in_process(self):
+    def test_small_populations_stay_in_process(self, pools):
         hosts = hosts_for(8)
         result = pregenerate_prefixes(hosts, RandomSource(4), 1000.0, jobs=4)
         expected = pregenerate_prefixes(hosts, RandomSource(4), 1000.0, jobs=1)
-        assert result.prefixes == expected.prefixes
+        assert pools == []
+        assert result == expected
 
 
 class TestKnobResolution:
@@ -138,8 +119,8 @@ class TestKnobResolution:
         with pytest.raises(ValueError):
             pregenerate_prefixes(hosts_for(2), RandomSource(0), -1.0)
         # Non-positive job counts are clamped to in-process execution.
-        result = pregenerate_prefixes(hosts_for(2), RandomSource(0), 10.0, jobs=0)
-        assert result.jobs == 1
+        clamped = pregenerate_prefixes(hosts_for(2), RandomSource(0), 10.0, jobs=0)
+        assert clamped == pregenerate_prefixes(hosts_for(2), RandomSource(0), 10.0)
 
 
 def private_stream(host, rng, burn_in, count):

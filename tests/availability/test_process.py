@@ -5,11 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.availability.distributions import Deterministic, Exponential
-from repro.availability.process import (
-    DowntimeEpisode,
-    InterruptionProcess,
-    merge_episode_stream,
-)
+from repro.availability.process import DowntimeEpisode, InterruptionProcess
 from repro.util.rng import RandomSource
 from repro.util.stats import RunningStats
 
@@ -124,26 +120,3 @@ class TestDeterministicService:
         assert len(singles) >= 0.9 * len(episodes)
         for e in singles:
             assert e.duration == pytest.approx(2.0)
-
-
-class TestMergeStream:
-    def test_merges_overlaps(self):
-        eps = [
-            DowntimeEpisode(0.0, 5.0, 1),
-            DowntimeEpisode(4.0, 8.0, 1),
-            DowntimeEpisode(10.0, 12.0, 2),
-        ]
-        merged = list(merge_episode_stream(iter(eps)))
-        assert len(merged) == 2
-        assert merged[0].start == 0.0
-        assert merged[0].end == 8.0
-        assert merged[0].interruption_count == 2
-        assert merged[1].interruption_count == 2
-
-    def test_merges_touching(self):
-        eps = [DowntimeEpisode(0.0, 5.0, 1), DowntimeEpisode(5.0, 6.0, 1)]
-        merged = list(merge_episode_stream(iter(eps)))
-        assert len(merged) == 1
-
-    def test_empty(self):
-        assert list(merge_episode_stream(iter([]))) == []

@@ -1,61 +1,18 @@
-"""Bit-identity of the batched/inlined sampling paths to the scalar ones.
+"""Bit-identity of the inlined episode folds to the generic one.
 
-The scale kernel speeds up availability sampling two ways: batched
-``Distribution.sample_many`` overrides and per-distribution-pair inlined
-episode generators (``InterruptionProcess._episodes_expo_lognormal`` /
-``_episodes_expo_expo``). Both promise the *same floats* as the scalar
-reference — goldens depend on it — so every test here asserts exact
-``==``, never ``approx``, and also checks the RNG stream is left in the
-same state (batched and scalar consumers must interleave freely).
+``InterruptionProcess`` dispatches the two distribution pairs every shipped
+population uses to inlined folds (``_episodes_expo_lognormal`` /
+``_episodes_expo_expo``). They promise the *same floats* as the generic
+reference fold — goldens depend on it — so every test here asserts exact
+``==``, never ``approx``, and also checks the RNG streams stay in
+lockstep over long runs.
 """
 
 import pytest
 
-from repro.availability.distributions import (
-    Deterministic,
-    Exponential,
-    Lognormal,
-    Pareto,
-    ShiftedPareto,
-    Weibull,
-)
+from repro.availability.distributions import Deterministic, Exponential, Lognormal, Weibull
 from repro.availability.process import InterruptionProcess
 from repro.util.rng import RandomSource
-
-DISTRIBUTIONS = [
-    Exponential(mean=3.0),
-    Deterministic(value=2.5),
-    Lognormal(mean=4.0, cov=1.5),
-    Weibull(scale=3.0, shape=0.7),
-    Pareto(xm=2.0, alpha=2.5),
-    ShiftedPareto(scale=2.0, alpha=2.5),
-]
-
-
-@pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=lambda d: type(d).__name__)
-class TestSampleManyBitIdentity:
-    def test_matches_scalar_draws(self, dist):
-        scalar_rng = RandomSource(42).substream("x")
-        batch_rng = RandomSource(42).substream("x")
-        scalar = [dist.sample(scalar_rng) for _ in range(257)]
-        batch = dist.sample_many(batch_rng, 257)
-        assert batch == scalar  # exact: same floats, bit for bit
-
-    def test_leaves_stream_in_same_state(self, dist):
-        scalar_rng = RandomSource(7).substream("x")
-        batch_rng = RandomSource(7).substream("x")
-        for _ in range(100):
-            dist.sample(scalar_rng)
-        dist.sample_many(batch_rng, 100)
-        # Interleaving after the batch must continue the same stream.
-        assert [dist.sample(batch_rng) for _ in range(10)] == [
-            dist.sample(scalar_rng) for _ in range(10)
-        ]
-
-    def test_count_zero_draws_nothing(self, dist):
-        rng = RandomSource(3).substream("x")
-        assert dist.sample_many(rng, 0) == []
-        assert dist.sample(rng) == dist.sample(RandomSource(3).substream("x"))
 
 
 def _episode_pairs():

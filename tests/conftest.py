@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
 from repro.availability.process import InterruptionProcess
@@ -36,3 +38,18 @@ def episode_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(InterruptionProcess, "episodes", counting)
     return calls
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every process pool pregeneration opens."""
+    opened = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class CountingPool(real):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return opened

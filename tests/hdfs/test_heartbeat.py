@@ -6,6 +6,7 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.heartbeat import HeartbeatService
 from repro.hdfs.namenode import NameNode
 from repro.simulator.engine import Simulator
+from repro.simulator.events import NodeDeclaredDead, NodeReturned, Phase
 
 
 def setup(interval=3.0, misses=3, nodes=1):
@@ -19,6 +20,11 @@ def setup(interval=3.0, misses=3, nodes=1):
     return sim, nn, hb
 
 
+def on_belief(hb, event_type, record):
+    """Call ``record(node, time)`` for each ``event_type`` ``hb`` publishes."""
+    hb.bus.subscribe(event_type, lambda e: record(e.node_id, e.time), Phase.ACCOUNTING)
+
+
 class TestLiveness:
     def test_live_node_stays_live(self):
         sim, nn, hb = setup()
@@ -28,7 +34,7 @@ class TestLiveness:
     def test_dead_after_timeout(self):
         sim, nn, hb = setup()
         deaths = []
-        hb.subscribe(on_dead=lambda n, t: deaths.append((n, t)))
+        on_belief(hb, NodeDeclaredDead, lambda n, t: deaths.append((n, t)))
         sim.schedule(10.0, lambda: hb.node_down("n0", 10.0))
         sim.run(until=100.0)
         assert not nn.is_live("n0")
@@ -39,7 +45,7 @@ class TestLiveness:
     def test_return_detected_on_first_beat(self):
         sim, nn, hb = setup()
         returns = []
-        hb.subscribe(on_returned=lambda n, t: returns.append((n, t)))
+        on_belief(hb, NodeReturned, lambda n, t: returns.append((n, t)))
         sim.schedule(10.0, lambda: hb.node_down("n0", 10.0))
         sim.schedule(50.0, lambda: hb.node_up("n0", 50.0))
         sim.run(until=100.0)
@@ -51,7 +57,7 @@ class TestLiveness:
         # Down for less than the timeout: the NameNode never notices.
         sim, nn, hb = setup(interval=3.0, misses=3)
         deaths = []
-        hb.subscribe(on_dead=lambda n, t: deaths.append(n))
+        on_belief(hb, NodeDeclaredDead, lambda n, t: deaths.append(n))
         sim.schedule(10.0, lambda: hb.node_down("n0", 10.0))
         sim.schedule(13.0, lambda: hb.node_up("n0", 13.0))
         sim.run(until=100.0)
@@ -116,7 +122,7 @@ class TestTeardown:
         # must not keep firing the watchdog forever.
         sim, nn, hb = setup()
         deaths = []
-        hb.subscribe(on_dead=lambda n, t: deaths.append(n))
+        on_belief(hb, NodeDeclaredDead, lambda n, t: deaths.append(n))
         sim.schedule(10.0, lambda: hb.node_down("n0", 10.0))
         sim.schedule(11.0, lambda: hb.untrack("n0"))
         sim.run(until=1000.0)

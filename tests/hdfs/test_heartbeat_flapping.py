@@ -6,6 +6,7 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.heartbeat import HeartbeatService
 from repro.hdfs.namenode import NameNode
 from repro.simulator.engine import Simulator
+from repro.simulator.events import NodeDeclaredDead, NodeReturned, Phase
 
 
 def setup(interval=3.0, misses=3):
@@ -15,6 +16,18 @@ def setup(interval=3.0, misses=3):
     hb = HeartbeatService(sim, nn, interval=interval, miss_threshold=misses)
     hb.track("n0")
     return sim, nn, hb
+
+
+def record_beliefs(hb):
+    """("dead"/"back", time) for each belief change ``hb`` publishes."""
+    transitions = []
+    for event_type, kind in ((NodeDeclaredDead, "dead"), (NodeReturned, "back")):
+        hb.bus.subscribe(
+            event_type,
+            lambda e, kind=kind: transitions.append((kind, e.time)),
+            Phase.ACCOUNTING,
+        )
+    return transitions
 
 
 class TestFlapping:
@@ -30,10 +43,9 @@ class TestFlapping:
             sim.schedule_at(down_at, lambda d=down_at: hb.node_down("n0", d))
             sim.schedule_at(up_at, lambda u=up_at: hb.node_up("n0", u))
             t += 10.0
-        deaths = []
-        hb.subscribe(on_dead=lambda n, tt: deaths.append(tt))
+        transitions = record_beliefs(hb)
         sim.run(until=520.0)
-        assert deaths == []
+        assert transitions == []
         assert nn.is_live("n0")
 
     def test_estimator_learns_from_flapping(self):
@@ -52,11 +64,7 @@ class TestFlapping:
 
     def test_long_outage_death_and_resurrection_cycle(self):
         sim, nn, hb = setup()
-        transitions = []
-        hb.subscribe(
-            on_dead=lambda n, t: transitions.append(("dead", t)),
-            on_returned=lambda n, t: transitions.append(("back", t)),
-        )
+        transitions = record_beliefs(hb)
         for start in (20.0, 100.0):
             sim.schedule_at(start, lambda s=start: hb.node_down("n0", s))
             sim.schedule_at(start + 40.0, lambda s=start: hb.node_up("n0", s + 40.0))
@@ -87,13 +95,12 @@ class TestIdempotentTransitions:
 
     def test_double_up_publishes_one_return(self):
         sim, nn, hb = setup()
-        returns = []
-        hb.subscribe(on_returned=lambda n, t: returns.append(t))
+        transitions = record_beliefs(hb)
         sim.schedule_at(10.0, lambda: hb.node_down("n0", 10.0))
         sim.schedule_at(25.0, lambda: hb.node_up("n0", 25.0))
         sim.schedule_at(25.0, lambda: hb.node_up("n0", 25.0))
         sim.run(until=40.0)
-        assert returns == [25.0]
+        assert [t for kind, t in transitions if kind == "back"] == [25.0]
         assert nn.is_live("n0")
 
 
@@ -102,11 +109,7 @@ class TestSuppression:
 
     def test_suppressed_node_declared_dead_while_physically_up(self):
         sim, nn, hb = setup()
-        transitions = []
-        hb.subscribe(
-            on_dead=lambda n, t: transitions.append(("dead", t)),
-            on_returned=lambda n, t: transitions.append(("back", t)),
-        )
+        transitions = record_beliefs(hb)
         sim.schedule_at(5.0, lambda: hb.suppress("n0"))
         sim.schedule_at(20.0, lambda: hb.unsuppress("n0"))
         sim.run(until=40.0)
@@ -117,11 +120,7 @@ class TestSuppression:
 
     def test_overlapping_suppressions_nest(self):
         sim, nn, hb = setup()
-        transitions = []
-        hb.subscribe(
-            on_dead=lambda n, t: transitions.append(("dead", t)),
-            on_returned=lambda n, t: transitions.append(("back", t)),
-        )
+        transitions = record_beliefs(hb)
         sim.schedule_at(5.0, lambda: hb.suppress("n0"))
         sim.schedule_at(6.0, lambda: hb.suppress("n0"))
         sim.schedule_at(20.0, lambda: hb.unsuppress("n0"))
@@ -131,11 +130,7 @@ class TestSuppression:
 
     def test_unsuppress_while_physically_down_waits_for_return(self):
         sim, nn, hb = setup()
-        transitions = []
-        hb.subscribe(
-            on_dead=lambda n, t: transitions.append(("dead", t)),
-            on_returned=lambda n, t: transitions.append(("back", t)),
-        )
+        transitions = record_beliefs(hb)
         sim.schedule_at(5.0, lambda: hb.suppress("n0"))
         sim.schedule_at(8.0, lambda: hb.node_down("n0", 8.0))
         sim.schedule_at(20.0, lambda: hb.unsuppress("n0"))

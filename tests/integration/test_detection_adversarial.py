@@ -11,6 +11,7 @@ from repro.availability.traces import AvailabilityTrace
 from repro.core.placement import RandomPlacement
 from repro.mapreduce.job import JobConf, MapJob
 from repro.runtime.cluster import ClusterConfig, build_cluster
+from repro.simulator.events import NodeDeclaredDead, NodeReturned, Phase
 from repro.simulator.scenarios import ChaosCampaign, GrayNode, NetworkPartition
 
 GAMMA = 10.0
@@ -46,10 +47,12 @@ class TestHeartbeatLossVersusTrueDeath:
         cluster = build(campaign, windows={0: [(30.0, 100.0)]})
         n0 = cluster.ids.id_of("n0")
         transitions = []
-        cluster.heartbeats.subscribe(
-            on_dead=lambda n, t: transitions.append(("dead", n, t)),
-            on_returned=lambda n, t: transitions.append(("back", n, t)),
-        )
+        for event_type, kind in ((NodeDeclaredDead, "dead"), (NodeReturned, "back")):
+            cluster.bus.subscribe(
+                event_type,
+                lambda e, kind=kind: transitions.append((kind, e.node_id, e.time)),
+                Phase.ACCOUNTING,
+            )
         cluster.sim.run(until=25.0)
         # Believed dead, physically alive: pure detector illusion.
         assert not cluster.namenode.is_live(n0)

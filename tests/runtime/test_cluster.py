@@ -1,5 +1,7 @@
 """Tests for cluster assembly and configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.availability.generator import HostAvailability, build_group_hosts
@@ -124,23 +126,36 @@ class TestBuildKernel:
         cluster.stop()
         return seq
 
-    def test_pregen_build_byte_identical_to_lazy(self):
-        hosts = build_group_hosts(40, 0.8, service_distribution="lognormal")
-        lazy = self._event_sequence(
-            build_cluster(hosts, ClusterConfig(seed=7, stationary_burn_in=200.0)),
-            3000.0,
-        )
-        pregen = self._event_sequence(
-            build_cluster(
-                hosts,
-                ClusterConfig(
-                    seed=7, stationary_burn_in=200.0, pregen_horizon=4000.0
-                ),
+    @pytest.mark.parametrize(
+        "law,node_count,until,knobs",
+        [
+            pytest.param("lognormal", 40, 3000.0, {}, id="lognormal"),
+            pytest.param("exponential", 40, 3000.0, {}, id="exponential"),
+            # Deterministic recovery runs the generic fold.
+            pytest.param("deterministic", 40, 3000.0, {}, id="deterministic"),
+            # Past the 256-host chunk floor: the worker pool folds burn-in.
+            pytest.param(
+                "lognormal",
+                300,
+                500.0,
+                {"pregen_jobs": 2, "detection": "oracle"},
+                id="lognormal-300-hosts-2-jobs-oracle",
             ),
-            3000.0,
+        ],
+    )
+    def test_pregen_build_byte_identical_to_lazy(
+        self, pools, law, node_count, until, knobs
+    ):
+        hosts = build_group_hosts(node_count, 0.8, service_distribution=law)
+        config = ClusterConfig(seed=7, stationary_burn_in=200.0, **knobs)
+        lazy = self._event_sequence(build_cluster(hosts, config), until)
+        pregen = self._event_sequence(
+            build_cluster(hosts, dataclasses.replace(config, pregen_horizon=until + 1000.0)),
+            until,
         )
         assert lazy == pregen
         assert len(lazy) > 50
+        assert pools == ([knobs["pregen_jobs"]] if "pregen_jobs" in knobs else [])
 
     def test_build_profile_populated(self):
         hosts = build_group_hosts(20, 0.5)
@@ -182,3 +197,24 @@ class TestBuildKernel:
             ClusterConfig(avail_backend="cuda")
         with pytest.raises(ValueError, match="pregen_jobs"):
             ClusterConfig(pregen_jobs=0)
+
+
+class TestPregenHorizonContract:
+    """A job that outlives ``pregen_horizon`` fails loudly, not skewed."""
+
+    @staticmethod
+    def _run(horizon):
+        from repro.runtime.runner import run_map_phase
+
+        hosts = build_group_hosts(4, 0.5)
+        config = ClusterConfig(seed=1, detection="oracle", pregen_horizon=horizon)
+        return run_map_phase(hosts, config, "random", blocks_per_node=1.0)
+
+    def test_job_past_horizon_raises(self):
+        with pytest.raises(RuntimeError, match=r"finished at t=\d.* past pregen_horizon=10\.0 s"):
+            self._run(10.0)
+
+    def test_horizon_past_job_runs(self):
+        result = self._run(1000.0)
+        assert 10.0 < result.elapsed < 1000.0
+        assert result == self._run(None)

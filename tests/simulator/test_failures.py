@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.availability import pregen
 from repro.availability.distributions import Deterministic, Exponential
 from repro.availability.generator import HostAvailability
-from repro.availability.pregen import SHIFTED_STREAMS
+from repro.availability.pregen import SHIFTED_STREAMS, episode_prefix, materialise_prefix
+from repro.availability.process import DowntimeEpisode
 from repro.availability.traces import AvailabilityTrace
 from repro.experiments.config import SimulationConfig
 from repro.runtime import runner
 from repro.simulator.engine import Simulator
+from repro.simulator.events import NodeDown, NodeUp, PermanentFailure, Phase
 from repro.simulator.failures import FailureInjector
 from repro.util.rng import RandomSource
 
@@ -28,21 +31,31 @@ def interrupted_host(host_id="h0", mtbi=10.0, mu=2.0):
 
 
 class Recorder:
-    def __init__(self):
+    """Every NodeDown/NodeUp the injector publishes, as (kind, node, time)."""
+
+    def __init__(self, injector):
         self.events = []
+        for event_type, kind in ((NodeDown, "down"), (NodeUp, "up")):
+            injector.bus.subscribe(
+                event_type,
+                lambda e, kind=kind: self.events.append((kind, e.node_id, e.time)),
+                Phase.ACCOUNTING,
+            )
 
-    def down(self, node_id, t):
-        self.events.append(("down", node_id, t))
 
-    def up(self, node_id, t):
-        self.events.append(("up", node_id, t))
+def record_permanent(injector):
+    """The (node, time) of every PermanentFailure the injector publishes."""
+    perms = []
+    injector.bus.subscribe(
+        PermanentFailure, lambda e: perms.append((e.node_id, e.time)), Phase.ACCOUNTING
+    )
+    return perms
 
 
 class TestAttachment:
     def test_dedicated_never_fails(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_host(HostAvailability(host_id="d"))
         sim.run(until=10000.0)
         assert rec.events == []
@@ -50,8 +63,7 @@ class TestAttachment:
 
     def test_interrupted_host_cycles(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_host(interrupted_host())
         sim.run(until=500.0)
         downs = [e for e in rec.events if e[0] == "down"]
@@ -61,8 +73,7 @@ class TestAttachment:
 
     def test_down_up_alternate(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_host(interrupted_host())
         sim.run(until=300.0)
         kinds = [e[0] for e in rec.events]
@@ -86,8 +97,7 @@ class TestAttachment:
 class TestTraceReplay:
     def test_exact_windows(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         trace = AvailabilityTrace("t0", 100.0, [(10.0, 15.0), (40.0, 42.0)])
         injector.attach_trace(trace)
         sim.run(until=100.0)
@@ -136,8 +146,7 @@ class TestBurnIn:
 
     def test_burn_in_preserves_event_validity(self):
         sim, injector = make_injector(seed=9)
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_host(interrupted_host(), burn_in=500.0)
         sim.run(until=200.0)
         # Events stay ordered and alternating after the shift.
@@ -153,23 +162,11 @@ class TestBurnIn:
             injector.attach_host(interrupted_host(), burn_in=-1.0)
 
 
-class TestMultipleSubscribersOrder:
-    def test_callbacks_in_subscription_order(self):
-        sim, injector = make_injector()
-        order = []
-        injector.subscribe(on_down=lambda n, t: order.append("first"))
-        injector.subscribe(on_down=lambda n, t: order.append("second"))
-        injector.attach_trace(AvailabilityTrace("t", 10.0, [(1.0, 2.0)]))
-        sim.run(until=1.5)
-        assert order == ["first", "second"]
-
-
 class TestPermanentFailures:
     def test_node_never_returns(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        perms = []
-        injector.subscribe(rec.down, rec.up, on_permanent=lambda n, t: perms.append((n, t)))
+        rec = Recorder(injector)
+        perms = record_permanent(injector)
         injector.attach_host(interrupted_host())
         injector.schedule_permanent_failure("h0", at_time=50.0)
         sim.run(until=5000.0)
@@ -181,8 +178,7 @@ class TestPermanentFailures:
 
     def test_permanent_while_already_down_fires_no_extra_down(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_trace(AvailabilityTrace("t0", 100.0, [(10.0, 20.0)]))
         injector.schedule_permanent_failure("t0", at_time=15.0)
         sim.run(until=100.0)
@@ -191,13 +187,12 @@ class TestPermanentFailures:
 
     def test_second_permanent_failure_is_noop(self):
         sim, injector = make_injector()
-        perms = []
-        injector.subscribe(on_permanent=lambda n, t: perms.append(t))
+        perms = record_permanent(injector)
         injector.attach_host(HostAvailability(host_id="h0"))
         injector.schedule_permanent_failure("h0", at_time=10.0)
         injector.schedule_permanent_failure("h0", at_time=20.0)
         sim.run(until=100.0)
-        assert perms == [10.0]
+        assert perms == [("h0", 10.0)]
 
     def test_unknown_node_rejected(self):
         _, injector = make_injector()
@@ -208,8 +203,7 @@ class TestPermanentFailures:
 class TestCorrelatedOutage:
     def test_all_nodes_drop_and_return_together(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         for i in range(3):
             injector.attach_host(HostAvailability(host_id=f"h{i}"))
         injector.schedule_outage(["h0", "h1", "h2"], start=10.0, duration=5.0)
@@ -221,8 +215,7 @@ class TestCorrelatedOutage:
 
     def test_outage_skips_already_down_node(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_trace(AvailabilityTrace("t0", 100.0, [(5.0, 30.0)]))
         injector.attach_trace(AvailabilityTrace("t1", 100.0, []))
         injector.schedule_outage(["t0", "t1"], start=10.0, duration=5.0)
@@ -244,8 +237,7 @@ class TestCorrelatedOutage:
 class TestInjectorTeardown:
     def test_stop_silences_everything(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_host(interrupted_host())
         injector.schedule_outage(["h0"], start=500.0, duration=5.0)
         injector.schedule_permanent_failure("h0", at_time=600.0)
@@ -264,8 +256,7 @@ class TestIdempotentTransitions:
 
     def test_overlapping_outages_publish_one_down_up_pair(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_host(HostAvailability(host_id="h0"))
         injector.schedule_outage(["h0"], start=10.0, duration=20.0)
         injector.schedule_outage(["h0"], start=15.0, duration=30.0)
@@ -278,8 +269,7 @@ class TestIdempotentTransitions:
 
     def test_outage_overlapping_stream_episode_keeps_stream_alive(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         trace = AvailabilityTrace("t0", 1000.0, [(10.0, 30.0), (60.0, 70.0)])
         injector.attach_trace(trace)
         injector.schedule_outage(["t0"], start=5.0, duration=10.0)
@@ -302,8 +292,7 @@ class TestIdempotentTransitions:
 class TestRecoveryStretch:
     def test_stretch_applies_to_episodes_beginning_inside_window(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_trace(AvailabilityTrace("t0", 1000.0, [(10.0, 20.0)]))
         injector.set_recovery_stretch("t0", 3.0)
         sim.run(until=1000.0)
@@ -313,8 +302,7 @@ class TestRecoveryStretch:
 
     def test_stretch_spares_episode_already_in_progress(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_trace(AvailabilityTrace("t0", 1000.0, [(10.0, 20.0)]))
         sim.schedule_at(15.0, lambda: injector.set_recovery_stretch("t0", 5.0))
         sim.run(until=1000.0)
@@ -322,8 +310,7 @@ class TestRecoveryStretch:
 
     def test_cleared_stretch_restores_sampled_durations(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_trace(
             AvailabilityTrace("t0", 1000.0, [(10.0, 20.0), (100.0, 110.0)])
         )
@@ -345,9 +332,9 @@ class TestRecoveryStretch:
 
 
 class TestPregenerateClosesSource:
-    """Regression: _pregenerate must release the source generator even
-    when the materialised prefix is empty — a suspended frame per host is
-    hundreds of megabytes at fleet scale."""
+    """Regression: materialise_prefix must release the source generator
+    even when the materialised prefix is empty — a suspended frame per host
+    is hundreds of megabytes at fleet scale."""
 
     @staticmethod
     def _spy_stream(episodes):
@@ -362,12 +349,10 @@ class TestPregenerateClosesSource:
         return gen(), state
 
     def test_source_closed_after_normal_prefix(self):
-        from repro.availability.process import DowntimeEpisode
-
         stream, state = self._spy_stream(
             [DowntimeEpisode(10.0, 12.0, 1), DowntimeEpisode(50.0, 51.0, 1)]
         )
-        materialised = FailureInjector._pregenerate(stream, 20.0)
+        materialised = materialise_prefix(stream, 20.0)
         assert state["closed"]
         assert [e.start for e in materialised] == [10.0, 50.0]
 
@@ -375,15 +360,26 @@ class TestPregenerateClosesSource:
         # Horizon 0 with an exhausted source: nothing materialises, yet
         # the generator must still be closed.
         stream, state = self._spy_stream([])
-        materialised = FailureInjector._pregenerate(stream, 0.0)
-        assert list(materialised) == []
+        materialised = materialise_prefix(stream, 0.0)
+        assert materialised == []
         assert state["closed"]
 
-    def test_attach_with_pregen_closes_generator(self):
+    def test_attach_with_pregen_closes_generator(self, monkeypatch):
+        states = []
+        real = pregen.host_episodes
+
+        def spied(host, rng):
+            stream, state = self._spy_stream(real(host, rng))
+            states.append(state)
+            return stream
+
+        monkeypatch.setattr(pregen, "host_episodes", spied)
+        prefix = episode_prefix(interrupted_host(), RandomSource(1), 100.0)
+        # The host's generator is closed before attach: the injector gets a
+        # plain list and never resumes a suspended generator frame.
+        assert [state["closed"] for state in states] == [True]
         sim, injector = make_injector()
-        injector.attach_host(interrupted_host(), pregen_horizon=100.0)
-        # The per-host stream is a plain list iterator now — advancing the
-        # sim never resumes a suspended generator frame.
+        injector.attach_host(interrupted_host(), episodes=prefix)
         sim.run(until=100.0)
         assert injector.episode_count("h0") > 0
 
@@ -391,73 +387,48 @@ class TestPregenerateClosesSource:
         # Contract: the first episode at/past the horizon is kept, so even
         # horizon=0 schedules the host's first interruption.
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
-        injector.attach_host(interrupted_host(), pregen_horizon=0.0)
+        rec = Recorder(injector)
+        prefix = episode_prefix(interrupted_host(), RandomSource(1), 0.0)
+        injector.attach_host(interrupted_host(), episodes=prefix)
         sim.run(until=50.0)
         assert any(e[0] == "down" for e in rec.events)
 
 
 class TestInjectedEpisodePrefix:
-    """attach_host(episodes=...): bulk pregeneration's injection path."""
+    """attach_host(episodes=...): where pregenerated prefixes enter."""
 
-    def _prefix(self, host, seed, horizon, burn_in=0.0):
-        from repro.availability.pregen import episode_prefix
+    def _events(self, seed, horizon, burn_in, injected):
+        """Transitions up to ``horizon``, lazy or from an injected prefix."""
+        sim = Simulator()
+        injector = FailureInjector(sim, RandomSource(seed))
+        rec = Recorder(injector)
+        if injected:
+            prefix = episode_prefix(interrupted_host(), RandomSource(seed), horizon, burn_in)
+            injector.attach_host(interrupted_host(), episodes=prefix)
+        else:
+            injector.attach_host(interrupted_host(), burn_in=burn_in)
+        sim.run(until=horizon)
+        return rec.events
 
-        return episode_prefix(host, RandomSource(seed), horizon, burn_in=burn_in)
-
-    def test_injected_prefix_matches_internal_pregen(self):
-        horizon = 300.0
-        events = []
-        for mode in ("internal", "injected"):
-            sim = Simulator()
-            injector = FailureInjector(sim, RandomSource(1))
-            rec = Recorder()
-            injector.subscribe(rec.down, rec.up)
-            if mode == "internal":
-                injector.attach_host(interrupted_host(), pregen_horizon=horizon)
-            else:
-                prefix = self._prefix(interrupted_host(), 1, horizon)
-                injector.attach_host(interrupted_host(), episodes=prefix)
-            sim.run(until=horizon)
-            events.append(rec.events)
-        assert events[0] == events[1]
+    def test_injected_prefix_matches_lazy_path(self):
+        lazy = self._events(1, 300.0, 0.0, injected=False)
+        assert lazy
+        assert self._events(1, 300.0, 0.0, injected=True) == lazy
 
     def test_injected_prefix_with_burn_in_matches(self):
-        horizon, burn_in = 300.0, 77.0
-        events = []
-        for mode in ("internal", "injected"):
-            sim = Simulator()
-            injector = FailureInjector(sim, RandomSource(2))
-            rec = Recorder()
-            injector.subscribe(rec.down, rec.up)
-            if mode == "internal":
-                injector.attach_host(
-                    interrupted_host(), burn_in=burn_in, pregen_horizon=horizon
-                )
-            else:
-                prefix = self._prefix(interrupted_host(), 2, horizon, burn_in)
-                injector.attach_host(interrupted_host(), episodes=prefix)
-            sim.run(until=horizon)
-            events.append(rec.events)
-        assert events[0] == events[1]
+        lazy = self._events(2, 300.0, 77.0, injected=False)
+        assert lazy
+        assert self._events(2, 300.0, 77.0, injected=True) == lazy
 
     def test_episodes_excludes_other_knobs(self):
         _, injector = make_injector()
-        from repro.availability.process import DowntimeEpisode
-
         prefix = [DowntimeEpisode(1.0, 2.0, 1)]
         with pytest.raises(ValueError, match="cannot be combined"):
             injector.attach_host(interrupted_host(), episodes=prefix, burn_in=5.0)
-        with pytest.raises(ValueError, match="cannot be combined"):
-            injector.attach_host(
-                interrupted_host(), episodes=prefix, pregen_horizon=10.0
-            )
 
     def test_empty_prefix_means_never_interrupted(self):
         sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
+        rec = Recorder(injector)
         injector.attach_host(interrupted_host(), episodes=[])
         sim.run(until=1000.0)
         assert rec.events == []

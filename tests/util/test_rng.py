@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rng import RandomSource, derive_seed, resolve_seed, spawn_sources
+from repro.util.rng import RandomSource, derive_seed
 
 
 class TestDeriveSeed:
@@ -109,15 +109,3 @@ class TestRandomSource:
 
     def test_repr_mentions_seed(self):
         assert "123" in repr(RandomSource(123))
-
-
-class TestHelpers:
-    def test_spawn_sources(self):
-        root = RandomSource(3)
-        a, b = spawn_sources(root, ["x", "y"])
-        assert a.random() == RandomSource(3).substream("x").random()
-        assert b.random() == RandomSource(3).substream("y").random()
-
-    def test_resolve_seed(self):
-        assert resolve_seed(None, fallback=4) == 4
-        assert resolve_seed(17) == 17

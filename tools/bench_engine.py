@@ -19,11 +19,14 @@ cell enables the Clos fabric); the 4k population is measured both flat
 and behind a 32-rack oversubscribed Clos with rack-aware ingest, and the
 ``--guard`` gate fails CI when the Clos cell slows by more than 20%.
 
-Schema 2 adds a per-cell ``build_breakdown`` (seed derivation / pregen /
-object construction / bus wiring, from ``Cluster.build_profile``, plus a
+Schema 2 adds a per-cell ``build_breakdown`` (pregen / object
+construction / bus wiring / total, from ``Cluster.build_profile``, plus a
 separately-timed metadata ingest of one block per node at replication 3 —
 ingest is *not* part of ``build_seconds``, keeping the build numbers
-comparable with schema-1 records).
+comparable with schema-1 records). Cells recorded before pregeneration
+lost its bulk seed derivation also carry ``seed_derivation_seconds`` and
+``sample_seconds``, two sub-spans of ``pregen_seconds`` the build no
+longer reports; nothing reads them.
 
 Usage::
 
