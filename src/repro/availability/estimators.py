@@ -107,7 +107,11 @@ class InterruptionStatsEstimator:
 
     def record_uptime(self, seconds: float) -> None:
         """Fold in ``seconds`` of observed uptime (heartbeats arriving)."""
-        self._uptime += check_non_negative("seconds", seconds)
+        # Called once per heartbeat: the non-negative check is inlined.
+        seconds = float(seconds)
+        if not seconds >= 0:
+            raise ValueError(f"seconds must be non-negative, got {seconds}")
+        self._uptime += seconds
 
     def record_downtime(self, seconds: float) -> None:
         """Fold in one completed downtime episode of the given length."""

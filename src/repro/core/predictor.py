@@ -80,8 +80,11 @@ class PerformancePredictor:
         host that joined mid-run before anything else introduced it, and
         the observation feed must never crash the heartbeat service.
         """
-        self.register_node(node_id)
-        self._estimators[node_id].record_uptime(seconds)
+        estimator = self._estimators.get(node_id)
+        if estimator is None:
+            self.register_node(node_id)
+            estimator = self._estimators[node_id]
+        estimator.record_uptime(seconds)
 
     def observe_downtime(self, node_id: NodeId, seconds: float) -> None:
         """Fold in one completed downtime episode for a node.

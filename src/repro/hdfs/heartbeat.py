@@ -15,11 +15,18 @@ faithfully. Belief changes are published back on the bus as
 (replication monitor, JobTracker) subscribe to those and never see the
 detector's identity, which is what makes this service interchangeable
 with the instant :class:`~repro.hdfs.detection.OracleDetector`.
+
+A steady node holds one heap entry: its next beat. Each beat *reserves*
+the sequence number its watchdog would have been scheduled under
+(:meth:`Simulator.reserve`), and the watchdog is only queued, under that
+number, once the beats stop — on ``node_down`` and on the first
+``suppress``. It therefore fires at exactly the ``(time, seq)`` position
+an eagerly armed watchdog held, without the per-beat schedule/cancel pair.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.ids import NodeId
 from repro.core.predictor import PerformancePredictor
@@ -60,7 +67,13 @@ class HeartbeatService:
         self._miss_threshold = miss_threshold
         self._last_beat: Dict[NodeId, float] = {}
         self._beat_events: Dict[NodeId, Optional[EventHandle]] = {}
+        #: Per-node beat action and label, built once by :meth:`track`.
+        self._beat_actions: Dict[NodeId, Callable[[], None]] = {}
+        self._beat_labels: Dict[NodeId, str] = {}
+        #: Queued watchdogs: set only once a node's beats have stopped.
         self._watchdogs: Dict[NodeId, Optional[EventHandle]] = {}
+        #: Sequence numbers reserved for not-yet-queued watchdogs.
+        self._watchdog_seqs: Dict[NodeId, Optional[int]] = {}
         self._down_since: Dict[NodeId, Optional[float]] = {}
         self._is_up: Dict[NodeId, bool] = {}
         #: Nodes whose beats are lost in transit (chaos partitions with
@@ -90,7 +103,8 @@ class HeartbeatService:
         self._is_up[node_id] = True
         self._down_since[node_id] = None
         self._last_beat[node_id] = self._sim.now
-        self._beat_events[node_id] = None
+        self._beat_actions[node_id] = lambda: self._beat(node_id)
+        self._beat_labels[node_id] = f"beat:{node_id}"
         self._watchdogs[node_id] = None
         self._schedule_beat(node_id)
         self._arm_watchdog(node_id)
@@ -110,6 +124,9 @@ class HeartbeatService:
         del self._is_up[node_id]
         del self._down_since[node_id]
         del self._last_beat[node_id]
+        del self._beat_actions[node_id]
+        del self._beat_labels[node_id]
+        del self._watchdog_seqs[node_id]
         self._suppress_counts.pop(node_id, None)
 
     def start(self) -> None:
@@ -163,10 +180,7 @@ class HeartbeatService:
             return
         self._is_up[node_id] = False
         self._down_since[node_id] = time
-        event = self._beat_events.get(node_id)
-        if event is not None:
-            event.cancel()
-            self._beat_events[node_id] = None
+        self._stop_beats(node_id)
 
     def node_up(self, node_id: NodeId, time: float) -> None:
         """Physical return: beat immediately, then resume the cadence.
@@ -203,10 +217,7 @@ class HeartbeatService:
         self._suppress_counts[node_id] = count + 1
         if count:
             return
-        event = self._beat_events.get(node_id)
-        if event is not None:
-            event.cancel()
-            self._beat_events[node_id] = None
+        self._stop_beats(node_id)
 
     def unsuppress(self, node_id: NodeId) -> None:
         """Let the node's beats through again (idempotent).
@@ -228,8 +239,10 @@ class HeartbeatService:
     # -- internals ------------------------------------------------------------------
 
     def _schedule_beat(self, node_id: NodeId) -> None:
-        self._beat_events[node_id] = self._sim.schedule(
-            self._interval, lambda: self._beat(node_id), label=f"beat:{node_id}"
+        self._beat_events[node_id] = self._sim.schedule_at(
+            self._sim.now + self._interval,
+            self._beat_actions[node_id],
+            self._beat_labels[node_id],
         )
 
     def _beat(self, node_id: NodeId, returning: bool = False) -> None:
@@ -256,12 +269,37 @@ class HeartbeatService:
         self._arm_watchdog(node_id)
 
     def _arm_watchdog(self, node_id: NodeId) -> None:
-        old = self._watchdogs.get(node_id)
-        if old is not None:
-            old.cancel()
-        deadline = self._last_beat[node_id] + self.timeout
-        self._watchdogs[node_id] = self._sim.schedule_at(
-            deadline, lambda: self._check_timeout(node_id), label=f"watchdog:{node_id}"
+        """Re-arm the watchdog at ``last_beat + timeout`` by reserving its
+        sequence number; a watchdog already queued (beats had stopped) is
+        revoked by this beat."""
+        queued = self._watchdogs.get(node_id)
+        if queued is not None:
+            queued.cancel()
+            self._watchdogs[node_id] = None
+        self._watchdog_seqs[node_id] = self._sim.reserve()
+
+    def _stop_beats(self, node_id: NodeId) -> None:
+        """The node's beats stop reaching the collector: cancel the next
+        beat and queue the watchdog under its reserved number.
+
+        Everything that could re-arm the watchdog is a beat, and the next
+        beat was ordered before the watchdog, so nothing ordered after the
+        watchdog has fired yet: it pops exactly where an eagerly armed one
+        would have.
+        """
+        event = self._beat_events.get(node_id)
+        if event is not None:
+            event.cancel()
+            self._beat_events[node_id] = None
+        seq = self._watchdog_seqs[node_id]
+        if seq is None:
+            return  # already queued (or fired) when the beats first stopped
+        self._watchdog_seqs[node_id] = None
+        self._watchdogs[node_id] = self._sim.schedule_reserved(
+            self._last_beat[node_id] + self.timeout,
+            seq,
+            lambda: self._check_timeout(node_id),
+            f"watchdog:{node_id}",
         )
 
     def _check_timeout(self, node_id: NodeId) -> None:
@@ -269,6 +307,14 @@ class HeartbeatService:
             return  # untracked while the watchdog was in flight
         self._watchdogs[node_id] = None
         now = self._sim.now
+        # Known defect, kept bit for bit: ``now`` is the rounded sum
+        # ``last_beat + timeout``, and when that sum rounds down (it can as
+        # it crosses a power of two) the recomputed gap comes out just
+        # under ``timeout``. The watchdog then returns, nothing re-arms
+        # it, and the node stays believed live for its whole outage.
+        # Testing ``now < last_beat + timeout`` (the deadline itself) fixes
+        # it but moves pinned benchmark digests, so the fix waits for a
+        # change that re-pins them (ROADMAP.md, open items).
         if now - self._last_beat[node_id] < self.timeout:
             return
         if self._namenode.is_live(node_id):

@@ -402,23 +402,27 @@ class Cluster:
         """Advance the simulation until the submitted job finishes.
 
         The failure injector's event stream is endless, so "run until the
-        heap drains" never terminates; this helper steps until the
+        heap drains" never terminates; this helper runs until the
         JobTracker reports completion (or the safety budget trips).
+
+        The livelock error fires once more than ``max_events`` events
+        have run, even when that last event finished the job.
 
         A job that finishes past ``config.pregen_horizon`` raises: the
         pregenerated streams end at the horizon, so every interruption
         after it went unsimulated and the result would be silently skewed.
         """
-        executed = 0
-        while not self.jobtracker.is_done:
-            if not self.sim.step():
-                raise RuntimeError("event heap drained before the job finished")
-            executed += 1
-            if executed > max_events:
-                raise RuntimeError(
-                    f"job did not finish within {max_events} events; "
-                    "likely a livelock (check replica reachability settings)"
-                )
+        jobtracker = self.jobtracker
+        executed = self.sim.run(
+            max_events=max_events + 1, stop=lambda: jobtracker.is_done
+        )
+        if executed > max_events:
+            raise RuntimeError(
+                f"job did not finish within {max_events} events; "
+                "likely a livelock (check replica reachability settings)"
+            )
+        if not jobtracker.is_done:
+            raise RuntimeError("event heap drained before the job finished")
         horizon = self.config.pregen_horizon
         if horizon is not None and self.sim.now > horizon:
             raise RuntimeError(

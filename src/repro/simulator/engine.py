@@ -14,6 +14,14 @@ would otherwise accumulate dead entries without bound, so the heap is
 compacted — cancelled entries dropped — whenever they outnumber the live
 ones (amortised O(1) per cancellation; :attr:`Simulator.pending_events`
 stays within a constant factor of the live event count).
+
+A caller that knows an event's place in the order long before it knows
+whether the event will be needed can *reserve* its sequence number with
+:meth:`Simulator.reserve` and queue it later with
+:meth:`Simulator.schedule_reserved`. The event then pops exactly where it
+would have if it had been scheduled at reservation time, so a
+speculative event that is usually revoked never enters the heap (the
+heartbeat watchdogs use this; see DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -120,12 +128,37 @@ class Simulator:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``action`` at an absolute simulation time."""
+        return self.schedule_reserved(time, next(self._sequence), action, label)
+
+    def reserve(self) -> int:
+        """Take the next sequence number without queueing anything.
+
+        Hand it to :meth:`schedule_reserved` later to queue an event at
+        the position it would hold had it been scheduled now. An unused
+        reservation leaves a gap in the sequence and nothing else.
+        """
+        return next(self._sequence)
+
+    def schedule_reserved(
+        self,
+        time: float,
+        seq: int,
+        action: Callable[[], None],
+        label: str = "",
+    ) -> EventHandle:
+        """Queue ``action`` at ``time`` under a :meth:`reserve`-d number.
+
+        The caller owns the ordering claim: each reserved number is used
+        at most once, and no event ordered after ``(time, seq)`` may have
+        fired yet. :meth:`schedule_at` queues through here with a fresh
+        number, so both make the same time checks.
+        """
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} before now ({self._now})")
         if not math.isfinite(time):
             raise ValueError(f"event time must be finite, got {time}")
         handle = EventHandle(time, action, label, sim=self)
-        heapq.heappush(self._heap, (time, next(self._sequence), handle))
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def step(self) -> bool:
@@ -133,7 +166,7 @@ class Simulator:
         heap = self._heap
         while heap:
             time, _seq, handle = heapq.heappop(heap)
-            if handle.cancelled:
+            if handle._cancelled:
                 self._cancelled_in_heap -= 1
                 continue
             self._now = time
@@ -149,30 +182,36 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
     ) -> int:
-        """Run events until the heap drains, ``until`` passes, or the budget ends.
+        """Run events until the heap drains, ``until`` passes, the budget
+        ends, or ``stop()`` turns true.
 
         Returns the number of events executed by this call. Events scheduled
         exactly at ``until`` still run; the clock never advances past the
-        last executed event.
+        last executed event. ``stop`` is called before each event, so the
+        run ends before the first event after the predicate turns true.
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True
         executed = 0
         heap = self._heap
+        heappop = heapq.heappop
         try:
             while heap:
                 if max_events is not None and executed >= max_events:
                     break
-                next_time = self._peek_time()
-                if next_time is None:
+                if stop is not None and stop():
                     break
-                if until is not None and next_time > until:
+                time, _seq, handle = heap[0]
+                if handle._cancelled:
+                    heappop(heap)
+                    self._cancelled_in_heap -= 1
+                    continue
+                if until is not None and time > until:
                     break
-                # _peek_time left a live handle at the heap head; pop it
-                # directly instead of letting step() rescan for one.
-                time, _seq, handle = heapq.heappop(heap)
+                heappop(heap)
                 self._now = time
                 action = handle.action
                 handle._consume()  # mark fired; also drops the closure ref
@@ -188,16 +227,13 @@ class Simulator:
         """Time of the next live event, or None when the heap is drained.
 
         Never earlier than :attr:`now` — the invariant auditor checks this;
-        a violation would mean heap ordering itself broke.
+        a violation would mean heap ordering itself broke. Cancelled heads
+        are discarded on the way.
         """
-        return self._peek_time()
-
-    def _peek_time(self) -> Optional[float]:
-        """Time of the next live event, discarding cancelled heads."""
         heap = self._heap
         while heap:
             time, _seq, handle = heap[0]
-            if not handle.cancelled:
+            if not handle._cancelled:
                 return time
             heapq.heappop(heap)
             self._cancelled_in_heap -= 1
@@ -209,7 +245,7 @@ class Simulator:
         self._cancelled_in_heap += 1
         heap = self._heap
         if len(heap) >= _COMPACT_MIN_SIZE and self._cancelled_in_heap * 2 > len(heap):
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heap[:] = [entry for entry in heap if not entry[2]._cancelled]
             heapq.heapify(heap)
             self._cancelled_in_heap = 0
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.ids import NodeId
 from repro.simulator.engine import EventHandle, Simulator
@@ -194,6 +194,10 @@ class Network:
         #: (mitigation services push/pop these), plus the cached product.
         self._link_scales: Dict[LinkKey, List[float]] = {}
         self._link_scale: Dict[LinkKey, float] = {}
+        #: :meth:`link_capacity` per link, filled by the allocator and
+        #: cleared by every method that changes a capacity: set_link,
+        #: throttle_node, restore_node, scale_link and unscale_link.
+        self._capacity_memo: Dict[LinkKey, float] = {}
 
     # -- configuration ----------------------------------------------------------
 
@@ -204,6 +208,7 @@ class Network:
         downlink_bps: Optional[float] = None,
     ) -> None:
         """Override one node's link capacities."""
+        self._capacity_memo.clear()
         if uplink_bps is not None:
             self._uplinks[node_id] = check_positive("uplink_bps", uplink_bps)
         if downlink_bps is not None:
@@ -428,6 +433,7 @@ class Network:
         stack = self._throttles.setdefault(node_id, [])
         stack.append(link_factor)
         self._throttle_scale[node_id] = _product(stack)
+        self._capacity_memo.clear()
         self._rerate_node(node_id)
 
     def restore_node(self, node_id: NodeId) -> None:
@@ -447,6 +453,7 @@ class Network:
         else:
             del self._throttles[node_id]
             del self._throttle_scale[node_id]
+        self._capacity_memo.clear()
         self._rerate_node(node_id)
 
     # -- chaos: degraded links -------------------------------------------------------
@@ -462,6 +469,7 @@ class Network:
         stack = self._link_scales.setdefault(link, [])
         stack.append(factor)
         self._link_scale[link] = _product(stack)
+        self._capacity_memo.clear()
         self._rerate_link(link)
 
     def unscale_link(self, link: LinkKey, factor: Optional[float] = None) -> None:
@@ -484,6 +492,7 @@ class Network:
         else:
             del self._link_scales[link]
             del self._link_scale[link]
+        self._capacity_memo.clear()
         self._rerate_link(link)
 
     def _rerate_node(self, node_id: NodeId) -> None:
@@ -642,59 +651,70 @@ class Network:
         Each link carries a *live-member counter* maintained as flows get
         fixed, so a filling round costs O(links) instead of re-scanning
         every link's membership against the unfixed set — O(flows·links)
-        overall rather than O(flows²·links). The round structure, float
-        arithmetic, and tie-breaking (first minimum in link insertion
-        order) are identical to the naive scan, so allocations are
-        bit-for-bit unchanged (golden-seed tests pin this).
+        overall rather than O(flows²·links). A link leaves the bottleneck
+        scan once no live flow crosses it, and capacities come from a
+        memo of :meth:`link_capacity` that every capacity change clears.
+        The round structure, float arithmetic, and tie-breaking (first
+        minimum in link insertion order) are identical to the naive scan,
+        so allocations are bit-for-bit unchanged (golden-seed tests and
+        ``tests/simulator/test_network.py``'s reference allocator pin
+        this).
         """
-        if not self._active:
+        active = self._active
+        if not active:
             return
+        memo = self._capacity_memo
+        partitions = self._partitions
         capacity: Dict[LinkKey, float] = {}
         members: Dict[LinkKey, List[Transfer]] = {}
         live: Dict[LinkKey, int] = {}
-        for transfer in self._active:
+        for transfer in active:
             # Stalled flows join no links: they take no rate (the final
             # loop zeroes them) and free their capacity for the rest.
-            if self._partitions and self._is_stalled(transfer):
+            if partitions and self._is_stalled(transfer):
                 continue
             for link in transfer.path:
-                if link not in capacity:
-                    capacity[link] = self.link_capacity(link)
-                    members[link] = []
-                    live[link] = 0
-                members[link].append(transfer)
-                live[link] += 1
+                flows = members.get(link)
+                if flows is None:
+                    cap = memo.get(link)
+                    if cap is None:
+                        cap = memo[link] = self.link_capacity(link)
+                    capacity[link] = cap
+                    members[link] = [transfer]
+                    live[link] = 1
+                else:
+                    flows.append(transfer)
+                    live[link] += 1
 
-        unfixed: Set[Transfer] = set(self._active)
         rates: Dict[Transfer, float] = {}
-        while unfixed:
+        while live:
             # The bottleneck link is the one with the smallest fair share.
             bottleneck = None
-            bottleneck_share = None
+            bottleneck_share = 0.0
             for link, count in live.items():
-                if not count:
-                    continue
-                share = max(capacity[link], 0.0) / count
-                if bottleneck_share is None or share < bottleneck_share:
+                left = capacity[link]
+                share = (0.0 if left < 0.0 else left) / count
+                if bottleneck is None or share < bottleneck_share:
                     bottleneck_share = share
                     bottleneck = link
-            if bottleneck is None:
-                break
-            assert bottleneck_share is not None
+            assert bottleneck is not None  # live is non-empty
             for transfer in members[bottleneck]:
-                if transfer not in unfixed:
+                if transfer in rates:
                     continue
                 rates[transfer] = bottleneck_share
-                unfixed.discard(transfer)
-                # Consume this flow's share on its *other* links, and
-                # retire it from every path link's live count.
+                # Consume this flow's share on its path links, and retire
+                # it from their live counts. Every live member of the
+                # bottleneck is fixed this round, so the bottleneck leaves
+                # the scan and its own capacity is never read again.
                 for link in transfer.path:
-                    live[link] -= 1
-                    if link != bottleneck:
+                    count = live[link] - 1
+                    if count:
+                        live[link] = count
                         capacity[link] -= bottleneck_share
-            capacity[bottleneck] = 0.0
-        for transfer in self._active:
-            transfer.rate = max(rates.get(transfer, 0.0), 0.0)
+                    else:
+                        del live[link]
+        for transfer in active:
+            transfer.rate = rates.get(transfer, 0.0)
 
     def _finalize(self, transfer: Transfer, state: TransferState) -> None:
         transfer.state = state

@@ -142,3 +142,31 @@ class TestTeardown:
         assert hb.is_tracked("n0")
         sim.run(until=50.0)
         assert nn.is_live("n0")
+
+
+class TestKnownDefects:
+    """Defects pinned, not fixed: fixing them moves pinned benchmark
+    digests, which waits for a change allowed to re-pin them."""
+
+    #: A return instant whose deadline sum rounds down: with timeout 9 the
+    #: stored deadline is ``BACK + 9.0``, yet ``(BACK + 9.0) - BACK`` is
+    #: just under 9.
+    BACK = 28.52056516328516
+
+    def test_deadline_sum_rounds_down(self):
+        assert (self.BACK + 9.0) - self.BACK < 9.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the watchdog recomputes now - last_beat instead of comparing "
+        "against its stored deadline, so a rounded-down sum makes it return "
+        "without re-arming and the outage goes unseen",
+    )
+    def test_watchdog_declares_death_when_deadline_sum_rounds_down(self):
+        sim, nn, hb = setup(interval=3.0, misses=3)
+        back = self.BACK
+        sim.schedule_at(1.0, lambda: hb.node_down("n0", 1.0))
+        sim.schedule_at(back, lambda: hb.node_up("n0", back))
+        sim.schedule_at(back + 1.0, lambda: hb.node_down("n0", back + 1.0))
+        sim.run(until=100.0)
+        assert not nn.is_live("n0")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.simulator.engine import Simulator
 from repro.simulator.network import Network, TransferState
+from repro.simulator.topology import ClosTopology
 from repro.util.units import MB, mbit_per_s
 
 
@@ -189,3 +190,154 @@ class TestCancellation:
         net.cancel(t)
         assert c.cancelled == []
         assert t.state is TransferState.COMPLETED
+
+
+def reference_allocate_rates(net):
+    """Naive progressive filling: the oracle for ``Network._allocate_rates``.
+
+    Every round re-scans every link's membership against the unfixed set
+    — O(flows²·links) — and capacities are read straight from
+    ``net.link_capacity``, with no live counters and no memo. Stalled
+    (partition-crossing) flows join no link and take no rate. Returns
+    each active transfer's rate.
+    """
+    capacity = {}
+    members = {}
+    for transfer in net._active:
+        if net._partitions and net._is_stalled(transfer):
+            continue
+        for link in transfer.path:
+            if link not in capacity:
+                capacity[link] = net.link_capacity(link)
+                members[link] = []
+            members[link].append(transfer)
+    unfixed = set(net._active)
+    rates = {}
+    while unfixed:
+        bottleneck = None
+        bottleneck_share = None
+        for link, users in members.items():
+            live = sum(1 for u in users if u in unfixed)
+            if not live:
+                continue
+            share = max(capacity[link], 0.0) / live
+            if bottleneck_share is None or share < bottleneck_share:
+                bottleneck_share = share
+                bottleneck = link
+        if bottleneck is None:
+            break
+        for transfer in [t for t in members[bottleneck] if t in unfixed]:
+            rates[transfer] = bottleneck_share
+            unfixed.discard(transfer)
+            for link in transfer.path:
+                if link != bottleneck:
+                    capacity[link] -= bottleneck_share
+        capacity[bottleneck] = 0.0
+    return {t: max(rates.get(t, 0.0), 0.0) for t in net._active}
+
+
+def assert_rates_match_reference(net):
+    """Live rates equal the oracle's bit for bit (``hex`` keeps -0.0 apart)."""
+    expected = reference_allocate_rates(net)
+    assert expected, "the scenario must have active transfers"
+    assert [t.rate.hex() for t in net._active] == [expected[t].hex() for t in net._active]
+
+
+def start_all(net, flows):
+    # Sizes large enough that nothing completes while the clock stands still.
+    return [net.start_transfer(src, dst, 1e15, lambda t: None) for src, dst in flows]
+
+
+def clos_net(oversubscription=4.0):
+    sim = Simulator()
+    topology = ClosTopology(
+        hosts=16, racks=4, pods=2, host_uplink_bps=1e6, oversubscription=oversubscription
+    )
+    return Network(sim, uplink_bps=1e6, topology=topology)
+
+
+#: Clos flows (rack = id % 4, pod = rack % 2): same-rack, cross-rack
+#: same-pod and cross-pod paths, sharing sources, destinations and trunks.
+CLOS_FLOWS = [
+    (0, 4), (1, 5), (2, 6), (0, 8),
+    (0, 2), (4, 6), (1, 7), (3, 9), (5, 3),
+    (0, 1), (4, 5), (0, 9), (8, 1), (12, 13), (2, 3), (6, 11), (10, 15), (14, 7),
+]
+
+
+class TestAllocatorMatchesReference:
+    """The counter-and-memo allocator against the naive rescan."""
+
+    def test_shares_all_differ(self):
+        # 64 flows from one source whose shares all differ, so progressive
+        # filling fixes one flow per round (the allocator's worst case).
+        net = Network(Simulator(), uplink_bps=1e9)
+        for i in range(64):
+            net.set_link(f"d{i}", downlink_bps=1e5 * (i + 1))
+        start_all(net, [("src", f"d{i}") for i in range(64)])
+        assert_rates_match_reference(net)
+
+    def test_flat_star_mixed_bottlenecks(self):
+        net = Network(Simulator(), uplink_bps=3e5, downlink_bps=7e5)
+        for i in range(12):
+            net.set_link(f"h{i}", uplink_bps=1e5 * ((7 * i) % 13 + 1))
+        flows = [(f"h{i % 5}", f"h{(5 * i + 3) % 12}") for i in range(30)]
+        start_all(net, [(s, d) for s, d in flows if s != d])
+        assert_rates_match_reference(net)
+
+    @pytest.mark.parametrize("oversubscription", [1.0, 4.0])
+    def test_clos(self, oversubscription):
+        net = clos_net(oversubscription)
+        start_all(net, CLOS_FLOWS)
+        assert {len(t.path) for t in net._active} == {2, 4, 6}
+        assert_rates_match_reference(net)
+
+    def test_throttled_nodes(self):
+        net = clos_net()
+        net.throttle_node(0, 0.5)
+        net.throttle_node(0, 0.3)  # stacked windows compose
+        net.throttle_node(5, 0.25)
+        start_all(net, CLOS_FLOWS)
+        assert_rates_match_reference(net)
+
+    def test_scaled_links(self):
+        net = clos_net()
+        net.scale_link(("tor-up", 0), 0.5)
+        net.scale_link(("agg-down", 1), 0.75)
+        net.scale_link(("down", 1), 0.1)
+        start_all(net, CLOS_FLOWS)
+        assert_rates_match_reference(net)
+
+    def test_partitioned_flows_take_no_rate(self):
+        net = clos_net()
+        start_all(net, CLOS_FLOWS)
+        net.begin_partition("cut", (0, 1, 2, 3))
+        assert any(t.rate == 0.0 for t in net._active)
+        assert_rates_match_reference(net)
+
+    def test_capacity_changes_between_allocations(self):
+        # The allocator memoizes link capacities; every capacity change
+        # must invalidate the memo before the next allocation. Each step
+        # below moves at least one rate, so a stale memo would show.
+        net = clos_net()
+        start_all(net, CLOS_FLOWS)
+        assert_rates_match_reference(net)
+
+        def override_then_allocate():
+            # An override re-rates nothing by itself; the next allocation
+            # must read it.
+            net.set_link(1, downlink_bps=1e4)
+            net._allocate_rates()
+
+        steps = [
+            lambda: net.throttle_node(0, 0.05),
+            override_then_allocate,
+            lambda: net.scale_link(("tor-up", 1), 0.1),
+            lambda: net.restore_node(0),
+            lambda: net.unscale_link(("tor-up", 1)),
+        ]
+        for step in steps:
+            before = [t.rate for t in net._active]
+            step()
+            assert [t.rate for t in net._active] != before
+            assert_rates_match_reference(net)
