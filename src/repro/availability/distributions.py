@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.util.rng import RandomSource
 from repro.util.validation import check_positive
@@ -46,20 +46,6 @@ class Distribution(ABC):
         """Analytic coefficient of variation (std / mean)."""
         return self.std / self.mean if self.mean else 0.0
 
-    @property
-    @abstractmethod
-    def params(self) -> Tuple[float, ...]:
-        """The constructor's parameters, exactly as validated."""
-
-    @property
-    def key(self) -> Tuple[object, ...]:
-        """Exact identity: the class and :attr:`params`.
-
-        Equal keys sample equal streams from equal sources. ``repr`` is no
-        substitute: it rounds every parameter to six significant digits.
-        """
-        return (type(self), *self.params)
-
     @abstractmethod
     def sample(self, rng: RandomSource) -> float:
         """Draw one sample using ``rng``."""
@@ -84,10 +70,6 @@ class Exponential(Distribution):
     def std(self) -> float:
         return self._mean
 
-    @property
-    def params(self) -> Tuple[float, ...]:
-        return (self._mean,)
-
     def sample(self, rng: RandomSource) -> float:
         return rng.expovariate(self.rate)
 
@@ -108,10 +90,6 @@ class Deterministic(Distribution):
     @property
     def std(self) -> float:
         return 0.0
-
-    @property
-    def params(self) -> Tuple[float, ...]:
-        return (self._value,)
 
     def sample(self, rng: RandomSource) -> float:
         return self._value
@@ -161,10 +139,6 @@ class Lognormal(Distribution):
     def std(self) -> float:
         return self._mean * self._cov
 
-    @property
-    def params(self) -> Tuple[float, ...]:
-        return (self._mean, self._cov)
-
     def sample(self, rng: RandomSource) -> float:
         return rng.lognormvariate(self._mu, self._sigma)
 
@@ -196,10 +170,6 @@ class Weibull(Distribution):
         g1 = math.gamma(1.0 + 1.0 / self._shape)
         g2 = math.gamma(1.0 + 2.0 / self._shape)
         return self._scale * math.sqrt(max(g2 - g1 * g1, 0.0))
-
-    @property
-    def params(self) -> Tuple[float, ...]:
-        return (self._scale, self._shape)
 
     def sample(self, rng: RandomSource) -> float:
         return rng.weibullvariate(self._scale, self._shape)
@@ -242,10 +212,6 @@ class Pareto(Distribution):
         var = self._xm * self._xm * a / ((a - 1.0) ** 2 * (a - 2.0))
         return math.sqrt(var)
 
-    @property
-    def params(self) -> Tuple[float, ...]:
-        return (self._xm, self._alpha)
-
     def sample(self, rng: RandomSource) -> float:
         return self._xm * rng.paretovariate(self._alpha)
 
@@ -277,10 +243,6 @@ class ShiftedPareto(Distribution):
         a = self._alpha
         var = self._scale * self._scale * a / ((a - 1.0) ** 2 * (a - 2.0))
         return math.sqrt(var)
-
-    @property
-    def params(self) -> Tuple[float, ...]:
-        return (self._scale, self._alpha)
 
     def sample(self, rng: RandomSource) -> float:
         # inverse CDF: F(x) = 1 - (1 + x/scale)^-alpha

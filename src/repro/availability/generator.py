@@ -9,7 +9,7 @@ per-host availability descriptions the cluster builder consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.availability.distributions import Distribution, Exponential
 from repro.availability.process import InterruptionProcess
@@ -102,6 +102,15 @@ class HostAvailability:
         if self.arrival is None or self.service is None:
             return None
         return InterruptionProcess(self.arrival, self.service, rng)
+
+
+def count_unstable(hosts: Iterable[HostAvailability]) -> int:
+    """Hosts with rho = lambda * mu >= 1.
+
+    Such a host's interruption queue has no steady state: it has no
+    stationary up state, and ADAPT gives it no placement mass.
+    """
+    return sum(1 for host in hosts if host.arrival_rate * host.service_mean >= 1.0)
 
 
 def build_group_hosts(

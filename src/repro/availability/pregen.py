@@ -21,18 +21,24 @@ that busy-period fold is ~97% of cluster build time, so
   realisations are *statistically* equivalent (same laws; KS-tested) but
   not byte-identical — the backend carries its own golden pins.
 
-The lazy path itself reads burn-in-shifted streams through
-:data:`SHIFTED_STREAMS`, which folds each host's burn-in once per process
-and seed (:class:`ShiftedStreams`).
+The lazy injector path reads the same streams with long busy periods
+left open (:meth:`~repro.availability.process.InterruptionProcess.lazy_episodes`),
+so a host's burn-in folds only as far as the run reaches
+(:func:`shift_episodes`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.availability.generator import HostAvailability
 from repro.availability.numpy_backend import episode_prefix_numpy
-from repro.availability.process import DowntimeEpisode
+from repro.availability.process import (
+    DowntimeEpisode,
+    Episode,
+    InterruptionProcess,
+    OpenEpisode,
+)
 from repro.util.rng import RandomSource, derive_seed
 
 #: Recognised pregeneration sampling backends.
@@ -43,15 +49,26 @@ AVAIL_BACKENDS = ("scalar", "numpy")
 _MIN_CHUNK = 256
 
 
-def shift_episodes(
-    episodes: Iterable[DowntimeEpisode], burn_in: float
-) -> Iterator[DowntimeEpisode]:
+#: A stream's element type: closed episodes, or open and closed ones.
+_E = TypeVar("_E", DowntimeEpisode, Episode)
+
+
+def shift_episodes(episodes: Iterable[_E], burn_in: float) -> Iterator[_E]:
     """Shift episodes ``burn_in`` seconds earlier, clipping at t=0.
 
-    The stationary burn-in transform — identical to what the lazy
-    injector path applies (``FailureInjector`` delegates here).
+    The stationary burn-in transform, applied by both the lazy injector
+    path and :func:`episode_prefix`. An open episode is first extended
+    to ``burn_in``. If it closes, it is shifted like any closed one. If
+    it is still open, it ends after ``burn_in``: it is re-based in place
+    (``start`` clipped the same way, ``offset`` set to ``burn_in``) and
+    yielded open. Its stream reads only the fold state back.
     """
     for episode in episodes:
+        if type(episode) is OpenEpisode and not episode.extend(burn_in):
+            episode.start = max(episode.start - burn_in, 0.0)
+            episode.offset = burn_in
+            yield episode
+            continue
         end = episode.end - burn_in
         if end <= 0.0:
             continue
@@ -86,101 +103,24 @@ def materialise_prefix(
     return prefix
 
 
+def host_process(
+    host: HostAvailability, rng: RandomSource
+) -> Optional[InterruptionProcess]:
+    """The host's interruption process under the injector root ``rng``.
+
+    Keyed by ``substream("failures", host.host_id)``, so a realisation
+    depends on the root and the host's name alone. None for dedicated
+    hosts.
+    """
+    return host.process(rng.substream("failures", host.host_id))
+
+
 def host_episodes(
     host: HostAvailability, rng: RandomSource
 ) -> Optional[Iterator[DowntimeEpisode]]:
-    """The host's unshifted episode stream under the injector root ``rng``.
-
-    Keyed by ``substream("failures", host.host_id)``, so a realisation
-    depends on the root and the host's name alone. None for dedicated hosts.
-    """
-    process = host.process(rng.substream("failures", host.host_id))
+    """The host's unshifted, closed episode stream (see :func:`host_process`)."""
+    process = host_process(host, rng)
     return None if process is None else process.episodes(float("inf"))
-
-
-class EpisodeLog:
-    """An append-only log of one stream's episodes, read through cursors.
-
-    ``source`` is the one generator that extends the log; each cursor
-    replays the log from the start and pulls from ``source`` only past
-    its end. Every cursor therefore sees the source's exact sequence,
-    however cursors interleave, and closing a cursor leaves the log and
-    ``source`` untouched.
-    """
-
-    __slots__ = ("episodes", "source")
-
-    def __init__(self, source: Iterator[DowntimeEpisode]) -> None:
-        self.episodes: List[DowntimeEpisode] = []
-        #: None once the source is exhausted.
-        self.source: Optional[Iterator[DowntimeEpisode]] = source
-
-    def cursor(self) -> Iterator[DowntimeEpisode]:
-        """A new reader positioned at the first episode."""
-        episodes = self.episodes
-        i = 0
-        while True:
-            if i == len(episodes):
-                if self.source is None:
-                    return
-                episode = next(self.source, None)
-                if episode is None:
-                    self.source = None
-                    return
-                episodes.append(episode)
-            yield episodes[i]
-            i += 1
-
-
-class ShiftedStreams:
-    """Burn-in-shifted episode streams, folded once per process.
-
-    A host's stream is a pure function of the injector's root
-    ``(seed, path)``, the host id, the exact arrival and service laws
-    (:attr:`Distribution.key`) and ``burn_in``, so builds that agree on
-    all of them can share one :class:`EpisodeLog`: the second same-seed
-    build skips the burn-in fold. Logs of one root are kept at a time; a
-    cursor under a new root drops them all, which bounds what is retained
-    by one population's streams.
-    """
-
-    def __init__(self) -> None:
-        self._root: Optional[Tuple[int, Tuple[object, ...]]] = None
-        self._logs: Dict[Tuple[object, ...], EpisodeLog] = {}
-
-    def __len__(self) -> int:
-        return len(self._logs)
-
-    def clear(self) -> None:
-        self._root = None
-        self._logs = {}
-
-    def cursor(
-        self, host: HostAvailability, rng: RandomSource, burn_in: float
-    ) -> Optional[Iterator[DowntimeEpisode]]:
-        """A cursor over ``host``'s shifted stream; None for dedicated hosts.
-
-        ``rng`` is the injector's stream root, as in :func:`episode_prefix`.
-        """
-        if host.arrival is None or host.service is None:
-            return None
-        root = (rng.seed, rng.path)
-        if root != self._root:
-            self.clear()
-            self._root = root
-        key = (host.host_id, host.arrival.key, host.service.key, burn_in)
-        log = self._logs.get(key)
-        if log is None:
-            source = host_episodes(host, rng)
-            assert source is not None
-            log = self._logs[key] = EpisodeLog(shift_episodes(source, burn_in))
-        return log.cursor()
-
-
-#: The process-wide memo ``FailureInjector.attach_host`` reads every
-#: burn-in stream through. Fresh-start streams (no burn-in) stay private:
-#: they have no fold to save, and sharing them would only retain history.
-SHIFTED_STREAMS = ShiftedStreams()
 
 
 def episode_prefix(
@@ -279,12 +219,10 @@ def pregenerate_prefixes(
 
 __all__ = [
     "AVAIL_BACKENDS",
-    "EpisodeLog",
     "Prefixes",
-    "SHIFTED_STREAMS",
-    "ShiftedStreams",
     "episode_prefix",
     "host_episodes",
+    "host_process",
     "materialise_prefix",
     "pregenerate_prefixes",
     "shift_episodes",

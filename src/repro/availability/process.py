@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Callable, Iterator, List, Union, cast
 
 from repro.availability.distributions import (
     _NV_MAGICCONST,
@@ -52,6 +52,89 @@ class DowntimeEpisode:
             raise ValueError(f"episode ends ({self.end}) before it starts ({self.start})")
         if self.interruption_count < 1:
             raise ValueError("an episode contains at least one interruption")
+
+
+#: Interruptions :meth:`InterruptionProcess.lazy_episodes` folds into a
+#: busy period before yielding it open. A stable host's period almost
+#: never gets this long; a rho >= 1 host's period then folds only as far
+#: as its reader extends it, not to the fold bound at once.
+EAGER_FOLD = 64
+
+
+class OpenEpisode:
+    """A busy period folded only part of the way: its end is not known yet.
+
+    ``busy_until`` is a lower bound on the end: every interruption folded
+    so far has been serviced by then. :meth:`extend` continues the
+    stream's own fold (same formulas, draws in the same order, same fold
+    bound and truncation draw), so the period closes exactly where the
+    eager fold closes it. The stream that yielded the episode closes it
+    when it is resumed (a no-op if already closed) and continues from
+    ``t``, the next arrival, so its later episodes do not change either.
+
+    ``offset`` re-bases the episode's times on a burn-in window
+    (:func:`repro.availability.pregen.shift_episodes` sets it with
+    ``start``): :attr:`bound`, :attr:`end` and :meth:`extend`'s target
+    are ``offset`` seconds earlier than the stream's own clock.
+    """
+
+    __slots__ = (
+        "start",
+        "busy_until",
+        "interruption_count",
+        "t",
+        "offset",
+        "closed",
+        "_fold",
+        "arnd",
+        "srnd",
+    )
+
+    def __init__(
+        self,
+        start: float,
+        busy_until: float,
+        interruption_count: int,
+        t: float,
+        fold: Callable[["OpenEpisode", float], None],
+        arnd: Callable[[], float],
+        srnd: Callable[[], float],
+    ) -> None:
+        self.start = start
+        self.busy_until = busy_until
+        self.interruption_count = interruption_count
+        self.t = t
+        self.offset = 0.0
+        self.closed = False
+        self._fold = fold
+        #: The stream's arrival and service uniform samplers.
+        self.arnd = arnd
+        self.srnd = srnd
+
+    @property
+    def bound(self) -> float:
+        """A lower bound on :attr:`end` (the end itself once closed)."""
+        return self.busy_until - self.offset
+
+    @property
+    def end(self) -> float:
+        """When the host returns; only a closed episode knows it."""
+        if not self.closed:
+            raise ValueError("an open episode has no end yet; extend it first")
+        return self.busy_until - self.offset
+
+    def extend(self, target: float) -> bool:
+        """Fold on until the period closes or :attr:`bound` passes ``target``.
+
+        Returns whether the period is closed.
+        """
+        if not self.closed:
+            self._fold(self, target)
+        return self.closed
+
+
+#: What :meth:`InterruptionProcess.lazy_episodes` yields.
+Episode = Union[DowntimeEpisode, OpenEpisode]
 
 
 class InterruptionProcess:
@@ -150,11 +233,31 @@ class InterruptionProcess:
         (SETI traces) or exponential (Table 2 emulation) recovery — dispatch
         to specialised generators that inline the CPython ``random`` draw
         formulas directly into the busy-period fold. No per-draw method
-        calls, and no retained buffers: a suspended generator holds a few
-        floats, not kilobytes, which is what keeps 226k concurrent per-host
-        streams inside memory. Emitted episodes are bit-identical to the
-        generic scalar path (pinned by tests/availability/test_vectorized.py).
+        calls, and no retained buffers: a suspended generator holds its
+        two substreams' ``random.Random`` states (2,560 bytes each by
+        ``sys.getsizeof``) and a few floats. Emitted episodes are
+        bit-identical to the generic scalar path (pinned by
+        tests/availability/test_vectorized.py).
         """
+        # With ``eager`` at the fold bound, no period is left open.
+        return cast(Iterator[DowntimeEpisode], self._stream(horizon, self._max_per_episode))
+
+    def lazy_episodes(self, horizon: float) -> Iterator[Episode]:
+        """:meth:`episodes`, with long busy periods left open.
+
+        The inlined folds yield a period still open after
+        :data:`EAGER_FOLD` interruptions as an :class:`OpenEpisode`, which
+        folds further only as far as its reader extends it; every other
+        period is the same :class:`DowntimeEpisode`. Closed piecewise,
+        the stream equals :meth:`episodes` episode for episode. The
+        generic fold stays eager: it is the oracle the inlined folds are
+        pinned against.
+        """
+        return self._stream(horizon, min(self._max_per_episode, EAGER_FOLD))
+
+    def _stream(self, horizon: float, eager: int) -> Iterator[Episode]:
+        """Dispatch to a fold that yields a period open after ``eager``
+        interruptions unless it has reached the fold bound."""
         check_positive("horizon", horizon)
         clock = self._rng.substream("arrivals")
         svc_rng = self._rng.substream("service")
@@ -162,9 +265,9 @@ class InterruptionProcess:
         service = self._service
         if type(arrival) is Exponential:
             if type(service) is Lognormal:
-                return self._episodes_expo_lognormal(clock, svc_rng, horizon)
+                return self._episodes_expo_lognormal(clock, svc_rng, horizon, eager)
             if type(service) is Exponential:
-                return self._episodes_expo_expo(clock, svc_rng, horizon)
+                return self._episodes_expo_expo(clock, svc_rng, horizon, eager)
         return self._episodes_generic(clock, svc_rng, horizon)
 
     def _episodes_generic(
@@ -207,7 +310,8 @@ class InterruptionProcess:
         clock: RandomSource,
         svc_rng: RandomSource,
         horizon: float,
-    ) -> Iterator[DowntimeEpisode]:
+        eager: int,
+    ) -> Iterator[Episode]:
         """Busy-period fold with ``expovariate``/``lognormvariate`` inlined.
 
         The arrival draw is ``-log(1 - u) / lambd`` (``Random.expovariate``)
@@ -240,7 +344,7 @@ class InterruptionProcess:
             busy_until = t + exp(mu + z * sigma)
             count = 1
             t += -log(1.0 - arnd()) / lambd
-            while t < busy_until and count < max_per:
+            while t < busy_until and count < eager:
                 while True:
                     u1 = srnd()
                     u2 = 1.0 - srnd()
@@ -251,15 +355,62 @@ class InterruptionProcess:
                 count += 1
                 t += -log(1.0 - arnd()) / lambd
             if t < busy_until:
+                if count < max_per:
+                    episode = OpenEpisode(
+                        start, busy_until, count, t, self._extend_expo_lognormal, arnd, srnd
+                    )
+                    yield episode
+                    episode.extend(math.inf)
+                    t = episode.t
+                    continue
                 t = busy_until + -log(1.0 - arnd()) / lambd
             yield DowntimeEpisode(start=start, end=busy_until, interruption_count=count)
+
+    def _extend_expo_lognormal(self, episode: OpenEpisode, target: float) -> None:
+        """:meth:`OpenEpisode.extend` for :meth:`_episodes_expo_lognormal`."""
+        assert isinstance(self._arrival, Exponential)
+        assert isinstance(self._service, Lognormal)
+        lambd = self._arrival.rate
+        mu = self._service.mu
+        sigma = self._service.sigma
+        max_per = self._max_per_episode
+        arnd = episode.arnd
+        srnd = episode.srnd
+        log = math.log
+        exp = math.exp
+        magic = _NV_MAGICCONST
+        offset = episode.offset
+
+        t = episode.t
+        busy_until = episode.busy_until
+        count = episode.interruption_count
+        while t < busy_until and count < max_per:
+            if busy_until - offset > target:
+                break
+            while True:
+                u1 = srnd()
+                u2 = 1.0 - srnd()
+                z = magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            busy_until += exp(mu + z * sigma)
+            count += 1
+            t += -log(1.0 - arnd()) / lambd
+        else:  # no break: the period closed, or reached the fold bound
+            if t < busy_until:
+                t = busy_until + -log(1.0 - arnd()) / lambd
+            episode.closed = True
+        episode.t = t
+        episode.busy_until = busy_until
+        episode.interruption_count = count
 
     def _episodes_expo_expo(
         self,
         clock: RandomSource,
         svc_rng: RandomSource,
         horizon: float,
-    ) -> Iterator[DowntimeEpisode]:
+        eager: int,
+    ) -> Iterator[Episode]:
         """Busy-period fold with ``expovariate`` inlined for both draws."""
         assert isinstance(self._arrival, Exponential)
         assert isinstance(self._service, Exponential)
@@ -276,13 +427,50 @@ class InterruptionProcess:
             busy_until = t + -log(1.0 - srnd()) / slambd
             count = 1
             t += -log(1.0 - arnd()) / lambd
-            while t < busy_until and count < max_per:
+            while t < busy_until and count < eager:
                 busy_until += -log(1.0 - srnd()) / slambd
                 count += 1
                 t += -log(1.0 - arnd()) / lambd
             if t < busy_until:
+                if count < max_per:
+                    episode = OpenEpisode(
+                        start, busy_until, count, t, self._extend_expo_expo, arnd, srnd
+                    )
+                    yield episode
+                    episode.extend(math.inf)
+                    t = episode.t
+                    continue
                 t = busy_until + -log(1.0 - arnd()) / lambd
             yield DowntimeEpisode(start=start, end=busy_until, interruption_count=count)
+
+    def _extend_expo_expo(self, episode: OpenEpisode, target: float) -> None:
+        """:meth:`OpenEpisode.extend` for :meth:`_episodes_expo_expo`."""
+        assert isinstance(self._arrival, Exponential)
+        assert isinstance(self._service, Exponential)
+        lambd = self._arrival.rate
+        slambd = self._service.rate
+        max_per = self._max_per_episode
+        arnd = episode.arnd
+        srnd = episode.srnd
+        log = math.log
+        offset = episode.offset
+
+        t = episode.t
+        busy_until = episode.busy_until
+        count = episode.interruption_count
+        while t < busy_until and count < max_per:
+            if busy_until - offset > target:
+                break
+            busy_until += -log(1.0 - srnd()) / slambd
+            count += 1
+            t += -log(1.0 - arnd()) / lambd
+        else:  # no break: the period closed, or reached the fold bound
+            if t < busy_until:
+                t = busy_until + -log(1.0 - arnd()) / lambd
+            episode.closed = True
+        episode.t = t
+        episode.busy_until = busy_until
+        episode.interruption_count = count
 
     def episodes_list(self, horizon: float) -> List[DowntimeEpisode]:
         """Materialise :meth:`episodes` into a list."""

@@ -29,7 +29,7 @@ import argparse
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
-from repro.availability.generator import build_group_hosts, table2_groups
+from repro.availability.generator import build_group_hosts, count_unstable, table2_groups
 from repro.core.model import expected_attempts, expected_downtime, expected_rework, expected_task_time
 from repro.core.placement import NodeView, make_policy
 from repro.experiments.config import EmulationConfig, SimulationConfig, Strategy
@@ -422,6 +422,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config, Strategy(args.policy, args.replicas), executor=executor
     )
     _print_result(result)
+    hosts = config.hosts()
+    print(f"hosts with ρ ≥ 1: {count_unstable(hosts)} of {len(hosts)}")
     if executor is not None and executor.cache_hits:
         print(f"run cache: {executor.cache_hits} hit(s) from {executor.cache_dir}")
     return 0

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.availability.estimators import AvailabilityEstimate
-from repro.availability.generator import HostAvailability
+from repro.availability.generator import HostAvailability, count_unstable
 from repro.availability.pregen import AVAIL_BACKENDS, pregenerate_prefixes
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId, NodeIds
@@ -294,6 +294,8 @@ class BuildProfile:
 
     The itemised phases are disjoint. ``total_seconds`` covers the whole
     build including un-itemised glue, so the itemised phases sum to less.
+    ``unstable_hosts`` counts the hosts with rho = lambda * mu >= 1
+    (:func:`~repro.availability.generator.count_unstable`).
     """
 
     pregen_seconds: float = 0.0
@@ -302,6 +304,7 @@ class BuildProfile:
     total_seconds: float = 0.0
     backend: str = "scalar"
     jobs: int = 1
+    unstable_hosts: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot (bench_engine's build_breakdown)."""
@@ -312,6 +315,7 @@ class BuildProfile:
             "total_seconds": round(self.total_seconds, 4),
             "backend": self.backend,
             "jobs": self.jobs,
+            "unstable_hosts": self.unstable_hosts,
         }
 
 
@@ -464,6 +468,7 @@ def build_cluster(
     profile = BuildProfile(
         backend=env_override("REPRO_AVAIL_BACKEND", config.avail_backend, AVAIL_BACKENDS),
         jobs=env_override("REPRO_PREGEN_JOBS", config.pregen_jobs),
+        unstable_hosts=count_unstable(hosts),
     )
     names = [h.host_id for h in hosts]
     if len(set(names)) != len(names):

@@ -22,6 +22,13 @@ whether the event will be needed can *reserve* its sequence number with
 would have if it had been scheduled at reservation time, so a
 speculative event that is usually revoked never enters the heap (the
 heartbeat watchdogs use this; see DESIGN.md §10).
+
+An event whose time is costly to compute but easy to bound from below
+is queued with :meth:`Simulator.schedule_lazy`: it takes its sequence
+number at once and pops at ``(bound, seq)``, where the engine asks it
+for its exact time and re-queues it under the same number. Computing
+the time is not an event: it fires nothing and leaves the clock alone.
+Recoveries of long availability busy periods use this (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -34,16 +41,24 @@ from typing import Callable, List, Optional, Tuple
 #: Never compact below this heap size: tiny heaps don't need the churn.
 _COMPACT_MIN_SIZE = 64
 
+#: What a lazy event's resolver returns: its exact time and the action to
+#: fire then, or a later lower bound and None.
+Resolution = Tuple[float, Optional[Callable[[], None]]]
+
 
 class EventHandle:
     """A scheduled event; call :meth:`cancel` to revoke it."""
 
-    __slots__ = ("time", "action", "label", "_cancelled", "_sim")
+    __slots__ = ("time", "action", "label", "_cancelled", "_sim", "resolve")
+
+    #: Set on lazy events only (:meth:`Simulator.schedule_lazy`); an
+    #: unresolved lazy event is the one live handle whose action is None.
+    resolve: Callable[[], Resolution]
 
     def __init__(
         self,
         time: float,
-        action: Callable[[], None],
+        action: Optional[Callable[[], None]],
         label: str,
         sim: Optional["Simulator"] = None,
     ) -> None:
@@ -161,19 +176,67 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
+    def schedule_lazy(
+        self,
+        bound: float,
+        resolve: Callable[[], Resolution],
+        label: str = "",
+    ) -> EventHandle:
+        """Queue an event known only by a lower bound on its time.
+
+        The event takes its sequence number now, as :meth:`schedule_at`
+        would, and pops at ``(bound, seq)``. The engine then calls
+        ``resolve()``, which returns ``(time, action)`` once it knows the
+        exact time, or ``(later_bound, None)``; either way the event is
+        re-queued under its own number. Because ``bound <= time``, it
+        fires exactly where a :meth:`schedule_at` of ``time`` would have,
+        ties included. A resolution fires nothing and does not move the
+        clock. An exact time before the bound raises, and so does a later
+        bound that does not grow or a time that is not finite.
+        """
+        if bound < self._now:
+            raise ValueError(f"cannot schedule at {bound} before now ({self._now})")
+        if not math.isfinite(bound):
+            raise ValueError(f"event time must be finite, got {bound}")
+        handle = EventHandle(bound, None, label, sim=self)
+        handle.resolve = resolve
+        heapq.heappush(self._heap, (bound, next(self._sequence), handle))
+        return handle
+
+    def _resolve(self, bound: float, seq: int, handle: EventHandle) -> None:
+        """Resolve a popped lazy event and re-queue it under ``seq``."""
+        time, action = handle.resolve()
+        ordered = bound < time if action is None else bound <= time
+        if not (ordered and time < math.inf):
+            raise ValueError(
+                f"lazy event {handle.label!r} with bound {bound} resolved to {time}: "
+                "an exact time must be finite and not before the bound, "
+                "a later bound finite and larger"
+            )
+        if action is not None:
+            handle.action = action
+            del handle.resolve
+        handle.time = time
+        heapq.heappush(self._heap, (time, seq, handle))
+
     def step(self) -> bool:
-        """Execute the next event. Returns False when the heap is empty."""
+        """Execute the next event. Returns False when the heap is empty.
+
+        Lazy events reaching the head on the way are resolved first.
+        """
         heap = self._heap
         while heap:
-            time, _seq, handle = heapq.heappop(heap)
+            time, seq, handle = heapq.heappop(heap)
             if handle._cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self._now = time
             action = handle.action
+            if action is None:
+                self._resolve(time, seq, handle)
+                continue
+            self._now = time
             handle._consume()  # mark fired; also drops the closure ref
             self._events_fired += 1
-            assert action is not None
             action()
             return True
         return False
@@ -189,8 +252,10 @@ class Simulator:
 
         Returns the number of events executed by this call. Events scheduled
         exactly at ``until`` still run; the clock never advances past the
-        last executed event. ``stop`` is called before each event, so the
-        run ends before the first event after the predicate turns true.
+        last executed event. ``stop`` is called before each event (and
+        before each lazy resolution), so the run ends before the first
+        event after the predicate turns true. Resolutions are not events:
+        they count neither here nor in :attr:`events_fired`.
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
@@ -204,7 +269,7 @@ class Simulator:
                     break
                 if stop is not None and stop():
                     break
-                time, _seq, handle = heap[0]
+                time, seq, handle = heap[0]
                 if handle._cancelled:
                     heappop(heap)
                     self._cancelled_in_heap -= 1
@@ -212,11 +277,13 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 heappop(heap)
-                self._now = time
                 action = handle.action
+                if action is None:
+                    self._resolve(time, seq, handle)
+                    continue
+                self._now = time
                 handle._consume()  # mark fired; also drops the closure ref
                 self._events_fired += 1
-                assert action is not None
                 action()
                 executed += 1
         finally:
@@ -228,15 +295,20 @@ class Simulator:
 
         Never earlier than :attr:`now` — the invariant auditor checks this;
         a violation would mean heap ordering itself broke. Cancelled heads
-        are discarded on the way.
+        are discarded on the way, and lazy heads resolved, so the time
+        returned is exact.
         """
         heap = self._heap
         while heap:
-            time, _seq, handle = heap[0]
-            if not handle._cancelled:
+            time, seq, handle = heap[0]
+            if handle._cancelled:
+                heapq.heappop(heap)
+                self._cancelled_in_heap -= 1
+            elif handle.action is None:
+                heapq.heappop(heap)
+                self._resolve(time, seq, handle)
+            else:
                 return time
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
         return None
 
     def _note_cancelled(self) -> None:

@@ -5,7 +5,10 @@ Each attached node is driven by one episode stream: its
 an episode prefix materialised before the run
 (:mod:`repro.availability.pregen`, with ``ClusterConfig.pregen_horizon``),
 or a recorded :class:`~repro.availability.traces.AvailabilityTrace`
-replayed as is.
+replayed as is. A lazily sampled busy period that is still open when it
+begins (:class:`~repro.availability.process.OpenEpisode`) queues its
+return with :meth:`~repro.simulator.engine.Simulator.schedule_lazy`, so
+its fold runs only as far as the clock gets.
 
 Transitions are published on the cluster's typed event bus
 (:mod:`repro.simulator.events`) as :class:`~repro.simulator.events.NodeDown`
@@ -31,14 +34,15 @@ state.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.availability.generator import HostAvailability
-from repro.availability.pregen import SHIFTED_STREAMS, host_episodes
-from repro.availability.process import DowntimeEpisode
+from repro.availability.pregen import host_process, shift_episodes
+from repro.availability.process import DowntimeEpisode, Episode, OpenEpisode
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId
-from repro.simulator.engine import EventHandle, Simulator
+from repro.simulator.engine import EventHandle, Resolution, Simulator
 from repro.simulator.events import (
     EventBus,
     NodeDown,
@@ -58,7 +62,7 @@ class FailureInjector:
         self._sim = sim
         self._rng = rng
         self._bus = bus if bus is not None else EventBus()
-        self._episode_streams: Dict[NodeId, Iterator[DowntimeEpisode]] = {}
+        self._episode_streams: Dict[NodeId, Iterator[Episode]] = {}
         self._is_down: Dict[NodeId, bool] = {}
         self._episode_counts: Dict[NodeId, int] = {}
         self._downtime_totals: Dict[NodeId, float] = {}
@@ -99,11 +103,10 @@ class FailureInjector:
         stationary state — like cutting a random window out of a long trace:
         a host may already be down at t=0, with the correct residual
         downtime. A burn-in of several population MTBIs is enough; 0 keeps
-        the legacy fresh start. A burn-in stream is read through the
-        process-wide :data:`~repro.availability.pregen.SHIFTED_STREAMS`
-        memo, so a later same-seed build skips the burn-in fold and reads
-        the episodes the first build drew; fresh-start streams stay
-        private generators.
+        the legacy fresh start. The stream leaves long busy periods open
+        (:meth:`~repro.availability.process.InterruptionProcess.lazy_episodes`),
+        so a period that outlasts the burn-in, as a rho >= 1 host's does,
+        folds only as far as the run reaches.
 
         ``node_id`` is the dense int id the injector keys its runtime
         state (and published events) by; it defaults to ``host.host_id``
@@ -134,13 +137,14 @@ class FailureInjector:
             )
         self._register(node_id)
         if episodes is not None:
-            stream: Optional[Iterator[DowntimeEpisode]] = iter(episodes)
-        elif burn_in > 0.0:
-            stream = SHIFTED_STREAMS.cursor(host, self._rng, burn_in)
+            stream: Iterator[Episode] = iter(episodes)
         else:
-            stream = host_episodes(host, self._rng)
-        if stream is None:
-            return
+            process = host_process(host, self._rng)
+            if process is None:
+                return
+            stream = process.lazy_episodes(math.inf)
+            if burn_in > 0.0:
+                stream = shift_episodes(stream, burn_in)
         self._episode_streams[node_id] = stream
         self._schedule_next(node_id)
 
@@ -337,7 +341,7 @@ class FailureInjector:
         )
 
     def _begin_episode(
-        self, node_id: NodeId, episode: DowntimeEpisode, from_stream: bool = True
+        self, node_id: NodeId, episode: Episode, from_stream: bool = True
     ) -> None:
         if self._stopped or self._permanent[node_id]:
             return
@@ -352,26 +356,44 @@ class FailureInjector:
         now = self._sim.now
         self._down_since[node_id] = now
         self._bus.publish(NodeDown(time=now, node_id=node_id))
-        end = max(episode.end, now)
         stretch = self._recovery_stretch.get(node_id)
-        if stretch is not None:
-            # Delayed-recovery chaos: the remaining downtime of an episode
-            # beginning inside the window lasts ``stretch`` times as long.
-            # Guarded so the untouched path stays float-identical.
-            end = now + (end - now) * stretch
-        handle = self._sim.schedule_at(
-            end,
-            lambda: self._end_episode(node_id, episode, from_stream),
-            label=f"up:{node_id}",
-        )
+        if type(episode) is OpenEpisode and not episode.extend(
+            now if stretch is None else math.inf
+        ):
+            # The period outlasts now: queue the return at a lower bound
+            # on its end, and fold on only when the clock reaches it.
+            handle = self._sim.schedule_lazy(
+                episode.bound,
+                lambda: self._resolve_end(node_id, episode, from_stream),
+                label=f"up:{node_id}",
+            )
+        else:
+            end = max(episode.end, now)
+            if stretch is not None:
+                # Delayed-recovery chaos: the remaining downtime of an episode
+                # beginning inside the window lasts ``stretch`` times as long.
+                # Guarded so the untouched path stays float-identical.
+                end = now + (end - now) * stretch
+            handle = self._sim.schedule_at(
+                end,
+                lambda: self._end_episode(node_id, from_stream),
+                label=f"up:{node_id}",
+            )
         if from_stream:
             self._stream_events[node_id] = handle
         else:
             self._injected_events.append(handle)
 
-    def _end_episode(
-        self, node_id: NodeId, episode: DowntimeEpisode, from_stream: bool = True
-    ) -> None:
+    def _resolve_end(
+        self, node_id: NodeId, episode: OpenEpisode, from_stream: bool
+    ) -> Resolution:
+        """Fold an open episode until its bound at least doubles; once it
+        closes, its end and the return to fire then."""
+        if episode.extend(2.0 * episode.bound):
+            return episode.end, lambda: self._end_episode(node_id, from_stream)
+        return episode.bound, None
+
+    def _end_episode(self, node_id: NodeId, from_stream: bool = True) -> None:
         if self._stopped or self._permanent[node_id]:
             return
         if not self._is_down[node_id]:
@@ -387,10 +409,8 @@ class FailureInjector:
         self._down_since[node_id] = None
         # Account the downtime actually served: a stretched or clipped
         # episode's wall window, not the sampled episode length.
-        if down_since is not None:
+        if down_since is not None:  # begin always records it
             self._downtime_totals[node_id] += now - down_since
-        else:  # pragma: no cover - begin always records down_since
-            self._downtime_totals[node_id] += episode.duration
         self._bus.publish(NodeUp(time=now, node_id=node_id))
         if from_stream:
             self._schedule_next(node_id)

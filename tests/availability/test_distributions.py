@@ -136,33 +136,6 @@ class TestShiftedPareto:
         assert all(d.sample(rng) >= 0.0 for _ in range(100))
 
 
-class TestExactKey:
-    def test_repr_rounds_but_key_is_exact(self):
-        a = Lognormal(mean=16395.4, cov=2.0)
-        b = Lognormal(mean=16395.40001, cov=2.0)
-        assert repr(a) == repr(b)
-        assert a.key != b.key
-        assert a.key == Lognormal(mean=16395.4, cov=2.0).key
-
-    def test_key_separates_classes_with_equal_params(self):
-        assert Exponential(mean=5.0).params == Deterministic(value=5.0).params
-        assert Exponential(mean=5.0).key != Deterministic(value=5.0).key
-
-    @pytest.mark.parametrize(
-        "dist, params",
-        [
-            (Exponential(mean=3.0), (3.0,)),
-            (Deterministic(value=2.0), (2.0,)),
-            (Lognormal(mean=9.0, cov=2.0), (9.0, 2.0)),
-            (Weibull(scale=1.0, shape=2.0), (1.0, 2.0)),
-            (Pareto(xm=1.0, alpha=3.0), (1.0, 3.0)),
-            (ShiftedPareto(scale=1.0, alpha=3.0), (1.0, 3.0)),
-        ],
-    )
-    def test_params_are_the_constructor_arguments(self, dist, params):
-        assert dist.params == params
-
-
 class TestSpecParsing:
     def test_exponential_spec(self):
         d = distribution_from_spec({"kind": "exponential", "mean": 4})

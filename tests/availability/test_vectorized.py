@@ -5,13 +5,29 @@ population uses to inlined folds (``_episodes_expo_lognormal`` /
 ``_episodes_expo_expo``). They promise the *same floats* as the generic
 reference fold — goldens depend on it — so every test here asserts exact
 ``==``, never ``approx``, and also checks the RNG streams stay in
-lockstep over long runs.
+lockstep over long runs. The same folds leave long busy periods open in
+``lazy_episodes``; closed piecewise, those must equal ``episodes()``.
 """
 
-import pytest
+import math
+from itertools import islice
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.availability import process
 from repro.availability.distributions import Deterministic, Exponential, Lognormal, Weibull
-from repro.availability.process import InterruptionProcess
+from repro.availability.generator import HostAvailability
+from repro.availability.pregen import episode_prefix, host_process, shift_episodes
+from repro.availability.process import (
+    EAGER_FOLD,
+    DowntimeEpisode,
+    InterruptionProcess,
+    OpenEpisode,
+)
+from repro.experiments.config import SimulationConfig
 from repro.util.rng import RandomSource
 
 
@@ -73,3 +89,71 @@ class TestEpisodeSpecialisationBitIdentity:
         ref_iter = ref._episodes_generic(clock, svc, 10**9)
         for _ in range(2000):
             assert next(fast_iter) == next(ref_iter)
+
+
+def _open_cases():
+    """Hosts whose busy periods outgrow ``EAGER_FOLD``: the unstable pairs
+    above and a rho >= 1 host of a SETI population."""
+    cases = [
+        pytest.param(HostAvailability("h", arrival, service), id=name)
+        for name, arrival, service in _episode_pairs()
+        if name.endswith("-unstable")
+    ]
+    seti = next(
+        host
+        for host in SimulationConfig(node_count=24, seed=1).hosts()
+        if host.arrival_rate * host.service_mean >= 1.0
+    )
+    return [*cases, pytest.param(seti, id="seti-rho-ge-1")]
+
+
+def closed(episodes, offsets, count):
+    """The first ``count`` episodes of a lazy stream as closed episodes.
+
+    Each open episode is extended to its start plus each of ``offsets``
+    in turn before the stream resumes, so the stream itself closes
+    whatever is left (and the last one is closed here).
+    """
+    pulled = []
+    for episode in islice(episodes, count):
+        if type(episode) is OpenEpisode:
+            for offset in offsets:
+                episode.extend(episode.start + offset)
+        pulled.append(episode)
+    if pulled and type(pulled[-1]) is OpenEpisode:
+        pulled[-1].extend(math.inf)
+    return [DowntimeEpisode(e.start, e.end, e.interruption_count) for e in pulled]
+
+
+@pytest.mark.parametrize("eager", [1, 2, EAGER_FOLD])
+@pytest.mark.parametrize("host", _open_cases())
+class TestOpenEpisodeExactness:
+    """Open busy periods, closed piecewise, are the eager stream's periods."""
+
+    COUNT = 4
+    offsets = st.lists(st.floats(min_value=0.0, max_value=1e7), max_size=5)
+
+    @settings(max_examples=10, deadline=None)
+    @given(offsets=offsets)
+    def test_closed_piecewise_equals_episodes(self, host, eager, offsets):
+        rng = RandomSource(9)
+        want = list(islice(host_process(host, rng).episodes(math.inf), self.COUNT))
+        with mock.patch.object(process, "EAGER_FOLD", eager):
+            lazy = host_process(host, rng).lazy_episodes(math.inf)
+            got = closed(lazy, offsets, self.COUNT)
+        assert got == want
+
+    @settings(max_examples=10, deadline=None)
+    @given(offsets=offsets)
+    def test_shifted_equals_episode_prefix(self, host, eager, offsets):
+        rng, burn_in = RandomSource(4), 10_000.0
+        want = episode_prefix(host, rng, 20 * burn_in, burn_in=burn_in)
+        with mock.patch.object(process, "EAGER_FOLD", eager):
+            lazy = host_process(host, rng).lazy_episodes(math.inf)
+            got = closed(shift_episodes(lazy, burn_in), offsets, len(want))
+        assert got == want
+
+    def test_the_stream_opens_periods(self, host, eager):
+        with mock.patch.object(process, "EAGER_FOLD", eager):
+            lazy = host_process(host, RandomSource(9)).lazy_episodes(math.inf)
+            assert any(type(e) is OpenEpisode for e in islice(lazy, self.COUNT))

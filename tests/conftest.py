@@ -6,7 +6,6 @@ import concurrent.futures
 
 import pytest
 
-from repro.availability.process import InterruptionProcess
 from repro.util.rng import RandomSource
 
 
@@ -20,24 +19,6 @@ def rng() -> RandomSource:
 def rng2() -> RandomSource:
     """A second, independent deterministic random source."""
     return RandomSource(67890)
-
-
-@pytest.fixture
-def episode_calls(monkeypatch) -> list:
-    """Every process whose ``InterruptionProcess.episodes`` was called.
-
-    Each call starts a fresh busy-period fold, so the list's length counts
-    the folds a test triggered.
-    """
-    calls: list = []
-    real = InterruptionProcess.episodes
-
-    def counting(self, *args, **kwargs):
-        calls.append(self)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(InterruptionProcess, "episodes", counting)
-    return calls
 
 
 @pytest.fixture

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.availability.generator import count_unstable
 from repro.cli import main
+from repro.experiments.config import SimulationConfig
 
 CAMPAIGN_PATH = Path(__file__).parents[2] / "examples" / "chaos_smoke.json"
 
@@ -98,7 +100,12 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert "elapsed_s" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "elapsed_s" in out
+        hosts = SimulationConfig(node_count=32, tasks_per_node=4.0, seed=2).hosts()
+        unstable = count_unstable(hosts)
+        assert 0 < unstable < 32
+        assert out.splitlines()[-1] == f"hosts with ρ ≥ 1: {unstable} of 32"
 
     def test_table1_command(self, capsys):
         code = main(["table1", "--nodes", "60", "--horizon-days", "40"])

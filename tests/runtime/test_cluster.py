@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.availability.generator import HostAvailability, build_group_hosts
+from repro.availability.generator import HostAvailability, build_group_hosts, count_unstable
+from repro.experiments.config import SimulationConfig
 from repro.runtime.cluster import ClusterConfig, build_cluster
 from repro.util.units import MB, mbit_per_s
 
@@ -171,6 +172,18 @@ class TestBuildKernel:
         as_dict = profile.as_dict()
         assert as_dict["backend"] == "scalar"
         cluster.stop()
+
+    def test_build_profile_counts_unstable_hosts(self):
+        hosts = SimulationConfig(node_count=24, seed=1).hosts()
+        unstable = [h for h in hosts if h.arrival_rate * h.service_mean >= 1.0]
+        assert count_unstable(hosts) == len(unstable) == 16
+        cluster = build_cluster(hosts, ClusterConfig(seed=1))
+        assert cluster.build_profile.unstable_hosts == 16
+        assert cluster.build_profile.as_dict()["unstable_hosts"] == 16
+        cluster.stop()
+        stable = build_cluster(build_group_hosts(8, 1.0), ClusterConfig(seed=1))
+        assert stable.build_profile.unstable_hosts == 0
+        stable.stop()
 
     def test_lazy_names_render_at_reporting_boundary(self):
         hosts = build_group_hosts(4, 0.5)

@@ -203,6 +203,137 @@ class TestReservedSequence:
             sim.schedule_reserved(when, sim.reserve(), lambda: None)
 
 
+class Resolver:
+    """A lazy event's resolver: hands out ``bounds``, then ``(time, action)``.
+
+    ``calls`` counts resolutions; ``now_seen`` is the clock at each one.
+    """
+
+    def __init__(self, sim, time, action, bounds=()):
+        self.sim = sim
+        self.steps = [(bound, None) for bound in bounds] + [(time, action)]
+        self.calls = 0
+        self.now_seen = []
+
+    def __call__(self):
+        self.now_seen.append(self.sim.now)
+        self.calls += 1
+        return self.steps[self.calls - 1]
+
+
+class TestLazyEvents:
+    def test_resolved_event_keeps_its_place_among_ties(self):
+        # Queued between "a" and "b", bounded well before their shared
+        # time: it fires after the tie queued before it and before the
+        # one queued after it, as a schedule_at would.
+        sim = Simulator()
+        order = []
+        sim.schedule_at(5.0, lambda: order.append("a"))
+        sim.schedule_lazy(1.0, Resolver(sim, 5.0, lambda: order.append("lazy")))
+        sim.schedule_at(5.0, lambda: order.append("b"))
+        sim.run()
+        assert order == ["a", "lazy", "b"]
+
+    def test_resolution_is_not_an_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(sim.now))
+        resolver = Resolver(sim, 9.0, lambda: fired.append(sim.now), bounds=[4.0])
+        sim.schedule_lazy(2.0, resolver)
+        sim.schedule_at(3.0, lambda: fired.append(sim.now))
+        assert sim.run(until=8.0) == 2
+        assert sim.events_fired == 2
+        assert resolver.calls == 2
+        assert resolver.now_seen == [1.0, 3.0]
+        assert sim.now == 3.0
+        assert sim.run() == 1
+        assert fired == [1.0, 3.0, 9.0]
+        assert sim.events_fired == 3
+
+    def test_chain_of_later_bounds(self):
+        sim = Simulator()
+        fired = []
+        resolver = Resolver(sim, 100.0, lambda: fired.append(sim.now), bounds=[2.0, 8.0, 50.0])
+        handle = sim.schedule_lazy(1.0, resolver, label="up:x")
+        sim.schedule_at(60.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [60.0, 100.0]
+        assert resolver.calls == 4
+        assert handle.time == 100.0
+        assert handle.label == "up:x"
+
+    def test_cancelled_before_resolution_never_resolves(self):
+        sim = Simulator()
+        fired = []
+        resolver = Resolver(sim, 5.0, lambda: fired.append("lazy"))
+        handle = sim.schedule_lazy(2.0, resolver)
+        sim.schedule_at(1.0, handle.cancel)
+        assert sim.run() == 1
+        assert resolver.calls == 0
+        assert fired == []
+        assert sim.pending_events == 0
+
+    def test_until_between_bound_and_time_stops_without_firing(self):
+        sim = Simulator()
+        fired = []
+        resolver = Resolver(sim, 7.0, lambda: fired.append(sim.now))
+        sim.schedule_lazy(3.0, resolver)
+        assert sim.run(until=5.0) == 0
+        assert resolver.calls == 1
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.run(until=7.0) == 1
+        assert fired == [7.0]
+        assert resolver.calls == 1
+
+    def test_peek_and_step_resolve(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_lazy(2.0, Resolver(sim, 6.0, lambda: fired.append(sim.now), bounds=[3.0]))
+        sim.schedule_at(4.0, lambda: fired.append(sim.now))
+        assert sim.peek_next_time() == 4.0
+        assert sim.step()
+        assert sim.peek_next_time() == 6.0
+        assert sim.step()
+        assert fired == [4.0, 6.0]
+        assert not sim.step()
+
+        sim = Simulator()
+        sim.schedule_lazy(2.0, Resolver(sim, 6.0, lambda: fired.append(sim.now), bounds=[3.0]))
+        assert sim.step()
+        assert fired[-1] == 6.0
+        assert sim.events_fired == 1
+
+    @pytest.mark.parametrize(
+        "time, action",
+        [
+            (1.5, lambda: None),  # exact time before the bound
+            (float("inf"), lambda: None),
+            (float("nan"), lambda: None),
+            (2.0, None),  # a later bound that does not grow
+            (float("inf"), None),
+        ],
+    )
+    def test_bad_resolution_raises(self, time, action):
+        sim = Simulator()
+        sim.schedule_lazy(2.0, lambda: (time, action), label="up:x")
+        with pytest.raises(ValueError, match="up:x"):
+            sim.run()
+
+    def test_exact_time_at_the_bound_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_lazy(2.0, Resolver(sim, 2.0, lambda: fired.append(sim.now)))
+        assert sim.run() == 1
+        assert fired == [2.0]
+
+    @pytest.mark.parametrize("bound", [-1.0, float("inf"), float("nan")])
+    def test_rejects_bad_bound(self, bound):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule_lazy(bound, lambda: (1.0, lambda: None))
+
+
 class TestStopPredicate:
     def test_stops_before_first_event_after_predicate_turns_true(self):
         sim = Simulator()

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.availability import pregen
+from repro.availability import pregen, process
 from repro.availability.distributions import Deterministic, Exponential
-from repro.availability.generator import HostAvailability
-from repro.availability.pregen import SHIFTED_STREAMS, episode_prefix, materialise_prefix
+from repro.availability.generator import HostAvailability, build_group_hosts
+from repro.availability.pregen import episode_prefix, materialise_prefix
 from repro.availability.process import DowntimeEpisode
 from repro.availability.traces import AvailabilityTrace
 from repro.experiments.config import SimulationConfig
-from repro.runtime import runner
 from repro.simulator.engine import Simulator
 from repro.simulator.events import NodeDown, NodeUp, PermanentFailure, Phase
 from repro.simulator.failures import FailureInjector
@@ -435,46 +434,125 @@ class TestInjectedEpisodePrefix:
         assert not injector.is_down("h0")
 
 
-class TestSharedBurnInStreams:
-    """Same-seed lazy builds fold each host's burn-in once per process."""
+def seti_slice():
+    """A 24-host SETI population and its stationary burn-in."""
+    config = SimulationConfig(node_count=24, seed=1)
+    return config.hosts(), config.cluster_config().stationary_burn_in
 
-    def _setup(self):
-        config = SimulationConfig(node_count=12, tasks_per_node=2.0, seed=1)
-        cluster_config = config.cluster_config(seed=5)
-        assert cluster_config.stationary_burn_in > 0.0
-        return config.hosts(), cluster_config
 
-    def _run(self, monkeypatch, hosts, cluster_config, policy):
-        """run_map_phase, also returning the cluster's fired event count."""
-        built = []
-        real = runner.build_cluster
+@pytest.fixture
+def lazy_handles(monkeypatch):
+    """Every handle ``Simulator.schedule_lazy`` returns."""
+    handles = []
+    real = Simulator.schedule_lazy
 
-        def capture(*args, **kwargs):
-            built.append(real(*args, **kwargs))
-            return built[-1]
+    def spied(sim, *args, **kwargs):
+        handles.append(real(sim, *args, **kwargs))
+        return handles[-1]
 
-        monkeypatch.setattr(runner, "build_cluster", capture)
-        result = runner.run_map_phase(hosts, cluster_config, policy, blocks_per_node=2.0)
-        return result, built[0].sim.events_fired
+    monkeypatch.setattr(Simulator, "schedule_lazy", spied)
+    return handles
 
-    def test_second_build_reuses_every_burn_in(self, monkeypatch, episode_calls):
-        hosts, cluster_config = self._setup()
-        SHIFTED_STREAMS.clear()
-        shared = [
-            self._run(monkeypatch, hosts, cluster_config, policy)
-            for policy in ("existing", "adapt")
-        ]
-        interrupted = sum(1 for host in hosts if not host.is_dedicated)
-        assert interrupted > 0
-        assert len(episode_calls) == interrupted
-        for policy, outcome in zip(("existing", "adapt"), shared, strict=True):
-            SHIFTED_STREAMS.clear()
-            assert self._run(monkeypatch, hosts, cluster_config, policy) == outcome
 
-    def test_fresh_start_streams_stay_private(self):
-        SHIFTED_STREAMS.clear()
-        _, injector = make_injector()
-        injector.attach_host(interrupted_host("h0"))
-        assert len(SHIFTED_STREAMS) == 0
-        injector.attach_host(interrupted_host("h1"), burn_in=50.0)
-        assert len(SHIFTED_STREAMS) == 1
+class TestOpenEpisodes:
+    """Open busy periods return through lazily timed events, exactly."""
+
+    def _run(
+        self, hosts, burn_in, horizon, injected, stretch=None, outage=None, attach_at=0.0
+    ):
+        """Transitions and fired events up to ``horizon``."""
+        sim, injector = make_injector(seed=3)
+        rec = Recorder(injector)
+
+        def attach():
+            for host in hosts:
+                if injected:
+                    prefix = episode_prefix(host, RandomSource(3), horizon, burn_in)
+                    injector.attach_host(host, episodes=prefix)
+                else:
+                    injector.attach_host(host, burn_in=burn_in)
+                if stretch is not None:
+                    injector.set_recovery_stretch(host.host_id, stretch)
+            if outage is not None:
+                injector.schedule_outage([host.host_id for host in hosts], *outage)
+
+        sim.schedule_at(attach_at, attach)
+        sim.run(until=horizon)
+        return rec.events, sim.events_fired
+
+    @pytest.mark.parametrize("eager", [1, 2, process.EAGER_FOLD])
+    @pytest.mark.parametrize("population", ["seti-burn-in", "table2-fresh"])
+    def test_lazy_attach_equals_closed_prefixes(
+        self, monkeypatch, lazy_handles, population, eager
+    ):
+        if population == "seti-burn-in":
+            (hosts, burn_in), horizon = seti_slice(), 2e7
+        else:
+            hosts, burn_in, horizon = build_group_hosts(24, 1.0), 0.0, 5_000.0
+        monkeypatch.setattr(process, "EAGER_FOLD", eager)
+        lazy = self._run(hosts, burn_in, horizon, injected=False)
+        assert lazy_handles
+        # A fired handle reads as cancelled; none is cancelled here.
+        fired = [handle for handle in lazy_handles if handle.cancelled]
+        assert fired or (population == "seti-burn-in" and eager == process.EAGER_FOLD)
+        lazy_handles.clear()
+        assert self._run(hosts, burn_in, horizon, injected=True) == lazy
+        assert not lazy_handles
+
+    def test_stretch_closes_the_episode_first(self, monkeypatch, lazy_handles):
+        monkeypatch.setattr(process, "EAGER_FOLD", 1)
+        hosts = build_group_hosts(8, 1.0)
+        lazy = self._run(hosts, 0.0, 2_000.0, injected=False, stretch=1.5)
+        assert not lazy_handles
+        assert self._run(hosts, 0.0, 2_000.0, injected=True, stretch=1.5) == lazy
+
+    def test_attached_mid_run(self, monkeypatch, lazy_handles):
+        # Periods that started before the attach begin at once, with a
+        # bound that may lie in the past: they fold on past the clock.
+        monkeypatch.setattr(process, "EAGER_FOLD", 1)
+        hosts = build_group_hosts(8, 1.0)
+        lazy = self._run(hosts, 0.0, 2_000.0, injected=False, attach_at=300.0)
+        assert lazy_handles
+        assert self._run(hosts, 0.0, 2_000.0, injected=True, attach_at=300.0) == lazy
+
+    def test_open_episodes_skipped_by_an_outage(self, monkeypatch, lazy_handles):
+        # Periods that start inside the outage are folded away unread:
+        # the stream closes them on resuming and must stay exact.
+        monkeypatch.setattr(process, "EAGER_FOLD", 1)
+        hosts = build_group_hosts(8, 1.0)
+        lazy = self._run(hosts, 0.0, 2_000.0, injected=False, outage=(100.0, 400.0))
+        assert lazy_handles
+        assert self._run(hosts, 0.0, 2_000.0, injected=True, outage=(100.0, 400.0)) == lazy
+
+    def test_permanent_failure_cancels_an_unresolved_return(self, lazy_handles):
+        hosts, burn_in = seti_slice()
+        host = next(h for h in hosts if h.arrival_rate * h.service_mean >= 1.0)
+        sim, injector = make_injector()
+        rec = Recorder(injector)
+        injector.attach_host(host, burn_in=burn_in)
+        injector.schedule_permanent_failure(host.host_id, 100.0)
+        sim.run()
+        assert rec.events == [("down", host.host_id, 0.0)]
+        assert [handle.cancelled for handle in lazy_handles] == [True]
+        assert sim.pending_events == 0
+
+    def test_burn_in_folds_only_as_far_as_the_run(self, monkeypatch):
+        # An eager fold takes this host's burn-in period to the 10,000
+        # interruption bound at attach; a one-day run needs a fraction.
+        hosts, burn_in = seti_slice()
+        host = next(h for h in hosts if h.arrival_rate * h.service_mean >= 1.0)
+        pulled = []
+        real = process.InterruptionProcess.lazy_episodes
+
+        def spied(proc, horizon):
+            for episode in real(proc, horizon):
+                pulled.append(episode)
+                yield episode
+
+        monkeypatch.setattr(process.InterruptionProcess, "lazy_episodes", spied)
+        sim, injector = make_injector()
+        injector.attach_host(host, burn_in=burn_in)
+        sim.run(until=86_400.0)
+        assert injector.is_down(host.host_id)
+        folded = sum(episode.interruption_count for episode in pulled)
+        assert 0 < folded < 2_000
