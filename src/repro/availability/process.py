@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Union, cast
+from typing import Callable, Iterable, Iterator, Union, cast
 
 from repro.availability.distributions import (
     _NV_MAGICCONST,
@@ -135,6 +135,26 @@ class OpenEpisode:
 
 #: What :meth:`InterruptionProcess.lazy_episodes` yields.
 Episode = Union[DowntimeEpisode, OpenEpisode]
+
+
+def cut_at_horizon(episodes: Iterable[Episode], horizon: float) -> Iterator[DowntimeEpisode]:
+    """Close a lazy stream's episodes, ending it at a period still open at ``horizon``.
+
+    An open episode is extended to ``horizon``. One that closes is yielded
+    as the :class:`DowntimeEpisode` :meth:`InterruptionProcess.episodes`
+    yields. One still open is yielded closed at its bound, which lies past
+    ``horizon`` and at or before its true end, and nothing follows it: the
+    stream is not resumed, so neither its fold nor its samplers outlive
+    it. Before the horizon the host's states are the closed stream's.
+    """
+    for episode in episodes:
+        if isinstance(episode, OpenEpisode):
+            closed = episode.extend(horizon)
+            yield DowntimeEpisode(episode.start, episode.bound, episode.interruption_count)
+            if not closed:
+                return
+        else:
+            yield episode
 
 
 class InterruptionProcess:
@@ -471,10 +491,6 @@ class InterruptionProcess:
         episode.t = t
         episode.busy_until = busy_until
         episode.interruption_count = count
-
-    def episodes_list(self, horizon: float) -> List[DowntimeEpisode]:
-        """Materialise :meth:`episodes` into a list."""
-        return list(self.episodes(horizon))
 
     @classmethod
     def exponential(

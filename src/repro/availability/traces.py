@@ -12,7 +12,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.availability.process import DowntimeEpisode, InterruptionProcess
+from repro.availability.process import DowntimeEpisode, InterruptionProcess, cut_at_horizon
 from repro.util.stats import SummaryStats, summarize
 from repro.util.validation import check_non_negative, check_positive
 
@@ -87,8 +87,15 @@ class AvailabilityTrace:
         horizon: float,
         process: InterruptionProcess,
     ) -> "AvailabilityTrace":
-        """Sample a process into a concrete trace over ``[0, horizon)``."""
-        return cls.from_episodes(host_id, horizon, process.episodes(horizon))
+        """Sample a process into a concrete trace over ``[0, horizon)``.
+
+        Reads the open stream (:func:`~repro.availability.process.cut_at_horizon`),
+        so a busy period still open at the horizon is folded only past it:
+        the windows, clipped at the horizon, are those of
+        :meth:`~repro.availability.process.InterruptionProcess.episodes`.
+        """
+        episodes = cut_at_horizon(process.lazy_episodes(horizon), horizon)
+        return cls.from_episodes(host_id, horizon, episodes)
 
     # -- queries --------------------------------------------------------------
 

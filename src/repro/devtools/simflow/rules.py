@@ -300,8 +300,8 @@ class PoolCaptureHazard(ModuleRule):
     A lambda, a nested ``def`` (it closes over the enclosing frame), or a
     bound method (it pickles the whole instance, sharing no mutation back)
     passed to ``ProcessPoolExecutor.submit/map`` either fails to pickle or
-    silently diverges from the parent process. The sweep/pregen fan-out
-    idiom is a module-level function plus an explicit spec argument.
+    silently diverges from the parent process. The sweep fan-out idiom
+    is a module-level function plus an explicit spec argument.
     """
 
     code = "F004"

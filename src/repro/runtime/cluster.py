@@ -39,13 +39,14 @@ one loop in reverse registration order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.availability.estimators import AvailabilityEstimate
 from repro.availability.generator import HostAvailability, count_unstable
-from repro.availability.pregen import AVAIL_BACKENDS, pregenerate_prefixes
+from repro.availability.pregen import pregenerate_prefixes
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId, NodeIds
 from repro.core.predictor import PerformancePredictor
@@ -202,21 +203,11 @@ class ClusterConfig:
     #: simulated time at build, then close each per-host generator so the
     #: run loop pays no sampling cost (or suspended-frame memory) up to the
     #: horizon. Byte-identical to lazy sampling within the horizon; past it
-    #: no further interruptions occur, so set this at or beyond the window
-    #: you intend to simulate (``Cluster.run_until_job_done`` raises when a
-    #: job outlives it). None keeps the lazy default.
+    #: the prefixes stop (a busy period still open there is cut at a bound
+    #: past it), so set this at or beyond the window you intend to simulate
+    #: (``Cluster.run_until_job_done`` raises when a job outlives it). None
+    #: keeps the lazy default.
     pregen_horizon: Optional[float] = None
-    #: Episode sampling backend for pregeneration: "scalar" (exact, the
-    #: golden-bearing default) or "numpy" (vectorized; statistically
-    #: equivalent but not byte-identical — see
-    #: ``repro.availability.numpy_backend``). Only consulted when
-    #: ``pregen_horizon`` is set. The ``REPRO_AVAIL_BACKEND`` environment
-    #: variable overrides this at build time.
-    avail_backend: str = "scalar"
-    #: Worker processes for pregeneration (1 = in-process). Bit-identical
-    #: at any job count: every host's stream is independently keyed. The
-    #: ``REPRO_PREGEN_JOBS`` environment variable overrides at build time.
-    pregen_jobs: int = 1
     #: Root seed; every random stream in the cluster derives from it.
     seed: int = 0
 
@@ -238,16 +229,10 @@ class ClusterConfig:
             raise ValueError("permanent_failure_rate must be in [0, 1]")
         if self.permanent_failure_rate > 0.0:
             check_positive("permanent_failure_horizon", self.permanent_failure_horizon)
-        if self.pregen_horizon is not None and self.pregen_horizon < 0:
+        if self.pregen_horizon is not None and not 0.0 <= self.pregen_horizon < math.inf:
             raise ValueError(
-                f"pregen_horizon must be non-negative, got {self.pregen_horizon}"
+                f"pregen_horizon must be finite and non-negative, got {self.pregen_horizon}"
             )
-        if self.avail_backend not in AVAIL_BACKENDS:
-            raise ValueError(
-                f"avail_backend must be one of {AVAIL_BACKENDS}, got {self.avail_backend!r}"
-            )
-        if self.pregen_jobs < 1:
-            raise ValueError(f"pregen_jobs must be >= 1, got {self.pregen_jobs}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
@@ -302,8 +287,6 @@ class BuildProfile:
     object_construction_seconds: float = 0.0
     bus_wiring_seconds: float = 0.0
     total_seconds: float = 0.0
-    backend: str = "scalar"
-    jobs: int = 1
     unstable_hosts: int = 0
 
     def as_dict(self) -> Dict[str, object]:
@@ -313,8 +296,6 @@ class BuildProfile:
             "object_construction_seconds": round(self.object_construction_seconds, 4),
             "bus_wiring_seconds": round(self.bus_wiring_seconds, 4),
             "total_seconds": round(self.total_seconds, 4),
-            "backend": self.backend,
-            "jobs": self.jobs,
             "unstable_hosts": self.unstable_hosts,
         }
 
@@ -465,11 +446,7 @@ def build_cluster(
     if not hosts:
         raise ValueError("need at least one host")
     build_start = time.perf_counter()  # simlint: ignore[D002]
-    profile = BuildProfile(
-        backend=env_override("REPRO_AVAIL_BACKEND", config.avail_backend, AVAIL_BACKENDS),
-        jobs=env_override("REPRO_PREGEN_JOBS", config.pregen_jobs),
-        unstable_hosts=count_unstable(hosts),
-    )
+    profile = BuildProfile(unstable_hosts=count_unstable(hosts))
     names = [h.host_id for h in hosts]
     if len(set(names)) != len(names):
         raise ValueError("host ids must be unique")
@@ -727,18 +704,12 @@ def build_cluster(
             injector.attach_trace(trace, node_id=node_id_of[trace.host_id])
     elif config.pregen_horizon is not None:
         # Bulk pregeneration: every host's episode prefix is materialised
-        # up front (fanned out over processes / vectorized per backend) and
-        # injected ready-made, so attach_host never constructs a process or
-        # suspends a generator frame. With the default scalar backend this
+        # up front and injected ready-made, so attach_host never constructs
+        # a process or suspends a generator frame. Within the horizon this
         # is byte-identical to per-host lazy sampling (streams keyed by
         # (seed, host name) alone); prefixes arrive burn-in-shifted.
         prefixes = pregenerate_prefixes(
-            hosts,
-            rng,
-            config.pregen_horizon,
-            burn_in=config.stationary_burn_in,
-            jobs=profile.jobs,
-            backend=profile.backend,
+            hosts, rng, config.pregen_horizon, burn_in=config.stationary_burn_in
         )
         for host, prefix in zip(hosts, prefixes, strict=True):
             injector.attach_host(

@@ -2,10 +2,11 @@
 
 Each attached node is driven by one episode stream: its
 :class:`~repro.availability.process.InterruptionProcess` sampled lazily,
-an episode prefix materialised before the run
-(:mod:`repro.availability.pregen`, with ``ClusterConfig.pregen_horizon``),
-or a recorded :class:`~repro.availability.traces.AvailabilityTrace`
-replayed as is. A lazily sampled busy period that is still open when it
+an episode prefix materialised up to a horizon before the run
+(:mod:`repro.availability.pregen`, with ``ClusterConfig.pregen_horizon``;
+within the horizon it fires the lazy stream's transitions), or a
+recorded :class:`~repro.availability.traces.AvailabilityTrace` replayed
+as is. A lazily sampled busy period that is still open when it
 begins (:class:`~repro.availability.process.OpenEpisode`) queues its
 return with :meth:`~repro.simulator.engine.Simulator.schedule_lazy`, so
 its fold runs only as far as the clock gets.
@@ -38,7 +39,7 @@ import math
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.availability.generator import HostAvailability
-from repro.availability.pregen import host_process, shift_episodes
+from repro.availability.pregen import host_stream
 from repro.availability.process import DowntimeEpisode, Episode, OpenEpisode
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId
@@ -121,8 +122,11 @@ class FailureInjector:
         must already include any burn-in shift, which is why combining
         ``episodes`` with a non-zero ``burn_in`` is rejected. Pass None
         (not an empty sequence) for dedicated hosts. A prefix ends at its
-        horizon: past its last episode the node is never interrupted
-        again, which ``Cluster.run_until_job_done`` turns into an error.
+        horizon; a busy period still open there is its last episode,
+        closed at a bound past the horizon and at or before its true end
+        (:func:`~repro.availability.process.cut_at_horizon`). Past the
+        horizon the node's transitions are therefore no longer its
+        stream's, which ``Cluster.run_until_job_done`` turns into an error.
         """
         if node_id is None:
             node_id = host.host_id  # type: ignore[assignment]
@@ -137,14 +141,11 @@ class FailureInjector:
             )
         self._register(node_id)
         if episodes is not None:
-            stream: Iterator[Episode] = iter(episodes)
+            stream: Optional[Iterator[Episode]] = iter(episodes)
         else:
-            process = host_process(host, self._rng)
-            if process is None:
-                return
-            stream = process.lazy_episodes(math.inf)
-            if burn_in > 0.0:
-                stream = shift_episodes(stream, burn_in)
+            stream = host_stream(host, self._rng, burn_in)
+        if stream is None:
+            return
         self._episode_streams[node_id] = stream
         self._schedule_next(node_id)
 

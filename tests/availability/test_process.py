@@ -21,7 +21,7 @@ def _process(mtbi=10.0, mu=2.0, seed=5, **kwargs):
 
 class TestEpisodeInvariants:
     def test_episodes_sorted_and_disjoint(self):
-        episodes = _process().episodes_list(horizon=5000.0)
+        episodes = list(_process().episodes(horizon=5000.0))
         assert episodes, "expected at least one episode"
         for prev, cur in zip(episodes, episodes[1:], strict=False):
             assert prev.end <= cur.start
@@ -34,19 +34,19 @@ class TestEpisodeInvariants:
             DowntimeEpisode(start=1.0, end=2.0, interruption_count=0)
 
     def test_deterministic_given_seed(self):
-        a = _process(seed=11).episodes_list(2000.0)
-        b = _process(seed=11).episodes_list(2000.0)
+        a = list(_process(seed=11).episodes(2000.0))
+        b = list(_process(seed=11).episodes(2000.0))
         assert [(e.start, e.end) for e in a] == [(e.start, e.end) for e in b]
 
     def test_different_seeds_differ(self):
-        a = _process(seed=11).episodes_list(2000.0)
-        b = _process(seed=12).episodes_list(2000.0)
+        a = list(_process(seed=11).episodes(2000.0))
+        b = list(_process(seed=12).episodes(2000.0))
         assert [(e.start, e.end) for e in a] != [(e.start, e.end) for e in b]
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=25, deadline=None)
     def test_invariants_hold_for_any_seed(self, seed):
-        episodes = _process(seed=seed).episodes_list(1000.0)
+        episodes = list(_process(seed=seed).episodes(1000.0))
         for episode in episodes:
             assert episode.duration >= 0
             assert episode.interruption_count >= 1
@@ -83,7 +83,7 @@ class TestQueueingTheory:
         # Busy periods start at rate lambda*(1-rho) in steady state.
         p = _process(mtbi=10.0, mu=3.0, seed=2)
         horizon = 200000.0
-        count = len(p.episodes_list(horizon))
+        count = len(list(p.episodes(horizon)))
         expected = horizon * (1.0 / 10.0) * (1.0 - 0.3)
         assert count == pytest.approx(expected, rel=0.1)
 
@@ -92,7 +92,7 @@ class TestUnstableSafety:
     def test_unstable_process_terminates(self):
         # lambda*mu = 5 >> 1: without the episode cap this would hang.
         p = _process(mtbi=1.0, mu=5.0, seed=3, max_interruptions_per_episode=100)
-        episodes = p.episodes_list(horizon=10.0)
+        episodes = list(p.episodes(horizon=10.0))
         assert episodes
         assert all(e.interruption_count <= 100 for e in episodes)
 
@@ -103,7 +103,7 @@ class TestUnstableSafety:
     def test_capped_episode_is_long(self):
         # The truncated busy period still represents a long departure.
         p = _process(mtbi=1.0, mu=5.0, seed=3, max_interruptions_per_episode=50)
-        first = p.episodes_list(horizon=10.0)[0]
+        first = list(p.episodes(horizon=10.0))[0]
         assert first.duration > 50.0  # >> typical recovery
 
 
@@ -114,7 +114,7 @@ class TestDeterministicService:
             service=Deterministic(value=2.0),
             rng=RandomSource(1),
         )
-        episodes = p.episodes_list(horizon=10000.0)
+        episodes = list(p.episodes(horizon=10000.0))
         # With rho = 0.02, almost every episode is a single interruption.
         singles = [e for e in episodes if e.interruption_count == 1]
         assert len(singles) >= 0.9 * len(episodes)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.availability.distributions import Exponential
 from repro.availability.process import DowntimeEpisode, InterruptionProcess
 from repro.availability.traces import AvailabilityTrace, pooled_summary
+from repro.experiments.config import SimulationConfig
 from repro.util.rng import RandomSource
 
 
@@ -145,6 +146,23 @@ class TestFromProcess:
         trace = AvailabilityTrace.from_process("h", 500.0, process)
         assert trace.interruption_count() > 5
         assert 0.0 < trace.uptime_fraction() < 1.0
+
+    def test_open_stream_gives_the_closed_stream_windows(self):
+        # A rho >= 1 host's busy period is folded only past the horizon,
+        # not to the fold bound; clipped there, the windows are the same.
+        hosts = SimulationConfig(node_count=24, seed=1).hosts()
+        horizon, down_at_horizon = 1e6, 0
+        for index, host in enumerate(hosts):
+            if host.arrival_rate * host.service_mean < 1.0:
+                continue
+            got = AvailabilityTrace.from_process(
+                host.host_id, horizon, host.process(RandomSource(index))
+            )
+            episodes = host.process(RandomSource(index)).episodes(horizon)
+            want = AvailabilityTrace.from_episodes(host.host_id, horizon, episodes)
+            assert got.down_windows == want.down_windows
+            down_at_horizon += got.down_windows[-1][1] == horizon
+        assert down_at_horizon
 
 
 class TestPooledSummary:

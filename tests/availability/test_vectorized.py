@@ -147,11 +147,18 @@ class TestOpenEpisodeExactness:
     @given(offsets=offsets)
     def test_shifted_equals_episode_prefix(self, host, eager, offsets):
         rng, burn_in = RandomSource(4), 10_000.0
-        want = episode_prefix(host, rng, 20 * burn_in, burn_in=burn_in)
+        horizon = 20 * burn_in
         with mock.patch.object(process, "EAGER_FOLD", eager):
+            want = episode_prefix(host, rng, horizon, burn_in=burn_in)
             lazy = host_process(host, rng).lazy_episodes(math.inf)
             got = closed(shift_episodes(lazy, burn_in), offsets, len(want))
-        assert got == want
+        # A period still open at the horizon ends the prefix, cut at a
+        # bound past the horizon and at or before its true end.
+        *head, last = want
+        assert head == got[:-1]
+        assert last == got[-1] or (
+            last.start == got[-1].start and horizon < last.end <= got[-1].end
+        )
 
     def test_the_stream_opens_periods(self, host, eager):
         with mock.patch.object(process, "EAGER_FOLD", eager):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.availability import pregen, process
+from repro.availability import process
 from repro.availability.distributions import Deterministic, Exponential
 from repro.availability.generator import HostAvailability, build_group_hosts
 from repro.availability.pregen import episode_prefix, materialise_prefix
@@ -365,14 +365,14 @@ class TestPregenerateClosesSource:
 
     def test_attach_with_pregen_closes_generator(self, monkeypatch):
         states = []
-        real = pregen.host_episodes
+        real = process.InterruptionProcess.lazy_episodes
 
-        def spied(host, rng):
-            stream, state = self._spy_stream(real(host, rng))
+        def spied(proc, horizon):
+            stream, state = self._spy_stream(real(proc, horizon))
             states.append(state)
             return stream
 
-        monkeypatch.setattr(pregen, "host_episodes", spied)
+        monkeypatch.setattr(process.InterruptionProcess, "lazy_episodes", spied)
         prefix = episode_prefix(interrupted_host(), RandomSource(1), 100.0)
         # The host's generator is closed before attach: the injector gets a
         # plain list and never resumes a suspended generator frame.
@@ -498,6 +498,21 @@ class TestOpenEpisodes:
         lazy_handles.clear()
         assert self._run(hosts, burn_in, horizon, injected=True) == lazy
         assert not lazy_handles
+
+    @pytest.mark.parametrize(
+        "chaos",
+        [{}, {"stretch": 1.5}, {"outage": (3_600.0, 7_200.0)}],
+        ids=["plain", "stretch", "outage"],
+    )
+    def test_cut_prefixes_fire_lazy_transitions(self, chaos):
+        # A one-day horizon cuts the prefixes of hosts still down there;
+        # the run stays inside it and fires the lazy path's transitions.
+        (hosts, burn_in), horizon = seti_slice(), 86_400.0
+        prefixes = [episode_prefix(host, RandomSource(3), horizon, burn_in) for host in hosts]
+        assert any(p and p[-1].start < horizon < p[-1].end for p in prefixes)
+        lazy = self._run(hosts, burn_in, horizon, injected=False, **chaos)
+        assert lazy[0]
+        assert self._run(hosts, burn_in, horizon, injected=True, **chaos) == lazy
 
     def test_stretch_closes_the_episode_first(self, monkeypatch, lazy_handles):
         monkeypatch.setattr(process, "EAGER_FOLD", 1)

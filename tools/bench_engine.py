@@ -35,9 +35,9 @@ Usage::
         --guard BENCH_engine.json        # CI perf-regression gate
     PYTHONPATH=src python tools/bench_engine.py --full   # adds the 226k cell
 
-The tool runs unchanged on revisions that predate the scale-kernel knobs
-(``pregen_horizon`` / ``avail_backend`` / ``pregen_jobs``): knobs are
-applied only when the checked-out ``ClusterConfig`` has the field.
+The tool runs unchanged on revisions that predate ``pregen_horizon``:
+a knob is applied only when the checked-out ``ClusterConfig`` has the
+field.
 """
 
 from __future__ import annotations
@@ -300,18 +300,6 @@ def main() -> int:
         default=None,
         help="ClusterConfig.pregen_horizon to apply (ignored if the field is absent)",
     )
-    parser.add_argument(
-        "--avail-backend",
-        type=str,
-        default=None,
-        help="ClusterConfig.avail_backend to apply (ignored if the field is absent)",
-    )
-    parser.add_argument(
-        "--pregen-jobs",
-        type=int,
-        default=None,
-        help="ClusterConfig.pregen_jobs to apply (ignored if the field is absent)",
-    )
     parser.add_argument("--out", type=str, default=None, help="JSON record path (merged)")
     parser.add_argument("--table-out", type=str, default=None)
     parser.add_argument(
@@ -329,11 +317,7 @@ def main() -> int:
         print(json.dumps(cell))
         return 0
 
-    knobs = {
-        "pregen_horizon": args.pregen_horizon,
-        "avail_backend": args.avail_backend,
-        "pregen_jobs": args.pregen_jobs,
-    }
+    knobs = {"pregen_horizon": args.pregen_horizon}
     cells = (
         [
             (SMOKE_NODES, 2.0, {}),
