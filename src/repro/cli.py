@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run simlint (static determinism & event-bus contract checks)",
+        help="run simlint (static determinism, event-bus contract and flow checks)",
     )
     from repro.devtools.simlint.cli import add_arguments as _add_lint_arguments
 

@@ -122,7 +122,7 @@ class PlacementPlan(ABC):
         """
         self._rack_of = rack_of
 
-    def _fix_rack_spread(self, chosen: List[NodeId], k: int) -> List[NodeId]:  # simflow: draws=0
+    def _fix_rack_spread(self, chosen: List[NodeId], k: int) -> List[NodeId]:  # simlint: draws=0
         """Substitute the last pick when a replica set is single-rack."""
         rack_of = self._rack_of
         if rack_of is None or k < 2 or len(chosen) < k:

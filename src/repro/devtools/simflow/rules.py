@@ -16,8 +16,6 @@ Exemptions are part of the contract the rules enforce, not loopholes:
   publish starts a *new* dispatch whose phase cycle restarts, and some
   events (the detector belief events) are deliberately published from
   late-phase handlers. The marker makes that intent reviewable.
-* Per-line ``# simflow: ignore[Fxxx]`` suppressions work exactly like
-  simlint's, with the same unused-suppression (U001) accounting.
 """
 
 from __future__ import annotations
@@ -25,15 +23,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.simlint.busgraph import BusGraph, SubscribeSite, _terminal
+from repro.devtools.simflow.effects import DYNAMIC_PUBLISH
+from repro.devtools.simlint.busgraph import BusGraph, SubscribeSite
 from repro.devtools.simlint.diagnostics import Finding
-from repro.devtools.simlint.registry import (
-    ModuleContext,
-    ModuleRule,
-    ProjectRule,
-    register,
-)
-from repro.devtools.simflow.effects import DYNAMIC_PUBLISH, build_index
+from repro.devtools.simlint.model import Corpus, terminal
+from repro.devtools.simlint.registry import ModuleContext, ModuleRule, ProjectRule, register
 
 #: Fallback phase order, used only when the corpus does not define the
 #: ``Phase`` enum (e.g. minimal fixture corpora).
@@ -50,9 +44,9 @@ _DEFAULT_PHASES = {
 DISPATCH_ROOT_MARKER = "dispatch-root"
 
 
-def _phase_order(graph: BusGraph) -> Dict[str, int]:
+def _phase_order(corpus: Corpus) -> Dict[str, int]:
     """Phase name -> rank, read from the corpus's ``Phase`` enum."""
-    info = graph.classes.get("Phase")
+    info = corpus.classes.get("Phase")
     if info is None:
         return dict(_DEFAULT_PHASES)
     order: Dict[str, int] = {}
@@ -83,10 +77,6 @@ def _resolved_sites(
     return sites
 
 
-def _module_map(modules: List[ModuleContext]) -> Dict[str, ModuleContext]:
-    return {module.path: module for module in modules}
-
-
 def _fields_preview(fields: Set[str], limit: int = 3) -> str:
     ordered = sorted(fields)
     if len(ordered) > limit:
@@ -100,17 +90,13 @@ class CrossPhaseWriteAfterRead(ProjectRule):
 
     code = "F001"
     summary = "cross-phase write-after-read hazard in one dispatch"
-    family = "simflow"
 
-    def check_project(
-        self, modules: List[ModuleContext], graph: BusGraph
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
-        index = build_index(modules, graph)
-        phases = _phase_order(graph)
-        by_module = _module_map(modules)
+    def check_project(self, corpus: Corpus) -> Iterator[Tuple[str, Finding]]:
+        index = corpus.effects
+        phases = _phase_order(corpus)
         accounting = phases.get("ACCOUNTING", 0)
         by_event: Dict[str, List[Tuple[SubscribeSite, int]]] = {}
-        for site, rank in _resolved_sites(graph, phases):
+        for site, rank in _resolved_sites(corpus.graph, phases):
             by_event.setdefault(site.event or "", []).append((site, rank))
         reported: Set[Tuple[str, str, str, str, str]] = set()
         for event in sorted(by_event):
@@ -145,11 +131,8 @@ class CrossPhaseWriteAfterRead(ProjectRule):
                     if dedup in reported:
                         continue
                     reported.add(dedup)
-                    module = by_module.get(writer.module)
-                    if module is None:
-                        continue
                     yield (
-                        module,
+                        writer.module,
                         Finding(
                             writer.line,
                             writer.col,
@@ -168,15 +151,11 @@ class EarlierPhasePublish(ProjectRule):
 
     code = "F002"
     summary = "handler publishes an event subscribed at an earlier phase"
-    family = "simflow"
 
-    def check_project(
-        self, modules: List[ModuleContext], graph: BusGraph
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
-        index = build_index(modules, graph)
-        phases = _phase_order(graph)
-        by_module = _module_map(modules)
-        sites = _resolved_sites(graph, phases)
+    def check_project(self, corpus: Corpus) -> Iterator[Tuple[str, Finding]]:
+        index = corpus.effects
+        graph = corpus.graph
+        sites = _resolved_sites(graph, _phase_order(corpus))
         by_event: Dict[str, List[Tuple[SubscribeSite, int]]] = {}
         for site, rank in sites:
             by_event.setdefault(site.event or "", []).append((site, rank))
@@ -204,11 +183,8 @@ class EarlierPhasePublish(ProjectRule):
                     if dedup in reported:
                         continue
                     reported.add(dedup)
-                    module = by_module.get(origin.module)
-                    if module is None:
-                        continue
                     yield (
-                        module,
+                        origin.module,
                         Finding(
                             origin.line,
                             origin.col,
@@ -229,24 +205,17 @@ class RngDiscipline(ProjectRule):
 
     code = "F003"
     summary = "RNG draw on a draws=0 path, or a literal-seeded stream"
-    family = "simflow"
 
-    def check_project(
-        self, modules: List[ModuleContext], graph: BusGraph
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
-        index = build_index(modules, graph)
-        by_module = _module_map(modules)
+    def check_project(self, corpus: Corpus) -> Iterator[Tuple[str, Finding]]:
+        index = corpus.effects
         for contract in sorted(index.contracts, key=lambda c: (c.module, c.line)):
             effects = index.closed.get(contract.key)
             if effects is None or not effects.draws:
                 continue
-            module = by_module.get(contract.module)
-            if module is None:
-                continue
             site = effects.draws[0]
             owner, name = contract.key
             yield (
-                module,
+                contract.module,
                 Finding(
                     contract.line,
                     0,
@@ -256,26 +225,24 @@ class RngDiscipline(ProjectRule):
                     + (f" (+{len(effects.draws) - 1} more)" if len(effects.draws) > 1 else ""),
                 ),
             )
-        yield from self._literal_seeds(modules)
+        yield from self._literal_seeds(corpus.modules)
 
-    def _literal_seeds(
-        self, modules: List[ModuleContext]
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
+    def _literal_seeds(self, modules: List[ModuleContext]) -> Iterator[Tuple[str, Finding]]:
         for module in modules:
             if module.category != "src":
                 continue  # tests/benchmarks seed scenario *roots* by design
             if module.path.endswith("util/rng.py"):
                 continue  # the stream implementation itself
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if (
                     isinstance(node, ast.Call)
-                    and _terminal(node.func) == "RandomSource"
+                    and terminal(node.func) == "RandomSource"
                     and node.args
                     and isinstance(node.args[0], ast.Constant)
                     and isinstance(node.args[0].value, int)
                 ):
                     yield (
-                        module,
+                        module.path,
                         Finding(
                             node.lineno,
                             node.col_offset,
@@ -306,16 +273,11 @@ class PoolCaptureHazard(ModuleRule):
 
     code = "F004"
     summary = "closure or bound method shipped to a process-pool fan-out"
-    family = "simflow"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for scope in self._function_scopes(module.tree):
-            yield from self._check_scope(scope)
-
-    def _function_scopes(self, tree: ast.Module) -> Iterator[ast.AST]:
-        for node in ast.walk(tree):
+        for node in module.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
+                yield from self._check_scope(node)
 
     def _check_scope(self, func: ast.AST) -> Iterator[Finding]:
         assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -333,7 +295,7 @@ class PoolCaptureHazard(ModuleRule):
                 if self._is_pool_expr(node.value) and isinstance(node.targets[0], ast.Name):
                     pools.add(node.targets[0].id)
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                if _terminal(node.annotation) in _POOL_CONSTRUCTORS:
+                if terminal(node.annotation) in _POOL_CONSTRUCTORS:
                     pools.add(node.target.id)
         if not pools:
             return
@@ -359,7 +321,7 @@ class PoolCaptureHazard(ModuleRule):
                 )
 
     def _is_pool_expr(self, expr: ast.AST) -> bool:
-        return isinstance(expr, ast.Call) and _terminal(expr.func) in _POOL_CONSTRUCTORS
+        return isinstance(expr, ast.Call) and terminal(expr.func) in _POOL_CONSTRUCTORS
 
     def _shipped_problem(self, fn: ast.AST, nested: Set[str]) -> Optional[str]:
         if isinstance(fn, ast.Lambda):
@@ -371,7 +333,7 @@ class PoolCaptureHazard(ModuleRule):
                 f"bound method {ast.unparse(fn)!r} (pickles the whole instance; "
                 "worker-side mutation is silently dropped)"
             )
-        if isinstance(fn, ast.Call) and _terminal(fn.func) == "partial" and fn.args:
+        if isinstance(fn, ast.Call) and terminal(fn.func) == "partial" and fn.args:
             return self._shipped_problem(fn.args[0], nested)
         return None
 

@@ -183,7 +183,7 @@ def compare_observed_to_static(
         if effects is None:
             violations.append(f"{cls}.{handler}: handler has no static effect record")
             continue
-        own = index.own_class_names(cls)
+        own = set(index.corpus.mro(cls))
         extra_reads = recorder.reads.get(key, set()) - _own_fields(effects.reads, own)
         extra_writes = recorder.writes.get(key, set()) - _own_fields(effects.writes, own)
         if extra_reads:

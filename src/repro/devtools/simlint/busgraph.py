@@ -16,12 +16,12 @@ Extraction is deliberately syntactic — no imports are executed:
   a publish whose argument is not a direct constructor call is recorded
   as *dynamic* (it contributes no graph edge but is counted).
 * **Subscribe sites** are ``<anything>.subscribe(EventType, handler,
-  phase…)`` calls. When the handler is ``var.method`` the owning class
-  is resolved by lightweight local type inference (``var = Class(...)``
-  assignments, ``var: Class`` / ``var: Dict[k, Class]`` annotations and
-  subscripts of such dicts) inside the enclosing function.
-* **Service registrations** are ``services.register(var)`` /
-  ``registry.register(var)`` calls, resolved the same way.
+  phase…)`` calls. When the handler is ``receiver.method`` the owning
+  class is the receiver's type under the corpus's local type inference
+  (:meth:`~repro.devtools.simlint.model.Corpus.scope`) of the innermost
+  enclosing function; ``self`` is the innermost enclosing class.
+* **Service registrations** are ``services.register(obj)`` /
+  ``registry.register(obj)`` calls, resolved the same way.
 
 The graph serialises to DOT (``to_dot``) and JSON (``to_json``) for the
 CI artifact and for byte-stable snapshot tests.
@@ -31,12 +31,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
+from repro.devtools.simlint.model import FUNCTION_NODES, Corpus, Scope, terminal
 from repro.devtools.simlint.registry import ModuleContext
 
 #: register() receivers treated as a ServiceRegistry.
 _REGISTRY_NAMES = {"services", "registry"}
+
+#: The definitions enclosing a site, outermost first.
+Frames = Tuple[Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef], ...]
 
 
 @dataclass
@@ -89,16 +93,6 @@ class RegisterSite:
 
 
 @dataclass
-class ClassInfo:
-    name: str
-    module: str
-    line: int
-    node: ast.ClassDef
-    bases: List[str]
-    methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
-
-
-@dataclass
 class BusGraph:
     """Everything the contract rules and the ``--graph`` export need."""
 
@@ -106,7 +100,6 @@ class BusGraph:
     publishers: List[PublishSite] = field(default_factory=list)
     subscribers: List[SubscribeSite] = field(default_factory=list)
     registrations: List[RegisterSite] = field(default_factory=list)
-    classes: Dict[str, ClassInfo] = field(default_factory=dict)
 
     @property
     def registered_classes(self) -> Set[str]:
@@ -118,87 +111,12 @@ class BusGraph:
     def subscribed_events(self) -> Set[str]:
         return {site.event for site in self.subscribers if site.event is not None}
 
-    def event_bases(self, name: str) -> Set[str]:
-        """Transitive base-class names of an event (within the corpus)."""
-        seen: Set[str] = set()
-        stack = [name]
-        while stack:
-            current = stack.pop()
-            event = self.events.get(current)
-            info = self.classes.get(current)
-            bases = event.bases if event is not None else (info.bases if info else [])
-            for base in bases:
-                terminal = base.rsplit(".", 1)[-1]
-                if terminal not in seen:
-                    seen.add(terminal)
-                    stack.append(terminal)
-        return seen
 
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for Name/Attribute chains, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _terminal(node: ast.AST) -> Optional[str]:
-    dotted = _dotted(node)
-    return dotted.rsplit(".", 1)[-1] if dotted else None
-
-
-def _unwrap_optional(annotation: ast.AST) -> ast.AST:
-    """Peel ``Optional[X]`` / ``X | None`` down to ``X``."""
-    if isinstance(annotation, ast.Subscript) and _terminal(annotation.value) == "Optional":
-        return annotation.slice
-    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
-        left, right = annotation.left, annotation.right
-        if isinstance(right, ast.Constant) and right.value is None:
-            return left
-        if isinstance(left, ast.Constant) and left.value is None:
-            return right
-    return annotation
-
-
-def _collect_classes(modules: List[ModuleContext]) -> Dict[str, ClassInfo]:
-    classes: Dict[str, ClassInfo] = {}
-    for module in modules:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = [b for b in (_dotted(base) for base in node.bases) if b is not None]
-            info = ClassInfo(
-                name=node.name, module=module.path, line=node.lineno, node=node, bases=bases
-            )
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    info.methods[item.name] = item  # type: ignore[assignment]
-            # First definition wins; duplicate class names across the
-            # corpus are rare and any choice is deterministic.
-            classes.setdefault(node.name, info)
-    return classes
-
-
-def _collect_events(classes: Dict[str, ClassInfo]) -> Dict[str, EventDef]:
+def _collect_events(corpus: Corpus) -> Dict[str, EventDef]:
     """Classes whose base chain reaches a class named ``Event``."""
-
-    def reaches_event(name: str, seen: Set[str]) -> bool:
-        if name == "Event":
-            return True
-        info = classes.get(name)
-        if info is None or name in seen:
-            return False
-        seen.add(name)
-        return any(reaches_event(base.rsplit(".", 1)[-1], seen) for base in info.bases)
-
     events: Dict[str, EventDef] = {}
-    for name, info in classes.items():
-        if name != "Event" and not reaches_event(name, set()):
+    for name, info in corpus.classes.items():
+        if "Event" not in corpus.mro(name):
             continue
         events[name] = EventDef(
             name=name,
@@ -209,179 +127,26 @@ def _collect_events(classes: Dict[str, ClassInfo]) -> Dict[str, EventDef]:
             doc=ast.get_docstring(info.node) or "",
         )
     # Resolve field schemas root-first so inherited fields come first.
-    for name in sorted(events, key=lambda n: _depth(n, classes)):
+    for name in sorted(events, key=lambda n: len(corpus.mro(n))):
         event = events[name]
         merged: Dict[str, str] = {}
         for base in event.bases:
             base_event = events.get(base.rsplit(".", 1)[-1])
             if base_event is not None:
                 merged.update(base_event.fields)
-        info = classes[name]
-        for item in info.node.body:
+        for item in corpus.classes[name].node.body:
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                 merged[item.target.id] = ast.unparse(item.annotation)
         event.fields = merged
     return events
 
 
-def _depth(name: str, classes: Dict[str, ClassInfo]) -> int:
-    depth = 0
-    seen: Set[str] = set()
-    current = name
-    while current in classes and current not in seen:
-        seen.add(current)
-        bases = classes[current].bases
-        if not bases:
-            break
-        current = bases[0].rsplit(".", 1)[-1]
-        depth += 1
-    return depth
-
-
-class _ScopeTypes:
-    """Lightweight local type inference for one function body."""
-
-    def __init__(self, known_classes: Set[str]) -> None:
-        self._known = known_classes
-        self.var_class: Dict[str, str] = {}
-        #: dict-typed variables -> their value class (``Dict[k, Class]``).
-        self.dict_value_class: Dict[str, str] = {}
-
-    def observe(self, node: ast.stmt) -> None:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            self._bind(target, node.value)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            annotation = _unwrap_optional(node.annotation)
-            if isinstance(annotation, ast.Subscript):
-                base = _terminal(annotation.value)
-                if base in {"Dict", "dict", "Mapping", "MutableMapping"} and isinstance(
-                    annotation.slice, ast.Tuple
-                ):
-                    value_cls = _terminal(annotation.slice.elts[-1])
-                    if value_cls in self._known and isinstance(node.target, ast.Name):
-                        self.dict_value_class[node.target.id] = value_cls
-            else:
-                cls = _terminal(annotation)
-                if cls in self._known:
-                    self.var_class[node.target.id] = cls
-            if node.value is not None:
-                self._bind(node.target, node.value)
-
-    def _bind(self, target: ast.AST, value: ast.AST) -> None:
-        if isinstance(value, ast.Call):
-            cls = _terminal(value.func)
-            if cls in self._known:
-                if isinstance(target, ast.Name):
-                    self.var_class[target.id] = cls
-                elif isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
-                    self.dict_value_class.setdefault(target.value.id, cls)
-        elif isinstance(value, ast.Subscript) and isinstance(value.value, ast.Name):
-            cls = self.dict_value_class.get(value.value.id)
-            if cls is not None and isinstance(target, ast.Name):
-                self.var_class[target.id] = cls
-
-    def resolve(self, var: str) -> Optional[str]:
-        return self.var_class.get(var)
-
-
-def _enclosing_label(stack: List[ast.AST]) -> str:
-    names = [
-        node.name
-        for node in stack
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    return ".".join(names) if names else "<module>"
-
-
-def extract_graph(modules: List[ModuleContext]) -> BusGraph:
-    """Build the static bus graph over the given modules."""
-    classes = _collect_classes(modules)
-    graph = BusGraph(events=_collect_events(classes), classes=classes)
-    known = set(classes)
-
-    for module in modules:
-        _extract_module(module, graph, known)
+def extract_graph(corpus: Corpus) -> BusGraph:
+    """Build the static bus graph over one corpus."""
+    graph = BusGraph(events=_collect_events(corpus))
+    for module in corpus.modules:
+        _SiteWalker(corpus, graph, module).walk(module.tree.body, ())
     return graph
-
-
-def _scope_nodes(body: List[ast.stmt]) -> Tuple[List[ast.AST], List[ast.AST]]:
-    """All AST nodes of one scope, pruned at nested def boundaries.
-
-    Returns ``(nodes, nested_defs)`` where ``nested_defs`` are the
-    function/class definitions whose bodies form child scopes.
-    """
-    nodes: List[ast.AST] = []
-    nested: List[ast.AST] = []
-    queue: List[ast.AST] = list(body)
-    while queue:
-        node = queue.pop(0)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            nested.append(node)
-            continue
-        nodes.append(node)
-        queue.extend(ast.iter_child_nodes(node))
-    return nodes, nested
-
-
-def _extract_module(module: ModuleContext, graph: BusGraph, known: Set[str]) -> None:
-    def process_scope(body: List[ast.stmt], stack: List[ast.AST], scope: _ScopeTypes) -> None:
-        nodes, nested = _scope_nodes(body)
-        # Pass 1: observe every assignment in this scope, so resolution is
-        # insensitive to statement order (the wiring loop in build_cluster
-        # assigns `tracker = trackers[id]` inside a compound statement).
-        for node in nodes:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                scope.observe(node)
-        # Pass 2: extract publish/subscribe/register calls.
-        for node in nodes:
-            if isinstance(node, ast.Call):
-                _extract_call(node, module, graph, stack, scope)
-        for definition in nested:
-            if isinstance(definition, ast.ClassDef):
-                process_scope(definition.body, [*stack, definition], _ScopeTypes(known))
-            else:
-                inner = _ScopeTypes(known)
-                func = definition
-                assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                for arg in list(func.args.args) + list(func.args.kwonlyargs):
-                    if arg.annotation is not None:
-                        cls = _terminal(_unwrap_optional(arg.annotation))
-                        if cls in known:
-                            inner.var_class[arg.arg] = cls
-                process_scope(func.body, [*stack, func], inner)
-
-    process_scope(module.tree.body, [], _ScopeTypes(known))
-
-
-def _resolve_handler(
-    handler_node: ast.AST, stack: List[ast.AST], scope: _ScopeTypes
-) -> Tuple[Optional[str], str]:
-    """Resolve a handler expression to ``(owner_class, handler_name)``.
-
-    Handles ``self.method``, ``var.method`` (via local inference) and
-    ``mapping[key].method`` (via the mapping's value class).
-    """
-    owner_class: Optional[str] = None
-    handler = ""
-    if isinstance(handler_node, ast.Attribute):
-        handler = handler_node.attr
-        receiver = handler_node.value
-        if isinstance(receiver, ast.Name):
-            if receiver.id == "self":
-                for frame in reversed(stack):
-                    if isinstance(frame, ast.ClassDef):
-                        owner_class = frame.name
-                        break
-            else:
-                owner_class = scope.resolve(receiver.id)
-        elif isinstance(receiver, ast.Subscript) and isinstance(receiver.value, ast.Name):
-            owner_class = scope.dict_value_class.get(receiver.value.id)
-    elif isinstance(handler_node, ast.Name):
-        handler = handler_node.id
-    else:
-        handler = ast.unparse(handler_node)
-    return owner_class, handler
 
 
 def _handler_pairs(node: ast.AST) -> List[ast.Tuple]:
@@ -399,124 +164,131 @@ def _handler_pairs(node: ast.AST) -> List[ast.Tuple]:
     return []
 
 
-def _extract_call(
-    node: ast.Call,
-    module: ModuleContext,
-    graph: BusGraph,
-    stack: List[ast.AST],
-    scope: _ScopeTypes,
-) -> None:
-    func = node.func
-    if not isinstance(func, ast.Attribute):
-        return
-    if func.attr == "publish" and node.args:
-        arg = node.args[0]
-        event: Optional[str] = None
-        if isinstance(arg, ast.Call):
-            name = _terminal(arg.func)
-            if name in graph.events:
-                event = name
-        graph.publishers.append(
-            PublishSite(
-                event=event,
-                module=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                owner=_enclosing_label(stack),
-            )
-        )
-    elif func.attr == "subscribe" and node.args:
-        event_name = _terminal(node.args[0])
-        event = event_name if event_name in graph.events else None
-        owner_class: Optional[str] = None
-        handler = ""
-        if len(node.args) >= 2:
-            owner_class, handler = _resolve_handler(node.args[1], stack, scope)
-        phase = ""
-        if len(node.args) >= 3:
-            phase = _terminal(node.args[2]) or ast.unparse(node.args[2])
-        keyed = False
-        for keyword in node.keywords:
-            if keyword.arg == "phase":
-                phase = _terminal(keyword.value) or ast.unparse(keyword.value)
-            elif keyword.arg == "key":
-                keyed = not (
-                    isinstance(keyword.value, ast.Constant) and keyword.value.value is None
+def _is_none(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+class _SiteWalker:
+    """Collects one module's publish, subscribe and register sites."""
+
+    def __init__(self, corpus: Corpus, graph: BusGraph, module: ModuleContext) -> None:
+        self.corpus = corpus
+        self.graph = graph
+        self.module = module
+
+    def walk(self, body: List[ast.stmt], frames: Frames) -> None:
+        """Visit ``body`` in source order; ``frames`` are the enclosing defs."""
+        todo: List[ast.AST] = list(reversed(body))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (*FUNCTION_NODES, ast.ClassDef)):
+                self.walk(node.body, (*frames, node))
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                self._call(node, node.func, frames)
+            todo.extend(reversed(list(ast.iter_child_nodes(node))))
+
+    def _scope(self, frames: Frames) -> Scope:
+        """Bindings at a site: its innermost function's scope."""
+        if not frames:
+            return Scope()  # module level binds nothing
+        frame = frames[-1]
+        if isinstance(frame, ast.ClassDef):
+            return Scope(frame.name)  # a class body binds only ``self``
+        owner = next((f for f in reversed(frames) if isinstance(f, ast.ClassDef)), None)
+        info = self.corpus.classes.get(owner.name) if owner is not None else None
+        return self.corpus.scope(info, frame)
+
+    def _handler(self, node: ast.AST, frames: Frames) -> Tuple[Optional[str], str]:
+        """Resolve a handler expression to ``(owner_class, handler_name)``."""
+        if isinstance(node, ast.Attribute):
+            return self.corpus.expr_class(node.value, self._scope(frames)), node.attr
+        if isinstance(node, ast.Name):
+            return None, node.id
+        return None, ast.unparse(node)
+
+    def _event(self, node: ast.AST) -> Optional[str]:
+        name = terminal(node)
+        return name if name in self.graph.events else None
+
+    def _call(self, node: ast.Call, func: ast.Attribute, frames: Frames) -> None:
+        path = self.module.path
+        if func.attr == "publish" and node.args:
+            arg = node.args[0]
+            owner = ".".join(frame.name for frame in frames) or "<module>"
+            self.graph.publishers.append(
+                PublishSite(
+                    event=self._event(arg.func) if isinstance(arg, ast.Call) else None,
+                    module=path,
+                    line=node.lineno,
+                    col=node.col_offset,
+                    owner=owner,
                 )
-        graph.subscribers.append(
-            SubscribeSite(
-                event=event,
-                module=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                owner_class=owner_class,
-                handler=handler,
-                phase=phase,
-                keyed=keyed,
             )
-        )
-    elif func.attr == "subscribe_many" and len(node.args) >= 3:
-        # Bulk wiring: subscribe_many(EventType, Phase.X, pairs) where the
-        # pairs are (key, handler) tuples — typically one generator
-        # expression covering every host. Each distinct (key, handler)
-        # tuple shape contributes one subscribe site.
-        event_name = _terminal(node.args[0])
-        event = event_name if event_name in graph.events else None
-        phase = _terminal(node.args[1]) or ast.unparse(node.args[1])
-        for pair in _handler_pairs(node.args[2]):
-            key_node, handler_node = pair.elts
-            owner_class, handler = _resolve_handler(handler_node, stack, scope)
-            keyed = not (
-                isinstance(key_node, ast.Constant) and key_node.value is None
-            )
-            graph.subscribers.append(
+        elif func.attr == "subscribe" and node.args:
+            owner_class: Optional[str] = None
+            handler = ""
+            if len(node.args) >= 2:
+                owner_class, handler = self._handler(node.args[1], frames)
+            phase = ""
+            if len(node.args) >= 3:
+                phase = terminal(node.args[2]) or ast.unparse(node.args[2])
+            keyed = False
+            for keyword in node.keywords:
+                if keyword.arg == "phase":
+                    phase = terminal(keyword.value) or ast.unparse(keyword.value)
+                elif keyword.arg == "key":
+                    keyed = not _is_none(keyword.value)
+            self.graph.subscribers.append(
                 SubscribeSite(
-                    event=event,
-                    module=module.path,
-                    line=pair.lineno,
-                    col=pair.col_offset,
+                    event=self._event(node.args[0]),
+                    module=path,
+                    line=node.lineno,
+                    col=node.col_offset,
                     owner_class=owner_class,
                     handler=handler,
                     phase=phase,
                     keyed=keyed,
                 )
             )
-    elif func.attr == "register_bulk" and len(node.args) == 1:
-        receiver = _terminal(func.value)
-        if receiver not in _REGISTRY_NAMES:
-            return
-        arg = node.args[0]
-        # The bulk idiom is `<dict-of-services>.values()`; resolve the
-        # dict's value class through the same local inference.
-        if (
-            isinstance(arg, ast.Call)
-            and isinstance(arg.func, ast.Attribute)
-            and arg.func.attr == "values"
-            and isinstance(arg.func.value, ast.Name)
-        ):
-            cls = scope.dict_value_class.get(arg.func.value.id)
-            if cls is not None:
-                graph.registrations.append(
-                    RegisterSite(class_name=cls, module=module.path, line=node.lineno)
+        elif func.attr == "subscribe_many" and len(node.args) >= 3:
+            # Bulk wiring: subscribe_many(EventType, Phase.X, pairs) where the
+            # pairs are (key, handler) tuples — typically one generator
+            # expression covering every host. Each distinct (key, handler)
+            # tuple shape contributes one subscribe site.
+            event = self._event(node.args[0])
+            phase = terminal(node.args[1]) or ast.unparse(node.args[1])
+            for pair in _handler_pairs(node.args[2]):
+                key_node, handler_node = pair.elts
+                owner_class, handler = self._handler(handler_node, frames)
+                self.graph.subscribers.append(
+                    SubscribeSite(
+                        event=event,
+                        module=path,
+                        line=pair.lineno,
+                        col=pair.col_offset,
+                        owner_class=owner_class,
+                        handler=handler,
+                        phase=phase,
+                        keyed=not _is_none(key_node),
+                    )
                 )
-    elif func.attr == "register" and len(node.args) == 1:
-        receiver = _terminal(func.value)
-        if receiver not in _REGISTRY_NAMES:
-            return
-        arg = node.args[0]
-        cls: Optional[str] = None
-        if isinstance(arg, ast.Name):
-            cls = scope.resolve(arg.id)
-        elif isinstance(arg, ast.Call):
-            name = _terminal(arg.func)
-            if name in graph.classes:
-                cls = name
-        elif isinstance(arg, ast.Subscript) and isinstance(arg.value, ast.Name):
-            cls = scope.dict_value_class.get(arg.value.id)
-        if cls is not None:
-            graph.registrations.append(
-                RegisterSite(class_name=cls, module=module.path, line=node.lineno)
-            )
+        elif (
+            func.attr in ("register", "register_bulk")
+            and len(node.args) == 1
+            and terminal(func.value) in _REGISTRY_NAMES
+        ):
+            # register(service) takes one service; register_bulk takes the
+            # ``<dict-of-services>.values()`` idiom.
+            scope = self._scope(frames)
+            if func.attr == "register":
+                cls = self.corpus.expr_class(node.args[0], scope)
+            else:
+                cls = self.corpus.expr_dict_value(node.args[0], scope)
+            if cls is not None:
+                self.graph.registrations.append(
+                    RegisterSite(class_name=cls, module=path, line=node.lineno)
+                )
 
 
 # -- serialisation ---------------------------------------------------------------
@@ -602,7 +374,6 @@ def to_dot(graph: BusGraph) -> str:
 
 __all__ = [
     "BusGraph",
-    "ClassInfo",
     "EventDef",
     "PublishSite",
     "RegisterSite",

@@ -1,17 +1,19 @@
 """simlint command line: ``python -m repro.devtools.simlint`` / ``repro lint``.
 
-Output is one ``file:line:col CODE message`` line per diagnostic, a
-stable JSON document under ``--format json``, or a SARIF 2.1.0 document
-under ``--format sarif`` (for GitHub code-scanning upload). Exit status
-is 1 when any *error*-severity diagnostic fires — findings in ``src/``
-are errors, findings elsewhere are warnings unless ``--strict`` promotes
-them. ``--graph`` additionally writes the statically-extracted event-bus
-graph (DOT by default, JSON for ``.json`` paths).
+One run executes every registered rule — determinism (D), bus contract
+(C) and flow (F) — unless ``--select`` narrows it. Output is one
+``file:line:col CODE message`` line per diagnostic, a stable JSON
+document under ``--format json``, or a SARIF 2.1.0 document under
+``--format sarif`` (for GitHub code-scanning upload). Exit status is 1
+when any *error*-severity diagnostic fires — findings in ``src/`` are
+errors, findings elsewhere are warnings unless ``--strict`` promotes
+them — and 2 on a usage error. ``--graph`` additionally writes the
+statically-extracted event-bus graph (DOT by default, JSON for ``.json``
+paths) and ``--effects`` the closed per-function effect sets as JSON.
 
 ``--baseline FILE`` subtracts a committed finding snapshot so only new
 findings gate; ``--write-baseline`` refreshes the snapshot from the
-current run. Both are shared with simflow's CLI, which reuses the
-helpers here (:func:`emit_diagnostics`, :func:`subtract_baseline`).
+current run.
 """
 
 from __future__ import annotations
@@ -20,22 +22,23 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Type
+from typing import List, Optional, Sequence
 
+from repro.devtools.simflow.effects import effects_to_json
 from repro.devtools.simlint.busgraph import to_dot, to_json
 from repro.devtools.simlint.diagnostics import Diagnostic
-from repro.devtools.simlint.engine import lint_paths
+from repro.devtools.simlint.engine import known_codes, lint_paths
 from repro.devtools.simlint.output import (
     apply_baseline,
     load_baseline,
     to_sarif,
     write_baseline,
 )
-from repro.devtools.simlint.registry import Rule, all_rules
+from repro.devtools.simlint.registry import all_rules
 
 
-def add_arguments(parser: argparse.ArgumentParser, tool: str = "simlint") -> None:
-    """Attach the shared lint/flow options (``repro lint`` reuses this)."""
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach simlint's options (``repro lint`` reuses this)."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -48,14 +51,19 @@ def add_arguments(parser: argparse.ArgumentParser, tool: str = "simlint") -> Non
         default="text",
         help="diagnostic output format (default: text)",
     )
-    if tool == "simlint":
-        parser.add_argument(
-            "--graph",
-            metavar="PATH",
-            default=None,
-            help="write the extracted event-bus graph to PATH "
-            "(.json for JSON, anything else for GraphViz DOT)",
-        )
+    parser.add_argument(
+        "--graph",
+        metavar="PATH",
+        default=None,
+        help="write the extracted event-bus graph to PATH "
+        "(.json for JSON, anything else for GraphViz DOT)",
+    )
+    parser.add_argument(
+        "--effects",
+        metavar="PATH",
+        default=None,
+        help="write the closed per-function effect sets to PATH as JSON",
+    )
     parser.add_argument(
         "--select",
         metavar="CODES",
@@ -91,40 +99,44 @@ def add_arguments(parser: argparse.ArgumentParser, tool: str = "simlint") -> Non
     )
 
 
+def _fail(message: str) -> int:
+    print(f"simlint: {message}", file=sys.stderr)
+    return 2
+
+
+def _write_json(path: Path, document: object) -> None:
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def subtract_baseline(
-    diagnostics: List[Diagnostic], args: argparse.Namespace, tool: str
+    diagnostics: List[Diagnostic], args: argparse.Namespace
 ) -> Optional[List[Diagnostic]]:
     """Handle ``--baseline`` / ``--write-baseline``.
 
     Returns the (possibly filtered) diagnostics to report, or ``None``
     when the invocation only wrote a baseline and should exit 0.
     """
-    if args.write_baseline:
-        if not args.baseline:
-            print(f"{tool}: --write-baseline requires --baseline FILE", file=sys.stderr)
-            raise SystemExit(2)
-        write_baseline(Path(args.baseline), diagnostics, tool)
-        print(f"{tool}: wrote {len(diagnostics)} finding(s) to {args.baseline}")
-        return None
-    if args.baseline:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"{tool}: cannot load baseline: {exc}", file=sys.stderr)
-            raise SystemExit(2) from exc
-        filtered, matched = apply_baseline(diagnostics, baseline)
-        if matched and args.format == "text":
-            print(f"{tool}: {matched} baselined finding(s) suppressed")
-        return filtered
-    return diagnostics
+    if not args.baseline:
+        if args.write_baseline:
+            raise SystemExit(_fail("--write-baseline requires --baseline FILE"))
+        return diagnostics
+    path = Path(args.baseline)
+    try:
+        if args.write_baseline:
+            write_baseline(path, diagnostics)
+            print(f"simlint: wrote {len(diagnostics)} finding(s) to {path}")
+            return None
+        baseline = load_baseline(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise SystemExit(_fail(f"cannot use baseline {path}: {exc}")) from exc
+    filtered, matched = apply_baseline(diagnostics, baseline)
+    if matched and args.format == "text":
+        print(f"simlint: {matched} baselined finding(s) suppressed")
+    return filtered
 
 
 def emit_diagnostics(
-    diagnostics: List[Diagnostic],
-    files: int,
-    args: argparse.Namespace,
-    tool: str,
-    rules: Dict[str, Type[Rule]],
+    diagnostics: List[Diagnostic], files: int, args: argparse.Namespace
 ) -> int:
     """Render diagnostics in the selected format; returns the exit code."""
     errors = [d for d in diagnostics if d.severity == "error"]
@@ -141,14 +153,14 @@ def emit_diagnostics(
         }
         print(json.dumps(document, indent=2, sort_keys=True))
     elif args.format == "sarif":
-        print(json.dumps(to_sarif(diagnostics, tool, rules), indent=2, sort_keys=True))
+        print(json.dumps(to_sarif(diagnostics, all_rules()), indent=2, sort_keys=True))
     else:
         for diagnostic in diagnostics:
             marker = "" if diagnostic.severity == "error" else " (warning)"
             print(f"{diagnostic.render()}{marker}")
         if diagnostics:
             print(
-                f"{tool}: {len(errors)} error(s), "
+                f"simlint: {len(errors)} error(s), "
                 f"{len(warnings)} warning(s) in {files} file(s)"
             )
     if errors:
@@ -167,45 +179,40 @@ def parse_select(raw: Optional[str]) -> Optional[set]:
 def run(args: argparse.Namespace) -> int:
     """Execute a lint run from parsed arguments; returns the exit code."""
     if args.list_rules:
-        for code, rule_class in all_rules("simlint").items():
+        for code, rule_class in all_rules().items():
             print(f"{code}  {rule_class.summary}")
         return 0
 
+    select = parse_select(args.select)
+    unknown = sorted((select or set()) - known_codes())
+    if unknown:
+        return _fail(f"--select names code(s) no registered rule emits: {', '.join(unknown)}")
+
     root = Path(args.root) if args.root else Path.cwd()
     try:
-        result = lint_paths(
-            [Path(p) for p in args.paths],
-            root=root,
-            select=parse_select(args.select),
-            tool="simlint",
-        )
+        result = lint_paths([Path(p) for p in args.paths], root=root, select=select)
     except FileNotFoundError as exc:
-        print(f"simlint: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
 
-    if getattr(args, "graph", None) is not None:
+    if args.graph is not None:
         graph_path = Path(args.graph)
-        assert result.graph is not None
         if graph_path.suffix == ".json":
-            graph_path.write_text(
-                json.dumps(to_json(result.graph), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            _write_json(graph_path, to_json(result.graph))
         else:
             graph_path.write_text(to_dot(result.graph), encoding="utf-8")
+    if args.effects is not None:
+        _write_json(Path(args.effects), effects_to_json(result.corpus.effects))
 
-    diagnostics = subtract_baseline(result.diagnostics, args, "simlint")
+    diagnostics = subtract_baseline(result.diagnostics, args)
     if diagnostics is None:
         return 0
-    return emit_diagnostics(
-        diagnostics, len(result.modules), args, "simlint", all_rules("simlint")
-    )
+    return emit_diagnostics(diagnostics, len(result.modules), args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="simlint",
-        description="AST-based determinism & event-bus contract linter",
+        description="static determinism, event-bus contract and flow analysis",
     )
     add_arguments(parser)
     args = parser.parse_args(list(argv) if argv is not None else None)

@@ -1,16 +1,17 @@
 """Lint engine: file discovery, suppression, severity, orchestration.
 
 The engine parses every ``.py`` file under the given paths into
-:class:`~repro.devtools.simlint.registry.ModuleContext` objects, runs the
-per-module rules, extracts the event-bus graph once, runs the project
-rules over it, then applies per-line suppressions and severity policy.
+:class:`~repro.devtools.simlint.registry.ModuleContext` objects, builds
+one :class:`~repro.devtools.simlint.model.Corpus` over them, runs the
+per-module rules and then the project rules (which read the corpus, its
+bus graph and its effect index), and applies per-line suppressions and
+severity policy.
 
-Suppression syntax (per line, the comment prefix is the tool name)::
+Suppression syntax (per line)::
 
     hazard()          # simlint: ignore[D001]
-    hazard(); other() # simlint: ignore[D001, D002]
+    hazard(); other() # simlint: ignore[D001, F003]
     anything()        # simlint: ignore
-    handler_wiring()  # simflow: ignore[F001]
 
 A bare ``ignore`` suppresses every code on the line. Each suppressed code
 must actually fire: a listed code with no matching diagnostic on that
@@ -19,15 +20,13 @@ suppressions cannot accumulate. Usage accounting is *select-aware*: under
 ``--select``, a listed code whose rule did not run this invocation is
 neither honoured nor reported unused (a partial run cannot know whether
 the suppression is stale), and bare ``ignore`` unused-ness is only judged
-on full runs. A code that matches no registered rule of the running tool
-is reported as ``U001`` with an "unknown code" message on full runs.
+on full runs. A code that matches no registered rule is reported as
+``U001`` with an "unknown code" message on full runs.
 
-Each tool only sees its own prefix: ``# simflow: …`` comments are inert
-under ``repro lint`` and vice versa, so one line can carry both.
-
-Directories named ``fixtures`` are skipped during discovery (the test
-corpus under ``tests/devtools/fixtures/`` is intentionally violating) but
-can still be linted by passing a file inside them explicitly.
+Directories named ``fixtures`` or starting with a dot are skipped during
+discovery below each directory passed in (the test corpus under
+``tests/devtools/fixtures/`` is intentionally violating), but a file
+inside them can still be linted by passing it explicitly.
 """
 
 from __future__ import annotations
@@ -40,11 +39,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.devtools.simlint.busgraph import BusGraph, extract_graph
+from repro.devtools.simlint.busgraph import BusGraph
 from repro.devtools.simlint.diagnostics import SEVERITY_BY_CATEGORY, Diagnostic, Finding
+from repro.devtools.simlint.model import Corpus
 from repro.devtools.simlint.registry import (
     ModuleContext,
-    family_codes,
+    all_rules,
     iter_module_rules,
     iter_project_rules,
 )
@@ -56,26 +56,23 @@ UNUSED_SUPPRESSION = "U001"
 
 _SKIP_DIRS = {"__pycache__", "fixtures"}
 
-#: Per-tool suppression comment patterns, compiled lazily. The prefix is
-#: the tool name, so each tool only honours its own comments.
-_SUPPRESS_RES: Dict[str, "re.Pattern[str]"] = {}
-
-
-def _suppress_re(tool: str) -> "re.Pattern[str]":
-    pattern = _SUPPRESS_RES.get(tool)
-    if pattern is None:
-        pattern = re.compile(rf"#\s*{re.escape(tool)}:\s*ignore(?:\[([A-Za-z0-9_,\s]*)\])?")
-        _SUPPRESS_RES[tool] = pattern
-    return pattern
+_SUPPRESS_RE = re.compile(r"#\s*simlint:\s*ignore(?:\[([A-Za-z0-9_,\s]*)\])?")
 
 
 @dataclass
 class LintResult:
     """Everything one lint run produced."""
 
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-    modules: List[ModuleContext] = field(default_factory=list)
-    graph: Optional[BusGraph] = None
+    diagnostics: List[Diagnostic]
+    corpus: Corpus
+
+    @property
+    def modules(self) -> List[ModuleContext]:
+        return self.corpus.modules
+
+    @property
+    def graph(self) -> BusGraph:
+        return self.corpus.graph
 
     @property
     def errors(self) -> List[Diagnostic]:
@@ -93,6 +90,11 @@ class LintResult:
         return 0
 
 
+def known_codes() -> Set[str]:
+    """Every code a run can emit: the registered rules, P001 and U001."""
+    return set(all_rules()) | {PARSE_ERROR, UNUSED_SUPPRESSION}
+
+
 def categorize(path: Path, root: Path) -> str:
     """Path category (controls severity and per-rule exemptions)."""
     try:
@@ -108,7 +110,12 @@ def categorize(path: Path, root: Path) -> str:
 
 
 def discover_files(paths: Iterable[Path]) -> List[Path]:
-    """All ``.py`` files under ``paths``, sorted, fixture dirs pruned."""
+    """All ``.py`` files under ``paths``, sorted, fixture and dot dirs pruned.
+
+    Only the parts below each passed directory are checked, so a tree
+    that itself sits under a dot-directory or a ``fixtures`` directory
+    is still linted.
+    """
     found: Set[Path] = set()
     for path in paths:
         if path.is_file():
@@ -118,10 +125,27 @@ def discover_files(paths: Iterable[Path]) -> List[Path]:
         if not path.is_dir():
             raise FileNotFoundError(f"no such file or directory: {path}")
         for candidate in sorted(path.rglob("*.py")):
-            if any(part in _SKIP_DIRS or part.startswith(".") for part in candidate.parts):
+            parts = candidate.relative_to(path).parts
+            if any(part in _SKIP_DIRS or part.startswith(".") for part in parts):
                 continue
             found.add(candidate)
     return sorted(found)
+
+
+def _comments(source: str) -> Dict[int, str]:
+    """Line -> comment text, from COMMENT tokens (never string literals).
+
+    Tokenising instead of regex-scanning raw lines means a docstring that
+    *describes* the suppression syntax never suppresses anything.
+    """
+    try:
+        return {
+            token.start[0]: token.string
+            for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type == tokenize.COMMENT
+        }
+    except tokenize.TokenError:  # pragma: no cover - ast.parse succeeded already
+        return {}
 
 
 def load_module(path: Path, root: Path) -> Tuple[Optional[ModuleContext], Optional[Diagnostic]]:
@@ -143,7 +167,7 @@ def load_module(path: Path, root: Path) -> Tuple[Optional[ModuleContext], Option
         path=display,
         category=categorize(path, root),
         tree=tree,
-        lines=source.splitlines(),
+        comments=_comments(source),
     )
     return context, None
 
@@ -163,24 +187,11 @@ class _Suppression:
     bare_used: bool = False
 
 
-def _scan_suppressions(module: ModuleContext, tool: str = "simlint") -> Dict[int, _Suppression]:
-    """Suppressions from actual COMMENT tokens (not string literals).
-
-    Tokenising instead of regex-scanning raw lines means a docstring that
-    *describes* the suppression syntax never suppresses anything. Only
-    comments carrying this ``tool``'s prefix are suppressions for this
-    run; the other tool's comments pass through untouched.
-    """
-    suppress_re = _suppress_re(tool)
+def _scan_suppressions(module: ModuleContext) -> Dict[int, _Suppression]:
+    """The module's ``# simlint: ignore`` comments, by line."""
     suppressions: Dict[int, _Suppression] = {}
-    source = "\n".join(module.lines) + "\n"
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [t for t in tokens if t.type == tokenize.COMMENT]
-    except tokenize.TokenError:  # pragma: no cover - ast.parse succeeded already
-        comments = []
-    for token in comments:
-        match = suppress_re.search(token.string)
+    for lineno, comment in module.comments.items():
+        match = _SUPPRESS_RE.search(comment)
         if match is None:
             continue
         raw = match.group(1)
@@ -191,7 +202,6 @@ def _scan_suppressions(module: ModuleContext, tool: str = "simlint") -> Dict[int
             codes = tuple(
                 sorted({code.strip().upper() for code in raw.split(",") if code.strip()})
             )
-        lineno = token.start[0]
         suppressions[lineno] = _Suppression(line=lineno, codes=codes)
     return suppressions
 
@@ -200,66 +210,54 @@ def lint_paths(
     paths: Iterable[Path],
     root: Optional[Path] = None,
     select: Optional[Set[str]] = None,
-    tool: str = "simlint",
 ) -> LintResult:
     """Lint every file under ``paths``; the core API behind the CLI.
 
     ``select`` restricts reporting to the given rule codes (suppression
     and parse diagnostics are always active). ``root`` anchors display
     paths and path categories; defaults to the current directory.
-    ``tool`` picks the rule family and the suppression-comment prefix:
-    ``"simlint"`` (D/C rules) or ``"simflow"`` (F rules).
     """
     paths = [Path(p) for p in paths]
     root = Path(root) if root is not None else Path.cwd()
-    result = LintResult()
-    raw: Dict[str, List[Diagnostic]] = {}
-
+    diagnostics: List[Diagnostic] = []
+    modules: List[ModuleContext] = []
     for path in discover_files(paths):
         module, parse_error = load_module(path, root)
         if parse_error is not None:
-            result.diagnostics.append(parse_error)
+            diagnostics.append(parse_error)
             continue
         assert module is not None
-        result.modules.append(module)
-        raw[module.path] = []
+        modules.append(module)
+    corpus = Corpus(modules)
+    raw: Dict[str, List[Diagnostic]] = {module.path: [] for module in modules}
 
-    module_by_path = {module.path: module for module in result.modules}
-
-    for rule in iter_module_rules(tool):
+    for rule in iter_module_rules():
         if select is not None and rule.code not in select:
             continue
-        for module in result.modules:
+        for module in modules:
             for finding in rule.check(module):
                 raw[module.path].append(_stamp(module, rule.code, finding))
 
-    result.graph = extract_graph(result.modules)
-    for project_rule in iter_project_rules(tool):
+    for project_rule in iter_project_rules():
         if select is not None and project_rule.code not in select:
             continue
-        for module, finding in project_rule.check_project(result.modules, result.graph):
-            raw[module.path].append(_stamp(module, project_rule.code, finding))
+        for path, finding in project_rule.check_project(corpus):
+            module = corpus.by_path.get(path)
+            if module is not None:
+                raw[path].append(_stamp(module, project_rule.code, finding))
 
     # The codes whose rules actually ran this invocation: U001 accounting
     # must never judge a suppression for a rule that was deselected.
-    known = family_codes(tool) | {PARSE_ERROR, UNUSED_SUPPRESSION}
+    known = known_codes()
     active = known if select is None else (known & select) | {PARSE_ERROR, UNUSED_SUPPRESSION}
-
-    for path_str, diagnostics in raw.items():
-        module = module_by_path[path_str]
-        result.diagnostics.extend(
+    for path, found in raw.items():
+        diagnostics.extend(
             _apply_suppressions(
-                module,
-                diagnostics,
-                tool=tool,
-                known=known,
-                active=active,
-                full_run=select is None,
+                corpus.by_path[path], found, known=known, active=active, full_run=select is None
             )
         )
-
-    result.diagnostics.sort()
-    return result
+    diagnostics.sort()
+    return LintResult(diagnostics=diagnostics, corpus=corpus)
 
 
 def _stamp(module: ModuleContext, code: str, finding: Finding) -> Diagnostic:
@@ -276,25 +274,20 @@ def _stamp(module: ModuleContext, code: str, finding: Finding) -> Diagnostic:
 def _apply_suppressions(
     module: ModuleContext,
     diagnostics: List[Diagnostic],
-    tool: str = "simlint",
-    known: Optional[Set[str]] = None,
-    active: Optional[Set[str]] = None,
-    full_run: bool = True,
+    known: Set[str],
+    active: Set[str],
+    full_run: bool,
 ) -> List[Diagnostic]:
     """Filter ``diagnostics`` through the module's suppression comments.
 
-    ``known`` is every code the running tool could ever emit; ``active``
-    is the subset whose rules ran this invocation. A listed code outside
+    ``known`` is every code a run could ever emit; ``active`` is the
+    subset whose rules ran this invocation. A listed code outside
     ``active`` is left alone entirely — it can neither suppress (its rule
     produced nothing) nor be judged unused (a ``--select`` run has no
     evidence the suppression is stale). Unknown codes and unused bare
     ignores are only reported on full runs, for the same reason.
     """
-    if known is None:
-        known = family_codes(tool) | {PARSE_ERROR, UNUSED_SUPPRESSION}
-    if active is None:
-        active = known
-    suppressions = _scan_suppressions(module, tool)
+    suppressions = _scan_suppressions(module)
     kept: List[Diagnostic] = []
     for diagnostic in diagnostics:
         suppression = suppressions.get(diagnostic.line)
@@ -336,7 +329,7 @@ def _apply_suppressions(
                         unused(
                             lineno,
                             f"suppression for unknown code {code}: "
-                            f"no registered {tool} rule emits it",
+                            "no registered rule emits it",
                         )
                     )
                 continue
@@ -358,6 +351,7 @@ __all__ = [
     "UNUSED_SUPPRESSION",
     "categorize",
     "discover_files",
+    "known_codes",
     "lint_paths",
     "load_module",
 ]

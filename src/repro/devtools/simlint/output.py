@@ -1,18 +1,17 @@
-"""Shared diagnostic output: SARIF rendering and finding baselines.
-
-Both CLIs (``repro lint`` / ``python -m repro.devtools.simflow``) render
-through this module so the formats stay byte-compatible:
+"""Diagnostic output: SARIF rendering and finding baselines.
 
 * :func:`to_sarif` emits a minimal SARIF 2.1.0 document — the subset
   GitHub code scanning ingests — with one ``result`` per diagnostic and
-  the tool's rule table in the driver metadata.
+  the rule table in the driver metadata.
 * A **baseline** is a JSON snapshot of current findings. Re-running with
   ``--baseline FILE`` subtracts the snapshot (per ``(path, code,
   message)``, with multiplicity) so only *new* findings remain — the
   mechanism that lets a new rule land before the cleanup sweep finishes.
   Baseline entries deliberately exclude line numbers: unrelated edits
   shift lines constantly, and a baseline that rots on every edit would
-  get deleted, not maintained.
+  get deleted, not maintained. An entry may carry a hand-written
+  ``justification``; refreshing the file keeps it while the entry's
+  finding still fires.
 """
 
 from __future__ import annotations
@@ -35,11 +34,7 @@ BASELINE_VERSION = 1
 _SARIF_LEVELS = {"error": "error", "warning": "warning"}
 
 
-def to_sarif(
-    diagnostics: List[Diagnostic],
-    tool: str,
-    rules: Dict[str, Type[Rule]],
-) -> Dict[str, object]:
+def to_sarif(diagnostics: List[Diagnostic], rules: Dict[str, Type[Rule]]) -> Dict[str, object]:
     """SARIF 2.1.0 document for one run (stable ordering throughout)."""
     emitted_codes = sorted({d.code for d in diagnostics} | set(rules))
     rule_entries = []
@@ -79,7 +74,7 @@ def to_sarif(
             {
                 "tool": {
                     "driver": {
-                        "name": tool,
+                        "name": "simlint",
                         "informationUri": "https://example.invalid/repro-devtools",
                         "rules": rule_entries,
                     }
@@ -94,17 +89,24 @@ def _baseline_key(diagnostic: Diagnostic) -> Tuple[str, str, str]:
     return (diagnostic.path, diagnostic.code, diagnostic.message)
 
 
-def write_baseline(path: Path, diagnostics: List[Diagnostic], tool: str) -> None:
-    """Snapshot current findings to ``path`` (sorted, line-free)."""
-    counts = Counter(_baseline_key(d) for d in diagnostics)
-    document = {
-        "version": BASELINE_VERSION,
-        "tool": tool,
-        "entries": [
-            {"path": key[0], "code": key[1], "message": key[2], "count": count}
-            for key, count in sorted(counts.items())
-        ],
-    }
+def write_baseline(path: Path, diagnostics: List[Diagnostic]) -> None:
+    """Snapshot current findings to ``path`` (sorted, line-free).
+
+    An entry whose key is already in the file keeps its justification.
+    """
+    justifications: Dict[Tuple[str, str, str], str] = {}
+    if path.exists():
+        for entry in json.loads(path.read_text(encoding="utf-8")).get("entries", []):
+            if entry.get("justification"):
+                key = (str(entry["path"]), str(entry["code"]), str(entry["message"]))
+                justifications[key] = entry["justification"]
+    entries = []
+    for key, count in sorted(Counter(_baseline_key(d) for d in diagnostics).items()):
+        entry = {"path": key[0], "code": key[1], "message": key[2], "count": count}
+        if key in justifications:
+            entry["justification"] = justifications[key]
+        entries.append(entry)
+    document = {"version": BASELINE_VERSION, "entries": entries}
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

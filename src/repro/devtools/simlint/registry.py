@@ -1,23 +1,24 @@
 """Rule registry: one class per rule, registered by decoration.
 
-Adding a rule is one class in :mod:`repro.devtools.simlint.rules`:
-subclass :class:`ModuleRule` (pure per-file AST checks) or
-:class:`ProjectRule` (checks that need the whole corpus — the event-bus
-contract rules), give it a ``code``/``summary``, decorate with
-:func:`register`, and the engine, the CLI's ``--select``, ``--list-rules``
-and the fixture-corpus tests all pick it up automatically.
+Adding a rule is one class: subclass :class:`ModuleRule` (pure per-file
+AST checks) or :class:`ProjectRule` (checks that need the whole corpus —
+the event-bus contract and flow rules), give it a ``code``/``summary``,
+decorate with :func:`register`, and the engine, the CLI's ``--select``,
+``--list-rules`` and the fixture-corpus tests all pick it up
+automatically.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple, Type
 
 from repro.devtools.simlint.diagnostics import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.devtools.simlint.busgraph import BusGraph
+    from repro.devtools.simlint.model import Corpus
 
 
 @dataclass
@@ -30,8 +31,14 @@ class ModuleContext:
     category: str
     #: Parsed module body.
     tree: ast.Module
-    #: Raw source, split into lines (for suppression scanning).
-    lines: List[str] = field(default_factory=list)
+    #: Line number -> text of the comment on that line, from one tokenize
+    #: pass (suppressions and draw contracts are both read from it).
+    comments: Dict[int, str] = field(default_factory=dict)
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of ``tree`` in ``ast.walk`` order, walked once per run."""
+        return list(ast.walk(self.tree))
 
 
 class Rule:
@@ -41,11 +48,6 @@ class Rule:
     code: str = ""
     #: One-line description for ``--list-rules`` and the docs table.
     summary: str = ""
-    #: Tool family the rule belongs to. ``simlint`` rules run under
-    #: ``repro lint`` / ``python -m repro.devtools.simlint``; ``simflow``
-    #: rules only run under ``python -m repro.devtools.simflow``. The two
-    #: share one registry so codes stay globally unique.
-    family: str = "simlint"
 
 
 class ModuleRule(Rule):
@@ -56,11 +58,9 @@ class ModuleRule(Rule):
 
 
 class ProjectRule(Rule):
-    """A rule that inspects the whole corpus (the bus-contract family)."""
+    """A rule that inspects the whole corpus; yields (module path, finding)."""
 
-    def check_project(
-        self, modules: List[ModuleContext], graph: "BusGraph"
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
+    def check_project(self, corpus: "Corpus") -> Iterator[Tuple[str, Finding]]:
         raise NotImplementedError
 
 
@@ -77,44 +77,25 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
     return rule_class
 
 
-def all_rules(family: Optional[str] = None) -> Dict[str, Type[Rule]]:
-    """Registered rules, keyed by code, in sorted-code order.
-
-    ``family`` restricts the view to one tool's rules (``simlint`` /
-    ``simflow``); ``None`` returns everything.
-    """
-    _ensure_loaded()
-    return {
-        code: rule_class
-        for code, rule_class in sorted(_RULES.items())
-        if family is None or rule_class.family == family
-    }
-
-
-def family_codes(family: str) -> Set[str]:
-    """Every rule code belonging to one tool family."""
-    return set(all_rules(family))
-
-
-def _ensure_loaded() -> None:
+def all_rules() -> Dict[str, Type[Rule]]:
+    """Registered rules, keyed by code, in sorted-code order."""
     # Importing the rules packages populates the registry as a side
-    # effect. simflow's rules live in a sibling package but share this
-    # registry, so both CLIs see a single code namespace.
-    from repro.devtools.simlint import rules  # noqa: F401
+    # effect; the flow rules live beside the effect extractor they read.
     from repro.devtools.simflow import rules as flow_rules  # noqa: F401
+    from repro.devtools.simlint import rules  # noqa: F401
+
+    return dict(sorted(_RULES.items()))
 
 
-def iter_module_rules(family: str = "simlint") -> Iterable[ModuleRule]:
-    _ensure_loaded()
-    for rule_class in sorted(_RULES.values(), key=lambda r: r.code):
-        if issubclass(rule_class, ModuleRule) and rule_class.family == family:
+def iter_module_rules() -> Iterable[ModuleRule]:
+    for rule_class in all_rules().values():
+        if issubclass(rule_class, ModuleRule):
             yield rule_class()
 
 
-def iter_project_rules(family: str = "simlint") -> Iterable[ProjectRule]:
-    _ensure_loaded()
-    for rule_class in sorted(_RULES.values(), key=lambda r: r.code):
-        if issubclass(rule_class, ProjectRule) and rule_class.family == family:
+def iter_project_rules() -> Iterable[ProjectRule]:
+    for rule_class in all_rules().values():
+        if issubclass(rule_class, ProjectRule):
             yield rule_class()
 
 
@@ -125,7 +106,6 @@ __all__ = [
     "ProjectRule",
     "register",
     "all_rules",
-    "family_codes",
     "iter_module_rules",
     "iter_project_rules",
 ]

@@ -12,18 +12,12 @@ never silently diverge from what actually executes.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
-from repro.devtools.simlint.busgraph import BusGraph, ClassInfo, _dotted
+from repro.devtools.simlint.busgraph import BusGraph
 from repro.devtools.simlint.diagnostics import Finding
-from repro.devtools.simlint.registry import ModuleContext, ProjectRule, register
-
-
-def _module_by_path(modules: List[ModuleContext], path: str) -> Optional[ModuleContext]:
-    for module in modules:
-        if module.path == path:
-            return module
-    return None
+from repro.devtools.simlint.model import Corpus, FunctionNode, annotation_class, dotted
+from repro.devtools.simlint.registry import ProjectRule, register
 
 
 def _event_roots(graph: BusGraph) -> Set[str]:
@@ -42,9 +36,8 @@ class OrphanEvent(ProjectRule):
     code = "C001"
     summary = "event type published but never subscribed (or vice versa)"
 
-    def check_project(
-        self, modules: List[ModuleContext], graph: BusGraph
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
+    def check_project(self, corpus: Corpus) -> Iterator[Tuple[str, Finding]]:
+        graph = corpus.graph
         roots = _event_roots(graph)
         subscribed = graph.subscribed_events()
         published = graph.published_events()
@@ -52,12 +45,9 @@ class OrphanEvent(ProjectRule):
             event = graph.events[name]
             if name in roots:
                 continue  # abstract bases are never carried directly
-            module = _module_by_path(modules, event.module)
-            if module is None:
-                continue
             if name not in subscribed and not event.observability_only:
                 yield (
-                    module,
+                    event.module,
                     Finding(
                         event.line,
                         0,
@@ -68,7 +58,7 @@ class OrphanEvent(ProjectRule):
                 )
             if name not in published:
                 yield (
-                    module,
+                    event.module,
                     Finding(
                         event.line,
                         0,
@@ -85,9 +75,8 @@ class UnregisteredSubscriber(ProjectRule):
     code = "C002"
     summary = "subscribe() from a class not registered as a Service"
 
-    def check_project(
-        self, modules: List[ModuleContext], graph: BusGraph
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
+    def check_project(self, corpus: Corpus) -> Iterator[Tuple[str, Finding]]:
+        graph = corpus.graph
         if not graph.registrations:
             return  # corpus has no registry wiring to check against
         registered = graph.registered_classes
@@ -101,11 +90,8 @@ class UnregisteredSubscriber(ProjectRule):
             if key in seen:
                 continue
             seen.add(key)
-            module = _module_by_path(modules, site.module)
-            if module is None:
-                continue
             yield (
-                module,
+                site.module,
                 Finding(
                     site.line,
                     site.col,
@@ -123,11 +109,9 @@ class HalfLifecycle(ProjectRule):
     code = "C003"
     summary = "Service defines start without stop (or stop without start)"
 
-    def check_project(
-        self, modules: List[ModuleContext], graph: BusGraph
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
-        for name in sorted(graph.classes):
-            info = graph.classes[name]
+    def check_project(self, corpus: Corpus) -> Iterator[Tuple[str, Finding]]:
+        for name in sorted(corpus.classes):
+            info = corpus.classes[name]
             has_start = "start" in info.methods
             has_stop = "stop" in info.methods
             if has_start == has_stop:
@@ -136,12 +120,9 @@ class HalfLifecycle(ProjectRule):
             method = info.methods["start" if has_start else "stop"]
             if len(method.args.args) != 1 or method.args.vararg or method.args.kwonlyargs:
                 continue
-            module = _module_by_path(modules, info.module)
-            if module is None:
-                continue
             present, missing = ("start", "stop") if has_start else ("stop", "start")
             yield (
-                module,
+                info.module,
                 Finding(
                     info.line,
                     0,
@@ -159,25 +140,22 @@ class HandlerSignatureMismatch(ProjectRule):
     code = "C004"
     summary = "handler signature mismatch vs the event dataclass"
 
-    def check_project(
-        self, modules: List[ModuleContext], graph: BusGraph
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
-        functions = _module_functions(modules)
-        for site in graph.subscribers:
+    def check_project(self, corpus: Corpus) -> Iterator[Tuple[str, Finding]]:
+        for site in corpus.graph.subscribers:
             if site.event is None or not site.handler:
                 continue
-            handler = self._resolve_handler(site, graph, functions)
-            if handler is None:
+            func: Optional[FunctionNode]
+            if site.owner_class is not None:
+                func = corpus.method(site.owner_class, site.handler)
+            else:
+                func = corpus.functions.get(site.module, {}).get(site.handler)
+            if func is None:
                 continue
-            func, is_method = handler
-            module = _module_by_path(modules, site.module)
-            if module is None:
-                continue
-            problem = _signature_problem(func, is_method, site.event, graph)
+            problem = _signature_problem(func, site.owner_class is not None, site.event, corpus)
             if problem is not None:
                 owner = f"{site.owner_class}." if site.owner_class else ""
                 yield (
-                    module,
+                    site.module,
                     Finding(
                         site.line,
                         site.col,
@@ -185,24 +163,6 @@ class HandlerSignatureMismatch(ProjectRule):
                         f"{site.event} {problem}",
                     ),
                 )
-
-    @staticmethod
-    def _resolve_handler(
-        site: "object",
-        graph: BusGraph,
-        functions: Dict[Tuple[str, str], ast.FunctionDef],
-    ) -> Optional[Tuple[ast.FunctionDef, bool]]:
-        owner_class = getattr(site, "owner_class", None)
-        handler_name = getattr(site, "handler", "")
-        if owner_class is not None:
-            info: Optional[ClassInfo] = graph.classes.get(owner_class)
-            if info is None:
-                return None
-            method = _find_method(info, graph)
-            func = method.get(handler_name)
-            return (func, True) if func is not None else None
-        func = functions.get((getattr(site, "module", ""), handler_name))
-        return (func, False) if func is not None else None
 
 
 @register
@@ -220,22 +180,15 @@ class UnslottedEvent(ProjectRule):
     code = "C005"
     summary = "Event dataclass without slots=True or __slots__"
 
-    def check_project(
-        self, modules: List[ModuleContext], graph: BusGraph
-    ) -> Iterator[Tuple[ModuleContext, Finding]]:
-        for name in sorted(graph.events):
-            info = graph.classes.get(name)
-            if info is None:
-                continue
+    def check_project(self, corpus: Corpus) -> Iterator[Tuple[str, Finding]]:
+        for name in sorted(corpus.graph.events):
+            info = corpus.classes[name]
             if not self._is_dataclass(info.node):
                 continue  # hand-rolled classes manage their own layout
             if self._has_slots(info.node):
                 continue
-            module = _module_by_path(modules, info.module)
-            if module is None:
-                continue
             yield (
-                module,
+                info.module,
                 Finding(
                     info.line,
                     0,
@@ -249,7 +202,7 @@ class UnslottedEvent(ProjectRule):
     def _is_dataclass(node: ast.ClassDef) -> bool:
         for decorator in node.decorator_list:
             target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            if _dotted(target) in ("dataclass", "dataclasses.dataclass"):
+            if dotted(target) in ("dataclass", "dataclasses.dataclass"):
                 return True
         return False
 
@@ -258,7 +211,7 @@ class UnslottedEvent(ProjectRule):
         for decorator in node.decorator_list:
             if not isinstance(decorator, ast.Call):
                 continue
-            if _dotted(decorator.func) not in ("dataclass", "dataclasses.dataclass"):
+            if dotted(decorator.func) not in ("dataclass", "dataclasses.dataclass"):
                 continue
             for keyword in decorator.keywords:
                 if (
@@ -279,38 +232,8 @@ class UnslottedEvent(ProjectRule):
         return False
 
 
-def _find_method(info: ClassInfo, graph: BusGraph) -> Dict[str, ast.FunctionDef]:
-    """The class's methods, including ones inherited within the corpus."""
-    merged: Dict[str, ast.FunctionDef] = {}
-    stack = [info]
-    seen: Set[str] = set()
-    while stack:
-        current = stack.pop()
-        if current.name in seen:
-            continue
-        seen.add(current.name)
-        for name, func in current.methods.items():
-            merged.setdefault(name, func)
-        for base in current.bases:
-            base_info = graph.classes.get(base.rsplit(".", 1)[-1])
-            if base_info is not None:
-                stack.append(base_info)
-    return merged
-
-
-def _module_functions(
-    modules: List[ModuleContext],
-) -> Dict[Tuple[str, str], ast.FunctionDef]:
-    functions: Dict[Tuple[str, str], ast.FunctionDef] = {}
-    for module in modules:
-        for node in module.tree.body:
-            if isinstance(node, ast.FunctionDef):
-                functions[(module.path, node.name)] = node
-    return functions
-
-
 def _signature_problem(
-    func: ast.FunctionDef, is_method: bool, event: str, graph: BusGraph
+    func: FunctionNode, is_method: bool, event: str, corpus: Corpus
 ) -> Optional[str]:
     args = list(func.args.args)
     if is_method:
@@ -325,29 +248,10 @@ def _signature_problem(
     if not args and not func.args.vararg:
         return "takes no event parameter; bus handlers receive the event"
     if args:
-        annotation = args[0].annotation
-        if annotation is not None:
-            declared = _annotation_name(annotation)
-            if declared is not None and declared != event:
-                compatible = declared in graph.event_bases(event) or declared == "Event"
-                if not compatible:
-                    return (
-                        f"annotates its event parameter as {declared}, which "
-                        f"is not {event} or one of its bases"
-                    )
-    return None
-
-
-def _annotation_name(annotation: ast.AST) -> Optional[str]:
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return annotation.value.rsplit(".", 1)[-1].strip()
-    if isinstance(annotation, (ast.Name, ast.Attribute)):
-        parts: List[str] = []
-        node: ast.AST = annotation
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(node.id)
-            return parts[0]
+        declared = annotation_class(args[0].annotation)
+        if declared is not None and declared not in corpus.mro(event) and declared != "Event":
+            return (
+                f"annotates its event parameter as {declared}, which "
+                f"is not {event} or one of its bases"
+            )
     return None

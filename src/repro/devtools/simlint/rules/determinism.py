@@ -11,28 +11,18 @@ times, and mutable defaults shared across calls.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.devtools.simlint.diagnostics import Finding
+from repro.devtools.simlint.model import dotted
 from repro.devtools.simlint.registry import ModuleContext, ModuleRule, register
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _import_aliases(tree: ast.Module) -> Tuple[Dict[str, str], Dict[str, str]]:
+def _import_aliases(module: ModuleContext) -> Tuple[Dict[str, str], Dict[str, str]]:
     """(module aliases, from-imported names) -> canonical dotted names."""
     modules: Dict[str, str] = {}
     names: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 modules[alias.asname or alias.name.split(".")[0]] = (
@@ -50,17 +40,17 @@ def _canonical_call_name(
     node: ast.Call, modules: Dict[str, str], names: Dict[str, str]
 ) -> Optional[str]:
     """Resolve a call's function to a canonical dotted name, if static."""
-    dotted = _dotted(node.func)
-    if dotted is None:
+    name = dotted(node.func)
+    if name is None:
         return None
-    head, _, rest = dotted.partition(".")
+    head, _, rest = name.partition(".")
     if head in names:
         resolved = names[head]
         return f"{resolved}.{rest}" if rest else resolved
     if head in modules:
         resolved = modules[head]
         return f"{resolved}.{rest}" if rest else resolved
-    return dotted
+    return name
 
 
 #: random-module functions that mutate/read the hidden global generator.
@@ -81,8 +71,8 @@ class UnseededRandom(ModuleRule):
     summary = "unseeded RNG (random.* / numpy.random global state)"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        modules, names = _import_aliases(module.tree)
-        for node in ast.walk(module.tree):
+        modules, names = _import_aliases(module)
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = _canonical_call_name(node, modules, names)
@@ -139,8 +129,8 @@ class WallClock(ModuleRule):
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if module.category in {"benchmarks", "tools"}:
             return  # timing harnesses measure real elapsed time by design
-        modules, names = _import_aliases(module.tree)
-        for node in ast.walk(module.tree):
+        modules, names = _import_aliases(module)
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = _canonical_call_name(node, modules, names)
@@ -196,7 +186,7 @@ class SetIteration(ModuleRule):
         # set expression and never reassigned otherwise), one to flag.
         set_vars: Set[str] = set()
         non_set_vars: Set[str] = set()
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
@@ -218,7 +208,7 @@ class SetIteration(ModuleRule):
         # A generator expression fed straight into an order-insensitive
         # call (any/sum/min/sorted/…) cannot leak iteration order.
         safe_comprehensions: Set[int] = set()
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -228,7 +218,7 @@ class SetIteration(ModuleRule):
             ):
                 safe_comprehensions.add(id(node.args[0]))
 
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 yield from flag(node.iter)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -278,7 +268,7 @@ class FloatTimeEquality(ModuleRule):
             # tests (golden pins); the hazard is production logic branching
             # on float identity.
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -310,7 +300,7 @@ def _is_mutable_default(node: ast.AST) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        name = _dotted(node.func)
+        name = dotted(node.func)
         return name is not None and name.rsplit(".", 1)[-1] in _MUTABLE_CALLS
     return False
 
@@ -323,7 +313,7 @@ class MutableDefault(ModuleRule):
     summary = "mutable default argument in a function/handler signature"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             args = node.args

@@ -14,7 +14,7 @@ class RandomSource:
 
 
 class Placer:
-    def pick(self, rng: RandomSource, items):  # simflow: draws=0
+    def pick(self, rng: RandomSource, items):  # simlint: draws=0
         rng.substream("placement")
         return items[0]
 

@@ -1,44 +1,26 @@
-"""F-rule fixture pairs, the simflow CLI, and the effects artifact.
+"""F-rule finding shapes, suppression, the CLI on F rules, and effects.
 
-Same conventions as ``test_simlint_rules.py``: fixtures are copied into
-a ``src/`` directory under ``tmp_path`` so they analyse at error
-severity, and the fixture corpus itself is pruned from repo-wide runs.
+Same conventions as ``test_simlint_rules.py`` (which also holds the
+fixture pairs of every rule): fixtures are copied into a ``src/``
+directory under ``tmp_path`` so they analyse at error severity, and the
+fixture corpus itself is pruned from repo-wide runs.
 """
 
 import json
 import shutil
 from pathlib import Path
 
-import pytest
-
-from repro.devtools.simflow.cli import main as simflow_main
-from repro.devtools.simflow.effects import build_index
+from repro.devtools.simlint.cli import main as simlint_main
 from repro.devtools.simlint.engine import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
-RULES = ["F001", "F002", "F003", "F004"]
 
 
 def lint_fixture(tmp_path, name):
     src = tmp_path / "src"
     src.mkdir(exist_ok=True)
     shutil.copy(FIXTURES / f"{name}.py", src / f"{name}.py")
-    return lint_paths([str(src)], root=str(tmp_path), tool="simflow")
-
-
-@pytest.mark.parametrize("rule", RULES)
-class TestFixturePairs:
-    def test_bad_fixture_flags_exactly_that_rule(self, tmp_path, rule):
-        result = lint_fixture(tmp_path, f"{rule.lower()}_bad")
-        codes = {d.code for d in result.diagnostics}
-        assert codes == {rule}, [d.render() for d in result.diagnostics]
-        assert all(d.severity == "error" for d in result.diagnostics)
-        assert result.exit_code(strict=False) == 1
-
-    def test_clean_fixture_produces_no_diagnostics(self, tmp_path, rule):
-        result = lint_fixture(tmp_path, f"{rule.lower()}_ok")
-        assert result.diagnostics == [], [d.render() for d in result.diagnostics]
-        assert result.exit_code(strict=False) == 0
+    return lint_paths([str(src)], root=str(tmp_path))
 
 
 class TestFindingShape:
@@ -84,7 +66,7 @@ class TestFindingShape:
             '        """Substitute deterministically; consumes no randomness."""\n'
             "        return rng.choice(items)\n"
         )
-        result = lint_paths([src], root=tmp_path, tool="simflow")
+        result = lint_paths([src], root=tmp_path)
         (diag,) = result.diagnostics
         assert diag.code == "F003"
         assert "docstring contract" in diag.message
@@ -99,10 +81,10 @@ class TestFindingShape:
             "class Placer:\n"
             "    def _helper(self, rng: RandomSource, items):\n"
             "        return rng.choice(items)\n\n"
-            "    def pick(self, rng: RandomSource, items):  # simflow: draws=0\n"
+            "    def pick(self, rng: RandomSource, items):  # simlint: draws=0\n"
             "        return self._helper(rng, items)\n"
         )
-        result = lint_paths([src], root=tmp_path, tool="simflow")
+        result = lint_paths([src], root=tmp_path)
         (diag,) = result.diagnostics
         assert diag.code == "F003"
         assert "Placer.pick" in diag.message
@@ -114,39 +96,29 @@ class TestSuppression:
         src.mkdir()
         text = (FIXTURES / "f004_bad.py").read_text().replace(
             "doubled = pool.map(lambda spec: spec * 2, specs)",
-            "doubled = pool.map(lambda spec: spec * 2, specs)  # simflow: ignore[F004]",
-        )
-        (src / "mod.py").write_text(text)
-        result = lint_paths([src], root=tmp_path, tool="simflow")
-        codes = [d.code for d in result.diagnostics]
-        assert codes == ["F004", "F004"]  # the other two sites still fire
-
-    def test_simlint_ignore_is_inert_under_simflow(self, tmp_path):
-        src = tmp_path / "src"
-        src.mkdir()
-        text = (FIXTURES / "f004_bad.py").read_text().replace(
-            "doubled = pool.map(lambda spec: spec * 2, specs)",
             "doubled = pool.map(lambda spec: spec * 2, specs)  # simlint: ignore[F004]",
         )
         (src / "mod.py").write_text(text)
-        result = lint_paths([src], root=tmp_path, tool="simflow")
+        result = lint_paths([src], root=tmp_path)
         codes = [d.code for d in result.diagnostics]
-        assert codes == ["F004", "F004", "F004"]
+        assert codes == ["F004", "F004"]  # the other two sites still fire
 
 
 class TestCli:
+    """The one CLI runs the F rules and writes the effect index."""
+
     def test_list_rules_names_every_f_code(self, capsys):
-        code = simflow_main(["--list-rules"])
+        code = simlint_main(["--list-rules"])
         out = capsys.readouterr().out
         assert code == 0
-        for expected in RULES:
+        for expected in ("F001", "F002", "F003", "F004"):
             assert expected in out
 
     def test_text_output_and_exit_code(self, tmp_path, capsys):
         src = tmp_path / "src"
         src.mkdir()
         shutil.copy(FIXTURES / "f004_bad.py", src / "mod.py")
-        code = simflow_main([str(src), "--root", str(tmp_path)])
+        code = simlint_main([str(src), "--root", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "F004" in out
@@ -156,7 +128,7 @@ class TestCli:
         src.mkdir()
         shutil.copy(FIXTURES / "f001_bad.py", src / "mod.py")
         effects_path = tmp_path / "effects.json"
-        code = simflow_main(
+        code = simlint_main(
             [str(src), "--root", str(tmp_path), "--effects", str(effects_path)]
         )
         capsys.readouterr()
@@ -172,13 +144,13 @@ class TestCli:
         src = tmp_path / "src"
         src.mkdir()
         shutil.copy(FIXTURES / "f002_bad.py", src / "mod.py")
-        code = simflow_main(
+        code = simlint_main(
             [str(src), "--root", str(tmp_path), "--format", "sarif"]
         )
         document = json.loads(capsys.readouterr().out)
         assert code == 1
         (run,) = document["runs"]
-        assert run["tool"]["driver"]["name"] == "simflow"
+        assert run["tool"]["driver"]["name"] == "simlint"
         assert [r["ruleId"] for r in run["results"]] == ["F002"]
 
     def test_baseline_round_trip(self, tmp_path, capsys):
@@ -187,9 +159,9 @@ class TestCli:
         shutil.copy(FIXTURES / "f001_bad.py", src / "mod.py")
         baseline = tmp_path / "baseline.json"
         argv = [str(src), "--root", str(tmp_path), "--baseline", str(baseline)]
-        assert simflow_main(argv + ["--write-baseline"]) == 0
+        assert simlint_main(argv + ["--write-baseline"]) == 0
         capsys.readouterr()
-        assert simflow_main(argv) == 0
+        assert simlint_main(argv) == 0
         assert "baselined" in capsys.readouterr().out
 
 
@@ -200,9 +172,7 @@ class TestEffectExtraction:
         src = tmp_path / "src"
         src.mkdir()
         (src / "mod.py").write_text(source)
-        result = lint_paths([src], root=tmp_path, tool="simflow")
-        assert result.graph is not None
-        return build_index(result.modules, result.graph)
+        return lint_paths([src], root=tmp_path).corpus.effects
 
     def test_optional_string_annotation_resolves_the_field_type(self, tmp_path):
         index = self._index(
@@ -274,12 +244,12 @@ class TestEffectExtraction:
 
 
 class TestRepoSource:
-    """The repo's own src/ passes simflow modulo the committed baseline."""
+    """The repo's own src/ and tests/ pass every rule modulo the one baseline."""
 
     def test_src_is_clean_under_the_committed_baseline(self):
         repo = Path(__file__).resolve().parents[2]
-        result = lint_paths([repo / "src"], root=repo, tool="simflow")
-        baseline = json.loads((repo / "tools" / "simflow_baseline.json").read_text())
+        result = lint_paths([repo / "src", repo / "tests"], root=repo)
+        baseline = json.loads((repo / "tools" / "simlint_baseline.json").read_text())
         allowed: dict = {}
         for entry in baseline["entries"]:
             key = (entry["path"], entry["code"])
@@ -295,7 +265,7 @@ class TestRepoSource:
 
     def test_committed_baseline_stays_small_and_justified(self):
         repo = Path(__file__).resolve().parents[2]
-        baseline = json.loads((repo / "tools" / "simflow_baseline.json").read_text())
+        baseline = json.loads((repo / "tools" / "simlint_baseline.json").read_text())
         assert len(baseline["entries"]) <= 3
         for entry in baseline["entries"]:
             assert entry.get("justification"), entry

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.availability.generator import build_group_hosts
-from repro.devtools.simflow.effects import build_index
 from repro.devtools.simflow.runtime import EffectRecorder, compare_observed_to_static
 from repro.devtools.simlint.engine import lint_paths
 from repro.mapreduce.job import JobConf, MapJob
@@ -48,9 +47,7 @@ CONFIG_ORACLE_CHAOS = ClusterConfig(
 
 @pytest.fixture(scope="module")
 def static_index():
-    result = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT, tool="simflow")
-    assert result.graph is not None
-    return build_index(result.modules, result.graph)
+    return lint_paths([REPO_ROOT / "src"], root=REPO_ROOT).corpus.effects
 
 
 def _traced_run(config):

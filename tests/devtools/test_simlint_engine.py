@@ -6,6 +6,7 @@ import pytest
 
 from repro.devtools.simlint.cli import main as simlint_main
 from repro.devtools.simlint.engine import lint_paths
+from repro.devtools.simlint.registry import all_rules
 
 
 def write(tmp_path, rel, text):
@@ -69,7 +70,7 @@ class TestSuppression:
 
 
 class TestSuppressionAccounting:
-    """Select-aware, per-code, per-tool usage accounting (U001)."""
+    """Select-aware, per-code usage accounting (U001)."""
 
     def test_multi_code_ignore_reports_only_the_unused_code(self, tmp_path):
         write(
@@ -118,27 +119,22 @@ class TestSuppressionAccounting:
         partial = lint_paths([tmp_path / "src"], root=tmp_path, select={"D001"})
         assert partial.diagnostics == []
 
-    def test_other_tools_comments_are_inert(self, tmp_path):
-        # A simflow-prefixed comment neither suppresses a simlint finding
-        # nor shows up in simlint's U001 accounting.
+    def test_one_comment_covers_every_rule_family(self, tmp_path):
+        # One prefix for all rules: a D and an F code share one comment,
+        # and a listed code that does not fire on its line is U001.
         write(
             tmp_path,
             "src/mod.py",
-            "import time\n\n\ndef stamp():\n"
-            "    return time.time()  # simflow: ignore[F003]\n",
+            "import time\n\nfrom repro.util.rng import RandomSource\n\n\n"
+            "def stamp():\n"
+            "    return RandomSource(7), time.time()  # simlint: ignore[D002, F003]\n\n\n"
+            "def later():\n"
+            "    return time.time()  # simlint: ignore[D002, F003]\n",
         )
         result = lint_paths([tmp_path / "src"], root=tmp_path)
-        assert [d.code for d in result.diagnostics] == ["D002"]
-
-    def test_one_line_can_carry_both_tool_prefixes(self, tmp_path):
-        write(
-            tmp_path,
-            "src/mod.py",
-            "import time\n\n\ndef stamp():\n"
-            "    return time.time()  # simlint: ignore[D002]  # simflow: ignore[F003]\n",
-        )
-        result = lint_paths([tmp_path / "src"], root=tmp_path)
-        assert result.diagnostics == []
+        (diag,) = result.diagnostics
+        assert (diag.code, diag.line) == ("U001", 11)
+        assert "F003" in diag.message and "D002" not in diag.message
 
 
 class TestSeverityAndSelect:
@@ -169,6 +165,14 @@ class TestSeverityAndSelect:
 
 
 class TestDiscovery:
+    def test_tree_under_a_dot_directory_is_linted(self, tmp_path):
+        # Only the parts below the passed directory are pruned.
+        project = tmp_path / ".work"
+        write(project, "src/mod.py", WALL_CLOCK)
+        result = lint_paths([project / "src"], root=project)
+        assert [d.code for d in result.diagnostics] == ["D002"]
+        assert len(result.modules) == 1
+
     def test_fixture_directories_are_pruned(self, tmp_path):
         write(tmp_path, "src/fixtures/broken.py", WALL_CLOCK)
         write(tmp_path, "src/mod.py", "VALUE = 1\n")
@@ -240,8 +244,18 @@ class TestCli:
         code = simlint_main(["--list-rules"])
         out = capsys.readouterr().out
         assert code == 0
-        for expected in ("D001", "D002", "D003", "D004", "D005", "C001", "C002", "C003", "C004"):
-            assert expected in out
+        listed = {line.split()[0] for line in out.splitlines()}
+        assert listed == set(all_rules())
+        assert {"D001", "D005", "C001", "C005", "F001", "F004"} <= listed
+
+    def test_select_with_an_unknown_code_exits_2(self, tmp_path, capsys):
+        write(tmp_path, "src/mod.py", WALL_CLOCK)
+        argv = [str(tmp_path / "src"), "--root", str(tmp_path), "--select"]
+        code = simlint_main([*argv, "D02,D002,Z9"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "D02" in err and "Z9" in err and "D002" not in err
+        assert simlint_main([*argv, "D002,U001,P001"]) == 1
 
     def test_missing_path_exits_2(self, tmp_path, capsys):
         code = simlint_main([str(tmp_path / "nope"), "--root", str(tmp_path)])
@@ -340,6 +354,22 @@ class TestBaseline:
         out = capsys.readouterr().out
         assert code == 1
         assert out.count("D002") == 1
+
+    def test_write_baseline_keeps_surviving_justifications(self, tmp_path, capsys):
+        write(tmp_path, "src/mod.py", WALL_CLOCK)
+        write(tmp_path, "src/other.py", "import random\n\nJITTER = random.random()\n")
+        baseline = tmp_path / "baseline.json"
+        argv = [str(tmp_path / "src"), "--root", str(tmp_path), "--baseline", str(baseline)]
+        simlint_main(argv + ["--write-baseline"])
+        document = json.loads(baseline.read_text())
+        for entry in document["entries"]:
+            entry["justification"] = f"why {entry['code']}"
+        baseline.write_text(json.dumps(document))
+        (tmp_path / "src" / "other.py").unlink()
+        assert simlint_main(argv + ["--write-baseline"]) == 0
+        capsys.readouterr()
+        (entry,) = json.loads(baseline.read_text())["entries"]
+        assert (entry["code"], entry["justification"]) == ("D002", "why D002")
 
     def test_missing_baseline_file_exits_2(self, tmp_path, capsys):
         write(tmp_path, "src/mod.py", "VALUE = 1\n")

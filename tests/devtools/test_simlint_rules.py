@@ -3,9 +3,10 @@
 Fixtures are copied into a ``src/`` directory inside ``tmp_path`` so they
 lint at *error* severity — D004's tests-category exemption (and the
 warning downgrade for everything outside ``src``) would otherwise hide
-them. The fixture corpus itself lives in ``fixtures/``, which the
-engine's discovery prunes, so the repo-wide ``simlint src tests`` run
-never sees these intentionally-broken modules.
+them. Every rule family runs on every fixture, so a ``_bad`` fixture must
+trip its own rule and nothing else. The fixture corpus itself lives in
+``fixtures/``, which the engine's discovery prunes, so the repo-wide
+``simlint src tests`` run never sees these intentionally-broken modules.
 """
 
 import shutil
@@ -14,9 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.simlint.engine import lint_paths
+from repro.devtools.simlint.registry import all_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
-RULES = ["D001", "D002", "D003", "D004", "D005", "C001", "C002", "C003", "C004", "C005"]
+RULES = sorted(all_rules())
 
 
 def lint_fixture(tmp_path, name):
