@@ -12,8 +12,8 @@ statically-extracted event-bus graph (DOT by default, JSON for ``.json``
 paths) and ``--effects`` the closed per-function effect sets as JSON.
 
 ``--baseline FILE`` subtracts a committed finding snapshot so only new
-findings gate; ``--write-baseline`` refreshes the snapshot from the
-current run.
+findings gate; ``--write-baseline`` refreshes the snapshot's entries for
+the codes and paths the current run checked and keeps the others.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 from repro.devtools.simflow.effects import effects_to_json
 from repro.devtools.simlint.busgraph import to_dot, to_json
 from repro.devtools.simlint.diagnostics import Diagnostic
-from repro.devtools.simlint.engine import known_codes, lint_paths
+from repro.devtools.simlint.engine import LintResult, known_codes, lint_paths
 from repro.devtools.simlint.output import (
     apply_baseline,
     load_baseline,
@@ -109,13 +109,14 @@ def _write_json(path: Path, document: object) -> None:
 
 
 def subtract_baseline(
-    diagnostics: List[Diagnostic], args: argparse.Namespace
+    result: LintResult, args: argparse.Namespace
 ) -> Optional[List[Diagnostic]]:
     """Handle ``--baseline`` / ``--write-baseline``.
 
     Returns the (possibly filtered) diagnostics to report, or ``None``
     when the invocation only wrote a baseline and should exit 0.
     """
+    diagnostics = result.diagnostics
     if not args.baseline:
         if args.write_baseline:
             raise SystemExit(_fail("--write-baseline requires --baseline FILE"))
@@ -123,8 +124,11 @@ def subtract_baseline(
     path = Path(args.baseline)
     try:
         if args.write_baseline:
-            write_baseline(path, diagnostics)
-            print(f"simlint: wrote {len(diagnostics)} finding(s) to {path}")
+            written, kept = write_baseline(path, diagnostics, covers=result.covers)
+            print(
+                f"simlint: wrote {written} finding(s) to {path}, "
+                f"kept {kept} entry(ies) outside this run"
+            )
             return None
         baseline = load_baseline(path)
     except (OSError, ValueError, KeyError) as exc:
@@ -203,7 +207,7 @@ def run(args: argparse.Namespace) -> int:
     if args.effects is not None:
         _write_json(Path(args.effects), effects_to_json(result.corpus.effects))
 
-    diagnostics = subtract_baseline(result.diagnostics, args)
+    diagnostics = subtract_baseline(result, args)
     if diagnostics is None:
         return 0
     return emit_diagnostics(diagnostics, len(result.modules), args)

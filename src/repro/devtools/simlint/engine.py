@@ -36,8 +36,8 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from pathlib import Path, PurePosixPath
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.devtools.simlint.busgraph import BusGraph
 from repro.devtools.simlint.diagnostics import SEVERITY_BY_CATEGORY, Diagnostic, Finding
@@ -65,6 +65,32 @@ class LintResult:
 
     diagnostics: List[Diagnostic]
     corpus: Corpus
+    #: Display path of each file or directory the run was given, and
+    #: whether it is a directory.
+    scope: Tuple[Tuple[str, bool], ...] = ()
+    #: The codes ``select`` narrowed the run to; None when every code ran.
+    select: Optional[FrozenSet[str]] = None
+
+    def covers(self, path: str, code: str) -> bool:
+        """Whether this run checked ``code`` on the file at display ``path``.
+
+        A file under a passed directory is covered even if it no longer
+        exists (its findings are gone), unless discovery prunes it.
+        """
+        if self.select is not None and code not in self.select:
+            return False
+        for given, is_dir in self.scope:
+            if not is_dir:
+                if path == given:
+                    return True
+                continue
+            try:
+                parts = PurePosixPath(path).relative_to(given).parts
+            except ValueError:
+                continue
+            if not _pruned(parts):
+                return True
+        return False
 
     @property
     def modules(self) -> List[ModuleContext]:
@@ -96,11 +122,17 @@ def known_codes() -> Set[str]:
 
 
 def categorize(path: Path, root: Path) -> str:
-    """Path category (controls severity and per-rule exemptions)."""
+    """Path category (controls severity and per-rule exemptions).
+
+    Inside ``root`` the outermost ``src``/``tests``/``benchmarks``/
+    ``tools`` directory decides. Outside it the innermost one does, so a
+    project's ``src/`` that happens to sit below some ``tests/``
+    directory is still source.
+    """
     try:
-        parts = path.resolve().relative_to(root.resolve()).parts
+        parts: Iterable[str] = path.resolve().relative_to(root.resolve()).parts
     except ValueError:
-        parts = path.parts
+        parts = reversed(path.parts)
     for part in parts:
         if part in ("tests", "benchmarks", "tools"):
             return part
@@ -125,11 +157,15 @@ def discover_files(paths: Iterable[Path]) -> List[Path]:
         if not path.is_dir():
             raise FileNotFoundError(f"no such file or directory: {path}")
         for candidate in sorted(path.rglob("*.py")):
-            parts = candidate.relative_to(path).parts
-            if any(part in _SKIP_DIRS or part.startswith(".") for part in parts):
+            if _pruned(candidate.relative_to(path).parts):
                 continue
             found.add(candidate)
     return sorted(found)
+
+
+def _pruned(parts: Iterable[str]) -> bool:
+    """Whether discovery skips a file at ``parts`` below a passed directory."""
+    return any(part in _SKIP_DIRS or part.startswith(".") for part in parts)
 
 
 def _comments(source: str) -> Dict[int, str]:
@@ -257,7 +293,12 @@ def lint_paths(
             )
         )
     diagnostics.sort()
-    return LintResult(diagnostics=diagnostics, corpus=corpus)
+    return LintResult(
+        diagnostics=diagnostics,
+        corpus=corpus,
+        scope=tuple((_display_path(path, root), path.is_dir()) for path in paths),
+        select=None if select is None else frozenset(select),
+    )
 
 
 def _stamp(module: ModuleContext, code: str, finding: Finding) -> Diagnostic:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Tuple, Type
+from typing import Callable, Dict, List, Tuple, Type
 
 from repro.devtools.simlint.diagnostics import Diagnostic
 from repro.devtools.simlint.registry import Rule
@@ -89,25 +89,38 @@ def _baseline_key(diagnostic: Diagnostic) -> Tuple[str, str, str]:
     return (diagnostic.path, diagnostic.code, diagnostic.message)
 
 
-def write_baseline(path: Path, diagnostics: List[Diagnostic]) -> None:
+def write_baseline(
+    path: Path, diagnostics: List[Diagnostic], covers: Callable[[str, str], bool]
+) -> Tuple[int, int]:
     """Snapshot current findings to ``path`` (sorted, line-free).
 
-    An entry whose key is already in the file keeps its justification.
+    ``covers(path, code)`` says whether the run checked ``code`` on
+    ``path``. Only the entries it covers are replaced; every other entry
+    is kept as it was, so a ``--select`` run or a run over some of the
+    paths cannot drop the rest. A replaced entry whose key survives keeps
+    its justification. Returns how many findings were recorded and how
+    many entries were kept untouched.
     """
-    justifications: Dict[Tuple[str, str, str], str] = {}
+    old: List[Dict[str, object]] = []
     if path.exists():
-        for entry in json.loads(path.read_text(encoding="utf-8")).get("entries", []):
-            if entry.get("justification"):
-                key = (str(entry["path"]), str(entry["code"]), str(entry["message"]))
-                justifications[key] = entry["justification"]
-    entries = []
-    for key, count in sorted(Counter(_baseline_key(d) for d in diagnostics).items()):
+        old = json.loads(path.read_text(encoding="utf-8")).get("entries", [])
+    entries = [e for e in old if not covers(str(e["path"]), str(e["code"]))]
+    kept = len(entries)
+    justifications = {
+        (str(e["path"]), str(e["code"]), str(e["message"])): e["justification"]
+        for e in old
+        if e.get("justification")
+    }
+    found = Counter(_baseline_key(d) for d in diagnostics if covers(d.path, d.code))
+    for key, count in found.items():
         entry = {"path": key[0], "code": key[1], "message": key[2], "count": count}
         if key in justifications:
             entry["justification"] = justifications[key]
         entries.append(entry)
+    entries.sort(key=lambda e: (str(e["path"]), str(e["code"]), str(e["message"])))
     document = {"version": BASELINE_VERSION, "entries": entries}
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return sum(found.values()), kept
 
 
 def load_baseline(path: Path) -> Counter:

@@ -12,9 +12,13 @@ from typing import List
 from repro.util.validation import check_positive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
-    """One immutable data block of a file."""
+    """One immutable data block of a file.
+
+    Slotted: a file holds one per map task, so a ``__dict__`` per block
+    would be paid ``tasks_per_node`` times per host (DESIGN.md §10).
+    """
 
     block_id: str
     file_name: str

@@ -8,7 +8,7 @@ an availability-aware policy driven by the Performance Predictor.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.ids import NodeId
 from repro.core.placement import NodeView, PlacementPolicy
@@ -41,7 +41,11 @@ class NameNode:
         self._datanodes: Dict[NodeId, DataNode] = {}
         self._files: Dict[str, DfsFile] = {}
         self._blocks: Dict[str, Block] = {}
-        self._locations: Dict[str, Set[NodeId]] = {}
+        #: Block id -> holders, in the order their replicas landed. A tuple
+        #: (48 B for one holder, against 216 B for a one-element set):
+        #: there is one per block, and holder sets change only on the rare
+        #: re-replication, GC, move or purge, which rebuild it.
+        self._locations: Dict[str, Tuple[NodeId, ...]] = {}
         self._live: Dict[NodeId, bool] = {}
 
     # -- membership -------------------------------------------------------------
@@ -153,10 +157,9 @@ class NameNode:
         datanodes = self._datanodes
         for block, holders in zip(dfs_file.blocks, holders_per_block, strict=True):
             blocks[block.block_id] = block
-            location = locations[block.block_id] = set()
             for node_id in holders:
                 datanodes[node_id].store(block)
-                location.add(node_id)
+            locations[block.block_id] = tuple(holders)
         self._files[name] = dfs_file
         return dfs_file
 
@@ -164,7 +167,7 @@ class NameNode:
         """Remove a file and all its replicas."""
         dfs_file = self.file(name)
         for block in dfs_file.blocks:
-            for node_id in list(self._locations.get(block.block_id, ())):
+            for node_id in self._locations.get(block.block_id, ()):
                 self._remove_replica(block.block_id, node_id)
             self._locations.pop(block.block_id, None)
             self._blocks.pop(block.block_id, None)
@@ -277,7 +280,7 @@ class NameNode:
         lost: List[str] = []
         datanode = self._datanodes[node_id]
         for block_id in affected:
-            self._locations[block_id].discard(node_id)
+            self._drop_location(block_id, node_id)
             if datanode.has_block(block_id):
                 datanode.remove(block_id)
             if not self._locations[block_id]:
@@ -287,11 +290,16 @@ class NameNode:
     def _store_replica(self, block: Block, node_id: NodeId) -> None:
         self._require_node(node_id)
         self._datanodes[node_id].store(block)
-        self._locations[block.block_id].add(node_id)
+        self._locations[block.block_id] += (node_id,)
 
     def _remove_replica(self, block_id: str, node_id: NodeId) -> None:
         self._datanodes[node_id].remove(block_id)
-        self._locations[block_id].discard(node_id)
+        self._drop_location(block_id, node_id)
+
+    def _drop_location(self, block_id: str, node_id: NodeId) -> None:
+        self._locations[block_id] = tuple(
+            n for n in self._locations[block_id] if n != node_id
+        )
 
     # -- placement views & rebalancing ------------------------------------------------
 

@@ -8,12 +8,16 @@ speculative duplicates; the first attempt to succeed completes the task.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.ids import NodeId
 from repro.hdfs.blocks import Block, DfsFile
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulator.engine import EventHandle
+    from repro.simulator.network import Transfer
 
 
 class TaskState(enum.Enum):
@@ -68,16 +72,25 @@ class JobConf:
             raise ValueError("max_speculative_per_task must be >= 0")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TaskAttempt:
     """One execution attempt of a map task on a specific node.
 
     Identity semantics (``eq=False``): two attempts are the same object or
     different attempts, and both task and attempt are usable as dict keys.
+
+    One slotted record per attempt (DESIGN.md §10). ``ordinal`` is the
+    attempt's 1-based position in its task's history; :attr:`attempt_id`
+    derives the ``{task_id}_a{n}`` name from it on read. ``timer``,
+    ``transfer`` and ``fetch_retries`` are the executing TaskTracker's
+    bookkeeping while the attempt is live: its one armed timer (the
+    execution completion while RUNNING, the refetch backoff while a
+    FETCHING attempt waits), its input fetch in flight, and the source
+    retries it has used. Retiring clears the first two.
     """
 
-    attempt_id: str
     task: "MapTask"
+    ordinal: int
     node_id: NodeId
     local: bool
     speculative: bool
@@ -87,6 +100,13 @@ class TaskAttempt:
     fetch_started: Optional[float] = None
     exec_started: Optional[float] = None
     finished_at: Optional[float] = None
+    timer: Optional["EventHandle"] = None
+    transfer: Optional["Transfer"] = None
+    fetch_retries: int = 0
+
+    @property
+    def attempt_id(self) -> str:
+        return f"{self.task.task_id}_a{self.ordinal}"
 
     @property
     def is_live(self) -> bool:
@@ -109,21 +129,25 @@ class TaskAttempt:
         return f"TaskAttempt({self.attempt_id}, {kind}, {self.state.value})"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MapTask:
     """One map task: processes one input block for ``gamma`` seconds.
 
     Identity semantics (``eq=False``) so tasks can key dicts/sets.
+
+    One slotted record per task (DESIGN.md §10): ``attempts`` (every
+    attempt, in creation order) and ``_live`` (the attempts still holding
+    a slot) are tuples, rebuilt on the rare attempt event, so a finished
+    task holds one small tuple and the shared empty one.
     """
 
     task_id: str
     block: Block
     gamma: float
     state: TaskState = TaskState.PENDING
-    attempts: List[TaskAttempt] = field(default_factory=list)
+    attempts: Tuple[TaskAttempt, ...] = ()
     completed_by: Optional[TaskAttempt] = None
-    _attempt_counter: int = 0
-    _live: List[TaskAttempt] = field(default_factory=list)
+    _live: Tuple[TaskAttempt, ...] = ()
 
     def __post_init__(self) -> None:
         check_positive("gamma", self.gamma)
@@ -140,10 +164,7 @@ class MapTask:
 
     def drop_live(self, attempt: TaskAttempt) -> None:
         """Remove a retired attempt from the live set (idempotent)."""
-        try:
-            self._live.remove(attempt)
-        except ValueError:
-            pass
+        self._live = tuple(a for a in self._live if a is not attempt)
 
     def speculative_count(self) -> int:
         """Live speculative attempts currently racing."""
@@ -158,18 +179,17 @@ class MapTask:
         source_node: Optional[NodeId] = None,
     ) -> TaskAttempt:
         """Create (and register) the next attempt of this task."""
-        self._attempt_counter += 1
         attempt = TaskAttempt(
-            attempt_id=f"{self.task_id}_a{self._attempt_counter}",
             task=self,
+            ordinal=len(self.attempts) + 1,
             node_id=node_id,
             local=local,
             speculative=speculative,
             created_at=now,
             source_node=source_node,
         )
-        self.attempts.append(attempt)
-        self._live.append(attempt)
+        self.attempts += (attempt,)
+        self._live += (attempt,)
         return attempt
 
     def __repr__(self) -> str:
@@ -191,7 +211,6 @@ class MapJob:
             MapTask(task_id=f"{conf.name}_m{block.index:06d}", block=block, gamma=gamma)
             for block, gamma in zip(input_file.blocks, gammas, strict=True)
         ]
-        self._by_id: Dict[str, MapTask] = {t.task_id: t for t in self._tasks}
         self.submitted_at: Optional[float] = None
         self.finished_at: Optional[float] = None
 
@@ -212,7 +231,10 @@ class MapJob:
         return len(self._tasks)
 
     def task(self, task_id: str) -> MapTask:
-        return self._by_id[task_id]
+        for task in self._tasks:
+            if task.task_id == task_id:
+                return task
+        raise KeyError(task_id)
 
     @property
     def total_base_work(self) -> float:

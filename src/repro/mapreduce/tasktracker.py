@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.ids import NodeId, NodeIds
 from repro.mapreduce.job import AttemptState, TaskAttempt
-from repro.simulator.engine import EventHandle, Simulator
+from repro.simulator.engine import Simulator
 from repro.simulator.metrics import DurabilityMetrics, MapPhaseMetrics
 from repro.simulator.network import Network, Transfer
 from repro.util.validation import check_positive
@@ -45,6 +45,12 @@ class TaskTracker:
     ``__dict__`` s and eager f-strings dominate construction at 226k
     nodes). Wired clusters pass ``names=`` (the cluster's id table) and
     the ``tasktracker:<host>`` string materialises on first access.
+
+    The tracker keeps one insertion-ordered map of the attempts holding
+    its slots, keyed by the attempt itself. Each attempt's lifecycle
+    state (its armed timer, its fetch in flight, its retries used) lives
+    on the :class:`~repro.mapreduce.job.TaskAttempt` record, so nothing
+    here is keyed by attempt id (DESIGN.md §10).
     """
 
     __slots__ = (
@@ -61,13 +67,8 @@ class TaskTracker:
         "_is_up",
         "_jobtracker",
         "_live",
-        "_exec_events",
-        "_transfers",
-        "_retry_events",
-        "_retries_used",
         "_busy_seconds",
         "_exec_factor",
-        "_exec_durations",
     )
 
     def __init__(
@@ -102,20 +103,12 @@ class TaskTracker:
         self._durability = durability
         self._is_up = True
         self._jobtracker: Optional["JobTracker"] = None
-        self._live: Dict[str, TaskAttempt] = {}
-        self._exec_events: Dict[str, EventHandle] = {}
-        self._transfers: Dict[str, Transfer] = {}
-        self._retry_events: Dict[str, EventHandle] = {}
-        self._retries_used: Dict[str, int] = {}
+        #: Attempts occupying slots, in the order they were given them.
+        self._live: Dict[TaskAttempt, None] = {}
         self._busy_seconds = 0.0
         #: Gray-node execution slowdown (1.0 = nominal). Applies to
         #: attempts *starting* execution while degraded.
         self._exec_factor = 1.0
-        #: Scheduled execution length per live attempt — useful time must
-        #: match the slot time actually occupied, so a slowed attempt's
-        #: completion credits its stretched duration, keeping the
-        #: conservation law exact.
-        self._exec_durations: Dict[str, float] = {}
 
     def bind(self, jobtracker: "JobTracker") -> None:
         """Attach the JobTracker (after construction, to break the cycle)."""
@@ -164,7 +157,7 @@ class TaskTracker:
 
     def live_attempts(self) -> "list[TaskAttempt]":
         """Snapshot of the attempts currently occupying slots (for audits)."""
-        return list(self._live.values())
+        return list(self._live)
 
     # -- execution ------------------------------------------------------------------
 
@@ -176,7 +169,7 @@ class TaskTracker:
             raise RuntimeError(f"{self._node_id} has no free slot for {attempt}")
         if attempt.node_id != self._node_id:
             raise ValueError(f"{attempt} belongs to {attempt.node_id}, not {self._node_id}")
-        self._live[attempt.attempt_id] = attempt
+        self._live[attempt] = None
         if attempt.source_node is None:
             self._start_exec(attempt)
         else:
@@ -186,30 +179,28 @@ class TaskTracker:
     def _start_fetch(self, attempt: TaskAttempt, source: NodeId) -> None:
         attempt.source_node = source
         attempt.fetch_started = self._sim.now
-        transfer = self._network.start_transfer(
+        attempt.transfer = self._network.start_transfer(
             source=source,
             destination=self._node_id,
             size_bytes=attempt.task.block.size_bytes,
             on_complete=lambda t, a=attempt: self._on_fetch_done(a, t),
             on_cancel=lambda t, a=attempt: self._on_fetch_cancelled(a, t),
-            label=f"fetch:{attempt.attempt_id}",
+            label="fetch",
         )
-        self._transfers[attempt.attempt_id] = transfer
 
     def _start_exec(self, attempt: TaskAttempt) -> None:
         attempt.state = AttemptState.RUNNING
         attempt.exec_started = self._sim.now
+        # Useful time must match the slot time actually occupied, so a
+        # slowed attempt's completion credits its stretched duration,
+        # keeping the conservation law exact.
         duration = attempt.task.gamma * self._exec_factor
-        self._exec_durations[attempt.attempt_id] = duration
-        self._exec_events[attempt.attempt_id] = self._sim.schedule(
-            duration,
-            lambda: self._on_exec_done(attempt),
-            label=f"exec:{attempt.attempt_id}",
+        attempt.timer = self._sim.schedule(
+            duration, lambda: self._on_exec_done(attempt, duration), label="exec"
         )
 
-    def _on_exec_done(self, attempt: TaskAttempt) -> None:
-        self._exec_events.pop(attempt.attempt_id, None)
-        duration = self._exec_durations.get(attempt.attempt_id, attempt.task.gamma)
+    def _on_exec_done(self, attempt: TaskAttempt, duration: float) -> None:
+        attempt.timer = None
         self._retire(attempt, AttemptState.SUCCEEDED)
         self._metrics.add_useful(duration)
         assert self._jobtracker is not None
@@ -218,7 +209,7 @@ class TaskTracker:
     def _on_fetch_done(self, attempt: TaskAttempt, transfer: Transfer) -> None:
         if attempt.state is not AttemptState.FETCHING:
             return  # already failed/killed; late completion is moot
-        self._transfers.pop(attempt.attempt_id, None)
+        attempt.transfer = None
         self._metrics.add_migration(transfer.duration)
         self._start_exec(attempt)
 
@@ -231,11 +222,11 @@ class TaskTracker:
         """
         if attempt.state is not AttemptState.FETCHING:
             return  # we initiated the cancel ourselves; already accounted
-        self._transfers.pop(attempt.attempt_id, None)
+        attempt.transfer = None
         assert attempt.fetch_started is not None
         self._metrics.add_migration(self._sim.now - attempt.fetch_started)
         assert self._jobtracker is not None
-        used = self._retries_used.get(attempt.attempt_id, 0)
+        used = attempt.fetch_retries
         if (
             self._is_up
             and used < self._fetch_retries
@@ -244,7 +235,7 @@ class TaskTracker:
             )
             is not None
         ):
-            self._retries_used[attempt.attempt_id] = used + 1
+            attempt.fetch_retries = used + 1
             if self._durability is not None:
                 self._durability.degraded_read_retries += 1
             # The attempt keeps its slot while waiting; fetch_started marks
@@ -252,10 +243,8 @@ class TaskTracker:
             # when it ends (retry fires, node dies, or speculation kills us).
             attempt.fetch_started = self._sim.now
             delay = self._fetch_backoff * (2.0 ** used)
-            self._retry_events[attempt.attempt_id] = self._sim.schedule(
-                delay,
-                lambda: self._refetch(attempt),
-                label=f"refetch:{attempt.attempt_id}",
+            attempt.timer = self._sim.schedule(
+                delay, lambda: self._refetch(attempt), label="refetch"
             )
             return
         self._retire(attempt, AttemptState.FAILED)
@@ -263,7 +252,7 @@ class TaskTracker:
 
     def _refetch(self, attempt: TaskAttempt) -> None:
         """Backoff elapsed: fetch again from the best surviving replica."""
-        self._retry_events.pop(attempt.attempt_id, None)
+        attempt.timer = None
         if attempt.state is not AttemptState.FETCHING or not self._is_up:
             return  # killed / node died while waiting; already accounted
         assert attempt.fetch_started is not None
@@ -312,22 +301,16 @@ class TaskTracker:
     def on_node_down(self, time: float) -> None:
         """The host was interrupted: every live attempt dies right now."""
         self._is_up = False
-        for attempt in list(self._live.values()):
+        for attempt in list(self._live):
             if attempt.state is AttemptState.RUNNING:
                 assert attempt.exec_started is not None
                 self._metrics.add_rework(self._sim.now - attempt.exec_started)
-                event = self._exec_events.pop(attempt.attempt_id, None)
-                if event is not None:
-                    event.cancel()
             elif attempt.state is AttemptState.FETCHING:
                 # An armed retry has no transfer; fetch_started then marks
                 # the start of the backoff wait, charged the same way.
                 assert attempt.fetch_started is not None
                 self._metrics.add_migration(self._sim.now - attempt.fetch_started)
             self._retire(attempt, AttemptState.FAILED)
-            transfer = self._transfers.pop(attempt.attempt_id, None)
-            if transfer is not None:
-                self._network.cancel(transfer)  # guarded: state is FAILED now
             assert self._jobtracker is not None
             self._jobtracker.on_attempt_failed(attempt)
 
@@ -344,16 +327,10 @@ class TaskTracker:
         if attempt.state is AttemptState.RUNNING:
             assert attempt.exec_started is not None
             self._metrics.add_duplicate(self._sim.now - attempt.exec_started)
-            event = self._exec_events.pop(attempt.attempt_id, None)
-            if event is not None:
-                event.cancel()
         elif attempt.state is AttemptState.FETCHING:
             assert attempt.fetch_started is not None
             self._metrics.add_migration(self._sim.now - attempt.fetch_started)
         self._retire(attempt, AttemptState.KILLED)
-        transfer = self._transfers.pop(attempt.attempt_id, None)
-        if transfer is not None:
-            self._network.cancel(transfer)
 
     # -- service lifecycle ---------------------------------------------------------------
 
@@ -363,7 +340,7 @@ class TaskTracker:
     def stop(self) -> None:
         """Kill every live attempt (teardown): frees exec timers, fetch
         transfers and armed retries so the simulator heap can drain."""
-        for attempt in list(self._live.values()):
+        for attempt in list(self._live):
             self.kill(attempt)
 
     def describe(self) -> Dict[str, object]:
@@ -378,15 +355,21 @@ class TaskTracker:
     # -- internals -----------------------------------------------------------------------
 
     def _retire(self, attempt: TaskAttempt, state: AttemptState) -> None:
+        """Free the attempt's slot: disarm its timer, then (with the
+        attempt already terminal, so the network's cancel callback is
+        moot) tear down its fetch."""
         attempt.retire(state, self._sim.now)
-        self._live.pop(attempt.attempt_id, None)
-        self._retries_used.pop(attempt.attempt_id, None)
-        self._exec_durations.pop(attempt.attempt_id, None)
-        retry = self._retry_events.pop(attempt.attempt_id, None)
-        if retry is not None:
-            retry.cancel()
+        self._live.pop(attempt, None)
+        timer = attempt.timer
+        if timer is not None:
+            attempt.timer = None
+            timer.cancel()
         assert attempt.finished_at is not None
         self._busy_seconds += attempt.finished_at - attempt.created_at
+        transfer = attempt.transfer
+        if transfer is not None:
+            attempt.transfer = None
+            self._network.cancel(transfer)
 
     def __repr__(self) -> str:
         state = "up" if self._is_up else "down"

@@ -558,7 +558,7 @@ class Network:
         transfer._event = self._sim.schedule(
             eta,
             lambda: self._complete_simple(transfer),
-            label=f"xfer-{transfer.transfer_id}",
+            label=f"xfer:{transfer.transfer_id}",
         )
 
     # -- service lifecycle -----------------------------------------------------------

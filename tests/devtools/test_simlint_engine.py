@@ -163,6 +163,16 @@ class TestSeverityAndSelect:
         result = lint_paths([tmp_path / "src"], root=tmp_path, select={"D005"})
         assert [d.code for d in result.diagnostics] == ["D005"]
 
+    def test_src_below_a_tests_directory_outside_root_is_source(self, tmp_path):
+        # Outside the root, the innermost category directory decides.
+        path = write(tmp_path, "tests/proj/src/mod.py", WALL_CLOCK)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        result = lint_paths([path.parent], root=elsewhere)
+        (diag,) = result.diagnostics
+        assert diag.severity == "error"
+        assert simlint_main([str(path.parent), "--root", str(elsewhere)]) == 1
+
 
 class TestDiscovery:
     def test_tree_under_a_dot_directory_is_linted(self, tmp_path):
@@ -370,6 +380,40 @@ class TestBaseline:
         capsys.readouterr()
         (entry,) = json.loads(baseline.read_text())["entries"]
         assert (entry["code"], entry["justification"]) == ("D002", "why D002")
+
+    def _justified_baseline(self, tmp_path):
+        """A two-entry baseline (D002 in mod.py, D001 in other.py), justified."""
+        write(tmp_path, "src/mod.py", WALL_CLOCK)
+        write(tmp_path, "src/other.py", "import random\n\nJITTER = random.random()\n")
+        baseline = tmp_path / "baseline.json"
+        argv = [str(tmp_path / "src"), "--root", str(tmp_path), "--baseline", str(baseline)]
+        assert simlint_main(argv + ["--write-baseline"]) == 0
+        document = json.loads(baseline.read_text())
+        for entry in document["entries"]:
+            entry["justification"] = f"why {entry['code']}"
+        baseline.write_text(json.dumps(document))
+        return baseline, document["entries"]
+
+    def test_write_baseline_under_select_keeps_unselected_entries(self, tmp_path, capsys):
+        baseline, entries = self._justified_baseline(tmp_path)
+        assert [e["code"] for e in entries] == ["D002", "D001"]
+        argv = [str(tmp_path / "src"), "--root", str(tmp_path), "--baseline", str(baseline)]
+        assert simlint_main(argv + ["--select", "D001", "--write-baseline"]) == 0
+        assert json.loads(baseline.read_text())["entries"] == entries
+        # Inside the run, entries are replaced: the D002 finding is fixed.
+        write(tmp_path, "src/mod.py", "VALUE = 1\n")
+        assert simlint_main(argv + ["--select", "D002", "--write-baseline"]) == 0
+        capsys.readouterr()
+        (entry,) = json.loads(baseline.read_text())["entries"]
+        assert (entry["code"], entry["justification"]) == ("D001", "why D001")
+
+    def test_write_baseline_over_a_subset_keeps_other_paths(self, tmp_path, capsys):
+        baseline, entries = self._justified_baseline(tmp_path)
+        mod = str(tmp_path / "src" / "mod.py")
+        argv = [mod, "--root", str(tmp_path), "--baseline", str(baseline)]
+        assert simlint_main(argv + ["--write-baseline"]) == 0
+        capsys.readouterr()
+        assert json.loads(baseline.read_text())["entries"] == entries
 
     def test_missing_baseline_file_exits_2(self, tmp_path, capsys):
         write(tmp_path, "src/mod.py", "VALUE = 1\n")

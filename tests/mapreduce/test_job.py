@@ -102,6 +102,9 @@ class TestAttemptLifecycle:
         a1 = task.new_attempt("n0", local=True, speculative=False, now=0.0)
         a2 = task.new_attempt("n1", local=True, speculative=False, now=0.0)
         assert a1.attempt_id != a2.attempt_id
+        # Derived from the task id and the attempt's ordinal, on read.
+        assert (a1.attempt_id, a2.attempt_id) == (f"{task.task_id}_a1", f"{task.task_id}_a2")
+        assert task.attempts == (a1, a2)
 
     def test_elapsed(self):
         job = make_job(1)

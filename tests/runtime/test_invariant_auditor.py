@@ -7,6 +7,7 @@ expected invariant name. A clean run must stay clean, strict mode must
 raise, and attaching the auditor must not change a seeded trajectory.
 """
 
+import copy
 import heapq
 import json
 import math
@@ -229,7 +230,7 @@ class TestAttemptFaults:
     def test_slot_overcommit_caught(self):
         cluster, tracker = self._cluster_with_live_attempt()
         attempt = tracker.live_attempts()[0]
-        tracker._live["phantom"] = attempt  # same attempt twice: 2 > 1 slot
+        tracker._live[copy.copy(attempt)] = None  # a phantom twin: 2 > 1 slot
         names = violation_names(cluster.auditor.audit())
         assert "slot-overcommit" in names
 

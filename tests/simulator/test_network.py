@@ -147,6 +147,15 @@ class TestSimpleMode:
         for t in c.completed:
             assert t.finished_at == pytest.approx(10.0)
 
+    def test_completion_label_kind_is_xfer(self):
+        # Per-kind counters key on the text before ":", so the transfer id
+        # must follow it: every completion then counts as one kind.
+        sim, net = setup_net(fair=False, up=100.0)
+        transfer = net.start_transfer("src", "d1", 1000.0, lambda t: None)
+        assert transfer._event is not None
+        kind, _, ident = transfer._event.label.partition(":")
+        assert (kind, ident) == ("xfer", str(transfer.transfer_id))
+
 
 class TestCancellation:
     @pytest.mark.parametrize("fair", [True, False])
