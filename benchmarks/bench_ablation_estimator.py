@@ -7,11 +7,8 @@ them exactly? We warm the estimators for 10 simulated minutes (the paper's
 NameNode accumulates them continuously in production), then ingest and run.
 """
 
-import pytest
-
 from benchmarks.conftest import FULL, run_once
-from repro.experiments.config import EmulationConfig, Strategy
-from repro.experiments.emulation import run_emulation_point
+from repro.experiments.config import EmulationConfig
 from repro.runtime.runner import run_map_phase
 from repro.util.tables import format_table
 

@@ -6,9 +6,7 @@ availability-aware MapReduce scheduling algorithms"; this quantifies it on
 top of both placements.
 """
 
-import pytest
-
-from benchmarks.conftest import FULL, emulation_base, emulation_repetitions, run_once
+from benchmarks.conftest import emulation_base, emulation_repetitions, run_once
 from repro.mapreduce.job import JobConf
 from repro.runtime.runner import run_map_phase
 from repro.util.stats import mean

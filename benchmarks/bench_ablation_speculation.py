@@ -7,8 +7,6 @@ speculation much harder than ADAPT, because random placement strands more
 work on doomed nodes.
 """
 
-import pytest
-
 from benchmarks.conftest import emulation_base, emulation_repetitions, run_once
 from repro.runtime.runner import run_map_phase
 from repro.util.stats import mean

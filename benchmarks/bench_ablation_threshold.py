@@ -11,10 +11,6 @@ fidelity"). We measure both sides: map elapsed time AND the storage skew
   bounding skew at the cost of some elapsed time).
 """
 
-import math
-
-import pytest
-
 from benchmarks.conftest import FULL, run_once, simulation_base
 from repro.core.placement import AdaptPlacement
 from repro.experiments.config import EmulationConfig

@@ -7,8 +7,6 @@ the default point, and that existing(2) is competitive with ADAPT(1) — the
 paper's storage-efficiency trade-off.
 """
 
-import pytest
-
 from benchmarks.conftest import (
     EMULATION_STRATEGIES,
     emulation_bandwidth_values,

@@ -8,8 +8,6 @@ when 1/2 nodes are interrupted"); ADAPT keeps a locality edge even at the
 highest bandwidth ("a constant advantage of data locality").
 """
 
-import pytest
-
 from benchmarks.conftest import (
     EMULATION_STRATEGIES,
     emulation_bandwidth_values,

@@ -17,8 +17,6 @@ Asserted paper shapes:
   performance for larger block size").
 """
 
-import pytest
-
 from benchmarks.conftest import (
     SIMULATION_STRATEGIES,
     run_once,

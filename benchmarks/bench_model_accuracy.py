@@ -15,7 +15,7 @@ import math
 import pytest
 
 from benchmarks.conftest import FULL, run_once
-from repro.availability.generator import HostAvailability, build_group_hosts, table2_groups
+from repro.availability.generator import build_group_hosts, table2_groups
 from repro.core.model import expected_task_time, monte_carlo_task_time
 from repro.core.placement import RandomPlacement
 from repro.mapreduce.job import JobConf, MapJob

@@ -12,7 +12,6 @@ blended with a prior so that cold-start placement is sane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.util.validation import check_non_negative, check_positive
 

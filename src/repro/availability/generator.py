@@ -8,7 +8,7 @@ per-host availability descriptions the cluster builder consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from repro.availability.distributions import Distribution, Exponential

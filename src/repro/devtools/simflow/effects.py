@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -264,10 +265,21 @@ class _Extractor:
         effects = Effects(key=key, module=module.path, line=func.lineno)
         scope = self.corpus.scope(info, func)
 
-        # Pre-pass: targets that imply a read as well as a write.
+        # One ``ast.walk``-order pass: a target that implies a read as well
+        # as a write is flagged by an ancestor, and the walk reaches every
+        # ancestor before its descendants.
         aug_reads: Set[int] = set()
         subscript_writes: Set[int] = set()
-        for node in ast.walk(func):
+        in_targets: Set[int] = set()  # nodes inside an assignment target
+        todo = deque([func])
+        while todo:
+            node = todo.popleft()
+            children = list(ast.iter_child_nodes(node))
+            todo.extend(children)
+            if id(node) in in_targets:
+                in_targets.update(map(id, children))
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+                    subscript_writes.add(id(node.value))
             if isinstance(node, ast.AugAssign):
                 if isinstance(node.target, ast.Attribute):
                     aug_reads.add(id(node.target))
@@ -276,21 +288,14 @@ class _Extractor:
                 ):
                     subscript_writes.add(id(node.target.value))
             elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Subscript) and isinstance(
-                            sub.value, ast.Attribute
-                        ):
-                            subscript_writes.add(id(sub.value))
+                in_targets.update(map(id, node.targets))
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript) and isinstance(
                         target.value, ast.Attribute
                     ):
                         subscript_writes.add(id(target.value))
-
-        for node in ast.walk(func):
-            if isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute):
                 self._record_attribute(
                     node,
                     effects,

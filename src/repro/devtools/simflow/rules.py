@@ -21,7 +21,7 @@ Exemptions are part of the contract the rules enforce, not loopholes:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.devtools.simflow.effects import DYNAMIC_PUBLISH
 from repro.devtools.simlint.busgraph import BusGraph, SubscribeSite
@@ -253,6 +253,15 @@ class RngDiscipline(ProjectRule):
                     )
 
 
+class _PoolScope(NamedTuple):
+    """What one function's body binds and ships (see PoolCaptureHazard)."""
+
+    pools: Set[str]
+    nested: Set[str]
+    #: Pool-method calls: the call, the receiver name and the method.
+    ships: List[Tuple[ast.Call, str, str]]
+
+
 #: Pool-constructor names whose submit/map arguments must be picklable
 #: module-level functions.
 _POOL_CONSTRUCTORS = {"ProcessPoolExecutor", "SweepExecutor"}
@@ -275,50 +284,63 @@ class PoolCaptureHazard(ModuleRule):
     summary = "closure or bound method shipped to a process-pool fan-out"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in module.nodes:
+        # Pools are bound from a constructor call or an annotation naming
+        # one; a module with neither has nothing to check.
+        if not any(
+            self._is_pool_expr(node)
+            or (isinstance(node, ast.AnnAssign) and terminal(node.annotation) in _POOL_CONSTRUCTORS)
+            for node in module.nodes
+        ):
+            return
+        # One walk: a node counts toward every function enclosing it, so
+        # a function's scope covers its nested functions too.
+        scopes: List[_PoolScope] = []
+        todo: List[Tuple[ast.AST, Tuple[_PoolScope, ...]]] = [(module.tree, ())]
+        while todo:
+            node, enclosing = todo.pop()
+            inner = enclosing
+            pool: Optional[str] = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_scope(node)
-
-    def _check_scope(self, func: ast.AST) -> Iterator[Finding]:
-        assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        pools: Set[str] = set()
-        nested: Set[str] = set()
-        for node in ast.walk(func):
-            if node is not func and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested.add(node.name)
+                for scope in enclosing:
+                    scope.nested.add(node.name)
+                scopes.append(_PoolScope(set(), set(), []))
+                inner = enclosing + (scopes[-1],)
             elif isinstance(node, ast.withitem) and node.optional_vars is not None:
                 if self._is_pool_expr(node.context_expr) and isinstance(
                     node.optional_vars, ast.Name
                 ):
-                    pools.add(node.optional_vars.id)
+                    pool = node.optional_vars.id
             elif isinstance(node, ast.Assign) and len(node.targets) == 1:
                 if self._is_pool_expr(node.value) and isinstance(node.targets[0], ast.Name):
-                    pools.add(node.targets[0].id)
+                    pool = node.targets[0].id
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 if terminal(node.annotation) in _POOL_CONSTRUCTORS:
-                    pools.add(node.target.id)
-        if not pools:
-            return
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            call_func = node.func
-            if not (
-                isinstance(call_func, ast.Attribute)
-                and call_func.attr in _POOL_SHIP_METHODS
-                and isinstance(call_func.value, ast.Name)
-                and call_func.value.id in pools
+                    pool = node.target.id
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _POOL_SHIP_METHODS
+                and isinstance(node.func.value, ast.Name)
                 and node.args
             ):
-                continue
-            problem = self._shipped_problem(node.args[0], nested)
-            if problem is not None:
-                yield Finding(
-                    node.lineno,
-                    node.col_offset,
-                    f"process-pool {call_func.attr}() ships {problem}; pass a "
-                    "module-level function (share-nothing, picklable) instead",
-                )
+                for scope in enclosing:
+                    scope.ships.append((node, node.func.value.id, node.func.attr))
+            if pool is not None:
+                for scope in enclosing:
+                    scope.pools.add(pool)
+            todo.extend((child, inner) for child in ast.iter_child_nodes(node))
+        for scope in scopes:
+            for node, pool_name, method in scope.ships:
+                if pool_name not in scope.pools:
+                    continue
+                problem = self._shipped_problem(node.args[0], scope.nested)
+                if problem is not None:
+                    yield Finding(
+                        node.lineno,
+                        node.col_offset,
+                        f"process-pool {method}() ships {problem}; pass a "
+                        "module-level function (share-nothing, picklable) instead",
+                    )
 
     def _is_pool_expr(self, expr: ast.AST) -> bool:
         return isinstance(expr, ast.Call) and terminal(expr.func) in _POOL_CONSTRUCTORS

@@ -38,6 +38,9 @@ FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: Annotations whose last type argument is the value class.
 _MAPPINGS = {"Dict", "dict", "Mapping", "MutableMapping", "defaultdict"}
 
+#: One binding site: (target, assigned value, annotation).
+_Assignment = Tuple[ast.AST, Optional[ast.AST], Optional[ast.AST]]
+
 
 def dotted(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for Name/Attribute chains, else None."""
@@ -151,11 +154,12 @@ class Corpus:
         self.field_types: Dict[str, Dict[str, str]] = {}
         #: class -> field -> value class of a Dict-typed field.
         self.field_dict_values: Dict[str, Dict[str, str]] = {}
-        # Two passes: pass 2 resolves fields assigned from other fields,
-        # e.g. ``self._pred = self._namenode.predictor``.
+        # Two passes over one walk per method: pass 2 resolves fields
+        # assigned from other fields, e.g. ``self._pred = self._namenode.predictor``.
+        assignments: Dict[int, List[_Assignment]] = {}
         for _ in range(2):
             for name in sorted(self.classes):
-                self._harvest_fields(self.classes[name])
+                self._harvest_fields(self.classes[name], assignments)
 
     @cached_property
     def graph(self) -> "BusGraph":
@@ -236,7 +240,9 @@ class Corpus:
                 return self.class_of(info.methods[attr].returns)
         return None
 
-    def _harvest_fields(self, info: ClassInfo) -> None:
+    def _harvest_fields(self, info: ClassInfo, assignments: Dict[int, List[_Assignment]]) -> None:
+        """Bind annotated and ``self.x = ...`` fields (``assignments``
+        memoises each method's binding sites in walk order)."""
         types = self.field_types.setdefault(info.name, {})
         dict_values = self.field_dict_values.setdefault(info.name, {})
         for item in info.node.body:
@@ -245,14 +251,15 @@ class Corpus:
         for method_name in sorted(info.methods):
             method = info.methods[method_name]
             scope = self._parameters(info, method)
-            for node in ast.walk(method):
-                target: Optional[ast.AST] = None
-                value: Optional[ast.AST] = None
-                annotation: Optional[ast.AST] = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign):
-                    target, value, annotation = node.target, node.value, node.annotation
+            found = assignments.get(id(method))
+            if found is None:
+                found = assignments[id(method)] = []
+                for node in ast.walk(method):
+                    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                        found.append((node.targets[0], node.value, None))
+                    elif isinstance(node, ast.AnnAssign):
+                        found.append((node.target, node.value, node.annotation))
+            for target, value, annotation in found:
                 if (
                     isinstance(target, ast.Attribute)
                     and isinstance(target.value, ast.Name)
@@ -309,7 +316,7 @@ class Corpus:
 
     def _collect_locals(self, body: List[ast.stmt], scope: Scope) -> None:
         """Order-insensitive local binds (two passes for chains)."""
-        assigns: List[Tuple[ast.AST, Optional[ast.AST], Optional[ast.AST]]] = []
+        assigns: List[_Assignment] = []
         loops: List[Tuple[ast.AST, ast.AST]] = []
         for stmt in body:
             for node in ast.walk(stmt):

@@ -9,7 +9,7 @@ dominates), complementing the numeric tables in
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.experiments.results import SweepResult
 

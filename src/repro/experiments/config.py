@@ -12,7 +12,7 @@ task time, with hosts drawn from the Table-1-calibrated SETI@home model.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.availability.generator import HostAvailability, build_group_hosts
 from repro.availability.seti import SetiModelParams, SetiTraceGenerator

@@ -7,7 +7,7 @@ one block per strategy with the component breakdown (Figure 5 bars).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.experiments.results import SweepResult
 from repro.util.tables import format_table

@@ -9,7 +9,7 @@ variance can be inspected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.runtime.runner import MapPhaseResult
 from repro.util.stats import mean

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.ids import NodeId
 from repro.hdfs.namenode import NameNode
 from repro.simulator.events import BlockLost, EventBus, PermanentFailure
 from repro.simulator.metrics import DurabilityMetrics

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.ids import NodeId
-from repro.core.predictor import PerformancePredictor
 from repro.hdfs.namenode import NameNode
 from repro.simulator.engine import EventHandle, Simulator
 from repro.simulator.events import (
@@ -100,14 +99,15 @@ class HeartbeatService:
         """Start heartbeating for a node (assumed up now)."""
         if node_id in self._is_up:
             raise ValueError(f"node {node_id!r} already tracked")
+        now = self._sim.now
         self._is_up[node_id] = True
         self._down_since[node_id] = None
-        self._last_beat[node_id] = self._sim.now
-        self._beat_actions[node_id] = lambda: self._beat(node_id)
-        self._beat_labels[node_id] = f"beat:{node_id}"
+        self._last_beat[node_id] = now
+        action = self._beat_actions[node_id] = lambda: self._beat(node_id)
+        label = self._beat_labels[node_id] = f"beat:{node_id}"
         self._watchdogs[node_id] = None
-        self._schedule_beat(node_id)
-        self._arm_watchdog(node_id)
+        self._beat_events[node_id] = self._sim.schedule_at(now + self._interval, action, label)
+        self._watchdog_seqs[node_id] = self._sim.reserve()
 
     def untrack(self, node_id: NodeId) -> None:
         """Stop heartbeating for one node and disarm its events.
@@ -238,19 +238,13 @@ class HeartbeatService:
 
     # -- internals ------------------------------------------------------------------
 
-    def _schedule_beat(self, node_id: NodeId) -> None:
-        self._beat_events[node_id] = self._sim.schedule_at(
-            self._sim.now + self._interval,
-            self._beat_actions[node_id],
-            self._beat_labels[node_id],
-        )
-
     def _beat(self, node_id: NodeId, returning: bool = False) -> None:
         if not self._is_up.get(node_id, False):
             return
-        if self._suppress_counts.get(node_id):
+        if node_id in self._suppress_counts:
             return  # beat lost in transit (partitioned); watchdog runs on
-        now = self._sim.now
+        sim = self._sim
+        now = sim.now
         predictor = self._namenode.predictor
         down_since = self._down_since[node_id]
         if returning and down_since is not None:
@@ -265,18 +259,17 @@ class HeartbeatService:
         if not self._namenode.is_live(node_id):
             self._namenode.mark_alive(node_id)
             self._bus.publish(NodeReturned(time=now, node_id=node_id))
-        self._schedule_beat(node_id)
-        self._arm_watchdog(node_id)
-
-    def _arm_watchdog(self, node_id: NodeId) -> None:
-        """Re-arm the watchdog at ``last_beat + timeout`` by reserving its
-        sequence number; a watchdog already queued (beats had stopped) is
-        revoked by this beat."""
+        # Re-arm in this frame, beat number first as in :meth:`track`: the
+        # next beat, then the watchdog's number for ``last_beat + timeout``.
+        # A watchdog already queued (beats had stopped) is revoked here.
+        self._beat_events[node_id] = sim.schedule_at(
+            now + self._interval, self._beat_actions[node_id], self._beat_labels[node_id]
+        )
         queued = self._watchdogs.get(node_id)
         if queued is not None:
             queued.cancel()
             self._watchdogs[node_id] = None
-        self._watchdog_seqs[node_id] = self._sim.reserve()
+        self._watchdog_seqs[node_id] = sim.reserve()
 
     def _stop_beats(self, node_id: NodeId) -> None:
         """The node's beats stop reaching the collector: cancel the next

@@ -8,7 +8,8 @@ an availability-aware policy driven by the Performance Predictor.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.ids import NodeId
 from repro.core.placement import NodeView, PlacementPolicy
@@ -46,6 +47,7 @@ class NameNode:
         #: there is one per block, and holder sets change only on the rare
         #: re-replication, GC, move or purge, which rebuild it.
         self._locations: Dict[str, Tuple[NodeId, ...]] = {}
+        self._locations_view = MappingProxyType(self._locations)
         self._live: Dict[NodeId, bool] = {}
 
     # -- membership -------------------------------------------------------------
@@ -174,6 +176,12 @@ class NameNode:
         del self._files[name]
 
     # -- block locations ---------------------------------------------------------------
+
+    @property
+    def locations(self) -> Mapping[str, Tuple[NodeId, ...]]:
+        """Read-only live view, block id -> holders in landing order: the
+        task path's locality query (a replica change rebinds the tuple)."""
+        return self._locations_view
 
     def replica_holders(self, block_id: str) -> Set[NodeId]:
         """All nodes holding a replica (regardless of liveness)."""

@@ -43,10 +43,6 @@ class AttemptState(enum.Enum):
     KILLED = "killed"      # lost a speculation race / job torn down
 
 
-#: Attempt states that still occupy a slot.
-LIVE_ATTEMPT_STATES = frozenset({AttemptState.FETCHING, AttemptState.RUNNING})
-
-
 @dataclass(frozen=True)
 class JobConf:
     """Tunables of the MapReduce runtime.
@@ -114,11 +110,16 @@ class TaskAttempt:
 
     def retire(self, state: AttemptState, now: float) -> None:
         """Move to a terminal state and drop out of the task's live set."""
-        if state in LIVE_ATTEMPT_STATES:
+        if state is AttemptState.FETCHING or state is AttemptState.RUNNING:
             raise ValueError(f"{state} is not a terminal attempt state")
         self.state = state
         self.finished_at = now
-        self.task.drop_live(self)
+        task = self.task
+        live = task.live
+        if live == (self,):
+            task.live = ()  # the common case: the task's only attempt
+        elif self in live:
+            task.live = tuple(a for a in live if a is not self)
 
     def elapsed(self, now: float) -> float:
         """Wall time since the attempt was created."""
@@ -136,9 +137,12 @@ class MapTask:
     Identity semantics (``eq=False``) so tasks can key dicts/sets.
 
     One slotted record per task (DESIGN.md §10): ``attempts`` (every
-    attempt, in creation order) and ``_live`` (the attempts still holding
+    attempt, in creation order) and ``live`` (the attempts still holding
     a slot) are tuples, rebuilt on the rare attempt event, so a finished
-    task holds one small tuple and the shared empty one.
+    task holds one small tuple and the shared empty one. Read ``live``
+    freely (a reader may iterate it while attempts retire, since a
+    retirement rebinds it); only :meth:`new_attempt` and
+    :meth:`TaskAttempt.retire` assign it.
     """
 
     task_id: str
@@ -147,28 +151,21 @@ class MapTask:
     state: TaskState = TaskState.PENDING
     attempts: Tuple[TaskAttempt, ...] = ()
     completed_by: Optional[TaskAttempt] = None
-    _live: Tuple[TaskAttempt, ...] = ()
+    live: Tuple[TaskAttempt, ...] = ()
 
     def __post_init__(self) -> None:
-        check_positive("gamma", self.gamma)
+        # One task per block: the passing check runs inline, and the
+        # validator is called only to raise its error.
+        if not float(self.gamma) > 0:
+            check_positive("gamma", self.gamma)
 
     @property
     def is_completed(self) -> bool:
         return self.state is TaskState.COMPLETED
 
-    def live_attempts(self) -> List[TaskAttempt]:
-        return list(self._live)
-
-    def has_live_attempt(self) -> bool:
-        return bool(self._live)
-
-    def drop_live(self, attempt: TaskAttempt) -> None:
-        """Remove a retired attempt from the live set (idempotent)."""
-        self._live = tuple(a for a in self._live if a is not attempt)
-
     def speculative_count(self) -> int:
         """Live speculative attempts currently racing."""
-        return sum(1 for a in self._live if a.speculative)
+        return sum(1 for a in self.live if a.speculative)
 
     def new_attempt(
         self,
@@ -189,7 +186,7 @@ class MapTask:
             source_node=source_node,
         )
         self.attempts += (attempt,)
-        self._live += (attempt,)
+        self.live += (attempt,)
         return attempt
 
     def __repr__(self) -> str:
@@ -208,7 +205,7 @@ class MapJob:
         self._conf = conf
         self._file = input_file
         self._tasks = [
-            MapTask(task_id=f"{conf.name}_m{block.index:06d}", block=block, gamma=gamma)
+            MapTask(f"{conf.name}_m{block.index:06d}", block, gamma)
             for block, gamma in zip(input_file.blocks, gammas, strict=True)
         ]
         self.submitted_at: Optional[float] = None

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.ids import NodeId
 from repro.core.predictor import PerformancePredictor
 from repro.hdfs.namenode import NameNode
-from repro.mapreduce.job import AttemptState, MapJob, MapTask, TaskAttempt, TaskState
+from repro.mapreduce.job import MapJob, MapTask, TaskAttempt, TaskState
 from repro.mapreduce.scheduler import SchedulerContext, TaskScheduler, make_scheduler
 from repro.mapreduce.speculation import SpeculationPolicy
 from repro.mapreduce.tasktracker import TaskTracker
@@ -72,6 +72,7 @@ class JobTracker(SchedulerContext):
     ) -> None:
         self._sim = sim
         self._namenode = namenode
+        self._locations = namenode.locations
         self._network = network
         self._trackers = dict(sorted(trackers.items()))
         self._metrics = metrics
@@ -98,6 +99,9 @@ class JobTracker(SchedulerContext):
         self._busy_baseline: Dict[NodeId, float] = {}
         self._completed = 0
         self._abandoned = 0
+        self._num_tasks = 0
+        #: Halt the simulator at the job's finish (armed by run_until_job_done only).
+        self.halt_on_finish = False
         #: Blocks with zero surviving physical replicas — storage-level
         #: fact, so it survives across jobs.
         self._lost_blocks: Set[str] = set()
@@ -136,6 +140,7 @@ class JobTracker(SchedulerContext):
         self._limbo.clear()
         self._idle.clear()
         self._completed = 0
+        self._num_tasks = job.num_tasks
         job.submitted_at = self._sim.now
         self._busy_baseline = {}
         for node_id, tracker in self._trackers.items():
@@ -164,16 +169,16 @@ class JobTracker(SchedulerContext):
     def is_assignable(self, task: MapTask) -> bool:
         return task.state is TaskState.PENDING
 
-    def holders(self, task: MapTask) -> Sequence[str]:
-        return sorted(self._namenode.replica_holders(task.block.block_id))
+    def holders(self, task: MapTask) -> Sequence[NodeId]:
+        return self._locations[task.block.block_id]
 
-    def readable_holders(self, task: MapTask) -> Sequence[str]:
+    def readable_holders(self, task: MapTask) -> Sequence[NodeId]:
         block_id = task.block.block_id
         # A holder whose physical storage lost the block (permanently failed
         # node, wiped but not yet purged from the location map) can never
         # serve it — even under soft access_during_downtime semantics.
         holders = [
-            h for h in self.holders(task) if self._namenode.datanode(h).has_block(block_id)
+            h for h in self._locations[block_id] if self._namenode.datanode(h).has_block(block_id)
         ]
         if self._access_down:
             return holders
@@ -197,8 +202,10 @@ class JobTracker(SchedulerContext):
         pool = [h for h in sources if h != exclude] or sources
         return self.choose_source(task, pool)
 
-    def choose_source(self, task: MapTask, sources: Sequence[str]) -> str:
+    def choose_source(self, task: MapTask, sources: Sequence[NodeId]) -> NodeId:
         """Stream from the least-loaded replica (ties broken lexically)."""
+        if len(sources) == 1:
+            return sources[0]  # a lone replica needs no ranking
         return min(sources, key=lambda h: (self._network.outgoing_count(h), h))
 
     def holder_unavailability(self, node_id: NodeId) -> float:
@@ -208,24 +215,24 @@ class JobTracker(SchedulerContext):
     def _note_task_state(self, task: MapTask, node_id: Optional[NodeId] = None) -> None:
         """Publish a :class:`TaskStateChange` (observability only).
 
-        Guarded by :meth:`EventBus.wants` so the hot path pays nothing —
-        not even event construction — when no tap or handler listens.
+        Callers guard it with :meth:`EventBus.wants`, so the hot path pays
+        nothing, not even this call, when no tap or handler listens.
         """
-        if self._bus.wants(TaskStateChange):
-            self._bus.publish(
-                TaskStateChange(
-                    time=self._sim.now,
-                    task_id=task.task_id,
-                    state=task.state.name,
-                    node_id=node_id,
-                )
+        self._bus.publish(
+            TaskStateChange(
+                time=self._sim.now,
+                task_id=task.task_id,
+                state=task.state.name,
+                node_id=node_id,
             )
+        )
 
     # -- assignment -------------------------------------------------------------------
 
     def try_assign(self, node_id: NodeId) -> None:
         """Hand the node as much work as its slots allow."""
-        if self._stopped or self._job is None or self.is_done or self._scheduler is None:
+        job = self._job
+        if self._stopped or job is None or job.finished_at is not None or self._scheduler is None:
             return
         tracker = self._trackers[node_id]
         if not tracker.is_up:
@@ -264,7 +271,8 @@ class JobTracker(SchedulerContext):
             self._metrics.speculative_attempts += 1
         task.state = TaskState.RUNNING
         self._running[task] = None
-        self._note_task_state(task, node_id)
+        if self._bus.wants(TaskStateChange):
+            self._note_task_state(task, node_id)
         self._trackers[node_id].execute(attempt)
 
     def _straggler_candidates(self) -> List[MapTask]:
@@ -285,7 +293,7 @@ class JobTracker(SchedulerContext):
                     continue
                 if task.speculative_count() >= self._speculation.max_per_task:
                     continue
-                live = task.live_attempts()
+                live = task.live
                 if live:
                     scored.append((1, -max(a.elapsed(now) for a in live), task))
                 else:
@@ -320,20 +328,20 @@ class JobTracker(SchedulerContext):
     def on_attempt_succeeded(self, attempt: TaskAttempt) -> None:
         """A TaskTracker finished an attempt."""
         task: MapTask = attempt.task
-        if task.is_completed:
+        if task.state is TaskState.COMPLETED:
             return
         task.state = TaskState.COMPLETED
         task.completed_by = attempt
         self._running.pop(task, None)
-        self._note_task_state(task, attempt.node_id)
+        if self._bus.wants(TaskStateChange):
+            self._note_task_state(task, attempt.node_id)
         self._completed += 1
         self._metrics.record_completion(local=attempt.local)
         freed = [attempt.node_id]
-        for other in task.live_attempts():
+        for other in task.live:
             self._trackers[other.node_id].kill(other)
             freed.append(other.node_id)
-        assert self._job is not None
-        if self._completed + self._abandoned == self._job.num_tasks:
+        if self._completed + self._abandoned == self._num_tasks:
             self._finish()
             return
         for node_id in freed:
@@ -357,7 +365,7 @@ class JobTracker(SchedulerContext):
             self._limbo.setdefault(node_id, []).append(attempt)
 
     def _maybe_requeue(self, task: MapTask) -> None:
-        if task.is_completed or task.has_live_attempt():
+        if task.is_completed or task.live:
             return
         if task.state is TaskState.ABANDONED:
             return
@@ -368,7 +376,8 @@ class JobTracker(SchedulerContext):
             return  # already queued
         task.state = TaskState.PENDING
         self._running.pop(task, None)
-        self._note_task_state(task)
+        if self._bus.wants(TaskStateChange):
+            self._note_task_state(task)
         assert self._scheduler is not None
         holders = sorted(self.holders(task))
         self._scheduler.enqueue(task, holders)
@@ -392,10 +401,10 @@ class JobTracker(SchedulerContext):
             return
         task.state = TaskState.ABANDONED
         self._running.pop(task, None)
-        self._note_task_state(task)
+        if self._bus.wants(TaskStateChange):
+            self._note_task_state(task)
         self._abandoned += 1
-        assert self._job is not None
-        if self._completed + self._abandoned == self._job.num_tasks:
+        if self._completed + self._abandoned == self._num_tasks:
             self._finish()
 
     def on_block_lost(self, block_id: str) -> None:
@@ -411,7 +420,7 @@ class JobTracker(SchedulerContext):
         task = self._tasks_by_block.get(block_id)
         if task is None or task.is_completed:
             return
-        if not task.has_live_attempt():
+        if not task.live:
             self._abandon(task)
 
     # -- bus adapters ---------------------------------------------------------------------
@@ -543,6 +552,8 @@ class JobTracker(SchedulerContext):
         self._metrics.add_idle(idle_total)
         if self._on_complete is not None:
             self._on_complete(job)
+        if self.halt_on_finish:
+            self._sim.halt()
 
     # -- service lifecycle --------------------------------------------------------------------
 

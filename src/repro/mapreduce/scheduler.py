@@ -35,15 +35,15 @@ class SchedulerContext(ABC):
         """Pending, not completed, and with no live attempt."""
 
     @abstractmethod
-    def holders(self, task: MapTask) -> Sequence[str]:
-        """All replica holders of the task's block."""
+    def holders(self, task: MapTask) -> Sequence[NodeId]:
+        """All replica holders of the task's block (sort it for an order)."""
 
     @abstractmethod
-    def readable_holders(self, task: MapTask) -> Sequence[str]:
+    def readable_holders(self, task: MapTask) -> Sequence[NodeId]:
         """Holders whose stored replica can currently be streamed."""
 
     @abstractmethod
-    def choose_source(self, task: MapTask, sources: Sequence[str]) -> str:
+    def choose_source(self, task: MapTask, sources: Sequence[NodeId]) -> NodeId:
         """Pick the replica to stream from."""
 
     @abstractmethod
@@ -55,7 +55,7 @@ class TaskScheduler(ABC):
     """Owns the pending-task structures and picks work for idle nodes."""
 
     @abstractmethod
-    def enqueue(self, task: MapTask, holders: Sequence[str]) -> None:
+    def enqueue(self, task: MapTask, holders: Sequence[NodeId]) -> None:
         """Add a (newly pending or requeued) task."""
 
     @abstractmethod
@@ -82,7 +82,7 @@ class LocalityFirstScheduler(TaskScheduler):
         self._global: Deque[MapTask] = deque()
         self._blocked: List[MapTask] = []
 
-    def enqueue(self, task: MapTask, holders: Sequence[str]) -> None:
+    def enqueue(self, task: MapTask, holders: Sequence[NodeId]) -> None:
         for node_id in holders:
             self._local.setdefault(node_id, deque()).append(task)
         self._global.append(task)

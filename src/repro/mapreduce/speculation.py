@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.ids import NodeId
 from repro.mapreduce.job import MapTask
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_non_negative
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class SpeculationPolicy:
         """
         if not self.enabled or task.is_completed:
             return False
-        live = task.live_attempts()
+        live = task.live
         if not live:
             return True
         threshold_ok = True
@@ -93,6 +93,6 @@ class SpeculationPolicy:
             return False
         if task.speculative_count() >= self.max_per_task:
             return False
-        if any(a.node_id == node_id for a in task.live_attempts()):
+        if any(a.node_id == node_id for a in task.live):
             return False
         return True

@@ -61,6 +61,7 @@ class TaskTracker:
         "_network",
         "_metrics",
         "_slots",
+        "free_slots",
         "_fetch_retries",
         "_fetch_backoff",
         "_durability",
@@ -98,6 +99,8 @@ class TaskTracker:
         self._network = network
         self._metrics = metrics
         self._slots = slots
+        #: ``slots - len(_live)``, kept by execute and _retire (read it, never assign it).
+        self.free_slots = slots
         self._fetch_retries = fetch_retries
         self._fetch_backoff = fetch_backoff
         self._durability = durability
@@ -142,10 +145,6 @@ class TaskTracker:
         return self._slots
 
     @property
-    def free_slots(self) -> int:
-        return self._slots - len(self._live)
-
-    @property
     def busy_seconds(self) -> float:
         """Cumulative slot-occupied time of terminal attempts (for idle
         accounting); live attempts are folded in when they end."""
@@ -170,6 +169,7 @@ class TaskTracker:
         if attempt.node_id != self._node_id:
             raise ValueError(f"{attempt} belongs to {attempt.node_id}, not {self._node_id}")
         self._live[attempt] = None
+        self.free_slots -= 1
         if attempt.source_node is None:
             self._start_exec(attempt)
         else:
@@ -189,14 +189,15 @@ class TaskTracker:
         )
 
     def _start_exec(self, attempt: TaskAttempt) -> None:
+        sim = self._sim
         attempt.state = AttemptState.RUNNING
-        attempt.exec_started = self._sim.now
+        attempt.exec_started = now = sim.now
         # Useful time must match the slot time actually occupied, so a
         # slowed attempt's completion credits its stretched duration,
         # keeping the conservation law exact.
         duration = attempt.task.gamma * self._exec_factor
-        attempt.timer = self._sim.schedule(
-            duration, lambda: self._on_exec_done(attempt, duration), label="exec"
+        attempt.timer = sim.schedule_at(
+            now + duration, lambda: self._on_exec_done(attempt, duration), "exec"
         )
 
     def _on_exec_done(self, attempt: TaskAttempt, duration: float) -> None:
@@ -359,7 +360,9 @@ class TaskTracker:
         attempt already terminal, so the network's cancel callback is
         moot) tear down its fetch."""
         attempt.retire(state, self._sim.now)
-        self._live.pop(attempt, None)
+        if attempt in self._live:
+            del self._live[attempt]
+            self.free_slots += 1
         timer = attempt.timer
         if timer is not None:
             attempt.timer = None

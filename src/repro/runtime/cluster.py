@@ -387,8 +387,9 @@ class Cluster:
         """Advance the simulation until the submitted job finishes.
 
         The failure injector's event stream is endless, so "run until the
-        heap drains" never terminates; this helper runs until the
-        JobTracker reports completion (or the safety budget trips).
+        heap drains" never terminates; this helper arms the JobTracker to
+        halt the simulator when the job finishes, so the run ends right
+        after the event that finished it (or when the safety budget trips).
 
         The livelock error fires once more than ``max_events`` events
         have run, even when that last event finished the job.
@@ -398,9 +399,13 @@ class Cluster:
         after it went unsimulated and the result would be silently skewed.
         """
         jobtracker = self.jobtracker
-        executed = self.sim.run(
-            max_events=max_events + 1, stop=lambda: jobtracker.is_done
-        )
+        executed = 0
+        if not jobtracker.is_done:
+            jobtracker.halt_on_finish = True
+            try:
+                executed = self.sim.run(max_events=max_events + 1)
+            finally:
+                jobtracker.halt_on_finish = False
         if executed > max_events:
             raise RuntimeError(
                 f"job did not finish within {max_events} events; "

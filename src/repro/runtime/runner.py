@@ -21,7 +21,7 @@ from repro.availability.generator import HostAvailability
 from repro.availability.traces import AvailabilityTrace
 from repro.core.placement import PlacementPolicy, make_policy
 from repro.mapreduce.job import JobConf, MapJob
-from repro.runtime.cluster import Cluster, ClusterConfig, build_cluster
+from repro.runtime.cluster import ClusterConfig, build_cluster
 from repro.simulator.chaos import ResilienceReport
 from repro.simulator.metrics import DurabilityMetrics, OverheadBreakdown
 from repro.simulator.scenarios import ChaosCampaign

@@ -29,6 +29,13 @@ number at once and pops at ``(bound, seq)``, where the engine asks it
 for its exact time and re-queues it under the same number. Computing
 the time is not an event: it fires nothing and leaves the clock alone.
 Recoveries of long availability busy periods use this (DESIGN.md §11).
+
+A run that must end on a condition pays nothing per event for it: the
+code that makes the condition true calls :meth:`Simulator.halt`, and the
+loop tests a flag (DESIGN.md §10, "Run loop"). An action goes through
+:meth:`Simulator.schedule_at` (``schedule`` delegates to it), the entry
+layer attribution wraps, and is a function, lambda or bound method of a
+``repro`` module: a ``functools.partial`` carries no module to charge.
 """
 
 from __future__ import annotations
@@ -44,6 +51,13 @@ _COMPACT_MIN_SIZE = 64
 #: What a lazy event's resolver returns: its exact time and the action to
 #: fire then, or a later lower bound and None.
 Resolution = Tuple[float, Optional[Callable[[], None]]]
+
+
+def _bad_time(time: float, now: float) -> ValueError:
+    """The error for an event time outside ``[now, inf)``."""
+    if time < now:
+        return ValueError(f"cannot schedule at {time} before now ({now})")
+    return ValueError(f"event time must be finite, got {time}")
 
 
 class EventHandle:
@@ -82,11 +96,6 @@ class EventHandle:
         if self._sim is not None:
             self._sim._note_cancelled()
 
-    def _consume(self) -> None:
-        """Mark fired (already popped — no hygiene accounting)."""
-        self._cancelled = True
-        self.action = None
-
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "pending"
         return f"EventHandle(t={self.time:g}, label={self.label!r}, {state})"
@@ -96,19 +105,17 @@ class Simulator:
     """Deterministic discrete-event simulator."""
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulation time (seconds). A plain attribute, read on
+        #: every event by every layer; only the engine advances it.
+        self.now = float(start_time)
         #: The event heap. Compaction filters it in place, so the local
         #: references the run loop holds stay valid.
         self._heap: List[Tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
         self._events_fired = 0
         self._running = False
+        self._halted = False
         self._cancelled_in_heap = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (seconds)."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -134,7 +141,7 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, action, label)
+        return self.schedule_at(self.now + delay, action, label)
 
     def schedule_at(
         self,
@@ -143,7 +150,11 @@ class Simulator:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``action`` at an absolute simulation time."""
-        return self.schedule_reserved(time, next(self._sequence), action, label)
+        if not self.now <= time < math.inf:
+            raise _bad_time(time, self.now)
+        handle = EventHandle(time, action, label, self)
+        heapq.heappush(self._heap, (time, next(self._sequence), handle))
+        return handle
 
     def reserve(self) -> int:
         """Take the next sequence number without queueing anything.
@@ -165,14 +176,11 @@ class Simulator:
 
         The caller owns the ordering claim: each reserved number is used
         at most once, and no event ordered after ``(time, seq)`` may have
-        fired yet. :meth:`schedule_at` queues through here with a fresh
-        number, so both make the same time checks.
+        fired yet. The time checks are :meth:`schedule_at`'s.
         """
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time} before now ({self._now})")
-        if not math.isfinite(time):
-            raise ValueError(f"event time must be finite, got {time}")
-        handle = EventHandle(time, action, label, sim=self)
+        if not self.now <= time < math.inf:
+            raise _bad_time(time, self.now)
+        handle = EventHandle(time, action, label, self)
         heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
@@ -194,11 +202,9 @@ class Simulator:
         clock. An exact time before the bound raises, and so does a later
         bound that does not grow or a time that is not finite.
         """
-        if bound < self._now:
-            raise ValueError(f"cannot schedule at {bound} before now ({self._now})")
-        if not math.isfinite(bound):
-            raise ValueError(f"event time must be finite, got {bound}")
-        handle = EventHandle(bound, None, label, sim=self)
+        if not self.now <= bound < math.inf:
+            raise _bad_time(bound, self.now)
+        handle = EventHandle(bound, None, label, self)
         handle.resolve = resolve
         heapq.heappush(self._heap, (bound, next(self._sequence), handle))
         return handle
@@ -219,6 +225,14 @@ class Simulator:
         handle.time = time
         heapq.heappush(self._heap, (time, seq, handle))
 
+    def halt(self) -> None:
+        """End the current :meth:`run` once the calling event returns.
+
+        Every :meth:`run` starts unhalted, so outside one this does
+        nothing; :meth:`step` ignores it.
+        """
+        self._halted = True
+
     def step(self) -> bool:
         """Execute the next event. Returns False when the heap is empty.
 
@@ -234,8 +248,9 @@ class Simulator:
             if action is None:
                 self._resolve(time, seq, handle)
                 continue
-            self._now = time
-            handle._consume()  # mark fired; also drops the closure ref
+            self.now = time
+            handle._cancelled = True  # fired; also drop the closure ref
+            handle.action = None
             self._events_fired += 1
             action()
             return True
@@ -245,44 +260,42 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        stop: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run events until the heap drains, ``until`` passes, the budget
-        ends, or ``stop()`` turns true.
+        ends, or an event calls :meth:`halt`.
 
         Returns the number of events executed by this call. Events scheduled
         exactly at ``until`` still run; the clock never advances past the
-        last executed event. ``stop`` is called before each event (and
-        before each lazy resolution), so the run ends before the first
-        event after the predicate turns true. Resolutions are not events:
+        last executed event. A halt ends the run before the next event
+        (and before the next lazy resolution). Resolutions are not events:
         they count neither here nor in :attr:`events_fired`.
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True
+        self._halted = False
+        limit = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         executed = 0
         heap = self._heap
         heappop = heapq.heappop
         try:
-            while heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                if stop is not None and stop():
-                    break
+            while heap and executed < budget and not self._halted:
                 time, seq, handle = heap[0]
                 if handle._cancelled:
                     heappop(heap)
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and time > until:
+                if time > limit:
                     break
                 heappop(heap)
                 action = handle.action
                 if action is None:
                     self._resolve(time, seq, handle)
                     continue
-                self._now = time
-                handle._consume()  # mark fired; also drops the closure ref
+                self.now = time
+                handle._cancelled = True  # fired; also drop the closure ref
+                handle.action = None
                 self._events_fired += 1
                 action()
                 executed += 1
@@ -322,4 +335,4 @@ class Simulator:
             self._cancelled_in_heap = 0
 
     def __repr__(self) -> str:
-        return f"Simulator(now={self._now:g}, pending={len(self._heap)})"
+        return f"Simulator(now={self.now:g}, pending={len(self._heap)})"

@@ -348,10 +348,13 @@ class EventBus:
         #: Optional dispatch wrapper (see :meth:`set_dispatch_interceptor`).
         self._interceptor: Optional[DispatchInterceptor] = None
         #: Per-type frozen snapshot of the unkeyed entry list, rebuilt
-        #: lazily after any unkeyed (un)subscription. ``publish`` iterates
+        #: lazily after any (un)subscription to the type. ``publish`` iterates
         #: the tuple directly — the no-keyed-match fast path allocates
         #: nothing per event, where the old code copied a list every time.
         self._unkeyed_cache: Dict[Type[Event], Tuple[_Entry, ...]] = {}
+        #: Per-type answer of :meth:`wants`, dropped with the snapshot
+        #: (:meth:`_invalidate`), and all at once by :meth:`add_tap`.
+        self._wants: Dict[Type[Event], bool] = {}
 
     # -- registration ------------------------------------------------------------
 
@@ -377,12 +380,8 @@ class EventBus:
         # the common single-list case. Sequence numbers are unique, so the
         # comparison never reaches the (uncomparable) handler element.
         bisect.insort(entries, entry)
-        if key is None:
-            self._unkeyed_cache.pop(event_type, None)
-            return Subscription(
-                entries, entry, lambda: self._unkeyed_cache.pop(event_type, None)
-            )
-        return Subscription(entries, entry)
+        self._invalidate(event_type)
+        return Subscription(entries, entry, lambda: self._invalidate(event_type))
 
     def subscribe_many(
         self,
@@ -412,7 +411,6 @@ class EventBus:
         phase_int = int(phase)
         seq = self._seq
         count = 0
-        unkeyed_touched = False
         for key, handler in handlers:
             seq += 1
             count += 1
@@ -424,16 +422,14 @@ class EventBus:
                 entries.append(entry)
             else:
                 bisect.insort(entries, entry)
-            if key is None:
-                unkeyed_touched = True
         self._seq = seq
-        if unkeyed_touched:
-            self._unkeyed_cache.pop(event_type, None)
+        self._invalidate(event_type)
         return count
 
     def add_tap(self, tap: Tap) -> None:
         """Register an observer of *every* published event (tracing)."""
         self._taps.append(tap)
+        self._wants.clear()
 
     def set_dispatch_interceptor(self, interceptor: Optional["DispatchInterceptor"]) -> None:
         """Route every handler invocation through ``interceptor``.
@@ -474,12 +470,16 @@ class EventBus:
         """Whether publishing ``event_type`` would reach anything.
 
         Lets hot paths skip constructing high-volume events (e.g.
-        :class:`TaskStateChange`) when nobody is listening.
+        :class:`TaskStateChange`) when nobody is listening. The answer is
+        cached per type until the wiring changes.
         """
-        if self._taps:
-            return True
-        by_key = self._subs.get(event_type)
-        return bool(by_key) and any(by_key.values())
+        try:
+            return self._wants[event_type]
+        except KeyError:
+            by_key = self._subs.get(event_type)
+            wanted = bool(self._taps) or (bool(by_key) and any(by_key.values()))
+            self._wants[event_type] = wanted
+            return wanted
 
     @property
     def published_count(self) -> int:
@@ -525,6 +525,11 @@ class EventBus:
                     )
         entries.sort(key=lambda item: item[0])
         return [entry for _seq, entry in entries]
+
+    def _invalidate(self, event_type: Type[Event]) -> None:
+        """Drop the caches a (un)subscription to ``event_type`` staled."""
+        self._unkeyed_cache.pop(event_type, None)
+        self._wants.pop(event_type, None)
 
     # -- dispatch -----------------------------------------------------------------
 

@@ -68,28 +68,35 @@ class MapPhaseMetrics:
     def record_node_return(self) -> None:
         self.node_returns += 1
 
+    # Per-task adds test the sign inline; the validator is called only to raise.
+
     def add_base(self, gamma: float) -> None:
-        self.base_work += check_non_negative("gamma", gamma)
+        gamma = float(gamma)
+        self.base_work += gamma if gamma >= 0 else check_non_negative("gamma", gamma)
 
     def add_rework(self, seconds: float) -> None:
-        self.rework_time += check_non_negative("seconds", seconds)
+        seconds = float(seconds)
+        self.rework_time += seconds if seconds >= 0 else check_non_negative("seconds", seconds)
         self.failed_attempts += 1
 
     def add_recovery(self, seconds: float) -> None:
         self.recovery_time += check_non_negative("seconds", seconds)
 
     def add_migration(self, seconds: float) -> None:
-        self.migration_time += check_non_negative("seconds", seconds)
+        seconds = float(seconds)
+        self.migration_time += seconds if seconds >= 0 else check_non_negative("seconds", seconds)
         self.migrations += 1
 
     def add_duplicate(self, seconds: float) -> None:
-        self.duplicate_time += check_non_negative("seconds", seconds)
+        seconds = float(seconds)
+        self.duplicate_time += seconds if seconds >= 0 else check_non_negative("seconds", seconds)
 
     def add_idle(self, seconds: float) -> None:
         self.idle_time += check_non_negative("seconds", seconds)
 
     def add_useful(self, seconds: float) -> None:
-        self.useful_time += check_non_negative("seconds", seconds)
+        seconds = float(seconds)
+        self.useful_time += seconds if seconds >= 0 else check_non_negative("seconds", seconds)
 
     def record_completion(self, local: bool) -> None:
         if local:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -194,9 +195,9 @@ class Network:
         #: (mitigation services push/pop these), plus the cached product.
         self._link_scales: Dict[LinkKey, List[float]] = {}
         self._link_scale: Dict[LinkKey, float] = {}
-        #: :meth:`link_capacity` per link, filled by the allocator and
-        #: cleared by every method that changes a capacity: set_link,
-        #: throttle_node, restore_node, scale_link and unscale_link.
+        #: :meth:`link_capacity` per link, filled by the allocator and simple-mode
+        #: thaws, cleared by every capacity change: set_link, throttle_node,
+        #: restore_node, scale_link and unscale_link.
         self._capacity_memo: Dict[LinkKey, float] = {}
 
     # -- configuration ----------------------------------------------------------
@@ -540,14 +541,18 @@ class Network:
         transfer.rate = 0.0
 
     def _thaw_simple(self, transfer: Transfer) -> None:
-        """(Re)start a simple-mode transfer at current link capacities."""
-        path = transfer.path
-        if len(path) == 2:
-            rate = min(self.link_capacity(path[0]), self.link_capacity(path[1]))
-        else:
-            rate = min(self.link_capacity(link) for link in path)
+        """(Re)start a simple-mode transfer at current link capacities,
+        read through the allocator's memo."""
+        memo = self._capacity_memo
+        rate = math.inf
+        for link in transfer.path:
+            capacity = memo.get(link)
+            if capacity is None:
+                capacity = memo[link] = self.link_capacity(link)
+            if capacity < rate:
+                rate = capacity
         transfer.rate = rate
-        transfer.anchor = self._sim.now
+        transfer.anchor = now = self._sim.now
         # Residue within _DONE_EPSILON counts as finished — the same
         # tolerance the fair path applies — so progress banked across many
         # freeze/thaw cycles by repeated float subtraction can never leave
@@ -555,10 +560,10 @@ class Network:
         eta = (
             transfer.remaining / rate if transfer.remaining > _DONE_EPSILON else 0.0
         )
-        transfer._event = self._sim.schedule(
-            eta,
+        transfer._event = self._sim.schedule_at(
+            now + eta,
             lambda: self._complete_simple(transfer),
-            label=f"xfer:{transfer.transfer_id}",
+            f"xfer:{transfer.transfer_id}",
         )
 
     # -- service lifecycle -----------------------------------------------------------
@@ -607,12 +612,13 @@ class Network:
         self._last_update = now
 
     def _reallocate_and_reschedule(self) -> None:
-        self._allocate_rates()
         if self._sweep is not None:
             self._sweep.cancel()
             self._sweep = None
-        # Complete anything already drained before looking for the next ETA
-        # (stalled transfers hold their residue until the partition heals).
+        # Complete anything already drained (stalled transfers hold their
+        # residue until the partition heals), then allocate once: a callback
+        # that re-enters the network allocates for itself, and nothing else
+        # reads a rate before the allocation below.
         finished = [
             t
             for t in self._active
@@ -629,8 +635,7 @@ class Network:
             self._active.pop(transfer, None)
             transfer.remaining = 0.0
             self._finalize(transfer, TransferState.COMPLETED)
-        if finished:
-            self._allocate_rates()
+        self._allocate_rates()
         eta = None
         for transfer in self._active:
             if transfer.rate > 0:

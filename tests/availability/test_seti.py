@@ -1,12 +1,9 @@
 """Tests for the synthetic SETI@home trace model (Table 1 substitution)."""
 
-import math
-
 import pytest
 
 from repro.availability.seti import (
     TABLE1_DURATION_COV,
-    TABLE1_DURATION_MEAN,
     TABLE1_MTBI_COV,
     TABLE1_MTBI_MEAN,
     SetiModelParams,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.availability.distributions import Deterministic, Exponential, Lognormal
+from repro.availability.distributions import Deterministic, Lognormal
 from repro.core.model import (
     TaskExecutionModel,
     UnstableHostError,

@@ -1,6 +1,5 @@
 """Property-based tests for placement mass conservation and proportionality."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -154,20 +154,26 @@ class EagerHeartbeatService:
 class FiringLog(Simulator):
     """A simulator that records ``(time, label)`` of every event it fires.
 
-    ``schedule`` and ``schedule_at`` queue through ``schedule_reserved``,
-    so wrapping it sees every event.
+    Every event enters through ``schedule_at`` (``schedule`` delegates to
+    it) or ``schedule_reserved``, so wrapping both sees every event.
     """
 
     def __init__(self):
         super().__init__()
         self.fired: List[Tuple[float, str]] = []
 
-    def schedule_reserved(self, time, seq, action, label=""):
+    def _logged(self, action, label):
         def logged():
             self.fired.append((self.now, label))
             action()
 
-        return super().schedule_reserved(time, seq, logged, label)
+        return logged
+
+    def schedule_at(self, time, action, label=""):
+        return super().schedule_at(time, self._logged(action, label), label)
+
+    def schedule_reserved(self, time, seq, action, label=""):
+        return super().schedule_reserved(time, seq, self._logged(action, label), label)
 
 
 NODES = [f"n{i}" for i in range(6)]

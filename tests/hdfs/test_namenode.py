@@ -93,6 +93,48 @@ class TestFileLifecycle:
         assert all(len(h) == 2 for h in rmap.values())
 
 
+class TestLocationsView:
+    """``locations`` is the task path's locality query: a read-only live
+    view of each block's stored holder tuple."""
+
+    def test_unknown_block_raises_key_error(self):
+        nn = make_namenode(2)
+        with pytest.raises(KeyError):
+            nn.locations["ghost"]
+
+    def test_is_read_only(self):
+        nn = make_namenode(2)
+        nn.create_file("f", 1, 10, 1, RandomPlacement(), GAMMA, RandomSource(1))
+        block_id = nn.file("f").blocks[0].block_id
+        with pytest.raises(TypeError):
+            nn.locations[block_id] = ()
+
+    def test_follows_adds_moves_gc_and_purges(self):
+        from repro.core.rebalance import RebalanceMove
+
+        nn = make_namenode(4)
+        nn.create_file("f", 1, 10, 1, RandomPlacement(), GAMMA, RandomSource(1))
+        block_id = nn.file("f").blocks[0].block_id
+        view = nn.locations
+        (first,) = view[block_id]
+        others = [n for n in nn.datanode_ids if n != first]
+
+        nn.add_replica(block_id, others[0])
+        assert view[block_id] == (first, others[0])  # in the order they landed
+        snapshot = view[block_id]
+
+        nn.apply_move(RebalanceMove(block_id=block_id, source=first, destination=others[1]))
+        assert view[block_id] == (others[0], others[1])
+        assert snapshot == (first, others[0])  # a held tuple does not change
+
+        nn.remove_replica(block_id, others[0])
+        assert view[block_id] == (others[1],)
+
+        nn.purge_node(others[1])
+        assert view[block_id] == ()
+        assert set(view[block_id]) == nn.replica_holders(block_id)
+
+
 class TestPlacementIntegration:
     def test_dead_nodes_excluded(self):
         nn = make_namenode(4)

@@ -1,7 +1,5 @@
 """End-to-end integration tests across the whole stack."""
 
-import pytest
-
 from repro.availability.generator import build_group_hosts
 from repro.core.placement import AdaptPlacement, RandomPlacement
 from repro.mapreduce.job import JobConf, MapJob

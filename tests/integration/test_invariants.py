@@ -74,7 +74,7 @@ class TestInvariants:
             succeeded = [a for a in task.attempts if a.state is AttemptState.SUCCEEDED]
             assert len(succeeded) == 1
             assert task.completed_by is succeeded[0]
-            assert not task.has_live_attempt()
+            assert not task.live
 
     @given(cluster_params)
     @settings(max_examples=20, deadline=None)

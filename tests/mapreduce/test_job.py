@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hdfs.blocks import DfsFile
-from repro.mapreduce.job import AttemptState, JobConf, MapJob, MapTask, TaskState
+from repro.mapreduce.job import AttemptState, JobConf, MapJob, TaskState
 
 
 def make_job(num_blocks=4, gamma=10.0, **conf_kwargs):
@@ -68,8 +68,7 @@ class TestAttemptLifecycle:
         task = job.tasks[0]
         attempt = task.new_attempt("n0", local=True, speculative=False, now=0.0)
         assert attempt.is_live
-        assert task.has_live_attempt()
-        assert task.live_attempts() == [attempt]
+        assert task.live == (attempt,)
 
     def test_retire_removes_from_live(self):
         job = make_job(1)
@@ -77,8 +76,17 @@ class TestAttemptLifecycle:
         attempt = task.new_attempt("n0", local=True, speculative=False, now=0.0)
         attempt.retire(AttemptState.FAILED, now=5.0)
         assert not attempt.is_live
-        assert not task.has_live_attempt()
+        assert not task.live
         assert attempt.finished_at == 5.0
+
+    def test_retiring_one_of_two_keeps_the_other(self):
+        task = make_job(1).tasks[0]
+        first = task.new_attempt("n0", local=True, speculative=False, now=0.0)
+        second = task.new_attempt("n1", local=True, speculative=True, now=1.0)
+        second.retire(AttemptState.KILLED, now=2.0)
+        assert task.live == (first,)
+        second.retire(AttemptState.KILLED, now=3.0)  # already out: live set unchanged
+        assert task.live == (first,)
 
     def test_retire_to_live_state_rejected(self):
         job = make_job(1)

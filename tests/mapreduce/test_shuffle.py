@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mapreduce.shuffle import ShufflePhase, ShuffleResult
+from repro.mapreduce.shuffle import ShufflePhase
 from repro.simulator.engine import Simulator
 from repro.simulator.network import Network
 

@@ -58,6 +58,29 @@ class TestLocalExecution:
         assert tracker.free_slots == 1
         assert tracker.busy_seconds == pytest.approx(10.0)
 
+    def test_free_slots_follow_execute_kill_and_node_down(self):
+        sim, _n, _m, tracker, jt, job = setup(slots=3)
+        local = [
+            job.tasks[i].new_attempt("node", local=True, speculative=False, now=0.0)
+            for i in range(2)
+        ]
+        remote = job.tasks[2].new_attempt(
+            "node", local=False, speculative=False, now=0.0, source_node="src"
+        )
+        for attempt in local:
+            tracker.execute(attempt)
+        assert tracker.free_slots == 1
+        tracker.execute(remote)  # a fetching attempt holds its slot too
+        assert tracker.free_slots == 0
+        tracker.kill(local[0])
+        assert tracker.free_slots == 1
+        tracker.kill(local[0])  # killing a retired attempt frees nothing twice
+        assert tracker.free_slots == 1
+        tracker.on_node_down(sim.now)
+        assert tracker.free_slots == 3
+        assert tracker.free_slots == tracker.slots - tracker.running_attempts
+        assert [a.state for a in (local[1], remote)] == [AttemptState.FAILED] * 2
+
     def test_slot_overflow_rejected(self):
         sim, _n, _m, tracker, jt, job = setup(slots=1)
         a0 = job.tasks[0].new_attempt("node", local=True, speculative=False, now=0.0)

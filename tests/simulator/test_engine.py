@@ -334,43 +334,72 @@ class TestLazyEvents:
             sim.schedule_lazy(bound, lambda: (1.0, lambda: None))
 
 
-class TestStopPredicate:
-    def test_stops_before_first_event_after_predicate_turns_true(self):
+class TestHalt:
+    def test_halt_ends_the_run_before_the_next_event(self):
         sim = Simulator()
         fired = []
+
+        def record(i):
+            fired.append(i)
+            if len(fired) == 3:
+                sim.halt()
+
         for i in range(10):
-            sim.schedule(float(i), lambda i=i: fired.append(i))
-        executed = sim.run(stop=lambda: len(fired) == 3)
+            sim.schedule(float(i), lambda i=i: record(i))
+        executed = sim.run()
         assert executed == 3
         assert fired == [0, 1, 2]
         assert sim.now == 2.0
         assert sim.pending_events == 7
 
-    def test_predicate_true_up_front_runs_nothing(self):
+    def test_halt_outside_a_run_is_forgotten(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        assert sim.run(stop=lambda: True) == 0
-        assert sim.now == 0.0
+        sim.halt()
+        assert sim.run() == 1
+        assert sim.now == 1.0
 
-    def test_predicate_checked_before_each_event_not_each_entry(self):
-        # Cancelled heads are skipped without counting as events.
+    def test_halt_is_checked_before_each_event_not_each_entry(self):
+        # Cancelled heads are skipped without counting as events, and a
+        # halted run pops nothing after the halting event.
         sim = Simulator()
         fired = []
+
+        def record(i):
+            fired.append(i)
+            if len(fired) == 2:
+                sim.halt()
+
         for i in range(6):
-            handle = sim.schedule(float(i), lambda i=i: fired.append(i))
+            handle = sim.schedule(float(i), lambda i=i: record(i))
             if i % 2:
                 handle.cancel()
-        executed = sim.run(stop=lambda: len(fired) == 2)
+        executed = sim.run()
         assert executed == 2
         assert fired == [0, 2]
+        assert sim.pending_events == 3
+        assert sim.cancelled_pending == 2
+        assert sim.run() == 1
+        assert fired == [0, 2, 4]
+
+    def test_halt_comes_before_a_lazy_resolution(self):
+        sim = Simulator()
+        resolved = []
+        sim.schedule(1.0, sim.halt)
+        sim.schedule_lazy(1.0, lambda: resolved.append(1) or (2.0, lambda: None))
+        assert sim.run() == 1
+        assert resolved == []
+        assert sim.run() == 1
+        assert resolved == [1]
 
     def test_budget_and_until_still_apply(self):
         sim = Simulator()
         for i in range(10):
-            sim.schedule(float(i), lambda: None)
-        assert sim.run(max_events=4, stop=lambda: False) == 4
-        assert sim.run(until=6.0, stop=lambda: False) == 3
-        assert sim.run(stop=lambda: False) == 3
+            sim.schedule(float(i), sim.halt if i == 1 else (lambda: None))
+        assert sim.run(max_events=4) == 2
+        assert sim.run(max_events=4) == 4
+        assert sim.run(until=7.0) == 2
+        assert sim.run() == 2
 
 
 def failure_free_cluster(submit):
@@ -389,13 +418,39 @@ def failure_free_cluster(submit):
 
 
 class TestRunUntilJobDone:
-    """The cluster's run loop is one ``run(stop=...)`` call; both of its
-    errors keep the boundaries of a step-per-event loop."""
+    """The cluster's run loop is one ``run()`` call that the JobTracker
+    halts when the job finishes; both of its errors keep the boundaries
+    of a step-per-event loop."""
 
     def test_drained_heap_raises(self):
         cluster = failure_free_cluster(submit=False)
         with pytest.raises(RuntimeError, match="event heap drained"):
             cluster.run_until_job_done()
+
+    def test_done_job_runs_no_event(self):
+        cluster = failure_free_cluster(submit=True)
+        cluster.run_until_job_done()
+        before = cluster.sim.events_fired
+        cluster.sim.schedule(1.0, lambda: None)
+        cluster.run_until_job_done()
+        assert cluster.sim.events_fired == before
+
+    def test_halts_right_after_the_finishing_event(self):
+        cluster = failure_free_cluster(submit=True)
+        late = []
+        cluster.sim.schedule_at(1000.0, lambda: late.append(cluster.sim.now))
+        cluster.run_until_job_done()
+        assert cluster.sim.now == cluster.jobtracker.job.finished_at
+        assert late == []
+        assert not cluster.jobtracker.halt_on_finish
+
+    def test_job_finishing_in_a_plain_run_does_not_halt_it(self):
+        cluster = failure_free_cluster(submit=True)
+        late = []
+        cluster.sim.schedule_at(1000.0, lambda: late.append(cluster.sim.now))
+        cluster.sim.run(until=2000.0)
+        assert cluster.jobtracker.is_done
+        assert late == [1000.0]
 
     def test_event_budget_boundary(self):
         cluster = failure_free_cluster(submit=True)

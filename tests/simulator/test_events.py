@@ -222,6 +222,45 @@ class TestIntrospection:
         assert isinstance(event, Event)
 
 
+class TestWantsCache:
+    """``wants`` answers from a per-type cache; every wiring change must
+    flip it at once, including a type it already answered."""
+
+    @pytest.mark.parametrize("key", [None, "n1"])
+    def test_subscribe_and_cancel_flip_it(self, key):
+        bus = EventBus()
+        assert not bus.wants(NodeDown)
+        sub = bus.subscribe(NodeDown, lambda e: None, Phase.COMPUTE, key=key)
+        assert bus.wants(NodeDown)
+        assert not bus.wants(NodeUp)
+        sub.cancel()
+        assert not bus.wants(NodeDown)
+
+    def test_subscribe_many_flips_it(self):
+        bus = EventBus()
+        assert not bus.wants(NodeDown)
+        bus.subscribe_many(NodeDown, Phase.COMPUTE, [("n1", lambda e: None)])
+        assert bus.wants(NodeDown)
+
+    def test_cancelling_one_of_two_keeps_it(self):
+        bus = EventBus()
+        first = bus.subscribe(NodeDown, lambda e: None, Phase.COMPUTE, key="n1")
+        second = bus.subscribe(NodeDown, lambda e: None, Phase.COMPUTE)
+        assert bus.wants(NodeDown)
+        first.cancel()
+        assert bus.wants(NodeDown)
+        second.cancel()
+        assert not bus.wants(NodeDown)
+
+    def test_add_tap_flips_every_type(self):
+        bus = EventBus()
+        assert not bus.wants(TaskStateChange)
+        assert not bus.wants(NodeDown)
+        bus.add_tap(lambda e, phases: None)
+        assert bus.wants(TaskStateChange)
+        assert bus.wants(NodeDown)
+
+
 class TestSubscribeMany:
     def test_dispatch_identical_to_loop_of_subscribe(self):
         keys = [f"n{i}" for i in range(6)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.metrics import MapPhaseMetrics, OverheadBreakdown
+from repro.simulator.metrics import MapPhaseMetrics
 
 
 def full_metrics():

@@ -157,6 +157,20 @@ class TestSimpleMode:
         assert (kind, ident) == ("xfer", str(transfer.transfer_id))
 
 
+    def test_thaws_read_capacity_changes(self):
+        # Simple-mode rates come through the capacity memo; each change
+        # clears it, so a new or re-rated transfer sees the new capacity.
+        sim, net = setup_net(fair=False, up=100.0)
+        first = net.start_transfer("src", "d1", 1000.0, lambda t: None)
+        assert first.rate == 100.0
+        net.set_link("src", uplink_bps=50.0)
+        assert net.start_transfer("src", "d2", 1000.0, lambda t: None).rate == 50.0
+        net.throttle_node("d1", 0.25)
+        assert first.rate == 25.0
+        net.restore_node("d1")
+        assert first.rate == 50.0
+
+
 class TestCancellation:
     @pytest.mark.parametrize("fair", [True, False])
     def test_cancel_stops_completion(self, fair):
@@ -272,6 +286,29 @@ CLOS_FLOWS = [
     (0, 2), (4, 6), (1, 7), (3, 9), (5, 3),
     (0, 1), (4, 5), (0, 9), (8, 1), (12, 13), (2, 3), (6, 11), (10, 15), (14, 7),
 ]
+
+
+class TestSweep:
+    def test_completing_sweep_allocates_once(self):
+        # The sweep finishes the drained transfer first, then allocates
+        # once over the rest.
+        sim, net = setup_net(up=1000.0)
+        done = []
+        small = net.start_transfer("src", "d1", 1000.0, done.append)
+        net.start_transfer("src", "d2", 5000.0, done.append)
+        net.start_transfer("other", "d3", 3000.0, done.append)
+        allocations = []
+        allocate = net._allocate_rates
+
+        def counted():
+            allocations.append(sim.now)
+            allocate()
+
+        net._allocate_rates = counted
+        assert sim.step()  # the sweep at which the small transfer drains
+        assert done == [small]
+        assert allocations == [sim.now]
+        assert_rates_match_reference(net)
 
 
 class TestAllocatorMatchesReference:

@@ -1,7 +1,5 @@
 """Tests for streaming and summary statistics."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
