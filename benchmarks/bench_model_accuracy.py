@@ -69,7 +69,7 @@ def test_model_vs_cluster_simulator(benchmark):
             f = cluster.client.copy_from_local(
                 "in", num_blocks=blocks, policy=RandomPlacement(), gamma=GAMMA
             )
-            job = MapJob.uniform(JobConf(speculative=False), f, GAMMA)
+            job = MapJob.uniform(JobConf(), f, GAMMA)
             cluster.jobtracker.submit(job)
             cluster.run_until_job_done()
             predicted = blocks * expected_task_time(GAMMA, group.arrival_rate, group.service_mean)

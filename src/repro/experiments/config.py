@@ -11,8 +11,8 @@ task time, with hosts drawn from the Table-1-calibrated SETI@home model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import dataclass, fields, replace
+from typing import List, Optional, TypeVar
 
 from repro.availability.generator import HostAvailability, build_group_hosts
 from repro.availability.seti import SetiModelParams, SetiTraceGenerator
@@ -63,29 +63,21 @@ SIMULATION_STRATEGIES: List[Strategy] = [
 
 
 @dataclass(frozen=True)
-class EmulationConfig:
-    """Table 3 defaults for the emulated environment (Figures 3 & 4)."""
+class ExperimentConfigBase:
+    """What both experiment configs share: the knobs they carry with the
+    same default, their common checks, ``with_`` and ``cluster_config``."""
 
-    node_count: int = 128
-    interrupted_ratio: float = 0.5
     bandwidth_mbps: float = 8.0
     block_size_bytes: int = 64 * MB
-    blocks_per_node: float = 20.0
     seed: int = 0
     detection: str = "heartbeat"
-    fair_sharing: bool = True
     access_during_downtime: bool = True
     oracle_estimates: bool = True
     speculation_enabled: bool = True
-    #: Durability pipeline knobs (see ClusterConfig): heal under-replicated
-    #: blocks, and optionally destroy nodes for good during the run.
-    replication_monitor: bool = False
-    permanent_failure_rate: float = 0.0
-    permanent_failure_horizon: float = 600.0
-    fetch_retries: int = 2
     #: Network topology (see ClusterConfig): "flat" or "clos", with rack
     #: count and trunk oversubscription; rack_aware_placement enforces the
-    #: HDFS off-rack replica rule on ingest.
+    #: HDFS off-rack replica rule on ingest. Fixed-cost transfers still
+    #: take the path min, so an oversubscribed Clos trunk can bind.
     topology: str = "flat"
     racks: int = 1
     oversubscription: float = 1.0
@@ -94,45 +86,54 @@ class EmulationConfig:
     link_mitigation: str = "none"
 
     def __post_init__(self) -> None:
-        check_positive("node_count", self.node_count)
-        check_probability("interrupted_ratio", self.interrupted_ratio)
         check_positive("bandwidth_mbps", self.bandwidth_mbps)
         check_positive("block_size_bytes", self.block_size_bytes)
-        check_positive("blocks_per_node", self.blocks_per_node)
-        check_probability("permanent_failure_rate", self.permanent_failure_rate)
 
-    def with_(self, **overrides: object) -> "EmulationConfig":
+    def with_(self: _Config, **overrides: object) -> _Config:
         """Immutable update (sweep axes replace one field at a time)."""
         return replace(self, **overrides)  # type: ignore[arg-type]
+
+    def cluster_config(self, seed: Optional[int] = None) -> ClusterConfig:
+        """The deployment this experiment runs: every field ClusterConfig
+        also declares is copied by name; ``seed`` overrides the config's."""
+        shared = {f.name: getattr(self, f.name) for f in fields(self) if f.name in _CLUSTER_FIELDS}
+        shared["seed"] = self.seed if seed is None else seed
+        return ClusterConfig(**shared)
+
+
+_Config = TypeVar("_Config", bound=ExperimentConfigBase)
+_CLUSTER_FIELDS = frozenset(f.name for f in fields(ClusterConfig))
+
+
+@dataclass(frozen=True)
+class EmulationConfig(ExperimentConfigBase):
+    """Table 3 defaults for the emulated environment (Figures 3 & 4)."""
+
+    node_count: int = 128
+    interrupted_ratio: float = 0.5
+    blocks_per_node: float = 20.0
+    fair_sharing: bool = True
+    #: Durability pipeline knobs (see ClusterConfig): heal under-replicated
+    #: blocks, and optionally destroy nodes for good during the run.
+    replication_monitor: bool = False
+    permanent_failure_rate: float = 0.0
+    permanent_failure_horizon: float = 600.0
+    fetch_retries: int = 2
+
+    def __post_init__(self) -> None:
+        check_positive("node_count", self.node_count)
+        check_probability("interrupted_ratio", self.interrupted_ratio)
+        super().__post_init__()
+        check_positive("blocks_per_node", self.blocks_per_node)
+        check_probability("permanent_failure_rate", self.permanent_failure_rate)
 
     def hosts(self) -> List[HostAvailability]:
         """The Table 2 host population at this config's size and ratio."""
         return build_group_hosts(self.node_count, self.interrupted_ratio)
 
-    def cluster_config(self, seed: Optional[int] = None) -> ClusterConfig:
-        return ClusterConfig(
-            bandwidth_mbps=self.bandwidth_mbps,
-            block_size_bytes=self.block_size_bytes,
-            detection=self.detection,
-            fair_sharing=self.fair_sharing,
-            access_during_downtime=self.access_during_downtime,
-            oracle_estimates=self.oracle_estimates,
-            speculation_enabled=self.speculation_enabled,
-            replication_monitor=self.replication_monitor,
-            permanent_failure_rate=self.permanent_failure_rate,
-            permanent_failure_horizon=self.permanent_failure_horizon,
-            fetch_retries=self.fetch_retries,
-            topology=self.topology,
-            racks=self.racks,
-            oversubscription=self.oversubscription,
-            rack_aware_placement=self.rack_aware_placement,
-            link_mitigation=self.link_mitigation,
-            seed=self.seed if seed is None else seed,
-        )
-
 
 @dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(ExperimentConfigBase):
     """Table 4 defaults for the large-scale simulation (Figure 5).
 
     The network uses the fixed-cost transfer model (``fair_sharing=False``,
@@ -142,20 +143,13 @@ class SimulationConfig:
     """
 
     node_count: int = 8196
-    bandwidth_mbps: float = 8.0
-    block_size_bytes: int = 64 * MB
     tasks_per_node: float = 100.0
-    seed: int = 0
     #: Hadoop-realistic failure detection: heartbeats every 60 s, a node is
     #: declared dead after 10 misses (~600 s, Hadoop's task/TaskTracker
     #: expiry). Fast oracle detection hides most of the paper's misc cost.
-    detection: str = "heartbeat"
     heartbeat_interval: float = 60.0
     heartbeat_miss_threshold: int = 10
     fair_sharing: bool = False
-    access_during_downtime: bool = True
-    oracle_estimates: bool = True
-    speculation_enabled: bool = True
     #: Start each host mid-trace (stationary window) rather than fresh-up;
     #: ~10^7 s of burn-in is several population MTBIs.
     stationary_burn_in: float = 1.0e7
@@ -165,22 +159,11 @@ class SimulationConfig:
     placement_liveness_filter: bool = False
     #: Within-host duration CoV of the synthetic SETI model.
     duration_within_cov: float = 2.0
-    #: Network topology (see ClusterConfig). Fixed-cost transfers still
-    #: take the path min, so an oversubscribed Clos trunk can bind.
-    topology: str = "flat"
-    racks: int = 1
-    oversubscription: float = 1.0
-    rack_aware_placement: bool = False
-    link_mitigation: str = "none"
 
     def __post_init__(self) -> None:
         check_positive("node_count", self.node_count)
-        check_positive("bandwidth_mbps", self.bandwidth_mbps)
-        check_positive("block_size_bytes", self.block_size_bytes)
+        super().__post_init__()
         check_positive("tasks_per_node", self.tasks_per_node)
-
-    def with_(self, **overrides: object) -> "SimulationConfig":
-        return replace(self, **overrides)  # type: ignore[arg-type]
 
     def seti_params(self) -> SetiModelParams:
         from repro.availability.seti import CALIBRATED_TABLE1_PARAMS
@@ -201,24 +184,3 @@ class SimulationConfig:
             RandomSource(self.seed if seed is None else seed).substream("seti"),
         )
         return generator.sample_hosts(self.node_count)
-
-    def cluster_config(self, seed: Optional[int] = None) -> ClusterConfig:
-        return ClusterConfig(
-            bandwidth_mbps=self.bandwidth_mbps,
-            block_size_bytes=self.block_size_bytes,
-            detection=self.detection,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_miss_threshold=self.heartbeat_miss_threshold,
-            fair_sharing=self.fair_sharing,
-            access_during_downtime=self.access_during_downtime,
-            oracle_estimates=self.oracle_estimates,
-            speculation_enabled=self.speculation_enabled,
-            stationary_burn_in=self.stationary_burn_in,
-            placement_liveness_filter=self.placement_liveness_filter,
-            topology=self.topology,
-            racks=self.racks,
-            oversubscription=self.oversubscription,
-            rack_aware_placement=self.rack_aware_placement,
-            link_mitigation=self.link_mitigation,
-            seed=self.seed if seed is None else seed,
-        )

@@ -21,14 +21,13 @@ reassembled in sweep order, byte-identical to a serial run.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.experiments.config import EMULATION_STRATEGIES, EmulationConfig, Strategy
-from repro.experiments.parallel import CellSpec, SweepExecutor
-from repro.experiments.results import ExperimentRow, SweepResult
+from repro.experiments.parallel import CellSpec, SweepExecutor, run_sweep
+from repro.experiments.results import SweepResult
 from repro.runtime.runner import MapPhaseResult, run_map_phase
 from repro.simulator.scenarios import ChaosCampaign
-from repro.util.rng import derive_seed
 
 #: Paper sweep values.
 RATIO_VALUES = (0.25, 0.5, 0.75)
@@ -80,36 +79,16 @@ def run_emulation_point(
 
 def _sweep(
     name: str,
-    x_label: str,
-    base: EmulationConfig,
     field: str,
+    base: Optional[EmulationConfig],
     values: Sequence[float],
     strategies: Sequence[Strategy],
     repetitions: int,
-    executor: Optional[SweepExecutor] = None,
+    executor: Optional[SweepExecutor],
 ) -> SweepResult:
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    runner = executor if executor is not None else SweepExecutor()
-    sweep = SweepResult(name=name, x_label=x_label)
-    cells: List[Tuple[ExperimentRow, CellSpec]] = []
-    for value in values:
-        config = base.with_(**{field: value})
-        for strategy in strategies:
-            row = ExperimentRow(
-                x=float(value),
-                strategy_key=strategy.key,
-                policy=strategy.policy,
-                replication=strategy.replication,
-            )
-            sweep.rows.append(row)
-            for rep in range(repetitions):
-                seed = derive_seed(base.seed, name, value, rep)
-                cells.append((row, CellSpec("emulation", config, strategy, seed)))
-    results = runner.run_cells([spec for _, spec in cells])
-    for (row, _), result in zip(cells, results, strict=True):
-        row.add(result)
-    return sweep
+    config = base if base is not None else EmulationConfig()
+    points = ((float(value), value, config.with_(**{field: value})) for value in values)
+    return run_sweep("emulation", name, field, points, strategies, repetitions, executor)
 
 
 def sweep_interrupted_ratio(
@@ -121,14 +100,7 @@ def sweep_interrupted_ratio(
 ) -> SweepResult:
     """Figures 3(a) / 4(a): vary the ratio of interrupted nodes."""
     return _sweep(
-        "fig3a/4a",
-        "interrupted_ratio",
-        base if base is not None else EmulationConfig(),
-        "interrupted_ratio",
-        values,
-        strategies,
-        repetitions,
-        executor,
+        "fig3a/4a", "interrupted_ratio", base, values, strategies, repetitions, executor
     )
 
 
@@ -140,16 +112,7 @@ def sweep_bandwidth(
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:
     """Figures 3(b) / 4(b): vary the network bandwidth."""
-    return _sweep(
-        "fig3b/4b",
-        "bandwidth_mbps",
-        base if base is not None else EmulationConfig(),
-        "bandwidth_mbps",
-        values,
-        strategies,
-        repetitions,
-        executor,
-    )
+    return _sweep("fig3b/4b", "bandwidth_mbps", base, values, strategies, repetitions, executor)
 
 
 def sweep_node_count(
@@ -160,13 +123,4 @@ def sweep_node_count(
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:
     """Figures 3(c) / 4(c): vary the cluster size."""
-    return _sweep(
-        "fig3c/4c",
-        "node_count",
-        base if base is not None else EmulationConfig(),
-        "node_count",
-        values,
-        strategies,
-        repetitions,
-        executor,
-    )
+    return _sweep("fig3c/4c", "node_count", base, values, strategies, repetitions, executor)

@@ -21,15 +21,15 @@ harness, and they parallelise perfectly (cells share nothing).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.availability.seti import SetiTraceGenerator
 from repro.availability.traces import pooled_summary
 from repro.experiments.config import SIMULATION_STRATEGIES, SimulationConfig, Strategy
-from repro.experiments.parallel import CellSpec, SweepExecutor
-from repro.experiments.results import ExperimentRow, SweepResult
+from repro.experiments.parallel import CellSpec, SweepExecutor, SweepPoint, run_sweep
+from repro.experiments.results import SweepResult
 from repro.runtime.runner import MapPhaseResult, run_map_phase
-from repro.util.rng import RandomSource, derive_seed
+from repro.util.rng import RandomSource
 from repro.util.stats import SummaryStats
 from repro.util.units import MB
 
@@ -79,40 +79,6 @@ def run_simulation_point(
     )
 
 
-def _sweep(
-    name: str,
-    x_label: str,
-    base: SimulationConfig,
-    field: str,
-    values: Sequence[float],
-    strategies: Sequence[Strategy],
-    repetitions: int,
-    executor: Optional[SweepExecutor] = None,
-) -> SweepResult:
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    runner = executor if executor is not None else SweepExecutor()
-    sweep = SweepResult(name=name, x_label=x_label)
-    cells: List[Tuple[ExperimentRow, CellSpec]] = []
-    for value in values:
-        config = base.with_(**{field: int(value) if field != "bandwidth_mbps" else value})
-        for strategy in strategies:
-            row = ExperimentRow(
-                x=float(value),
-                strategy_key=strategy.key,
-                policy=strategy.policy,
-                replication=strategy.replication,
-            )
-            sweep.rows.append(row)
-            for rep in range(repetitions):
-                seed = derive_seed(base.seed, name, value, rep)
-                cells.append((row, CellSpec("simulation", config, strategy, seed)))
-    results = runner.run_cells([spec for _, spec in cells])
-    for (row, _), result in zip(cells, results, strict=True):
-        row.add(result)
-    return sweep
-
-
 def sweep_sim_bandwidth(
     base: Optional[SimulationConfig] = None,
     values: Sequence[float] = SIM_BANDWIDTH_VALUES,
@@ -121,15 +87,10 @@ def sweep_sim_bandwidth(
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:
     """Figure 5(a): overhead breakdown vs network bandwidth."""
-    return _sweep(
-        "fig5a",
-        "bandwidth_mbps",
-        base if base is not None else SimulationConfig(),
-        "bandwidth_mbps",
-        values,
-        strategies,
-        repetitions,
-        executor,
+    config = base if base is not None else SimulationConfig()
+    points = ((float(value), value, config.with_(bandwidth_mbps=value)) for value in values)
+    return run_sweep(
+        "simulation", "fig5a", "bandwidth_mbps", points, strategies, repetitions, executor
     )
 
 
@@ -145,35 +106,19 @@ def sweep_sim_block_size(
     The number of tasks shrinks as blocks grow (fixed input bytes per
     node), and gamma scales with the block size, as in the paper.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    base_config = base if base is not None else SimulationConfig()
-    runner = executor if executor is not None else SweepExecutor()
-    sweep = SweepResult(name="fig5b", x_label="block_size_mb")
-    cells: List[Tuple[ExperimentRow, CellSpec]] = []
-    for value in values:
+    config = base if base is not None else SimulationConfig()
+
+    def point(value: float) -> SweepPoint:
         block = int(value)
         # Keep per-node input constant: tasks_per_node scales inversely.
-        scale = base_config.block_size_bytes / block
-        config = base_config.with_(
-            block_size_bytes=block,
-            tasks_per_node=max(base_config.tasks_per_node * scale, 1.0),
-        )
-        for strategy in strategies:
-            row = ExperimentRow(
-                x=block / MB,
-                strategy_key=strategy.key,
-                policy=strategy.policy,
-                replication=strategy.replication,
-            )
-            sweep.rows.append(row)
-            for rep in range(repetitions):
-                seed = derive_seed(base_config.seed, "fig5b", block, rep)
-                cells.append((row, CellSpec("simulation", config, strategy, seed)))
-    results = runner.run_cells([spec for _, spec in cells])
-    for (row, _), result in zip(cells, results, strict=True):
-        row.add(result)
-    return sweep
+        scale = config.block_size_bytes / block
+        tasks_per_node = max(config.tasks_per_node * scale, 1.0)
+        return block / MB, block, config.with_(block_size_bytes=block, tasks_per_node=tasks_per_node)
+
+    points = (point(value) for value in values)
+    return run_sweep(
+        "simulation", "fig5b", "block_size_mb", points, strategies, repetitions, executor
+    )
 
 
 def sweep_sim_node_count(
@@ -184,13 +129,6 @@ def sweep_sim_node_count(
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:
     """Figure 5(c): overhead breakdown vs cluster size."""
-    return _sweep(
-        "fig5c",
-        "node_count",
-        base if base is not None else SimulationConfig(),
-        "node_count",
-        values,
-        strategies,
-        repetitions,
-        executor,
-    )
+    config = base if base is not None else SimulationConfig()
+    points = ((float(value), value, config.with_(node_count=int(value))) for value in values)
+    return run_sweep("simulation", "fig5c", "node_count", points, strategies, repetitions, executor)

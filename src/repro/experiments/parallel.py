@@ -35,11 +35,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.config import EmulationConfig, SimulationConfig, Strategy
+from repro.experiments.results import ExperimentRow, SweepResult
 from repro.runtime.runner import MapPhaseResult
 from repro.simulator.metrics import DurabilityMetrics, OverheadBreakdown
+from repro.util.rng import derive_seed
 from repro.util.validation import env_override
 
 #: Code-version salt folded into every cache key. Bump whenever a change
@@ -238,3 +240,49 @@ class SweepExecutor:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
         }
+
+
+#: One sweep point: its rows' x value, the key its repetition seeds derive
+#: from, and the config its cells run.
+SweepPoint = Tuple[float, object, ExperimentConfig]
+
+
+def run_sweep(
+    kind: str,
+    name: str,
+    x_label: str,
+    points: Iterable[SweepPoint],
+    strategies: Sequence[Strategy],
+    repetitions: int,
+    executor: Optional[SweepExecutor] = None,
+) -> SweepResult:
+    """Run one row per (point, strategy), averaged over ``repetitions`` cells.
+
+    Repetition ``rep`` of a point runs every strategy at
+    ``derive_seed(config.seed, name, seed_key, rep)``, so strategies face
+    identical interruption realisations. ``derive_seed`` hashes
+    ``str(seed_key)``: each point must keep its exact key object (``32``
+    and ``32.0`` seed differently).
+    """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    runner = executor if executor is not None else SweepExecutor()
+    sweep = SweepResult(name=name, x_label=x_label)
+    rows: List[ExperimentRow] = []
+    specs: List[CellSpec] = []
+    for x, seed_key, config in points:
+        for strategy in strategies:
+            row = ExperimentRow(
+                x=x,
+                strategy_key=strategy.key,
+                policy=strategy.policy,
+                replication=strategy.replication,
+            )
+            sweep.rows.append(row)
+            for rep in range(repetitions):
+                seed = derive_seed(config.seed, name, seed_key, rep)
+                rows.append(row)
+                specs.append(CellSpec(kind, config, strategy, seed))
+    for row, result in zip(rows, runner.run_cells(specs), strict=True):
+        row.add(result)
+    return sweep

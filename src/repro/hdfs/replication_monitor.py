@@ -71,16 +71,13 @@ class ReplicationMonitor:
         backoff_base: float = 5.0,
         backoff_max: float = 60.0,
         is_permanent: Optional[Callable[[str], bool]] = None,
-        on_node_purged: Optional[Callable[[str], None]] = None,
-        on_replica_added: Optional[Callable[[str, str], None]] = None,
         bus: Optional[EventBus] = None,
     ) -> None:
         """``is_permanent(node_id)`` tells the monitor whether a detected
-        death is a permanent loss (injector knowledge); ``on_node_purged``
-        fires after a permanent node's metadata purge (e.g. to untrack its
-        heartbeats); ``on_replica_added(block_id, node_id)`` fires when a
-        re-replication copy lands (e.g. so the JobTracker can re-open
-        locality for pending tasks).
+        death is a permanent loss (injector knowledge). The monitor
+        publishes ``NodePurged`` after a permanent node's metadata purge and
+        ``ReplicaAdded`` when a re-replication copy lands; observers
+        subscribe to those on ``bus``.
         """
         if max_concurrent < 1:
             raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
@@ -97,8 +94,6 @@ class ReplicationMonitor:
         self._backoff_base = backoff_base
         self._backoff_max = backoff_max
         self._is_permanent = is_permanent if is_permanent is not None else lambda _n: False
-        self._on_node_purged = on_node_purged
-        self._on_replica_added = on_replica_added
         self._bus = bus if bus is not None else EventBus()
 
         self._heap: List[Tuple[int, int, str]] = []  # (live replicas, seq, block)
@@ -154,8 +149,6 @@ class ReplicationMonitor:
             # metadata consequence is recorded (idempotently).
             affected, lost = self._namenode.purge_node(node_id)
             self._metrics.record_lost_blocks(lost)
-            if self._on_node_purged is not None:
-                self._on_node_purged(node_id)
             self._bus.publish(NodePurged(time=time, node_id=node_id))
         else:
             affected = self._namenode.located_on(node_id)
@@ -311,8 +304,6 @@ class ReplicationMonitor:
         if landed:
             self._metrics.rereplications_completed += 1
             self._retries.pop(block_id, None)
-            if self._on_replica_added is not None and target is not None:
-                self._on_replica_added(block_id, target)
             if target is not None:
                 self._bus.publish(
                     ReplicaAdded(time=self._sim.now, block_id=block_id, node_id=target)

@@ -47,25 +47,14 @@ class AttemptState(enum.Enum):
 class JobConf:
     """Tunables of the MapReduce runtime.
 
-    ``speculative_slowdown`` is the factor over the expected attempt
-    duration after which a running attempt counts as a straggler;
     ``scheduler`` selects the task-assignment policy (``"locality"`` is
     Hadoop's; ``"availability"`` is this repo's future-work extension).
+    Speculation is a cluster setting (``ClusterConfig.speculation_enabled``
+    feeds the JobTracker's :class:`SpeculationPolicy`), not a job one.
     """
 
     name: str = "job"
-    speculative: bool = True
-    speculative_slowdown: float = 2.0
-    max_speculative_per_task: int = 1
     scheduler: str = "locality"
-
-    def __post_init__(self) -> None:
-        if self.speculative_slowdown <= 1.0:
-            raise ValueError(
-                f"speculative_slowdown must exceed 1, got {self.speculative_slowdown}"
-            )
-        if self.max_speculative_per_task < 0:
-            raise ValueError("max_speculative_per_task must be >= 0")
 
 
 @dataclass(eq=False, slots=True)

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.availability.estimators import AvailabilityEstimate
 from repro.availability.generator import HostAvailability, count_unstable
@@ -95,19 +95,22 @@ from repro.util.validation import check_positive, env_override
 
 _DETECTIONS = ("heartbeat", "oracle")
 
+_T = TypeVar("_T")
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Deployment knobs (defaults follow the paper's Tables 3 and 4)."""
+    """Deployment knobs (defaults follow the paper's Tables 3 and 4).
 
-    #: Per-node network bandwidth in Mb/s (paper sweeps 4-32; default 8).
+    Tunables no experiment varies are constructor defaults of the
+    components that use them (DESIGN.md §4).
+    """
+
+    #: Per-node network bandwidth in Mb/s, both directions (paper sweeps
+    #: 4-32; default 8).
     bandwidth_mbps: float = 8.0
-    #: Downlink override in Mb/s; None means symmetric links.
-    downlink_mbps: Optional[float] = None
     #: HDFS block size in bytes (default 64 MB).
     block_size_bytes: int = 64 * MB
-    #: Map slots per node (the paper's VMs have one core).
-    slots_per_node: int = 1
     #: Failure detection: "heartbeat" (realistic lag) or "oracle" (instant).
     detection: str = "heartbeat"
     heartbeat_interval: float = 3.0
@@ -145,12 +148,8 @@ class ClusterConfig:
     #: Pin the predictor to each host's true (lambda, mu) instead of
     #: estimating from heartbeats (Algorithm 1's stated inputs).
     oracle_estimates: bool = True
-    #: Speculation tunables.
+    #: Speculative re-execution of stragglers (off for ablation A5).
     speculation_enabled: bool = True
-    speculation_slowdown: float = 2.0
-    max_speculative_per_task: int = 1
-    #: JobTracker idle-node re-poll period.
-    sweep_interval: float = 3.0
     #: Shift every interruption process this far into its past, so the run
     #: starts in (approximately) stationary state — some hosts already down
     #: at t=0, as when replaying a random window of a long trace. 0 starts
@@ -160,26 +159,14 @@ class ClusterConfig:
     #: behaviour) or place over the whole membership (False — data loaded
     #: at an earlier time; only long-run availability is predictive).
     placement_liveness_filter: bool = True
-    #: Estimator prior when oracle_estimates is False. The prior is worth
-    #: prior_weight pseudo-episodes over prior_weight*prior_mtbi pseudo-
-    #: uptime; the small default weight lets real heartbeat data dominate
-    #: after a short warmup.
-    prior_mtbi: float = 1e6
-    prior_recovery: float = 0.0
-    prior_weight: float = 1e-4
     #: Durability pipeline: re-replicate under-replicated blocks when a
     #: holder is declared dead (see repro.hdfs.replication_monitor).
     #: Disabled by default — the paper's experiments model interruptions
     #: as recoverable and never pay recovery traffic.
     replication_monitor: bool = False
-    rereplication_max_concurrent: int = 2
-    rereplication_retry_budget: int = 4
-    rereplication_backoff_base: float = 5.0
-    rereplication_backoff_max: float = 60.0
     #: Hardened read path: per-attempt remote-fetch retries with
     #: exponential backoff across surviving replicas (0 = fail fast).
     fetch_retries: int = 2
-    fetch_backoff: float = 1.0
     #: Permanent failures: each host independently suffers an unrecoverable
     #: loss (disk wiped, never returns) with this probability, at a uniform
     #: time within ``permanent_failure_horizon``. 0 disables.
@@ -194,8 +181,6 @@ class ClusterConfig:
     #: overrides this at build time — CI runs the golden and durability
     #: suites with ``REPRO_AUDIT=strict``.
     audit: str = "off"
-    #: Simulated seconds between periodic audits (teardown always audits).
-    audit_interval: float = 25.0
     #: Scripted chaos campaign layered on the stochastic injector (see
     #: repro.simulator.scenarios / repro.simulator.chaos). None = off.
     chaos: Optional[ChaosCampaign] = None
@@ -213,18 +198,12 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         check_positive("bandwidth_mbps", self.bandwidth_mbps)
-        if self.downlink_mbps is not None:
-            check_positive("downlink_mbps", self.downlink_mbps)
         check_positive("block_size_bytes", self.block_size_bytes)
-        if self.slots_per_node < 1:
-            raise ValueError("slots_per_node must be >= 1")
         if self.detection not in _DETECTIONS:
             raise ValueError(f"detection must be one of {_DETECTIONS}, got {self.detection!r}")
         check_positive("heartbeat_interval", self.heartbeat_interval)
-        check_positive("sweep_interval", self.sweep_interval)
         if self.fetch_retries < 0:
             raise ValueError("fetch_retries must be >= 0")
-        check_positive("fetch_backoff", self.fetch_backoff)
         if not 0.0 <= self.permanent_failure_rate <= 1.0:
             raise ValueError("permanent_failure_rate must be in [0, 1]")
         if self.permanent_failure_rate > 0.0:
@@ -254,31 +233,28 @@ class ClusterConfig:
             )
         if self.audit not in AUDIT_MODES:
             raise ValueError(f"audit must be one of {AUDIT_MODES}, got {self.audit!r}")
-        check_positive("audit_interval", self.audit_interval)
         if self.chaos is not None and not isinstance(self.chaos, ChaosCampaign):
             raise TypeError(f"chaos must be a ChaosCampaign, got {type(self.chaos)}")
 
     @property
-    def uplink_bps(self) -> float:
+    def link_bps(self) -> float:
+        """Each host's uplink and downlink rate in bits per second."""
         return mbit_per_s(self.bandwidth_mbps)
-
-    @property
-    def downlink_bps(self) -> float:
-        return mbit_per_s(
-            self.downlink_mbps if self.downlink_mbps is not None else self.bandwidth_mbps
-        )
 
     def nominal_fetch_seconds(self) -> float:
         """Uncontended time to stream one block (speculation threshold)."""
-        return self.block_size_bytes / min(self.uplink_bps, self.downlink_bps)
+        return self.block_size_bytes / self.link_bps
 
 
 @dataclass
 class BuildProfile:
     """Wall-clock breakdown of one ``build_cluster`` call.
 
-    The itemised phases are disjoint. ``total_seconds`` covers the whole
-    build including un-itemised glue, so the itemised phases sum to less.
+    Each itemised field times one build stage: ``object_construction_seconds``
+    the construction stage, ``bus_wiring_seconds`` the wiring stage and
+    ``pregen_seconds`` the availability stage. ``total_seconds`` covers the
+    whole build, including permanent-failure arming and service
+    registration and start, so the itemised stages sum to less.
     ``unstable_hosts`` counts the hosts with rho = lambda * mu >= 1
     (:func:`~repro.availability.generator.count_unstable`).
     """
@@ -300,62 +276,39 @@ class BuildProfile:
         }
 
 
+@dataclass(eq=False, repr=False)
 class Cluster:
-    """A fully wired simulated deployment."""
+    """A fully wired simulated deployment: its components, as
+    :func:`build_cluster` made them (None where the config leaves one out)."""
 
-    def __init__(
-        self,
-        config: ClusterConfig,
-        hosts: Sequence[HostAvailability],
-        sim: Simulator,
-        rng: RandomSource,
-        network: Network,
-        injector: FailureInjector,
-        namenode: NameNode,
-        trackers: Dict[NodeId, TaskTracker],
-        metrics: MapPhaseMetrics,
-        jobtracker: JobTracker,
-        heartbeats: Optional[HeartbeatService],
-        client: DfsClient,
-        durability: Optional[DurabilityMetrics] = None,
-        monitor: Optional[ReplicationMonitor] = None,
-        bus: Optional[EventBus] = None,
-        services: Optional[ServiceRegistry] = None,
-        detector: Optional[OracleDetector] = None,
-        tracer: Optional[TraceRecorder] = None,
-        auditor: Optional[InvariantAuditor] = None,
-        chaos: Optional[ChaosEngine] = None,
-        mitigation: Optional[LinkMitigationService] = None,
-        ids: Optional[NodeIds] = None,
-        build_profile: Optional[BuildProfile] = None,
-    ) -> None:
-        self.config = config
-        self.hosts = list(hosts)
-        #: Name <-> dense-int identity table. Every runtime structure keys
-        #: by the int id; reporting surfaces translate back through this.
-        self.ids = ids if ids is not None else NodeIds()
-        self.sim = sim
-        self.rng = rng
-        self.network = network
-        self.injector = injector
-        self.namenode = namenode
-        self.trackers = trackers
-        self.metrics = metrics
-        self.jobtracker = jobtracker
-        self.heartbeats = heartbeats
-        self.client = client
-        self.durability = durability if durability is not None else DurabilityMetrics()
-        self.monitor = monitor
-        self.bus = bus if bus is not None else EventBus()
-        self.services = services if services is not None else ServiceRegistry()
-        self.detector = detector
-        self.tracer = tracer
-        self.auditor = auditor
-        self.chaos = chaos
-        self.mitigation = mitigation
-        #: Wall-clock phase breakdown of the build that produced this
-        #: cluster (None for hand-wired clusters).
-        self.build_profile = build_profile
+    config: ClusterConfig
+    hosts: List[HostAvailability]
+    #: Name <-> dense-int identity table. Every runtime structure keys
+    #: by the int id; reporting surfaces translate back through this.
+    ids: NodeIds
+    sim: Simulator
+    rng: RandomSource
+    bus: EventBus
+    network: Network
+    injector: FailureInjector
+    namenode: NameNode
+    datanodes: Dict[NodeId, DataNode]
+    trackers: Dict[NodeId, TaskTracker]
+    metrics: MapPhaseMetrics
+    durability: DurabilityMetrics
+    jobtracker: JobTracker
+    heartbeats: Optional[HeartbeatService]
+    detector: Optional[OracleDetector]
+    monitor: Optional[ReplicationMonitor]
+    pipeline: PermanentFailurePipeline
+    chaos: Optional[ChaosEngine]
+    mitigation: Optional[LinkMitigationService]
+    tracer: Optional[TraceRecorder]
+    client: DfsClient
+    #: Wall-clock stage breakdown of the build that produced this cluster.
+    build_profile: BuildProfile
+    services: ServiceRegistry = field(default_factory=ServiceRegistry)
+    auditor: Optional[InvariantAuditor] = None
 
     @property
     def node_ids(self) -> List[NodeId]:
@@ -450,15 +403,58 @@ def build_cluster(
     """
     if not hosts:
         raise ValueError("need at least one host")
-    build_start = time.perf_counter()  # simlint: ignore[D002]
+    cluster, total_seconds = _timed(_assemble, hosts, config, traces, default_gamma)
+    cluster.build_profile.total_seconds = total_seconds
+    return cluster
+
+
+def _timed(stage: Callable[..., _T], *args: object) -> Tuple[_T, float]:
+    """Run one build stage; return its result and its wall-clock seconds."""
+    start = time.perf_counter()  # simlint: ignore[D002]
+    result = stage(*args)
+    return result, time.perf_counter() - start  # simlint: ignore[D002]
+
+
+def _assemble(
+    hosts: Sequence[HostAvailability],
+    config: ClusterConfig,
+    traces: Optional[Sequence[AvailabilityTrace]],
+    default_gamma: float,
+) -> Cluster:
+    """Run the build stages in order; each one's statements keep their order.
+
+    Bus subscriptions within a phase, taps and engine sequence numbers
+    are all taken in call order, so the stage order is load-bearing:
+    heartbeat ``track`` calls reserve sequence numbers before the
+    availability streams are attached, and those before permanent
+    failures are armed and the services start (DESIGN.md §11,
+    "Construction & wiring").
+    """
     profile = BuildProfile(unstable_hosts=count_unstable(hosts))
+    cluster, profile.object_construction_seconds = _timed(
+        _construct, hosts, config, default_gamma, profile
+    )
+    _, profile.bus_wiring_seconds = _timed(_wire, cluster)
+    _, profile.pregen_seconds = _timed(_attach_availability, cluster, traces)
+    _arm_permanent_failures(cluster)
+    _register_services(cluster)
+    return cluster
+
+
+def _construct(
+    hosts: Sequence[HostAvailability],
+    config: ClusterConfig,
+    default_gamma: float,
+    profile: BuildProfile,
+) -> Cluster:
+    """Stage 1: build every component; heartbeats ``track`` each host here."""
     names = [h.host_id for h in hosts]
     if len(set(names)) != len(names):
         raise ValueError("host ids must be unique")
     # Intern every host name once; all hot structures below key by the
     # dense int id, and the table rides on the Cluster for reporting.
     ids = NodeIds()
-    node_id_of = {name: ids.intern(name) for name in names}
+    node_ids = [ids.intern(name) for name in names]
 
     sim = Simulator()
     rng = RandomSource(config.seed)
@@ -469,25 +465,16 @@ def build_cluster(
     topology = make_topology(
         config.topology,
         hosts=len(hosts),
-        uplink_bps=config.uplink_bps,
-        downlink_bps=config.downlink_bps,
+        uplink_bps=config.link_bps,
         racks=config.racks,
         oversubscription=config.oversubscription,
         pods=config.pods,
         trunk_width=config.trunk_width,
     )
     network = Network(
-        sim,
-        uplink_bps=config.uplink_bps,
-        downlink_bps=config.downlink_bps,
-        fair_sharing=config.fair_sharing,
-        topology=topology,
+        sim, uplink_bps=config.link_bps, fair_sharing=config.fair_sharing, topology=topology
     )
-    predictor = PerformancePredictor(
-        prior_mtbi=config.prior_mtbi,
-        prior_recovery=config.prior_recovery,
-        prior_weight=config.prior_weight,
-    )
+    predictor = PerformancePredictor()
     namenode = NameNode(
         predictor, placement_liveness_filter=config.placement_liveness_filter
     )
@@ -500,11 +487,9 @@ def build_cluster(
     # Per-host objects: slotted, with service names derived lazily from
     # the id table (eager `datanode:<host>` f-strings are pure build
     # overhead at 226k nodes; see DataNode/TaskTracker docstrings).
-    construct_start = time.perf_counter()  # simlint: ignore[D002]
     datanodes: Dict[NodeId, DataNode] = {}
     trackers: Dict[NodeId, TaskTracker] = {}
-    for host in hosts:
-        nid = node_id_of[host.host_id]
+    for nid, host in zip(node_ids, hosts):
         datanode = DataNode(nid, names=ids)
         namenode.register_datanode(datanode)
         datanodes[nid] = datanode
@@ -513,9 +498,7 @@ def build_cluster(
             nid,
             network,
             metrics,
-            slots=config.slots_per_node,
             fetch_retries=config.fetch_retries,
-            fetch_backoff=config.fetch_backoff,
             durability=durability,
             names=ids,
         )
@@ -528,12 +511,9 @@ def build_cluster(
                     observations=1,
                 ),
             )
-    profile.object_construction_seconds = time.perf_counter() - construct_start  # simlint: ignore[D002]
 
     speculation = SpeculationPolicy(
         enabled=config.speculation_enabled,
-        slowdown=config.speculation_slowdown,
-        max_per_task=config.max_speculative_per_task,
         nominal_fetch_seconds=config.nominal_fetch_seconds(),
     )
     jobtracker = JobTracker(
@@ -544,7 +524,6 @@ def build_cluster(
         metrics,
         access_during_downtime=config.access_during_downtime,
         speculation=speculation,
-        sweep_interval=config.sweep_interval,
         bus=bus,
     )
     for tracker in trackers.values():
@@ -560,8 +539,8 @@ def build_cluster(
             miss_threshold=config.heartbeat_miss_threshold,
             bus=bus,
         )
-        for host in hosts:
-            heartbeats.track(node_id_of[host.host_id])
+        for nid in node_ids:
+            heartbeats.track(nid)
     else:
         detector = OracleDetector(namenode, bus=bus)
 
@@ -572,20 +551,79 @@ def build_cluster(
             namenode,
             network,
             metrics=durability,
-            max_concurrent=config.rereplication_max_concurrent,
-            retry_budget=config.rereplication_retry_budget,
-            backoff_base=config.rereplication_backoff_base,
-            backoff_max=config.rereplication_backoff_max,
             is_permanent=injector.is_permanently_failed,
             bus=bus,
         )
 
     pipeline = PermanentFailurePipeline(namenode, durability, bus=bus)
 
-    # -- bus wiring (phases encode the reaction order; see module docstring) ----
+    chaos: Optional[ChaosEngine] = None
+    mitigation: Optional[LinkMitigationService] = None
+    if config.chaos is not None:
+        chaos = ChaosEngine(
+            sim,
+            bus,
+            config.chaos,
+            rng,
+            injector,
+            namenode=namenode,
+            ids=ids,
+            network=network,
+        )
+        if config.link_mitigation != "none":
+            # One service class, strategy by composition: the bus wiring
+            # (and the static busgraph extracted from it) is identical no
+            # matter which response the config names.
+            mitigation = LinkMitigationService(
+                network, strategy=config.link_mitigation, ids=ids
+            )
 
-    wiring_start = time.perf_counter()  # simlint: ignore[D002]
-    ordered_ids = [node_id_of[host.host_id] for host in hosts]
+    client = DfsClient(
+        namenode,
+        rng.substream("client"),
+        default_block_size=config.block_size_bytes,
+        default_gamma=default_gamma,
+    )
+    return Cluster(
+        config=config,
+        hosts=list(hosts),
+        ids=ids,
+        sim=sim,
+        rng=rng,
+        bus=bus,
+        network=network,
+        injector=injector,
+        namenode=namenode,
+        datanodes=datanodes,
+        trackers=trackers,
+        metrics=metrics,
+        durability=durability,
+        jobtracker=jobtracker,
+        heartbeats=heartbeats,
+        detector=detector,
+        monitor=monitor,
+        pipeline=pipeline,
+        chaos=chaos,
+        mitigation=mitigation,
+        tracer=tracer,
+        client=client,
+        build_profile=profile,
+    )
+
+
+def _wire(cluster: Cluster) -> None:
+    """Stage 2: every bus subscription (phases encode the reaction order;
+    see the module docstring)."""
+    bus = cluster.bus
+    network = cluster.network
+    jobtracker = cluster.jobtracker
+    heartbeats = cluster.heartbeats
+    detector = cluster.detector
+    chaos = cluster.chaos
+    # Annotated: simlint types handler owners through annotated locals.
+    datanodes: Dict[NodeId, DataNode] = cluster.datanodes
+    trackers: Dict[NodeId, TaskTracker] = cluster.trackers
+    ordered_ids = cluster.node_ids
 
     # Physical transitions (the injector's ground truth). The per-host
     # keyed subscriptions go through the bulk fast path: each (type, key)
@@ -613,7 +651,7 @@ def build_cluster(
         Phase.SCHEDULING,
         ((nid, trackers[nid].handle_node_up) for nid in ordered_ids),
     )
-    if not config.access_during_downtime:
+    if not cluster.config.access_during_downtime:
         bus.subscribe(NodeDown, network.handle_node_down, Phase.NETWORK)
     if heartbeats is not None:
         bus.subscribe(NodeDown, heartbeats.handle_node_down, Phase.DETECTION)
@@ -627,16 +665,16 @@ def build_cluster(
     # Permanent failures: destruction precedes detection — the pipeline
     # wipes in STORAGE phase and the network tears flows down in NETWORK
     # phase, all before the injector publishes the accompanying NodeDown.
-    bus.subscribe(PermanentFailure, pipeline.handle_permanent_failure, Phase.STORAGE)
+    bus.subscribe(PermanentFailure, cluster.pipeline.handle_permanent_failure, Phase.STORAGE)
     bus.subscribe(PermanentFailure, network.handle_permanent_failure, Phase.NETWORK)
     bus.subscribe(BlockLost, jobtracker.handle_block_lost, Phase.SCHEDULING)
 
     # Belief transitions (published by whichever detector is configured):
     # the monitor purges/queues in STORAGE phase, before the JobTracker
     # requeues work against the settled replica map in SCHEDULING phase.
-    if monitor is not None:
-        bus.subscribe(NodeDeclaredDead, monitor.handle_node_dead, Phase.STORAGE)
-        bus.subscribe(NodeReturned, monitor.handle_node_returned, Phase.STORAGE)
+    if cluster.monitor is not None:
+        bus.subscribe(NodeDeclaredDead, cluster.monitor.handle_node_dead, Phase.STORAGE)
+        bus.subscribe(NodeReturned, cluster.monitor.handle_node_returned, Phase.STORAGE)
     bus.subscribe(NodeDeclaredDead, jobtracker.handle_node_dead, Phase.SCHEDULING)
     bus.subscribe(ReplicaAdded, jobtracker.handle_replica_added, Phase.SCHEDULING)
 
@@ -646,32 +684,11 @@ def build_cluster(
     # phase; heartbeat-blocking partitions suppress beats in DETECTION
     # phase. The engine itself measures in ACCOUNTING phase, observing raw
     # transitions before any reaction mutates state.
-    chaos: Optional[ChaosEngine] = None
-    mitigation: Optional[LinkMitigationService] = None
-    if config.chaos is not None:
-        chaos = ChaosEngine(
-            sim,
-            bus,
-            config.chaos,
-            rng,
-            injector,
-            namenode=namenode,
-            ids=ids,
-            network=network,
-        )
-        if config.link_mitigation != "none":
-            # One service class, strategy by composition: the bus wiring
-            # (and the static busgraph extracted from it) is identical no
-            # matter which response the config names.
-            mitigation = LinkMitigationService(
-                network, strategy=config.link_mitigation, ids=ids
-            )
-            bus.subscribe(
-                LinkDegraded, mitigation.handle_link_degraded, Phase.NETWORK
-            )
-            bus.subscribe(
-                LinkRestored, mitigation.handle_link_restored, Phase.NETWORK
-            )
+    if chaos is not None:
+        mitigation = cluster.mitigation
+        if mitigation is not None:
+            bus.subscribe(LinkDegraded, mitigation.handle_link_degraded, Phase.NETWORK)
+            bus.subscribe(LinkRestored, mitigation.handle_link_restored, Phase.NETWORK)
         bus.subscribe(PartitionStarted, network.handle_partition_started, Phase.NETWORK)
         bus.subscribe(PartitionHealed, network.handle_partition_healed, Phase.NETWORK)
         bus.subscribe(NodeDegraded, network.handle_node_degraded, Phase.NETWORK)
@@ -687,26 +704,29 @@ def build_cluster(
             ((nid, trackers[nid].handle_node_restored) for nid in ordered_ids),
         )
         if heartbeats is not None:
-            bus.subscribe(
-                PartitionStarted, heartbeats.handle_partition_started, Phase.DETECTION
-            )
-            bus.subscribe(
-                PartitionHealed, heartbeats.handle_partition_healed, Phase.DETECTION
-            )
+            bus.subscribe(PartitionStarted, heartbeats.handle_partition_started, Phase.DETECTION)
+            bus.subscribe(PartitionHealed, heartbeats.handle_partition_healed, Phase.DETECTION)
         bus.subscribe(NodeDown, chaos.handle_node_down, Phase.ACCOUNTING)
         bus.subscribe(NodeUp, chaos.handle_node_up, Phase.ACCOUNTING)
         bus.subscribe(NodeDeclaredDead, chaos.handle_declared_dead, Phase.ACCOUNTING)
         bus.subscribe(NodeReturned, chaos.handle_node_returned, Phase.ACCOUNTING)
         bus.subscribe(ReplicaAdded, chaos.handle_replica_added, Phase.ACCOUNTING)
-    profile.bus_wiring_seconds = time.perf_counter() - wiring_start  # simlint: ignore[D002]
 
-    pregen_start = time.perf_counter()  # simlint: ignore[D002]
+
+def _attach_availability(
+    cluster: Cluster, traces: Optional[Sequence[AvailabilityTrace]]
+) -> None:
+    """Stage 3: hand the injector each host's interruptions — replayed
+    traces, pregenerated prefixes or lazy per-host streams."""
+    config = cluster.config
+    hosts = cluster.hosts
+    ids = cluster.ids
+    injector = cluster.injector
     if traces is not None:
-        trace_names = [trace.host_id for trace in traces]
-        if trace_names != names:
+        if [trace.host_id for trace in traces] != ids.names():
             raise ValueError("traces must parallel hosts (same ids, same order)")
         for trace in traces:
-            injector.attach_trace(trace, node_id=node_id_of[trace.host_id])
+            injector.attach_trace(trace, node_id=ids.id_of(trace.host_id))
     elif config.pregen_horizon is not None:
         # Bulk pregeneration: every host's episode prefix is materialised
         # up front and injected ready-made, so attach_host never constructs
@@ -714,118 +734,90 @@ def build_cluster(
         # is byte-identical to per-host lazy sampling (streams keyed by
         # (seed, host name) alone); prefixes arrive burn-in-shifted.
         prefixes = pregenerate_prefixes(
-            hosts, rng, config.pregen_horizon, burn_in=config.stationary_burn_in
+            hosts, cluster.rng, config.pregen_horizon, burn_in=config.stationary_burn_in
         )
         for host, prefix in zip(hosts, prefixes, strict=True):
-            injector.attach_host(
-                host, node_id=node_id_of[host.host_id], episodes=prefix
-            )
+            injector.attach_host(host, node_id=ids.id_of(host.host_id), episodes=prefix)
     else:
         for host in hosts:
             # The int id keys the injector's runtime state; the RNG
             # substream stays keyed by *name* inside attach_host, so
             # failure realisations are identity-representation-invariant.
             injector.attach_host(
-                host,
-                burn_in=config.stationary_burn_in,
-                node_id=node_id_of[host.host_id],
+                host, burn_in=config.stationary_burn_in, node_id=ids.id_of(host.host_id)
             )
-    profile.pregen_seconds = time.perf_counter() - pregen_start  # simlint: ignore[D002]
 
-    if config.permanent_failure_rate > 0.0:
-        # Keyed per host so one host's draw never perturbs another's —
-        # the same property the interruption streams have.
-        for host in hosts:
-            perm_rng = rng.substream("permanent", host.host_id)
-            if perm_rng.random() < config.permanent_failure_rate:
-                injector.schedule_permanent_failure(
-                    node_id_of[host.host_id],
-                    at_time=perm_rng.uniform(0.0, config.permanent_failure_horizon),
-                )
 
+def _arm_permanent_failures(cluster: Cluster) -> None:
+    """Stage 4: draw which hosts fail for good, and when."""
+    rate = cluster.config.permanent_failure_rate
+    if rate <= 0.0:
+        return
+    horizon = cluster.config.permanent_failure_horizon
+    # Keyed per host so one host's draw never perturbs another's — the
+    # same property the interruption streams have.
+    for host in cluster.hosts:
+        perm_rng = cluster.rng.substream("permanent", host.host_id)
+        if perm_rng.random() < rate:
+            cluster.injector.schedule_permanent_failure(
+                cluster.ids.id_of(host.host_id), at_time=perm_rng.uniform(0.0, horizon)
+            )
+
+
+def _register_services(cluster: Cluster) -> None:
+    """Stage 5: create the auditor, fill the registry, start the cluster.
+
+    Registration order is start order; stop is the reverse, so consumers
+    always stop before the producers they read.
+    """
     # Cross-layer invariant auditing. The environment variable lets CI (and
     # local debugging) force strict audits over any existing configuration
     # without plumbing a flag through every entry point.
-    audit_mode = env_override("REPRO_AUDIT", config.audit, AUDIT_MODES)
-    auditor: Optional[InvariantAuditor] = None
+    audit_mode = env_override("REPRO_AUDIT", cluster.config.audit, AUDIT_MODES)
     if audit_mode != "off":
-        auditor = InvariantAuditor(
-            sim,
-            bus,
-            namenode=namenode,
-            injector=injector,
-            network=network,
-            trackers=trackers,
-            metrics=metrics,
-            jobtracker=jobtracker,
-            durability=durability,
+        cluster.auditor = InvariantAuditor(
+            cluster.sim,
+            cluster.bus,
+            namenode=cluster.namenode,
+            injector=cluster.injector,
+            network=cluster.network,
+            trackers=cluster.trackers,
+            metrics=cluster.metrics,
+            jobtracker=cluster.jobtracker,
+            durability=cluster.durability,
             mode=audit_mode,
-            interval=config.audit_interval,
         )
 
-    # -- service registry (registration order is start order; stop is the
-    # reverse, so consumers always stop before the producers they read) ---------
-    services = ServiceRegistry()
-    services.register(network)
-    services.register(injector)
-    services.register(pipeline)
+    services = cluster.services
+    services.register(cluster.network)
+    services.register(cluster.injector)
+    services.register(cluster.pipeline)
     # Bulk-registered: per-node service names resolve lazily (see
     # ServiceRegistry.register_bulk) and the dicts iterate in host order.
+    # Annotated so simlint sees which classes register_bulk registers.
+    datanodes: Dict[NodeId, DataNode] = cluster.datanodes
+    trackers: Dict[NodeId, TaskTracker] = cluster.trackers
     services.register_bulk(datanodes.values())
-    if heartbeats is not None:
-        services.register(heartbeats)
-    if detector is not None:
-        services.register(detector)
-    if monitor is not None:
-        services.register(monitor)
-    services.register(jobtracker)
+    if cluster.heartbeats is not None:
+        services.register(cluster.heartbeats)
+    if cluster.detector is not None:
+        services.register(cluster.detector)
+    if cluster.monitor is not None:
+        services.register(cluster.monitor)
+    services.register(cluster.jobtracker)
     services.register_bulk(trackers.values())
-    if mitigation is not None:
+    if cluster.mitigation is not None:
         # Before the chaos engine: a window already armed at start must
         # find its responder subscribed and started.
-        services.register(mitigation)
-    if chaos is not None:
+        services.register(cluster.mitigation)
+    if cluster.chaos is not None:
         # After the injector and every reactor: starting the engine arms
         # the campaign against a fully attached node population.
-        services.register(chaos)
-    if tracer is not None:
-        services.register(tracer)
-    if auditor is not None:
+        services.register(cluster.chaos)
+    if cluster.tracer is not None:
+        services.register(cluster.tracer)
+    if cluster.auditor is not None:
         # Registered last so it stops FIRST: the final teardown audit must
         # see live cluster state, before trackers kill their attempts.
-        services.register(auditor)
-
-    client = DfsClient(
-        namenode,
-        rng.substream("client"),
-        default_block_size=config.block_size_bytes,
-        default_gamma=default_gamma,
-    )
-    cluster = Cluster(
-        config=config,
-        hosts=hosts,
-        sim=sim,
-        rng=rng,
-        network=network,
-        injector=injector,
-        namenode=namenode,
-        trackers=trackers,
-        metrics=metrics,
-        jobtracker=jobtracker,
-        heartbeats=heartbeats,
-        client=client,
-        durability=durability,
-        monitor=monitor,
-        bus=bus,
-        services=services,
-        detector=detector,
-        tracer=tracer,
-        auditor=auditor,
-        chaos=chaos,
-        mitigation=mitigation,
-        ids=ids,
-        build_profile=profile,
-    )
+        services.register(cluster.auditor)
     cluster.start()
-    profile.total_seconds = time.perf_counter() - build_start  # simlint: ignore[D002]
-    return cluster

@@ -1,5 +1,7 @@
 """Tests for experiment configurations (Tables 2, 3, 4 defaults)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.config import (
@@ -9,7 +11,76 @@ from repro.experiments.config import (
     SimulationConfig,
     Strategy,
 )
+from repro.experiments.parallel import CellSpec, cell_cache_key
+from repro.runtime.cluster import ClusterConfig
 from repro.util.units import MB
+
+#: Each config's fields. ``cell_cache_key`` hashes ``dataclasses.asdict``
+#: of the config and bench records compare it, so a field added, dropped
+#: or renamed here moves every cached cell.
+EMULATION_FIELDS = [
+    "access_during_downtime",
+    "bandwidth_mbps",
+    "block_size_bytes",
+    "blocks_per_node",
+    "detection",
+    "fair_sharing",
+    "fetch_retries",
+    "interrupted_ratio",
+    "link_mitigation",
+    "node_count",
+    "oracle_estimates",
+    "oversubscription",
+    "permanent_failure_horizon",
+    "permanent_failure_rate",
+    "rack_aware_placement",
+    "racks",
+    "replication_monitor",
+    "seed",
+    "speculation_enabled",
+    "topology",
+]
+SIMULATION_FIELDS = [
+    "access_during_downtime",
+    "bandwidth_mbps",
+    "block_size_bytes",
+    "detection",
+    "duration_within_cov",
+    "fair_sharing",
+    "heartbeat_interval",
+    "heartbeat_miss_threshold",
+    "link_mitigation",
+    "node_count",
+    "oracle_estimates",
+    "oversubscription",
+    "placement_liveness_filter",
+    "rack_aware_placement",
+    "racks",
+    "seed",
+    "speculation_enabled",
+    "stationary_burn_in",
+    "tasks_per_node",
+    "topology",
+]
+
+#: For each non-bool field an experiment config shares with ClusterConfig,
+#: a valid value equal to neither config's default.
+NON_DEFAULT = {
+    "bandwidth_mbps": 16.0,
+    "block_size_bytes": 32 * MB,
+    "seed": 7,
+    "detection": "oracle",
+    "heartbeat_interval": 7.0,
+    "heartbeat_miss_threshold": 4,
+    "stationary_burn_in": 5.0,
+    "fetch_retries": 5,
+    "permanent_failure_rate": 0.25,
+    "permanent_failure_horizon": 900.0,
+    "topology": "clos",
+    "racks": 3,
+    "oversubscription": 2.0,
+    "link_mitigation": "do-nothing",
+}
 
 
 class TestStrategy:
@@ -112,3 +183,46 @@ class TestSimulationConfig:
     def test_seti_params_closed_form_otherwise(self):
         params = SimulationConfig(duration_within_cov=1.0).seti_params()
         assert params.duration_within_cov == 1.0
+
+
+class TestConfigRecords:
+    """What a refactor of the config classes must not move."""
+
+    def test_field_names(self):
+        assert sorted(f.name for f in dataclasses.fields(EmulationConfig)) == EMULATION_FIELDS
+        assert sorted(f.name for f in dataclasses.fields(SimulationConfig)) == SIMULATION_FIELDS
+
+    @pytest.mark.parametrize(
+        "kind,config,key",
+        [
+            (
+                "emulation",
+                EmulationConfig(),
+                "bdc2d0e8b78addafebd0a6e864055303222a945909efc2e2886b7d1c8a4e29ce",
+            ),
+            (
+                "simulation",
+                SimulationConfig(),
+                "8c72cae46b5c1b5dece55f154a86697c9aa2ff0fc7e05cb44751fd79fa49eedf",
+            ),
+        ],
+        ids=["emulation", "simulation"],
+    )
+    def test_cache_keys_pinned(self, kind, config, key):
+        spec = CellSpec(kind, config, Strategy("adapt", 1), 0)
+        assert cell_cache_key(spec, salt="adapt-cells-v1") == key
+
+    @pytest.mark.parametrize("cls", [EmulationConfig, SimulationConfig])
+    def test_cluster_config_carries_every_shared_field(self, cls):
+        cluster_defaults = {f.name: f.default for f in dataclasses.fields(ClusterConfig)}
+        shared = [f for f in dataclasses.fields(cls) if f.name in cluster_defaults]
+        assert len(shared) == 17
+        for f in shared:
+            if isinstance(f.default, bool):
+                values = (True, False)  # one of them differs from ClusterConfig's
+            else:
+                values = (NON_DEFAULT[f.name],)
+                assert values[0] not in (f.default, cluster_defaults[f.name]), f.name
+            for value in values:
+                carried = cls().with_(**{f.name: value}).cluster_config()
+                assert getattr(carried, f.name) == value, f.name

@@ -9,7 +9,12 @@ through JSON via shortest-repr).
 import pytest
 
 from repro.experiments.config import EmulationConfig, SimulationConfig, Strategy
-from repro.experiments.emulation import run_emulation_point, sweep_interrupted_ratio
+from repro.experiments.emulation import (
+    run_emulation_point,
+    sweep_bandwidth,
+    sweep_interrupted_ratio,
+)
+from repro.experiments.largescale import sweep_sim_block_size, sweep_sim_node_count
 from repro.experiments.parallel import (
     CACHE_SALT,
     CellSpec,
@@ -18,6 +23,8 @@ from repro.experiments.parallel import (
     result_from_jsonable,
     result_to_jsonable,
 )
+from repro.util.rng import derive_seed
+from repro.util.units import MB
 
 TINY = EmulationConfig(node_count=8, interrupted_ratio=0.5, blocks_per_node=2.0, seed=9)
 PAIR = (Strategy("existing", 1), Strategy("adapt", 1))
@@ -187,3 +194,62 @@ class TestMixedCachedAndPending:
         assert executor.cache_misses == 2
         assert [r.policy for r in results] == ["existing", "adapt", "adapt"]
         assert results[1] == warm.run_cells([specs[1]])[0]
+
+
+class _Planned(Exception):
+    def __init__(self, specs):
+        super().__init__(len(specs))
+        self.specs = specs
+
+
+class _PlanOnly(SweepExecutor):
+    """Captures a sweep's cell specs instead of running them."""
+
+    def run_cells(self, specs):
+        raise _Planned(list(specs))
+
+
+def _plan(sweep, base, values, repetitions=2):
+    with pytest.raises(_Planned) as planned:
+        sweep(base, values=values, strategies=PAIR, repetitions=repetitions, executor=_PlanOnly())
+    return planned.value.specs
+
+
+class TestSweepPlan:
+    """A sweep's cells: which config, strategy and seed each point runs."""
+
+    def test_seed_key_is_the_axis_value_as_given(self):
+        # derive_seed hashes str(key): 32 and 32.0 must seed differently.
+        base = SimulationConfig(node_count=8, tasks_per_node=2, seed=4)
+        specs = _plan(sweep_sim_node_count, base, (16, 32.0))
+        assert [s.seed for s in specs] == [
+            derive_seed(4, "fig5c", value, rep)
+            for value in (16, 32.0)
+            for _ in PAIR
+            for rep in (0, 1)
+        ]
+        assert derive_seed(4, "fig5c", 32, 0) != derive_seed(4, "fig5c", 32.0, 0)
+        assert [s.config.node_count for s in specs] == [16] * 4 + [32] * 4
+        assert [s.strategy.key for s in specs[:4]] == ["existingx1"] * 2 + ["adaptx1"] * 2
+
+    def test_emulation_points_share_seeds_across_strategies(self):
+        specs = _plan(sweep_bandwidth, TINY, (4.0, 32), repetitions=1)
+        assert [(s.kind, s.config.bandwidth_mbps, s.seed) for s in specs] == [
+            ("emulation", value, derive_seed(9, "fig3b/4b", value, 0))
+            for value in (4.0, 32)
+            for _ in PAIR
+        ]
+
+    def test_block_size_points_keep_input_per_node(self):
+        base = SimulationConfig(node_count=8, tasks_per_node=10.0, seed=4)
+        specs = _plan(sweep_sim_block_size, base, (32 * MB, 128.0 * MB), repetitions=1)
+        blocks = [s.config.block_size_bytes for s in specs]
+        assert blocks == [32 * MB] * 2 + [128 * MB] * 2
+        assert [s.config.tasks_per_node for s in specs] == [20.0] * 2 + [5.0] * 2
+        assert [s.seed for s in specs] == [
+            derive_seed(4, "fig5b", block, 0) for block in blocks
+        ]
+
+    def test_repetitions_checked_before_any_cell(self):
+        with pytest.raises(ValueError, match="repetitions"):
+            _plan(sweep_interrupted_ratio, TINY, (0.5,), repetitions=0)

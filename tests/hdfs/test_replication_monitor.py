@@ -7,6 +7,7 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.replication_monitor import ReplicationMonitor
 from repro.simulator.engine import Simulator
+from repro.simulator.events import EventBus, NodePurged, Phase, ReplicaAdded
 from repro.simulator.network import Network
 from repro.util.rng import RandomSource
 
@@ -60,9 +61,11 @@ class TestHealing:
 
     def test_replica_callback_fires_per_landed_copy(self):
         landed = []
-        sim, nn, net, mon, f = setup(
-            on_replica_added=lambda b, n: landed.append((b, n))
+        bus = EventBus()
+        bus.subscribe(
+            ReplicaAdded, lambda e: landed.append((e.block_id, e.node_id)), Phase.SCHEDULING
         )
+        sim, nn, net, mon, f = setup(bus=bus)
         nn.mark_dead("n0")
         mon.on_node_dead("n0", 0.0)
         sim.run()
@@ -169,11 +172,13 @@ class TestHolderReturn:
 class TestPermanentLoss:
     def test_purge_records_loss_and_heals_the_rest(self):
         purged = []
+        bus = EventBus()
+        bus.subscribe(NodePurged, lambda e: purged.append(e.node_id), Phase.DETECTION)
         sim, nn, net, mon, f = setup(
             blocks=2,
             replication=2,
             is_permanent=lambda n: n == "n0",
-            on_node_purged=purged.append,
+            bus=bus,
         )
         b0, b1 = (block.block_id for block in f.blocks)
         relocate(nn, b0, {"n0", "n1"})

@@ -129,7 +129,7 @@ class TestSpeculationOnGrayNode:
         f = cluster.client.copy_from_local(
             "in", num_blocks=3, replication=3, policy=RandomPlacement(), gamma=GAMMA
         )
-        job = MapJob.uniform(JobConf(speculative=True), f, GAMMA)
+        job = MapJob.uniform(JobConf(), f, GAMMA)
         cluster.jobtracker.submit(job)
         cluster.run_until_job_done()
         assert job.is_complete

@@ -33,12 +33,12 @@ def build(windows, n=3, access=True, detection="oracle", bandwidth=8.0, seed=1, 
     return build_cluster(hosts, config, traces=traces, default_gamma=GAMMA)
 
 
-def submit(cluster, blocks, replication=1, speculative=True):
+def submit(cluster, blocks, replication=1):
     f = cluster.client.copy_from_local(
         "in", num_blocks=blocks, replication=replication,
         policy=RandomPlacement(), gamma=GAMMA,
     )
-    job = MapJob.uniform(JobConf(speculative=speculative), f, GAMMA)
+    job = MapJob.uniform(JobConf(), f, GAMMA)
     cluster.jobtracker.submit(job)
     return job
 
@@ -158,7 +158,6 @@ class TestSpeculationRaces:
         cluster = build(
             windows, n=4, detection="heartbeat",
             heartbeat_interval=60.0, heartbeat_miss_threshold=10,
-            max_speculative_per_task=1,
         )
         job = submit(cluster, blocks=2, replication=2)
         cluster.run_until_job_done()

@@ -57,7 +57,7 @@ def run_scenario(p):
         policy=make_policy(p["policy"]),
         gamma=GAMMA,
     )
-    job = MapJob.uniform(JobConf(speculative=p["speculation"]), f, GAMMA)
+    job = MapJob.uniform(JobConf(), f, GAMMA)
     cluster.jobtracker.submit(job)
     cluster.run_until_job_done(max_events=5_000_000)
     return cluster, job, f

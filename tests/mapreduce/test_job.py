@@ -14,14 +14,8 @@ def make_job(num_blocks=4, gamma=10.0, **conf_kwargs):
 class TestJobConf:
     def test_defaults(self):
         conf = JobConf()
-        assert conf.speculative
+        assert conf.name == "job"
         assert conf.scheduler == "locality"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            JobConf(speculative_slowdown=1.0)
-        with pytest.raises(ValueError):
-            JobConf(max_speculative_per_task=-1)
 
 
 class TestMapJob:

@@ -9,9 +9,14 @@ every subsystem.
 import pytest
 
 from repro.availability.generator import build_group_hosts
+from repro.mapreduce.jobtracker import JobTracker
+from repro.mapreduce.tasktracker import TaskTracker
 from repro.runtime.cluster import ClusterConfig, build_cluster
 from repro.runtime.services import Service
+from repro.simulator.engine import Simulator
 from repro.simulator.events import NodeDeclaredDead, NodeDown, Phase
+from repro.simulator.metrics import MapPhaseMetrics
+from repro.simulator.network import Network
 
 
 def _monitor_config(**overrides):
@@ -118,22 +123,35 @@ class TestServiceRegistryWiring:
 
     def test_no_inline_lambdas_in_wiring(self):
         # The refactor's contract: bus wiring is named-method subscriptions
-        # only, so dispatch order is readable from the phase table.
+        # only, so dispatch order is readable from the phase table. Every
+        # build stage is held to it, not just build_cluster.
         import inspect
 
         from repro.runtime import cluster as cluster_module
 
-        source = inspect.getsource(cluster_module.build_cluster)
-        assert "lambda" not in source
+        stages = (
+            cluster_module.build_cluster,
+            cluster_module._timed,
+            cluster_module._assemble,
+            cluster_module._construct,
+            cluster_module._wire,
+            cluster_module._attach_availability,
+            cluster_module._arm_permanent_failures,
+            cluster_module._register_services,
+        )
+        for stage in stages:
+            assert "lambda" not in inspect.getsource(stage), stage.__name__
 
 
 class TestConfigValidation:
+    """The link, re-poll and fetch-backoff tunables are constructor
+    defaults of the components that use them, which validate them."""
+
     def test_downlink_rejected_when_nonpositive(self):
-        with pytest.raises(ValueError, match="downlink_mbps"):
-            ClusterConfig(downlink_mbps=0.0)
-        with pytest.raises(ValueError, match="downlink_mbps"):
-            ClusterConfig(downlink_mbps=-4.0)
-        assert ClusterConfig(downlink_mbps=None).downlink_mbps is None  # symmetric OK
+        for bad in (0.0, -4.0):
+            with pytest.raises(ValueError, match="downlink_bps"):
+                Network(Simulator(), uplink_bps=1.0, downlink_bps=bad)
+        assert Network(Simulator(), uplink_bps=1.0).nominal_rate_bps == 1.0  # symmetric OK
 
     def test_heartbeat_interval_rejected_when_nonpositive(self):
         with pytest.raises(ValueError, match="heartbeat_interval"):
@@ -142,19 +160,26 @@ class TestConfigValidation:
             ClusterConfig(heartbeat_interval=-1.0)
 
     def test_sweep_interval_rejected_when_nonpositive(self):
+        cluster = build_cluster(build_group_hosts(2, 0.5), ClusterConfig(seed=1))
         with pytest.raises(ValueError, match="sweep_interval"):
-            ClusterConfig(sweep_interval=0.0)
+            JobTracker(
+                cluster.sim,
+                cluster.namenode,
+                cluster.network,
+                cluster.trackers,
+                cluster.metrics,
+                sweep_interval=0.0,
+            )
 
     def test_fetch_backoff_rejected_when_nonpositive(self):
-        with pytest.raises(ValueError, match="fetch_backoff"):
-            ClusterConfig(fetch_backoff=0.0)
-        with pytest.raises(ValueError, match="fetch_backoff"):
-            ClusterConfig(fetch_backoff=-0.5)
+        sim = Simulator()
+        network = Network(sim, uplink_bps=1.0)
+        for bad in (0.0, -0.5):
+            with pytest.raises(ValueError, match="fetch_backoff"):
+                TaskTracker(sim, 0, network, MapPhaseMetrics(), fetch_backoff=bad)
 
     def test_valid_config_accepted(self):
-        config = ClusterConfig(
-            downlink_mbps=15.0, heartbeat_interval=1.0, sweep_interval=2.0, fetch_backoff=0.25
-        )
+        config = ClusterConfig(heartbeat_interval=1.0, fetch_retries=0)
         assert config.heartbeat_interval == 1.0
 
 

@@ -23,6 +23,7 @@ from repro.simulator.events import BlockLost, NodePurged, TaskStateChange
 from repro.simulator.invariants import (
     AUDIT_MODES,
     AuditReport,
+    InvariantAuditor,
     InvariantViolationError,
 )
 
@@ -105,8 +106,19 @@ class TestConfig:
             ClusterConfig(audit="bogus")
 
     def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(audit_interval=0.0)
+        # The audit cadence is InvariantAuditor's constructor default.
+        cluster = small_cluster(audit="off")
+        with pytest.raises(ValueError, match="interval"):
+            InvariantAuditor(
+                cluster.sim,
+                cluster.bus,
+                cluster.namenode,
+                cluster.injector,
+                cluster.network,
+                cluster.trackers,
+                cluster.metrics,
+                interval=0.0,
+            )
 
     def test_modes_tuple(self):
         assert AUDIT_MODES == ("off", "report", "strict")

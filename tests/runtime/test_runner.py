@@ -81,7 +81,7 @@ class TestRunMapPhase:
 
     def test_custom_job_conf(self):
         hosts = build_group_hosts(4, 0.5)
-        conf = JobConf(name="custom", speculative=False)
+        conf = JobConf(name="custom")
         result = run_map_phase(
             hosts, ClusterConfig(seed=1), "existing", blocks_per_node=2, job_conf=conf
         )
