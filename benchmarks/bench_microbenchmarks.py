@@ -38,7 +38,7 @@ def test_network_fair_share_reallocation(benchmark):
 
     def run():
         sim = Simulator()
-        net = Network(sim, uplink_bps=1e6, fair_sharing=True)
+        net = Network(sim, link_bps=1e6, fair_sharing=True)
         done = []
         for i in range(60):
             net.start_transfer(f"s{i % 6}", f"d{i}", 1e6, done.append)

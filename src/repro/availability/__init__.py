@@ -13,10 +13,6 @@ from repro.availability.distributions import (
     Distribution,
     Exponential,
     Lognormal,
-    Pareto,
-    ShiftedPareto,
-    Weibull,
-    distribution_from_spec,
 )
 from repro.availability.estimators import (
     AvailabilityEstimate,
@@ -37,11 +33,7 @@ __all__ = [
     "Distribution",
     "Exponential",
     "Lognormal",
-    "Weibull",
-    "Pareto",
-    "ShiftedPareto",
     "Deterministic",
-    "distribution_from_spec",
     "InterruptionProcess",
     "DowntimeEpisode",
     "AvailabilityTrace",

@@ -3,9 +3,9 @@
 The paper assumes exponential interruption inter-arrivals and a *general*
 recovery-time distribution with known mean (Section III.A). The simulator
 therefore needs a small family of positive distributions with analytic
-moments: exponential for arrivals, and lognormal/Weibull/Pareto for the
-heavy-tailed durations observed in SETI@home-style traces (Table 1 reports
-CoV values of 4.4 and 7.4, far above the exponential's CoV of 1).
+moments: exponential for arrivals, and lognormal for the heavy-tailed
+durations observed in SETI@home-style traces (Table 1 reports CoV values of
+4.4 and 7.4, far above the exponential's CoV of 1).
 
 Every distribution exposes ``mean``/``std`` (analytic) and ``sample(rng)``
 (drawing from a :class:`repro.util.rng.RandomSource`), so calling code can
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, Mapping
-
 from repro.util.rng import RandomSource
 from repro.util.validation import check_positive
 
@@ -144,142 +142,3 @@ class Lognormal(Distribution):
 
     def __repr__(self) -> str:
         return f"Lognormal(mean={self._mean:g}, cov={self._cov:g})"
-
-
-class Weibull(Distribution):
-    """Weibull distribution with scale and shape parameters."""
-
-    def __init__(self, scale: float, shape: float) -> None:
-        self._scale = check_positive("scale", scale)
-        self._shape = check_positive("shape", shape)
-
-    @property
-    def scale(self) -> float:
-        return self._scale
-
-    @property
-    def shape(self) -> float:
-        return self._shape
-
-    @property
-    def mean(self) -> float:
-        return self._scale * math.gamma(1.0 + 1.0 / self._shape)
-
-    @property
-    def std(self) -> float:
-        g1 = math.gamma(1.0 + 1.0 / self._shape)
-        g2 = math.gamma(1.0 + 2.0 / self._shape)
-        return self._scale * math.sqrt(max(g2 - g1 * g1, 0.0))
-
-    def sample(self, rng: RandomSource) -> float:
-        return rng.weibullvariate(self._scale, self._shape)
-
-    def __repr__(self) -> str:
-        return f"Weibull(scale={self._scale:g}, shape={self._shape:g})"
-
-
-class Pareto(Distribution):
-    """Classic Pareto with minimum ``xm`` and tail index ``alpha``.
-
-    The mean requires alpha > 1 and the variance alpha > 2; accessing a
-    moment that does not exist raises ``ValueError`` so silent infinities
-    never propagate into the placement model.
-    """
-
-    def __init__(self, xm: float, alpha: float) -> None:
-        self._xm = check_positive("xm", xm)
-        self._alpha = check_positive("alpha", alpha)
-
-    @property
-    def xm(self) -> float:
-        return self._xm
-
-    @property
-    def alpha(self) -> float:
-        return self._alpha
-
-    @property
-    def mean(self) -> float:
-        if self._alpha <= 1.0:
-            raise ValueError(f"Pareto mean undefined for alpha={self._alpha}")
-        return self._alpha * self._xm / (self._alpha - 1.0)
-
-    @property
-    def std(self) -> float:
-        if self._alpha <= 2.0:
-            raise ValueError(f"Pareto std undefined for alpha={self._alpha}")
-        a = self._alpha
-        var = self._xm * self._xm * a / ((a - 1.0) ** 2 * (a - 2.0))
-        return math.sqrt(var)
-
-    def sample(self, rng: RandomSource) -> float:
-        return self._xm * rng.paretovariate(self._alpha)
-
-    def __repr__(self) -> str:
-        return f"Pareto(xm={self._xm:g}, alpha={self._alpha:g})"
-
-
-class ShiftedPareto(Distribution):
-    """Lomax (Pareto type II) distribution: support [0, inf), very heavy tail.
-
-    Parameterised by scale and tail index; useful for interruption durations
-    where many events are near zero but the tail is extreme.
-    """
-
-    def __init__(self, scale: float, alpha: float) -> None:
-        self._scale = check_positive("scale", scale)
-        self._alpha = check_positive("alpha", alpha)
-
-    @property
-    def mean(self) -> float:
-        if self._alpha <= 1.0:
-            raise ValueError(f"Lomax mean undefined for alpha={self._alpha}")
-        return self._scale / (self._alpha - 1.0)
-
-    @property
-    def std(self) -> float:
-        if self._alpha <= 2.0:
-            raise ValueError(f"Lomax std undefined for alpha={self._alpha}")
-        a = self._alpha
-        var = self._scale * self._scale * a / ((a - 1.0) ** 2 * (a - 2.0))
-        return math.sqrt(var)
-
-    def sample(self, rng: RandomSource) -> float:
-        # inverse CDF: F(x) = 1 - (1 + x/scale)^-alpha
-        u = rng.random()
-        return self._scale * ((1.0 - u) ** (-1.0 / self._alpha) - 1.0)
-
-    def __repr__(self) -> str:
-        return f"ShiftedPareto(scale={self._scale:g}, alpha={self._alpha:g})"
-
-
-_SPEC_BUILDERS = {
-    "exponential": lambda p: Exponential(mean=p["mean"]),
-    "deterministic": lambda p: Deterministic(value=p["value"]),
-    "lognormal": lambda p: Lognormal(mean=p["mean"], cov=p["cov"]),
-    "weibull": lambda p: Weibull(scale=p["scale"], shape=p["shape"]),
-    "pareto": lambda p: Pareto(xm=p["xm"], alpha=p["alpha"]),
-    "shifted_pareto": lambda p: ShiftedPareto(scale=p["scale"], alpha=p["alpha"]),
-}
-
-
-def distribution_from_spec(spec: Mapping[str, object]) -> Distribution:
-    """Build a distribution from a dict spec like ``{"kind": "exponential", "mean": 10}``.
-
-    This is the configuration-file entry point used by the experiment
-    drivers and the CLI.
-    """
-    if "kind" not in spec:
-        raise ValueError("distribution spec requires a 'kind' key")
-    kind = str(spec["kind"]).lower()
-    params: Dict[str, float] = {
-        key: float(value)  # type: ignore[arg-type]
-        for key, value in spec.items()
-        if key != "kind"
-    }
-    try:
-        builder = _SPEC_BUILDERS[kind]
-    except KeyError:
-        known = ", ".join(sorted(_SPEC_BUILDERS))
-        raise ValueError(f"unknown distribution kind {kind!r}; known kinds: {known}") from None
-    return builder(params)

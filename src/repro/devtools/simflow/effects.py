@@ -69,8 +69,6 @@ DRAW_METHODS = frozenset(
         "expovariate",
         "gauss",
         "lognormvariate",
-        "weibullvariate",
-        "paretovariate",
         "choice",
         "sample",
         "shuffle",

@@ -12,6 +12,13 @@ Exemptions are part of the contract the rules enforce, not loopholes:
 * **F001** skips readers in the ``ACCOUNTING`` phase. The phase's
   documented job is to "see the pre-reaction state" — later phases
   mutating what it read is the architecture, not a hazard.
+* **F001** also ignores the engine's scheduling bookkeeping:
+  ``EventHandle._cancelled`` (one per handle) and
+  ``Simulator._cancelled_in_heap`` (a heap-hygiene counter). Only the
+  engine's own ``cancel()`` idempotence check and heap compaction read
+  them; no handler reads a handle's cancel state. Events pop in
+  ``(time, seq)`` order however the heap is kept, so what a later-phase
+  handler cancels cannot change what an earlier-phase handler observed.
 * **F002** skips events whose docstring carries ``dispatch-root``: a
   publish starts a *new* dispatch whose phase cycle restarts, and some
   events (the detector belief events) are deliberately published from
@@ -39,6 +46,9 @@ _DEFAULT_PHASES = {
     "DETECTION": 4,
     "SCHEDULING": 5,
 }
+
+#: Engine scheduling bookkeeping F001 ignores (see module docstring).
+ENGINE_BOOKKEEPING = frozenset({"EventHandle._cancelled", "Simulator._cancelled_in_heap"})
 
 #: Docstring marker exempting an event from F002 (see module docstring).
 DISPATCH_ROOT_MARKER = "dispatch-root"
@@ -118,7 +128,7 @@ class CrossPhaseWriteAfterRead(ProjectRule):
                     writer_eff = index.lookup(writer.owner_class or "", writer.handler)
                     if writer_eff is None:
                         continue
-                    conflict = writer_eff.writes & reader_eff.reads
+                    conflict = (writer_eff.writes & reader_eff.reads) - ENGINE_BOOKKEEPING
                     if not conflict:
                         continue
                     dedup = (

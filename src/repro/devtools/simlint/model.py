@@ -374,6 +374,10 @@ class Corpus:
             if isinstance(func, ast.Attribute):
                 if func.attr in self.classes and terminal(func) == func.attr:
                     return func.attr  # module-qualified constructor, e.g. events.NodeDown(...)
+                if func.attr == "get":
+                    value = self.expr_dict_value(func.value, scope)
+                    if value is not None:
+                        return value  # d.get(k) types like d[k]
                 base = self.expr_class(func.value, scope)
                 if base is None:
                     return None

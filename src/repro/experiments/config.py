@@ -19,7 +19,7 @@ from repro.availability.seti import SetiModelParams, SetiTraceGenerator
 from repro.runtime.cluster import ClusterConfig
 from repro.util.rng import RandomSource
 from repro.util.units import MB
-from repro.util.validation import check_positive, check_probability
+from repro.util.validation import check_count, check_positive, check_probability
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class EmulationConfig(ExperimentConfigBase):
     fetch_retries: int = 2
 
     def __post_init__(self) -> None:
-        check_positive("node_count", self.node_count)
+        check_count("node_count", self.node_count)
         check_probability("interrupted_ratio", self.interrupted_ratio)
         super().__post_init__()
         check_positive("blocks_per_node", self.blocks_per_node)
@@ -161,7 +161,7 @@ class SimulationConfig(ExperimentConfigBase):
     duration_within_cov: float = 2.0
 
     def __post_init__(self) -> None:
-        check_positive("node_count", self.node_count)
+        check_count("node_count", self.node_count)
         super().__post_init__()
         check_positive("tasks_per_node", self.tasks_per_node)
 

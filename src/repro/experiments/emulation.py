@@ -123,4 +123,8 @@ def sweep_node_count(
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:
     """Figures 3(c) / 4(c): vary the cluster size."""
-    return _sweep("fig3c/4c", "node_count", base, values, strategies, repetitions, executor)
+    config = base if base is not None else EmulationConfig()
+    points = ((float(value), value, config.with_(node_count=int(value))) for value in values)
+    return run_sweep(
+        "emulation", "fig3c/4c", "node_count", points, strategies, repetitions, executor
+    )

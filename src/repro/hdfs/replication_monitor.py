@@ -116,11 +116,6 @@ class ReplicationMonitor:
     def inflight_count(self) -> int:
         return len(self._inflight)
 
-    @property
-    def queue_depth(self) -> int:
-        """Queued blocks awaiting a copy slot (excludes in-flight)."""
-        return len(self._queued)
-
     def is_idle(self) -> bool:
         return not (self._queued or self._inflight or self._retry_events)
 

@@ -32,19 +32,16 @@ class SpeculationPolicy:
     duplicates. ``enabled=False`` disables speculation entirely (ablation
     A5).
 
-    The remote fetch term comes from ``nominal_fetch_seconds`` when set;
-    otherwise it is derived per task from the block size and
-    ``fetch_rate_bps`` (the uncontended link rate). With both at zero a
-    remote attempt is held to the same threshold as a local one — every
+    The remote fetch term is derived per task from the block size and
+    ``fetch_rate_bps`` (the network's uncontended host link rate). At zero
+    a remote attempt is held to the same threshold as a local one — every
     ordinary remote fetch under contention then looks like a straggler and
-    triggers spurious duplicates, so wiring code should always provide one
-    of the two.
+    triggers spurious duplicates, so wiring code should always provide it.
     """
 
     enabled: bool = True
     slowdown: float = 2.0
     max_per_task: int = 1
-    nominal_fetch_seconds: float = 0.0
     fetch_rate_bps: float = 0.0
 
     def __post_init__(self) -> None:
@@ -52,13 +49,10 @@ class SpeculationPolicy:
             raise ValueError(f"slowdown must exceed 1, got {self.slowdown}")
         if self.max_per_task < 0:
             raise ValueError("max_per_task must be >= 0")
-        check_non_negative("nominal_fetch_seconds", self.nominal_fetch_seconds)
         check_non_negative("fetch_rate_bps", self.fetch_rate_bps)
 
     def fetch_seconds(self, task: MapTask) -> float:
         """Nominal uncontended fetch time for the task's input block."""
-        if self.nominal_fetch_seconds > 0.0:
-            return self.nominal_fetch_seconds
         if self.fetch_rate_bps > 0.0:
             return task.block.size_bytes / self.fetch_rate_bps
         return 0.0

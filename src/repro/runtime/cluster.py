@@ -238,12 +238,8 @@ class ClusterConfig:
 
     @property
     def link_bps(self) -> float:
-        """Each host's uplink and downlink rate in bits per second."""
+        """Each host's link rate in bytes per second, both directions."""
         return mbit_per_s(self.bandwidth_mbps)
-
-    def nominal_fetch_seconds(self) -> float:
-        """Uncontended time to stream one block (speculation threshold)."""
-        return self.block_size_bytes / self.link_bps
 
 
 @dataclass
@@ -465,14 +461,14 @@ def _construct(
     topology = make_topology(
         config.topology,
         hosts=len(hosts),
-        uplink_bps=config.link_bps,
+        link_bps=config.link_bps,
         racks=config.racks,
         oversubscription=config.oversubscription,
         pods=config.pods,
         trunk_width=config.trunk_width,
     )
     network = Network(
-        sim, uplink_bps=config.link_bps, fair_sharing=config.fair_sharing, topology=topology
+        sim, link_bps=config.link_bps, fair_sharing=config.fair_sharing, topology=topology
     )
     predictor = PerformancePredictor()
     namenode = NameNode(
@@ -514,7 +510,7 @@ def _construct(
 
     speculation = SpeculationPolicy(
         enabled=config.speculation_enabled,
-        nominal_fetch_seconds=config.nominal_fetch_seconds(),
+        fetch_rate_bps=network.nominal_rate_bps,
     )
     jobtracker = JobTracker(
         sim,

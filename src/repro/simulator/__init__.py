@@ -6,8 +6,8 @@ The paper evaluates ADAPT twice: on an emulated non-dedicated environment
 (Section V.C). This package is that simulator's foundation:
 
 * :mod:`repro.simulator.engine` — the event loop (deterministic heap).
-* :mod:`repro.simulator.network` — flow-level transfers with per-node
-  uplink/downlink capacities and max-min fair sharing.
+* :mod:`repro.simulator.network` — flow-level transfers over links of one
+  host rate times a per-link scale stack, with max-min fair sharing.
 * :mod:`repro.simulator.failures` — node up/down driven by interruption
   processes or replayed traces.
 * :mod:`repro.simulator.metrics` — the rework/recovery/migration/misc

@@ -1,19 +1,24 @@
-"""Flow-level network model with per-node uplink/downlink capacities.
+"""Flow-level network model: one link rate per host, one scale stack per link.
 
-Non-dedicated environments have asymmetric broadband links (Section I: the
-uplink of a typical Internet host is far slower than its downlink), and the
-paper's emulation caps per-VM bandwidth between 4 and 32 Mb/s. We model a
-transfer as a fluid flow from a source node to a destination node; a flow's
-instantaneous rate is limited by the source's uplink and the destination's
-downlink, with concurrent flows sharing links **max-min fairly**
-(progressive filling). Rates are recomputed at every flow arrival,
-completion or cancellation — the standard flow-level approximation of TCP
-fair sharing.
+The paper's emulation shapes every VM to one link rate between 4 and
+32 Mb/s (Section V.A). We model a transfer as a fluid flow from a source
+node to a destination node across the directed links its topology path
+names: the source's uplink, any fabric trunks, and the destination's
+downlink. Concurrent flows share links **max-min fairly** (progressive
+filling), and rates are recomputed at every flow arrival, completion or
+cancellation — the standard flow-level approximation of TCP fair sharing.
 
 ``fair_sharing=False`` selects a cheaper model where each transfer runs at
-``min(uplink, downlink)`` with no contention; the large-scale simulations
-(Section V.C, up to 16384 nodes) use it for speed, matching the paper's own
-simulator granularity.
+the smallest capacity on its path with no contention; the large-scale
+simulations (Section V.C, up to 16384 nodes) use it for speed, matching the
+paper's own simulator granularity.
+
+A link's capacity is its nominal rate — the host link rate on the host
+tiers, the topology's trunk capacity on fabric tiers — times the product of
+the link's *scale stack*. Gray-node windows, degraded-link mitigation and
+any uneven or asymmetric link push onto that stack, and every capacity or
+partition change re-rates the flows in flight through one path
+(``_rerate``).
 
 The *links* a transfer crosses come from a pluggable
 :class:`~repro.simulator.topology.Topology`. Under the default
@@ -43,7 +48,7 @@ from repro.simulator.events import (
     PartitionStarted,
     PermanentFailure,
 )
-from repro.simulator.topology import FlatStar, LinkKey, Topology
+from repro.simulator.topology import HOST_TIERS, FlatStar, LinkKey, Topology
 from repro.util.validation import check_positive
 
 #: Remaining-bytes tolerance under which a transfer counts as finished.
@@ -54,7 +59,7 @@ _DONE_EPSILON = 0.5
 
 
 def _product(factors: List[float]) -> float:
-    """Left-to-right product of a throttle/scale stack.
+    """Left-to-right product of a link's scale stack.
 
     Multiplying in push order keeps the single-factor case bit-identical
     to applying the factor directly (golden trajectories pin this).
@@ -154,22 +159,14 @@ class Network:
     def __init__(
         self,
         sim: Simulator,
-        uplink_bps: float,
-        downlink_bps: Optional[float] = None,
+        link_bps: float,
         fair_sharing: bool = True,
         topology: Optional[Topology] = None,
     ) -> None:
         self._sim = sim
-        self._default_up = check_positive("uplink_bps", uplink_bps)
-        self._default_down = (
-            check_positive("downlink_bps", downlink_bps)
-            if downlink_bps is not None
-            else self._default_up
-        )
+        self._link_bps = check_positive("link_bps", link_bps)
         self._fair = fair_sharing
         self._topology: Topology = topology if topology is not None else FlatStar()
-        self._uplinks: Dict[NodeId, float] = {}
-        self._downlinks: Dict[NodeId, float] = {}
         # Insertion-ordered: Transfer hashes by identity, so iterating a
         # plain set would depend on memory addresses and break seed
         # determinism. Every iteration below relies on this ordering.
@@ -181,79 +178,33 @@ class Network:
         #: Active partitions: id -> member set. A transfer crossing any
         #: partition boundary is stalled (rate 0) until the cut heals.
         self._partitions: Dict[str, frozenset] = {}
-        #: Gray-node throttles: node -> stack of multiplicative factors,
-        #: one per active throttle window, in arming order. Overlapping
-        #: windows on one node compose multiplicatively; each restore
-        #: releases exactly one factor, so the second window survives the
-        #: first window's restore. The base link configuration (defaults
-        #: and :meth:`set_link` overrides) is never rewritten by
-        #: throttles, so overrides made mid-window compose too.
-        self._throttles: Dict[NodeId, List[float]] = {}
-        #: Cached product of each node's throttle stack (hot-path read).
-        self._throttle_scale: Dict[NodeId, float] = {}
-        #: Degraded-link scales: link -> stack of multiplicative factors
-        #: (mitigation services push/pop these), plus the cached product.
-        self._link_scales: Dict[LinkKey, List[float]] = {}
-        self._link_scale: Dict[LinkKey, float] = {}
-        #: :meth:`link_capacity` per link, filled by the allocator and simple-mode
-        #: thaws, cleared by every capacity change: set_link, throttle_node,
-        #: restore_node, scale_link and unscale_link.
+        #: Capacity scales: link -> stack of multiplicative factors in push
+        #: order. Gray-node windows, degraded-link mitigation and uneven
+        #: links all push here, so overlapping changes on one link compose.
+        self._scales: Dict[LinkKey, List[float]] = {}
+        #: Gray-node windows: node -> the link factor of each open window,
+        #: oldest first, so each restore releases its own window's factor
+        #: even when a mitigation scale shares the node's links.
+        self._windows: Dict[NodeId, List[float]] = {}
+        #: :meth:`link_capacity` per link, filled by the allocator and
+        #: simple-mode thaws, cleared by every capacity change.
         self._capacity_memo: Dict[LinkKey, float] = {}
 
     # -- configuration ----------------------------------------------------------
 
-    def set_link(
-        self,
-        node_id: NodeId,
-        uplink_bps: Optional[float] = None,
-        downlink_bps: Optional[float] = None,
-    ) -> None:
-        """Override one node's link capacities."""
-        self._capacity_memo.clear()
-        if uplink_bps is not None:
-            self._uplinks[node_id] = check_positive("uplink_bps", uplink_bps)
-        if downlink_bps is not None:
-            self._downlinks[node_id] = check_positive("downlink_bps", downlink_bps)
-
-    def uplink(self, node_id: NodeId) -> float:
-        """The node's uplink capacity in bytes/second (throttles applied)."""
-        base = self._uplinks.get(node_id, self._default_up)
-        if self._throttle_scale:
-            factor = self._throttle_scale.get(node_id)
-            if factor is not None:
-                return base * factor
-        return base
-
-    def downlink(self, node_id: NodeId) -> float:
-        """The node's downlink capacity in bytes/second (throttles applied)."""
-        base = self._downlinks.get(node_id, self._default_down)
-        if self._throttle_scale:
-            factor = self._throttle_scale.get(node_id)
-            if factor is not None:
-                return base * factor
-        return base
-
     def link_capacity(self, link: LinkKey) -> float:
-        """Capacity of any directed link, degraded-link scales applied.
+        """Capacity of a directed link: its nominal rate times its scales.
 
-        Host tiers (``up``/``down``) read the per-node configuration —
-        defaults, :meth:`set_link` overrides, and gray-node throttles all
-        compose; fabric tiers read the topology's oversubscribed trunk
-        capacity. Scales pushed by :meth:`scale_link` multiply on top.
+        Host tiers (``up``/``down``) carry the one host link rate; fabric
+        tiers carry the topology's oversubscribed trunk capacity. The
+        link's scale stack multiplies in push order.
         """
-        tier = link[0]
-        if tier == "up":
-            base = self.uplink(link[1])
-        elif tier == "down":
-            base = self.downlink(link[1])
+        if link[0] in HOST_TIERS:
+            nominal = self._link_bps
         else:
-            base = self._topology.fabric_capacity(link)
-        scales = self._link_scale
-        if scales:
-            factor = scales.get(link)
-            if factor is not None:
-                return base * factor
-        return base
+            nominal = self._topology.fabric_capacity(link)
+        stack = self._scales.get(link)
+        return nominal * _product(stack) if stack else nominal
 
     @property
     def topology(self) -> Topology:
@@ -267,8 +218,8 @@ class Network:
 
     @property
     def nominal_rate_bps(self) -> float:
-        """Uncontended streaming rate between two default-link nodes."""
-        return min(self._default_up, self._default_down)
+        """Uncontended streaming rate between two hosts: the host link rate."""
+        return self._link_bps
 
     @property
     def active_transfers(self) -> List[Transfer]:
@@ -394,68 +345,49 @@ class Network:
         """
         if partition_id in self._partitions:
             raise ValueError(f"partition {partition_id!r} already active")
-        if self._fair:
-            self._advance()
-            self._partitions[partition_id] = frozenset(members)
-            self._reallocate_and_reschedule()
-        else:
-            self._partitions[partition_id] = frozenset(members)
-            for transfer in list(self._active):
-                if transfer._event is not None and self._is_stalled(transfer):
-                    self._freeze_simple(transfer)
+        self._partitions[partition_id] = frozenset(members)
+        self._rerate()
 
     def end_partition(self, partition_id: str) -> None:
         """Heal a partition; flows it stalled resume from their progress."""
         if partition_id not in self._partitions:
             raise ValueError(f"partition {partition_id!r} is not active")
         del self._partitions[partition_id]
-        if self._fair:
-            self._advance()
-            self._reallocate_and_reschedule()
-        else:
-            for transfer in list(self._active):
-                if transfer._event is None and not (
-                    self._partitions and self._is_stalled(transfer)
-                ):
-                    self._thaw_simple(transfer)
+        self._rerate()
 
     def throttle_node(self, node_id: NodeId, link_factor: float) -> None:
-        """Scale one node's link capacities by ``link_factor`` (gray node).
+        """Open a gray window: scale both of the node's links by ``link_factor``.
 
-        Throttles *stack*: overlapping gray windows on one node compose
-        multiplicatively, and each :meth:`restore_node` releases exactly
-        one window — so the first window's restore no longer lifts a
-        second, still-active throttle. The base configuration (defaults
-        and :meth:`set_link` overrides) is left untouched, which also
-        means an override made mid-window survives the restore instead of
-        being clobbered by a pre-throttle snapshot.
+        The factor is pushed onto the node's ``up`` and ``down`` scale
+        stacks, so overlapping windows compose multiplicatively with each
+        other and with any mitigation scale on those links, and each
+        :meth:`restore_node` releases exactly one window.
         """
         check_positive("link_factor", link_factor)
-        stack = self._throttles.setdefault(node_id, [])
-        stack.append(link_factor)
-        self._throttle_scale[node_id] = _product(stack)
-        self._capacity_memo.clear()
-        self._rerate_node(node_id)
+        self._windows.setdefault(node_id, []).append(link_factor)
+        links = (("up", node_id), ("down", node_id))
+        for link in links:
+            self._scales.setdefault(link, []).append(link_factor)
+        self._rerate(links)
 
     def restore_node(self, node_id: NodeId) -> None:
-        """Release one gray-node throttle window (oldest first).
+        """Close one gray window (oldest first).
 
-        Restores are matched to throttles first-in-first-out: scenario
+        Restores are matched to windows first-in-first-out: scenario
         windows close in the order they opened whenever durations are
         equal, and the *product* of the remaining stack is correct under
-        any interleaving. A restore with no active throttle is a no-op.
+        any interleaving. A restore with no open window is a no-op.
         """
-        stack = self._throttles.get(node_id)
-        if not stack:
+        windows = self._windows.get(node_id)
+        if not windows:
             return
-        stack.pop(0)
-        if stack:
-            self._throttle_scale[node_id] = _product(stack)
-        else:
-            del self._throttles[node_id]
-            del self._throttle_scale[node_id]
-        self._capacity_memo.clear()
-        self._rerate_node(node_id)
+        factor = windows.pop(0)
+        if not windows:
+            del self._windows[node_id]
+        links = (("up", node_id), ("down", node_id))
+        for link in links:
+            self._pop_scale(link, factor)
+        self._rerate(links)
 
     # -- chaos: degraded links -------------------------------------------------------
 
@@ -463,64 +395,61 @@ class Network:
         """Push a multiplicative capacity scale onto one directed link.
 
         Mitigation services call this when a :class:`DegradedLink`
-        scenario opens; scales stack exactly like node throttles, so
-        overlapping degradations on one link compose.
+        scenario opens; the scale shares the link's one stack with gray
+        windows, so every overlapping change on one link composes.
         """
         check_positive("factor", factor)
-        stack = self._link_scales.setdefault(link, [])
-        stack.append(factor)
-        self._link_scale[link] = _product(stack)
-        self._capacity_memo.clear()
-        self._rerate_link(link)
+        self._scales.setdefault(link, []).append(factor)
+        self._rerate((link,))
 
-    def unscale_link(self, link: LinkKey, factor: Optional[float] = None) -> None:
-        """Pop one scale from a link (the first matching ``factor``, or
-        the oldest when unspecified). Raises if the link carries none."""
-        stack = self._link_scales.get(link)
+    def unscale_link(self, link: LinkKey, factor: float) -> None:
+        """Pop one scale of ``factor`` from a link (the first equal one).
+
+        The factor is named because gray windows share the stack: popping
+        "the oldest" could release another pusher's factor. Raises
+        KeyError if the link carries no such scale.
+        """
+        self._pop_scale(link, factor)
+        self._rerate((link,))
+
+    def _pop_scale(self, link: LinkKey, factor: float) -> None:
+        stack = self._scales.get(link, [])
+        if factor not in stack:
+            raise KeyError(f"link {link!r} carries no active scale of {factor!r}")
+        stack.remove(factor)
         if not stack:
-            raise KeyError(f"link {link!r} carries no active scale")
-        if factor is None:
-            stack.pop(0)
-        else:
-            try:
-                stack.remove(factor)
-            except ValueError:
-                raise KeyError(
-                    f"link {link!r} carries no active scale of {factor!r}"
-                ) from None
-        if stack:
-            self._link_scale[link] = _product(stack)
-        else:
-            del self._link_scales[link]
-            del self._link_scale[link]
-        self._capacity_memo.clear()
-        self._rerate_link(link)
+            del self._scales[link]
 
-    def _rerate_node(self, node_id: NodeId) -> None:
-        """Re-rate in-flight transfers after a capacity change on a node."""
+    def _rerate(self, links: Tuple[LinkKey, ...] = ()) -> None:
+        """Re-rate in-flight transfers after the capacities of ``links``
+        or the partitions changed.
+
+        Under fair sharing this advances and reallocates once. Under the
+        fixed-cost model it makes one pass over the active transfers: a
+        running flow a partition now stalls freezes, a frozen flow no
+        partition stalls thaws (at the capacities of the moment), and a
+        running flow crossing a changed link restarts at its new rate.
+        """
+        if links:
+            self._capacity_memo.clear()
         if self._fair:
             self._advance()
             self._reallocate_and_reschedule()
-        else:
-            for transfer in list(self._active):
-                if transfer._event is None:
-                    continue  # stalled; heal-time thaw reads new capacities
-                if transfer.source == node_id or transfer.destination == node_id:
-                    self._freeze_simple(transfer)
+            return
+        partitions = self._partitions
+        for transfer in list(self._active):
+            stalled = bool(partitions) and self._is_stalled(transfer)
+            if transfer._event is None:
+                if not stalled:
                     self._thaw_simple(transfer)
-
-    def _rerate_link(self, link: LinkKey) -> None:
-        """Re-rate in-flight transfers after a capacity change on a link."""
-        if self._fair:
-            self._advance()
-            self._reallocate_and_reschedule()
-        else:
-            for transfer in list(self._active):
-                if transfer._event is None:
-                    continue  # stalled; heal-time thaw reads new capacities
-                if link in transfer.path:
-                    self._freeze_simple(transfer)
-                    self._thaw_simple(transfer)
+            elif stalled:
+                self._freeze_simple(transfer)
+            else:
+                for link in links:
+                    if link in transfer.path:
+                        self._freeze_simple(transfer)
+                        self._thaw_simple(transfer)
+                        break
 
     def _is_stalled(self, transfer: Transfer) -> bool:
         """Whether the transfer crosses any active partition boundary."""
@@ -584,11 +513,10 @@ class Network:
             "service": self.name,
             "active_transfers": len(self._active),
             "fair_sharing": self._fair,
-            "uplink_bps": self._default_up,
-            "downlink_bps": self._default_down,
+            "link_bps": self._link_bps,
             "partitions": len(self._partitions),
-            "throttled_nodes": len(self._throttles),
-            "degraded_links": len(self._link_scales),
+            "throttled_nodes": len(self._windows),
+            "scaled_links": len(self._scales),
         }
 
     # -- internals: simple mode ----------------------------------------------------

@@ -1,8 +1,8 @@
 """Network topologies: the link structure under the flow-level model.
 
 The paper's network (Section I, V.C) is a flat star — every host hangs
-off an infinitely-fast core through one asymmetric access link, so a
-transfer touches exactly two links: the source's uplink and the
+off an infinitely-fast core through one shaped access link, so a
+transfer touches exactly two directed links: the source's uplink and the
 destination's downlink. That is :class:`FlatStar`, and it remains the
 default (golden trajectories are byte-identical through it).
 
@@ -32,11 +32,12 @@ tier         id                            meaning
 ``agg-down`` pod index (int)               spine trunk towards the pod
 ===========  ============================  =================================
 
-Host tiers take their capacity from the :class:`~.network.Network`'s
-per-node configuration (so gray-node throttles compose); fabric tiers
-take theirs from the topology (so oversubscription is a pure function of
-the declared shape). Chaos specs name links as ``"tier:id"`` strings —
-``"tor-up:3"``, ``"up:node-00042"`` — parsed by :func:`parse_link_spec`.
+Host tiers carry the :class:`~.network.Network`'s one host link rate;
+fabric tiers take theirs from the topology (so oversubscription is a pure
+function of the declared shape). On every tier the Network multiplies the
+nominal capacity by the link's scale stack (gray windows, mitigation).
+Chaos specs name links as ``"tier:id"`` strings — ``"tor-up:3"``,
+``"up:node-00042"`` — parsed by :func:`parse_link_spec`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ __all__ = [
 #: tiers an int rack/pod index.
 LinkKey = Tuple[str, Union[NodeId, str, int]]
 
-#: Tiers whose capacity the Network owns (per-node overrides, throttles).
+#: Tiers whose nominal capacity is the Network's host link rate.
 HOST_TIERS = ("up", "down")
 #: Tiers whose capacity the topology owns (oversubscribed trunks).
 FABRIC_TIERS = ("tor-up", "tor-down", "agg-up", "agg-down")
@@ -143,12 +144,13 @@ class ClosTopology:
     :class:`FlatStar`, which the golden byte-identity tests pin.
 
     Trunk capacities derive from the declared shape: a ToR serves
-    ``hosts/racks`` hosts, so its up (down) trunk provides that many
-    host uplinks (downlinks) of aggregate bandwidth divided by
-    ``oversubscription``; an aggregation trunk serves ``racks/pods``
-    ToR trunks, divided by ``oversubscription`` again. ``trunk_width``
-    models the ECMP member count of every fabric trunk (disable-and-
-    reroute mitigation derates a degraded trunk to ``(w-1)/w``).
+    ``hosts/racks`` hosts, so each of its trunks provides that many host
+    links of aggregate bandwidth divided by ``oversubscription``; an
+    aggregation trunk serves ``racks/pods`` ToR trunks, divided by
+    ``oversubscription`` again. Both directions of a tier carry the same
+    capacity. ``trunk_width`` models the ECMP member count of every
+    fabric trunk (disable-and-reroute mitigation derates a degraded trunk
+    to ``(w-1)/w``).
     """
 
     kind = "clos"
@@ -157,8 +159,7 @@ class ClosTopology:
         self,
         hosts: int,
         racks: int,
-        host_uplink_bps: float,
-        host_downlink_bps: Optional[float] = None,
+        host_link_bps: float,
         oversubscription: float = 1.0,
         pods: int = 1,
         trunk_width: int = 4,
@@ -175,23 +176,17 @@ class ClosTopology:
             raise ValueError(f"pods ({pods}) must not exceed racks ({racks})")
         if trunk_width < 1:
             raise ValueError(f"trunk_width must be >= 1, got {trunk_width}")
-        check_positive("host_uplink_bps", host_uplink_bps)
-        if host_downlink_bps is not None:
-            check_positive("host_downlink_bps", host_downlink_bps)
+        check_positive("host_link_bps", host_link_bps)
         check_positive("oversubscription", oversubscription)
         self._hosts = int(hosts)
         self._racks = int(racks)
         self._pods = int(pods)
         self._oversub = float(oversubscription)
         self._trunk_width = int(trunk_width)
-        up = float(host_uplink_bps)
-        down = float(host_downlink_bps) if host_downlink_bps is not None else up
         hosts_per_rack = self._hosts / self._racks
         racks_per_pod = self._racks / self._pods
-        self._tor_up = hosts_per_rack * up / self._oversub
-        self._tor_down = hosts_per_rack * down / self._oversub
-        self._agg_up = racks_per_pod * self._tor_up / self._oversub
-        self._agg_down = racks_per_pod * self._tor_down / self._oversub
+        self._tor = hosts_per_rack * float(host_link_bps) / self._oversub
+        self._agg = racks_per_pod * self._tor / self._oversub
 
     # -- shape -------------------------------------------------------------
 
@@ -209,9 +204,6 @@ class ClosTopology:
 
     def rack_of(self, node_id: NodeId) -> int:
         return int(node_id) % self._racks
-
-    def pod_of(self, rack: int) -> int:
-        return rack % self._pods
 
     # -- Topology protocol -------------------------------------------------
 
@@ -240,15 +232,11 @@ class ClosTopology:
         )
 
     def fabric_capacity(self, link: LinkKey) -> float:
-        tier, index = link
-        if tier == "tor-up":
-            return self._tor_up
-        if tier == "tor-down":
-            return self._tor_down
-        if tier == "agg-up":
-            return self._agg_up
-        if tier == "agg-down":
-            return self._agg_down
+        tier = link[0]
+        if tier == "tor-up" or tier == "tor-down":
+            return self._tor
+        if tier == "agg-up" or tier == "agg-down":
+            return self._agg
         raise KeyError(f"not a fabric link: {link!r}")
 
     def fabric_links(self) -> Tuple[LinkKey, ...]:
@@ -314,8 +302,7 @@ def parse_link_spec(
 def make_topology(
     kind: str,
     hosts: int,
-    uplink_bps: float,
-    downlink_bps: Optional[float] = None,
+    link_bps: float,
     racks: int = 1,
     oversubscription: float = 1.0,
     pods: int = 1,
@@ -328,8 +315,7 @@ def make_topology(
         return ClosTopology(
             hosts=hosts,
             racks=racks,
-            host_uplink_bps=uplink_bps,
-            host_downlink_bps=downlink_bps,
+            host_link_bps=link_bps,
             oversubscription=oversubscription,
             pods=pods,
             trunk_width=trunk_width,

@@ -153,14 +153,6 @@ class RandomSource:
         """Lognormal sample with underlying normal parameters (mu, sigma)."""
         return self._random.lognormvariate(mu, sigma)
 
-    def weibullvariate(self, scale: float, shape: float) -> float:
-        """Weibull sample."""
-        return self._random.weibullvariate(scale, shape)
-
-    def paretovariate(self, alpha: float) -> float:
-        """Pareto sample (support [1, inf))."""
-        return self._random.paretovariate(alpha)
-
     def choice(self, seq: Sequence[T]) -> T:
         """Uniform choice from a non-empty sequence."""
         return self._random.choice(seq)

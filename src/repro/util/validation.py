@@ -16,6 +16,13 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def check_count(name: str, value: int) -> int:
+    """Require a positive ``int`` (a bool or a float is rejected); return it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def check_non_negative(name: str, value: float) -> float:
     """Require ``value >= 0``; return it as a float."""
     value = float(value)

@@ -10,10 +10,6 @@ from repro.availability.distributions import (
     Deterministic,
     Exponential,
     Lognormal,
-    Pareto,
-    ShiftedPareto,
-    Weibull,
-    distribution_from_spec,
 )
 from repro.util.rng import RandomSource
 from repro.util.stats import RunningStats
@@ -87,69 +83,3 @@ class TestLognormal:
         d = Lognormal(mean=mean, cov=cov)
         # mean = exp(mu + sigma^2/2) must hold.
         assert math.exp(d.mu + d.sigma**2 / 2) == pytest.approx(mean, rel=1e-9)
-
-
-class TestWeibull:
-    def test_exponential_special_case(self):
-        # shape=1 reduces to exponential.
-        d = Weibull(scale=10.0, shape=1.0)
-        assert d.mean == pytest.approx(10.0)
-        assert d.std == pytest.approx(10.0)
-
-    def test_samples_match(self):
-        d = Weibull(scale=10.0, shape=2.0)
-        acc = _sample_stats(d, n=30000)
-        assert acc.mean == pytest.approx(d.mean, rel=0.05)
-
-
-class TestPareto:
-    def test_moments(self):
-        d = Pareto(xm=1.0, alpha=3.0)
-        assert d.mean == pytest.approx(1.5)
-        assert d.std == pytest.approx(math.sqrt(3.0 / (4 * 1)), rel=1e-9)
-
-    def test_undefined_moments_raise(self):
-        with pytest.raises(ValueError):
-            _ = Pareto(xm=1.0, alpha=0.9).mean
-        with pytest.raises(ValueError):
-            _ = Pareto(xm=1.0, alpha=1.5).std
-
-    def test_support(self):
-        d = Pareto(xm=2.0, alpha=2.5)
-        rng = RandomSource(3)
-        assert all(d.sample(rng) >= 2.0 for _ in range(100))
-
-
-class TestShiftedPareto:
-    def test_mean(self):
-        d = ShiftedPareto(scale=10.0, alpha=3.0)
-        assert d.mean == pytest.approx(5.0)
-
-    def test_samples_match_mean(self):
-        d = ShiftedPareto(scale=10.0, alpha=4.0)
-        acc = _sample_stats(d, n=50000)
-        assert acc.mean == pytest.approx(d.mean, rel=0.1)
-
-    def test_support_starts_at_zero(self):
-        d = ShiftedPareto(scale=1.0, alpha=2.0)
-        rng = RandomSource(3)
-        assert all(d.sample(rng) >= 0.0 for _ in range(100))
-
-
-class TestSpecParsing:
-    def test_exponential_spec(self):
-        d = distribution_from_spec({"kind": "exponential", "mean": 4})
-        assert isinstance(d, Exponential)
-        assert d.mean == 4.0
-
-    def test_lognormal_spec(self):
-        d = distribution_from_spec({"kind": "lognormal", "mean": 9, "cov": 2})
-        assert isinstance(d, Lognormal)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown distribution kind"):
-            distribution_from_spec({"kind": "zipf"})
-
-    def test_missing_kind(self):
-        with pytest.raises(ValueError, match="requires a 'kind'"):
-            distribution_from_spec({"mean": 1})

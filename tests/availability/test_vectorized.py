@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.availability import process
-from repro.availability.distributions import Deterministic, Exponential, Lognormal, Weibull
+from repro.availability.distributions import Deterministic, Exponential, Lognormal
 from repro.availability.generator import HostAvailability
 from repro.availability.pregen import episode_prefix, host_process, shift_episodes
 from repro.availability.process import (
@@ -43,7 +43,7 @@ def _episode_pairs():
         # Generic fallbacks (no specialisation; sanity that dispatch
         # doesn't change them either).
         ("expo-deterministic", Exponential(mean=500.0), Deterministic(value=90.0)),
-        ("weibull-lognormal", Weibull(scale=800.0, shape=0.8), Lognormal(mean=100.0, cov=1.0)),
+        ("lognormal-lognormal", Lognormal(mean=800.0, cov=1.5), Lognormal(mean=100.0, cov=1.0)),
     ]
 
 

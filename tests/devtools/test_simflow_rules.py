@@ -211,6 +211,31 @@ class TestEffectExtraction:
         assert effects is not None
         assert "Tracker.up" in effects.writes
 
+    def test_dict_get_types_like_a_subscript(self, tmp_path):
+        # A handler reaching a dict field's value through d.get(k) has the
+        # same effects as one reaching it through d[k].
+        index = self._index(
+            tmp_path,
+            "from typing import Dict, Optional\n\n\n"
+            "class Handle:\n"
+            "    def __init__(self):\n"
+            "        self.cancelled = False\n\n"
+            "    def cancel(self):\n"
+            "        self.cancelled = True\n\n\n"
+            "class Watchdog:\n"
+            "    def __init__(self):\n"
+            "        self._timers: Dict[int, Optional[Handle]] = {}\n\n"
+            "    def handle_node_down(self, event):\n"
+            "        self._timers.get(event.node_id).cancel()\n\n"
+            "    def handle_node_up(self, event):\n"
+            "        self._timers[event.node_id].cancel()\n",
+        )
+        via_get = index.lookup("Watchdog", "handle_node_down")
+        via_subscript = index.lookup("Watchdog", "handle_node_up")
+        assert via_get is not None and via_subscript is not None
+        assert "Handle.cancelled" in via_subscript.writes
+        assert (via_get.reads, via_get.writes) == (via_subscript.reads, via_subscript.writes)
+
     def test_covered_closure_links_stored_callbacks(self, tmp_path):
         index = self._index(
             tmp_path,

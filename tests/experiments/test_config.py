@@ -143,6 +143,15 @@ class TestEmulationConfig:
         with pytest.raises(ValueError):
             EmulationConfig(interrupted_ratio=2.0)
 
+    @pytest.mark.parametrize("config_type", [EmulationConfig, SimulationConfig])
+    @pytest.mark.parametrize("count", [10.0, True, False])
+    def test_node_count_must_be_an_int(self, config_type, count):
+        # A float used to construct and then crash in host generation; a
+        # bool built a 1-node cluster. A ValueError is what the CLI reports
+        # as a usage error.
+        with pytest.raises(ValueError, match="node_count"):
+            config_type(node_count=count)
+
 
 class TestSimulationConfig:
     def test_table4_defaults(self):

@@ -13,6 +13,7 @@ from repro.experiments.emulation import (
     run_emulation_point,
     sweep_bandwidth,
     sweep_interrupted_ratio,
+    sweep_node_count,
 )
 from repro.experiments.largescale import sweep_sim_block_size, sweep_sim_node_count
 from repro.experiments.parallel import (
@@ -231,6 +232,20 @@ class TestSweepPlan:
         assert derive_seed(4, "fig5c", 32, 0) != derive_seed(4, "fig5c", 32.0, 0)
         assert [s.config.node_count for s in specs] == [16] * 4 + [32] * 4
         assert [s.strategy.key for s in specs[:4]] == ["existingx1"] * 2 + ["adaptx1"] * 2
+
+    def test_emulation_node_count_key_is_the_axis_value_as_given(self):
+        # The emulation twin: each point builds an int node count, and
+        # keeps its key object, so 32.0 still seeds apart from 32.
+        specs = _plan(sweep_node_count, TINY, (16, 32.0))
+        assert [s.seed for s in specs] == [
+            derive_seed(9, "fig3c/4c", value, rep)
+            for value in (16, 32.0)
+            for _ in PAIR
+            for rep in (0, 1)
+        ]
+        assert derive_seed(9, "fig3c/4c", 32, 0) != derive_seed(9, "fig3c/4c", 32.0, 0)
+        assert [s.config.node_count for s in specs] == [16] * 4 + [32] * 4
+        assert all(type(s.config.node_count) is int for s in specs)
 
     def test_emulation_points_share_seeds_across_strategies(self):
         specs = _plan(sweep_bandwidth, TINY, (4.0, 32), repetitions=1)

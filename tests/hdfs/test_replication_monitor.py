@@ -20,7 +20,7 @@ def setup(nodes=4, blocks=4, replication=2, **kw):
     nn = NameNode()
     for i in range(nodes):
         nn.register_datanode(DataNode(f"n{i}"))
-    net = Network(sim, uplink_bps=100.0)
+    net = Network(sim, link_bps=100.0)
     mon = ReplicationMonitor(sim, nn, net, **kw)
     f = nn.create_file("f", blocks, SIZE, replication, RandomPlacement(), GAMMA, RandomSource(7))
     return sim, nn, net, mon, f

@@ -13,6 +13,7 @@ from repro.availability.traces import AvailabilityTrace
 from repro.core.placement import RandomPlacement
 from repro.mapreduce.job import AttemptState, JobConf, MapJob
 from repro.runtime.cluster import ClusterConfig, build_cluster
+from repro.simulator.scenarios import ChaosCampaign, GrayNode
 
 GAMMA = 10.0
 HORIZON = 1_000_000.0
@@ -154,18 +155,37 @@ class TestSpeculationRaces:
             assert len(succeeded) == 1
 
     def test_speculation_capped_per_task(self):
-        windows = {0: [(5.0, 100_000.0)]}
+        # n0 dies under the task's only attempt, and its speculative copy
+        # lands on gray node n1, which runs tasks ten times slower. That
+        # copy straggles past the threshold (2 x gamma) while n2 and n3
+        # sit idle, then dies with n1 at t=40. Only the cap (the default
+        # policy allows one live speculative attempt per task) keeps the
+        # idle nodes off the task until then; a fresh copy follows.
+        windows = {0: [(5.0, 100_000.0)], 1: [(40.0, 100_000.0)]}
+        slow = GrayNode(start=0.0, duration=1000.0, exec_factor=10.0, nodes=("n1",))
         cluster = build(
             windows, n=4, detection="heartbeat",
             heartbeat_interval=60.0, heartbeat_miss_threshold=10,
+            chaos=ChaosCampaign("slow-speculation", (slow,)),
         )
-        job = submit(cluster, blocks=2, replication=2)
+        job = submit(cluster, blocks=1, replication=4)
         cluster.run_until_job_done()
-        for task in job.tasks:
-            spec = [a for a in task.attempts if a.speculative]
-            # One speculative attempt at a time; retries only after failure.
-            live_spec_peak = len([a for a in spec if a.state is AttemptState.KILLED or a.state is AttemptState.SUCCEEDED or a.state is AttemptState.FAILED])
-            assert live_spec_peak == len(spec)
+        assert job.is_complete
+        (task,) = job.tasks
+        spec = [a for a in task.attempts if a.speculative]
+        assert len(spec) > 1
+        assert spec[0].node_id == cluster.ids.id_of("n1")
+        assert spec[0].finished_at - spec[0].created_at > 2 * GAMMA
+        # Live speculative attempts over time: an attempt that ends at
+        # the instant another starts is not live alongside it.
+        edges = sorted(
+            [(a.created_at, 1) for a in spec] + [(a.finished_at, -1) for a in spec]
+        )
+        live = peak = 0
+        for _, step in edges:
+            live += step
+            peak = max(peak, live)
+        assert peak == 1
 
 
 class TestRebalanceUnderFailures:

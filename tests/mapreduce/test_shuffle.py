@@ -9,7 +9,7 @@ from repro.simulator.network import Network
 
 def setup(up=100.0):
     sim = Simulator()
-    net = Network(sim, uplink_bps=up)
+    net = Network(sim, link_bps=up)
     return sim, ShufflePhase(sim, net)
 
 

@@ -39,8 +39,8 @@ class TestEligibility:
         assert policy.is_straggling(task, now=21.0)
 
     def test_remote_threshold_includes_fetch(self):
-        policy = SpeculationPolicy(slowdown=2.0, nominal_fetch_seconds=50.0)
-        task = make_task(gamma=10.0)
+        task = make_task(gamma=10.0)  # 1024-byte block
+        policy = SpeculationPolicy(slowdown=2.0, fetch_rate_bps=1024.0 / 50.0)
         task.new_attempt("n0", local=False, speculative=False, now=0.0, source_node="s")
         # Expected duration 60s -> threshold 120s.
         assert not policy.is_straggling(task, now=100.0)
@@ -76,8 +76,6 @@ class TestMaySpeculate:
         with pytest.raises(ValueError):
             SpeculationPolicy(max_per_task=-1)
         with pytest.raises(ValueError):
-            SpeculationPolicy(nominal_fetch_seconds=-1.0)
-        with pytest.raises(ValueError):
             SpeculationPolicy(fetch_rate_bps=-1.0)
 
 
@@ -90,20 +88,16 @@ class TestFetchRate:
         assert policy.expected_duration(task, remote=True) == pytest.approx(26.0)
         assert policy.expected_duration(task, remote=False) == pytest.approx(10.0)
 
-    def test_nominal_seconds_take_precedence(self):
-        policy = SpeculationPolicy(nominal_fetch_seconds=50.0, fetch_rate_bps=64.0)
-        assert policy.fetch_seconds(make_task()) == pytest.approx(50.0)
-
     def test_remote_under_contention_is_not_spurious_straggler(self):
-        # Regression: with nominal_fetch_seconds=0 and no fetch rate, a
-        # remote attempt used to be held to the local threshold, so any
-        # fetch slower than (slowdown-1)*gamma looked like a straggler and
-        # triggered a duplicate. Deriving the fetch term from the block
+        # Regression: with no fetch rate, a remote attempt used to be held
+        # to the local threshold, so any fetch slower than
+        # (slowdown-1)*gamma looked like a straggler and triggered a
+        # duplicate. Deriving the fetch term from the block
         # size and link rate fixes the threshold.
         task = make_task(gamma=10.0)  # 1024-byte block
         task.new_attempt("n0", local=False, speculative=False, now=0.0, source_node="s")
         # Contended fetch still in flight at t=30 (3x gamma).
-        buggy = SpeculationPolicy(slowdown=2.0)  # both fetch knobs zero
+        buggy = SpeculationPolicy(slowdown=2.0)  # no fetch rate
         assert buggy.is_straggling(task, now=30.0)  # the old false positive
         fixed = SpeculationPolicy(slowdown=2.0, fetch_rate_bps=1024.0 / 50.0)
         # Expected duration 10 + 50 = 60s -> threshold 120s.
@@ -123,7 +117,7 @@ class TestJobTrackerDefault:
         from repro.simulator.network import Network
 
         sim = Simulator()
-        network = Network(sim, uplink_bps=1000.0, downlink_bps=500.0)
+        network = Network(sim, link_bps=500.0)
         tracker = JobTracker(sim, NameNode(), network, {}, MapPhaseMetrics())
         policy = tracker._speculation
         assert policy.fetch_rate_bps == pytest.approx(500.0)

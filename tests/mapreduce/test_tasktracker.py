@@ -28,7 +28,7 @@ class StubJobTracker:
 
 def setup(gamma=10.0, block_size=1000, bandwidth=100.0, slots=1):
     sim = Simulator()
-    net = Network(sim, uplink_bps=bandwidth)
+    net = Network(sim, link_bps=bandwidth)
     metrics = MapPhaseMetrics()
     tracker = TaskTracker(sim, "node", net, metrics, slots=slots)
     jt = StubJobTracker()

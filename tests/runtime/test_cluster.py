@@ -6,6 +6,7 @@ import pytest
 
 from repro.availability.generator import HostAvailability, build_group_hosts, count_unstable
 from repro.experiments.config import SimulationConfig
+from repro.mapreduce.job import JobConf, MapJob
 from repro.runtime.cluster import ClusterConfig, build_cluster
 from repro.util.units import MB, mbit_per_s
 
@@ -20,11 +21,18 @@ class TestClusterConfig:
         config = ClusterConfig(bandwidth_mbps=4.0)
         assert config.link_bps == pytest.approx(mbit_per_s(4.0))
         network = build_cluster(build_group_hosts(2, 0.5), config).network.describe()
-        assert network["uplink_bps"] == network["downlink_bps"] == config.link_bps
+        assert network["link_bps"] == config.link_bps
 
     def test_nominal_fetch(self):
+        # Speculation reads a block's uncontended fetch time off the host
+        # link rate: 64 MB at 8 Mb/s.
         config = ClusterConfig(bandwidth_mbps=8.0)
-        assert config.nominal_fetch_seconds() == pytest.approx(67.1, abs=0.2)
+        cluster = build_cluster(build_group_hosts(2, 0.5), config)
+        f = cluster.client.copy_from_local("in", num_blocks=1, gamma=1.0)
+        task = MapJob.uniform(JobConf(), f, 1.0).tasks[0]
+        assert cluster.jobtracker._speculation.fetch_seconds(task) == pytest.approx(
+            67.1, abs=0.2
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

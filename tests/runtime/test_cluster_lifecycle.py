@@ -147,11 +147,11 @@ class TestConfigValidation:
     """The link, re-poll and fetch-backoff tunables are constructor
     defaults of the components that use them, which validate them."""
 
-    def test_downlink_rejected_when_nonpositive(self):
+    def test_link_rate_rejected_when_nonpositive(self):
         for bad in (0.0, -4.0):
-            with pytest.raises(ValueError, match="downlink_bps"):
-                Network(Simulator(), uplink_bps=1.0, downlink_bps=bad)
-        assert Network(Simulator(), uplink_bps=1.0).nominal_rate_bps == 1.0  # symmetric OK
+            with pytest.raises(ValueError, match="link_bps"):
+                Network(Simulator(), link_bps=bad)
+        assert Network(Simulator(), link_bps=1.0).nominal_rate_bps == 1.0
 
     def test_heartbeat_interval_rejected_when_nonpositive(self):
         with pytest.raises(ValueError, match="heartbeat_interval"):
@@ -173,7 +173,7 @@ class TestConfigValidation:
 
     def test_fetch_backoff_rejected_when_nonpositive(self):
         sim = Simulator()
-        network = Network(sim, uplink_bps=1.0)
+        network = Network(sim, link_bps=1.0)
         for bad in (0.0, -0.5):
             with pytest.raises(ValueError, match="fetch_backoff"):
                 TaskTracker(sim, 0, network, MapPhaseMetrics(), fetch_backoff=bad)

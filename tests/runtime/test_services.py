@@ -42,7 +42,7 @@ class TestProtocol:
         from repro.simulator.network import Network
 
         sim = Simulator()
-        assert isinstance(Network(sim, uplink_bps=1e6), Service)
+        assert isinstance(Network(sim, link_bps=1e6), Service)
         assert isinstance(OracleDetector(NameNode()), Service)
 
 

@@ -25,11 +25,11 @@ def clos_net(hosts=4, racks=2, oversub=1.0, width=4):
     topo = ClosTopology(
         hosts=hosts,
         racks=racks,
-        host_uplink_bps=100.0,
+        host_link_bps=100.0,
         oversubscription=oversub,
         trunk_width=width,
     )
-    net = Network(sim, uplink_bps=100.0, fair_sharing=True, topology=topo)
+    net = Network(sim, link_bps=100.0, fair_sharing=True, topology=topo)
     return sim, net
 
 
@@ -245,7 +245,7 @@ class TestClusterArming:
         )
         cluster = build_cluster(self.hosts(), config)
         nid = cluster.ids.id_of("node-00001")
-        nominal = cluster.network.uplink(nid)
+        nominal = cluster.network.nominal_rate_bps
         cluster.sim.run(until=7.0)
         assert cluster.network.link_capacity(("up", nid)) == pytest.approx(
             nominal * 0.5

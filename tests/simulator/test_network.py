@@ -8,9 +8,9 @@ from repro.simulator.topology import ClosTopology
 from repro.util.units import MB, mbit_per_s
 
 
-def setup_net(fair=True, up=1000.0, down=None):
+def setup_net(fair=True, up=1000.0):
     sim = Simulator()
-    net = Network(sim, uplink_bps=up, downlink_bps=down, fair_sharing=fair)
+    net = Network(sim, link_bps=up, fair_sharing=fair)
     return sim, net
 
 
@@ -38,8 +38,9 @@ class TestSingleTransfer:
 
     @pytest.mark.parametrize("fair", [True, False])
     def test_asymmetric_links(self, fair):
-        # Uplink 100, downlink 50: the slower link binds.
-        sim, net = setup_net(fair=fair, up=100.0, down=50.0)
+        # Uplink 100, downlink scaled to 50: the slower link binds.
+        sim, net = setup_net(fair=fair, up=100.0)
+        net.scale_link(("down", "b"), 0.5)
         c = Collector()
         net.start_transfer("a", "b", 1000.0, c.on_complete)
         sim.run()
@@ -102,9 +103,8 @@ class TestFairSharing:
     def test_max_min_with_mixed_bottlenecks(self):
         # src uplink 100 shared by two flows; one flow's destination
         # downlink only 30 -> it gets 30, the other picks up 70.
-        sim = Simulator()
-        net = Network(sim, uplink_bps=100.0, downlink_bps=1000.0)
-        net.set_link("slow", downlink_bps=30.0)
+        sim, net = setup_net(up=100.0)
+        net.scale_link(("down", "slow"), 0.3)
         c = Collector()
         net.start_transfer("src", "slow", 300.0, c.on_complete)
         net.start_transfer("src", "fast", 700.0, c.on_complete)
@@ -159,11 +159,12 @@ class TestSimpleMode:
 
     def test_thaws_read_capacity_changes(self):
         # Simple-mode rates come through the capacity memo; each change
-        # clears it, so a new or re-rated transfer sees the new capacity.
+        # clears it and re-rates, so running and new transfers see it.
         sim, net = setup_net(fair=False, up=100.0)
         first = net.start_transfer("src", "d1", 1000.0, lambda t: None)
         assert first.rate == 100.0
-        net.set_link("src", uplink_bps=50.0)
+        net.scale_link(("up", "src"), 0.5)
+        assert first.rate == 50.0
         assert net.start_transfer("src", "d2", 1000.0, lambda t: None).rate == 50.0
         net.throttle_node("d1", 0.25)
         assert first.rate == 25.0
@@ -274,9 +275,9 @@ def start_all(net, flows):
 def clos_net(oversubscription=4.0):
     sim = Simulator()
     topology = ClosTopology(
-        hosts=16, racks=4, pods=2, host_uplink_bps=1e6, oversubscription=oversubscription
+        hosts=16, racks=4, pods=2, host_link_bps=1e6, oversubscription=oversubscription
     )
-    return Network(sim, uplink_bps=1e6, topology=topology)
+    return Network(sim, link_bps=1e6, topology=topology)
 
 
 #: Clos flows (rack = id % 4, pod = rack % 2): same-rack, cross-rack
@@ -317,16 +318,16 @@ class TestAllocatorMatchesReference:
     def test_shares_all_differ(self):
         # 64 flows from one source whose shares all differ, so progressive
         # filling fixes one flow per round (the allocator's worst case).
-        net = Network(Simulator(), uplink_bps=1e9)
+        net = Network(Simulator(), link_bps=1e9)
         for i in range(64):
-            net.set_link(f"d{i}", downlink_bps=1e5 * (i + 1))
+            net.scale_link(("down", f"d{i}"), 1e-4 * (i + 1))
         start_all(net, [("src", f"d{i}") for i in range(64)])
         assert_rates_match_reference(net)
 
     def test_flat_star_mixed_bottlenecks(self):
-        net = Network(Simulator(), uplink_bps=3e5, downlink_bps=7e5)
+        net = Network(Simulator(), link_bps=7e5)
         for i in range(12):
-            net.set_link(f"h{i}", uplink_bps=1e5 * ((7 * i) % 13 + 1))
+            net.scale_link(("up", f"h{i}"), ((7 * i) % 13 + 1) / 7)
         flows = [(f"h{i % 5}", f"h{(5 * i + 3) % 12}") for i in range(30)]
         start_all(net, [(s, d) for s, d in flows if s != d])
         assert_rates_match_reference(net)
@@ -368,19 +369,11 @@ class TestAllocatorMatchesReference:
         net = clos_net()
         start_all(net, CLOS_FLOWS)
         assert_rates_match_reference(net)
-
-        def override_then_allocate():
-            # An override re-rates nothing by itself; the next allocation
-            # must read it.
-            net.set_link(1, downlink_bps=1e4)
-            net._allocate_rates()
-
         steps = [
             lambda: net.throttle_node(0, 0.05),
-            override_then_allocate,
             lambda: net.scale_link(("tor-up", 1), 0.1),
             lambda: net.restore_node(0),
-            lambda: net.unscale_link(("tor-up", 1)),
+            lambda: net.unscale_link(("tor-up", 1), 0.1),
         ]
         for step in steps:
             before = [t.rate for t in net._active]

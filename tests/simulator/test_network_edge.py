@@ -9,7 +9,7 @@ from repro.simulator.network import Network, TransferState
 class TestZeroAndTiny:
     def test_zero_size_completes_immediately(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0)
+        net = Network(sim, link_bps=100.0)
         done = []
         net.start_transfer("a", "b", 0.0, done.append)
         sim.run()
@@ -18,7 +18,7 @@ class TestZeroAndTiny:
 
     def test_tiny_transfer(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=1e9)
+        net = Network(sim, link_bps=1e9)
         done = []
         net.start_transfer("a", "b", 1.0, done.append)
         sim.run()
@@ -28,7 +28,7 @@ class TestZeroAndTiny:
 class TestManyFlows:
     def test_fifty_flows_one_source_conserve_bytes(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=1000.0, fair_sharing=True)
+        net = Network(sim, link_bps=1000.0, fair_sharing=True)
         done = []
         for i in range(50):
             net.start_transfer("hot", f"d{i}", 200.0, done.append)
@@ -40,7 +40,7 @@ class TestManyFlows:
     def test_chain_of_dependent_transfers(self):
         # Each completion triggers the next; total time is the serial sum.
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0)
+        net = Network(sim, link_bps=100.0)
         finished = []
 
         def start(i):
@@ -58,17 +58,20 @@ class TestManyFlows:
 
 class TestDynamicCapacity:
     def test_per_node_overrides(self):
+        # One node's link departs from the host rate through a scale on
+        # that link alone; every other link keeps the nominal rate.
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0)
-        net.set_link("fast", uplink_bps=1000.0)
-        assert net.uplink("fast") == 1000.0
-        assert net.uplink("other") == 100.0
+        net = Network(sim, link_bps=100.0)
+        net.scale_link(("up", "fast"), 10.0)
+        assert net.link_capacity(("up", "fast")) == 1000.0
+        assert net.link_capacity(("down", "fast")) == 100.0
+        assert net.link_capacity(("up", "other")) == 100.0
         with pytest.raises(ValueError):
-            net.set_link("bad", uplink_bps=0.0)
+            net.scale_link(("up", "bad"), 0.0)
 
     def test_rates_zero_after_terminal(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0)
+        net = Network(sim, link_bps=100.0)
         done = []
         t = net.start_transfer("a", "b", 100.0, done.append)
         sim.run()
@@ -77,7 +80,7 @@ class TestDynamicCapacity:
 
     def test_duration_unavailable_while_active(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0)
+        net = Network(sim, link_bps=100.0)
         t = net.start_transfer("a", "b", 1e9, lambda _t: None)
         with pytest.raises(ValueError):
             _ = t.duration
@@ -86,7 +89,7 @@ class TestDynamicCapacity:
 class TestCancellationStorm:
     def test_cancel_all_then_reuse(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0, fair_sharing=True)
+        net = Network(sim, link_bps=100.0, fair_sharing=True)
         cancelled = []
         for i in range(10):
             net.start_transfer("s", f"d{i}", 1000.0, lambda t: None, cancelled.append)
@@ -104,7 +107,7 @@ class TestCancellationStorm:
 class TestOutgoingBookkeeping:
     def test_counts_prune_to_zero_after_traffic(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0)
+        net = Network(sim, link_bps=100.0)
         for i in range(3):
             net.start_transfer("s", f"d{i}", 100.0, lambda t: None)
         assert net.outgoing_count("s") == 3
@@ -115,7 +118,7 @@ class TestOutgoingBookkeeping:
 
     def test_cancel_involving_both_roles(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0)
+        net = Network(sim, link_bps=100.0)
         keep = net.start_transfer("a", "b", 1000.0, lambda t: None)
         as_source = net.start_transfer("x", "b", 1000.0, lambda t: None)
         as_dest = net.start_transfer("a", "x", 1000.0, lambda t: None)
@@ -128,7 +131,7 @@ class TestOutgoingBookkeeping:
 
     def test_cancel_involving_uninvolved_node_is_noop(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0)
+        net = Network(sim, link_bps=100.0)
         t = net.start_transfer("a", "b", 1000.0, lambda t: None)
         assert net.cancel_involving("z") == []
         assert t.state is TransferState.ACTIVE
@@ -139,7 +142,7 @@ class TestZeroByteFairMode:
         # A zero-byte transfer must complete instantly without disturbing
         # the rates or the completion of concurrent nonzero flows.
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0, fair_sharing=True)
+        net = Network(sim, link_bps=100.0, fair_sharing=True)
         done = []
         net.start_transfer("a", "b", 1000.0, done.append)
         zero = net.start_transfer("a", "c", 0.0, done.append)
@@ -152,7 +155,7 @@ class TestZeroByteFairMode:
 
     def test_zero_size_cancel_after_completion_is_noop(self):
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0, fair_sharing=True)
+        net = Network(sim, link_bps=100.0, fair_sharing=True)
         cancelled = []
         zero = net.start_transfer("a", "b", 0.0, lambda t: None, cancelled.append)
         net.cancel(zero)
@@ -168,7 +171,7 @@ class TestReentrantCompletion:
         # loop must not finalize it again (double callbacks would corrupt
         # the outgoing counts).
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0, fair_sharing=True)
+        net = Network(sim, link_bps=100.0, fair_sharing=True)
         completions = []
 
         def first_done(t):
@@ -187,7 +190,7 @@ class TestReentrantCompletion:
         # The first finisher cancels the second mid-finalization sweep: the
         # second must end CANCELLED, not COMPLETED, and fire only on_cancel.
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0, fair_sharing=True)
+        net = Network(sim, link_bps=100.0, fair_sharing=True)
         events = []
         second = None
 
@@ -217,25 +220,26 @@ class TestGrayThrottleRegressions:
         # compose, and the first window's restore must not lift the
         # second (the pre-fix code ignored the second throttle entirely).
         sim = Simulator()
-        net = Network(sim, uplink_bps=1000.0, fair_sharing=False)
+        net = Network(sim, link_bps=1000.0, fair_sharing=False)
+        up, down = ("up", "a"), ("down", "a")
         net.throttle_node("a", 0.5)
-        assert net.uplink("a") == 500.0
-        assert net.downlink("a") == 500.0
+        assert net.link_capacity(up) == 500.0
+        assert net.link_capacity(down) == 500.0
         net.throttle_node("a", 0.5)  # second overlapping window
-        assert net.uplink("a") == 250.0
+        assert net.link_capacity(up) == 250.0
         net.restore_node("a")  # first window ends; second still active
-        assert net.uplink("a") == 500.0
-        assert net.downlink("a") == 500.0
+        assert net.link_capacity(up) == 500.0
+        assert net.link_capacity(down) == 500.0
         net.restore_node("a")
-        assert net.uplink("a") == 1000.0
+        assert net.link_capacity(up) == 1000.0
         net.restore_node("a")  # spurious restore stays a no-op
-        assert net.uplink("a") == 1000.0
+        assert net.link_capacity(up) == 1000.0
 
     def test_overlapping_throttles_drive_transfer_rates(self):
         # The stacked product must reach in-flight rates, and each restore
         # must re-rate at the remaining stack, not at the base capacity.
         sim = Simulator()
-        net = Network(sim, uplink_bps=100.0, fair_sharing=True)
+        net = Network(sim, link_bps=100.0, fair_sharing=True)
         done = []
         transfer = net.start_transfer("a", "b", 1000.0, done.append)
         net.throttle_node("a", 0.5)
@@ -247,20 +251,73 @@ class TestGrayThrottleRegressions:
         sim.run()
         assert done and transfer.state is TransferState.COMPLETED
 
-    def test_set_link_during_throttle_survives_restore(self):
-        # An operator capacity change made inside a gray window must
-        # compose with the throttle while it lasts and survive the
-        # restore (the pre-fix restore rewrote the pre-throttle entries,
-        # silently discarding the override).
+    def test_scale_during_throttle_survives_restore(self):
+        # A capacity change made inside a gray window must compose with
+        # the throttle while it lasts and survive the restore (the pre-fix
+        # restore rewrote the pre-throttle capacities, silently discarding
+        # the change).
         sim = Simulator()
-        net = Network(sim, uplink_bps=1000.0, fair_sharing=False)
+        net = Network(sim, link_bps=1000.0, fair_sharing=False)
         net.throttle_node("a", 0.5)
-        net.set_link("a", uplink_bps=2000.0, downlink_bps=4000.0)
-        assert net.uplink("a") == 1000.0  # 2000 * 0.5: override + throttle
-        assert net.downlink("a") == 2000.0
+        net.scale_link(("up", "a"), 2.0)
+        net.scale_link(("down", "a"), 4.0)
+        assert net.link_capacity(("up", "a")) == 1000.0  # 1000 * (0.5 * 2)
+        assert net.link_capacity(("down", "a")) == 2000.0
         net.restore_node("a")
-        assert net.uplink("a") == 2000.0
-        assert net.downlink("a") == 4000.0
+        assert net.link_capacity(("up", "a")) == 2000.0
+        assert net.link_capacity(("down", "a")) == 4000.0
+
+
+class TestOneScaleStack:
+    """Gray windows and mitigation scales push onto each link's one stack."""
+
+    @pytest.mark.parametrize("fair", [True, False])
+    @pytest.mark.parametrize("window_closes_first", [True, False])
+    def test_window_and_mitigation_scale_compose(self, fair, window_closes_first):
+        sim = Simulator()
+        net = Network(sim, link_bps=1000.0, fair_sharing=fair)
+        up, down = ("up", "a"), ("down", "a")
+        transfer = net.start_transfer("a", "b", 1e6, lambda t: None)
+        net.throttle_node("a", 0.5)
+        net.scale_link(up, 0.25)
+        assert net.link_capacity(up) == 1000.0 * (0.5 * 0.25)
+        assert net.link_capacity(down) == 500.0
+        assert transfer.rate == 125.0
+        if window_closes_first:
+            net.restore_node("a")
+            left = 0.25
+        else:
+            net.unscale_link(up, 0.25)
+            left = 0.5
+        # Releasing either leaves exactly the other's factor.
+        assert net.link_capacity(up) == 1000.0 * left
+        assert transfer.rate == 1000.0 * left
+        if window_closes_first:
+            net.unscale_link(up, 0.25)
+        else:
+            net.restore_node("a")
+        assert net.link_capacity(up) == net.link_capacity(down) == 1000.0
+        assert transfer.rate == 1000.0
+        assert net.describe()["scaled_links"] == 0
+
+    @pytest.mark.parametrize("window_open_at_heal", [True, False])
+    def test_partition_heal_thaws_at_the_current_scale(self, window_open_at_heal):
+        # Fixed-cost model: a flow a partition stalls inside a gray window
+        # restarts at the capacity of the heal, not of the stall.
+        sim = Simulator()
+        net = Network(sim, link_bps=100.0, fair_sharing=False)
+        transfer = net.start_transfer("a", "b", 1e6, lambda t: None)
+        sim.schedule(1.0, lambda: net.throttle_node("a", 0.5))
+        sim.schedule(2.0, lambda: net.begin_partition("p", ("a",)))
+        if not window_open_at_heal:
+            sim.schedule(3.0, lambda: net.restore_node("a"))
+        sim.schedule(4.0, lambda: net.end_partition("p"))
+        sim.run(until=2.5)
+        assert transfer.rate == 0.0
+        sim.run(until=4.0)
+        assert transfer.rate == (50.0 if window_open_at_heal else 100.0)
+        # Progress banked: 1 s at 100 and 1 s at 50 before the stall.
+        assert transfer.remaining == 1e6 - 150.0
 
 
 class TestSimpleModeEpsilon:
@@ -271,7 +328,7 @@ class TestSimpleModeEpsilon:
         # complete the instant it thaws, not schedule a timed completion
         # for the residue (the fair path already treated it as finished).
         sim = Simulator()
-        net = Network(sim, uplink_bps=1.0, fair_sharing=False)
+        net = Network(sim, link_bps=1.0, fair_sharing=False)
         done = []
         transfer = net.start_transfer("a", "b", 100.4, done.append)
         sim.schedule(100.0, lambda: net.begin_partition("p", ("a",)))
@@ -287,7 +344,7 @@ class TestSimpleModeEpsilon:
         # remainder must finish at the final heal, and the completion
         # callback must fire exactly once.
         sim = Simulator()
-        net = Network(sim, uplink_bps=3.0, fair_sharing=False)
+        net = Network(sim, link_bps=3.0, fair_sharing=False)
         done = []
         # 1000 up-windows of 0.1s at 3 B/s drain ~300 bytes; the extra
         # 0.2 bytes (plus accumulated float error) sit under the epsilon.

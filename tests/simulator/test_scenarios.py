@@ -187,7 +187,7 @@ class TestDegradedLink:
         return DegradedLink(**defaults)
 
     def clos(self):
-        return ClosTopology(hosts=8, racks=4, pods=2, host_uplink_bps=100.0)
+        return ClosTopology(hosts=8, racks=4, pods=2, host_link_bps=100.0)
 
     def test_must_degrade_something(self):
         with pytest.raises(ValueError, match="degrade something"):

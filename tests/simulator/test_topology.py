@@ -44,12 +44,12 @@ class TestFlatStar:
 
 class TestClosShape:
     def test_same_rack_path_is_access_only(self):
-        clos = ClosTopology(hosts=8, racks=4, host_uplink_bps=100.0)
+        clos = ClosTopology(hosts=8, racks=4, host_link_bps=100.0)
         # 0 and 4 share rack 0 (round-robin assignment).
         assert clos.path(0, 4) == (("up", 0), ("down", 4))
 
     def test_cross_rack_path_crosses_both_tor_trunks(self):
-        clos = ClosTopology(hosts=8, racks=4, host_uplink_bps=100.0)
+        clos = ClosTopology(hosts=8, racks=4, host_link_bps=100.0)
         assert clos.path(0, 1) == (
             ("up", 0),
             ("tor-up", 0),
@@ -58,7 +58,7 @@ class TestClosShape:
         )
 
     def test_cross_pod_path_crosses_aggregation(self):
-        clos = ClosTopology(hosts=8, racks=4, pods=2, host_uplink_bps=100.0)
+        clos = ClosTopology(hosts=8, racks=4, pods=2, host_link_bps=100.0)
         # rack 0 -> pod 0, rack 1 -> pod 1.
         assert clos.path(0, 1) == (
             ("up", 0),
@@ -70,7 +70,7 @@ class TestClosShape:
         )
 
     def test_same_pod_cross_rack_skips_aggregation(self):
-        clos = ClosTopology(hosts=8, racks=4, pods=2, host_uplink_bps=100.0)
+        clos = ClosTopology(hosts=8, racks=4, pods=2, host_link_bps=100.0)
         # racks 0 and 2 both map to pod 0.
         assert clos.path(0, 2) == (
             ("up", 0),
@@ -80,7 +80,7 @@ class TestClosShape:
         )
 
     def test_round_robin_racks_stay_balanced(self):
-        clos = ClosTopology(hosts=10, racks=3, host_uplink_bps=100.0)
+        clos = ClosTopology(hosts=10, racks=3, host_link_bps=100.0)
         counts = {0: 0, 1: 0, 2: 0}
         for node in range(10):
             counts[clos.rack_of(node)] += 1
@@ -90,23 +90,22 @@ class TestClosShape:
         clos = ClosTopology(
             hosts=8,
             racks=2,
-            host_uplink_bps=100.0,
-            host_downlink_bps=200.0,
+            host_link_bps=100.0,
             oversubscription=4.0,
         )
-        # 4 hosts per rack at 100 up / 200 down, oversubscribed 4:1.
+        # 4 hosts per rack at 100, oversubscribed 4:1, in both directions.
         assert clos.fabric_capacity(("tor-up", 0)) == 100.0
-        assert clos.fabric_capacity(("tor-down", 1)) == 200.0
+        assert clos.fabric_capacity(("tor-down", 1)) == 100.0
 
     def test_aggregation_capacity_oversubscribes_twice(self):
         clos = ClosTopology(
-            hosts=8, racks=4, pods=2, host_uplink_bps=100.0, oversubscription=2.0
+            hosts=8, racks=4, pods=2, host_link_bps=100.0, oversubscription=2.0
         )
         # tor-up: 2 hosts * 100 / 2 = 100; agg-up: 2 racks * 100 / 2 = 100.
         assert clos.fabric_capacity(("agg-up", 0)) == 100.0
 
     def test_fabric_links_deterministic_order(self):
-        clos = ClosTopology(hosts=8, racks=2, pods=2, host_uplink_bps=100.0)
+        clos = ClosTopology(hosts=8, racks=2, pods=2, host_link_bps=100.0)
         assert clos.fabric_links() == (
             ("tor-up", 0),
             ("tor-up", 1),
@@ -119,11 +118,11 @@ class TestClosShape:
         )
 
     def test_single_pod_has_no_aggregation_links(self):
-        clos = ClosTopology(hosts=8, racks=2, host_uplink_bps=100.0)
+        clos = ClosTopology(hosts=8, racks=2, host_link_bps=100.0)
         assert all(link[0].startswith("tor") for link in clos.fabric_links())
 
     def test_trunk_width_applies_to_fabric_only(self):
-        clos = ClosTopology(hosts=8, racks=2, host_uplink_bps=100.0, trunk_width=8)
+        clos = ClosTopology(hosts=8, racks=2, host_link_bps=100.0, trunk_width=8)
         assert clos.link_width(("tor-up", 0)) == 8
         assert clos.link_width(("up", 3)) == 1
 
@@ -139,7 +138,7 @@ class TestClosShape:
     )
     def test_shape_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            ClosTopology(host_uplink_bps=100.0, **kwargs)
+            ClosTopology(host_link_bps=100.0, **kwargs)
 
 
 class TestLinkSpecs:
@@ -165,18 +164,18 @@ class TestLinkSpecs:
 
 class TestMakeTopology:
     def test_flat_by_name(self):
-        assert isinstance(make_topology("flat", hosts=4, uplink_bps=100.0), FlatStar)
+        assert isinstance(make_topology("flat", hosts=4, link_bps=100.0), FlatStar)
 
     def test_clos_by_name(self):
         topo = make_topology(
-            "clos", hosts=8, uplink_bps=100.0, racks=2, oversubscription=2.0
+            "clos", hosts=8, link_bps=100.0, racks=2, oversubscription=2.0
         )
         assert isinstance(topo, ClosTopology)
         assert topo.racks == 2
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="flat"):
-            make_topology("hypercube", hosts=4, uplink_bps=100.0)
+            make_topology("hypercube", hosts=4, link_bps=100.0)
 
     def test_topologies_registry_covers_both(self):
         assert TOPOLOGIES == ("flat", "clos")
@@ -199,10 +198,10 @@ class TestPathCapacityConservation:
         rng = random.Random(1234)
         sim = Simulator()
         topo = ClosTopology(
-            hosts=12, racks=3, host_uplink_bps=100.0, oversubscription=4.0
+            hosts=12, racks=3, host_link_bps=100.0, oversubscription=4.0
         )
         net = Network(
-            sim, uplink_bps=100.0, fair_sharing=True, topology=topo
+            sim, link_bps=100.0, fair_sharing=True, topology=topo
         )
         for _ in range(60):
             src, dst = rng.sample(range(12), 2)
@@ -219,9 +218,9 @@ class TestPathCapacityConservation:
         # cross-rack; two cross-rack flows share it at 25 apiece.
         sim = Simulator()
         topo = ClosTopology(
-            hosts=4, racks=2, host_uplink_bps=100.0, oversubscription=4.0
+            hosts=4, racks=2, host_link_bps=100.0, oversubscription=4.0
         )
-        net = Network(sim, uplink_bps=100.0, fair_sharing=True, topology=topo)
+        net = Network(sim, link_bps=100.0, fair_sharing=True, topology=topo)
         a = net.start_transfer(0, 1, 1000.0, lambda t: None)
         b = net.start_transfer(2, 3, 1000.0, lambda t: None)
         assert a.rate == pytest.approx(25.0)
@@ -230,9 +229,9 @@ class TestPathCapacityConservation:
     def test_same_rack_traffic_dodges_the_trunk(self):
         sim = Simulator()
         topo = ClosTopology(
-            hosts=4, racks=2, host_uplink_bps=100.0, oversubscription=4.0
+            hosts=4, racks=2, host_link_bps=100.0, oversubscription=4.0
         )
-        net = Network(sim, uplink_bps=100.0, fair_sharing=True, topology=topo)
+        net = Network(sim, link_bps=100.0, fair_sharing=True, topology=topo)
         # 0 and 2 share rack 0: full access bandwidth, no trunk crossing.
         t = net.start_transfer(0, 2, 1000.0, lambda t: None)
         assert t.rate == pytest.approx(100.0)
