@@ -40,6 +40,9 @@ _MAPPINGS = {"Dict", "dict", "Mapping", "MutableMapping", "defaultdict"}
 
 #: One binding site: (target, assigned value, annotation).
 _Assignment = Tuple[ast.AST, Optional[ast.AST], Optional[ast.AST]]
+#: A function's binding sites: its assignments and its ``for`` loops
+#: (target, iterable), in walk order.
+_Sites = Tuple[List[_Assignment], List[Tuple[ast.AST, ast.AST]]]
 
 
 def dotted(node: ast.AST) -> Optional[str]:
@@ -150,16 +153,17 @@ class Corpus:
         self.classes = _collect_classes(modules)
         self._mro: Dict[str, Tuple[str, ...]] = {}
         self._scopes: Dict[int, Scope] = {}
+        #: id(function) -> its binding sites (see :meth:`_sites`).
+        self._sites_memo: Dict[int, _Sites] = {}
         #: class -> field -> inferred class of the field's value.
         self.field_types: Dict[str, Dict[str, str]] = {}
         #: class -> field -> value class of a Dict-typed field.
         self.field_dict_values: Dict[str, Dict[str, str]] = {}
-        # Two passes over one walk per method: pass 2 resolves fields
-        # assigned from other fields, e.g. ``self._pred = self._namenode.predictor``.
-        assignments: Dict[int, List[_Assignment]] = {}
+        # Two passes: pass 2 resolves fields assigned from other fields,
+        # e.g. ``self._pred = self._namenode.predictor``.
         for _ in range(2):
             for name in sorted(self.classes):
-                self._harvest_fields(self.classes[name], assignments)
+                self._harvest_fields(self.classes[name])
 
     @cached_property
     def graph(self) -> "BusGraph":
@@ -240,9 +244,8 @@ class Corpus:
                 return self.class_of(info.methods[attr].returns)
         return None
 
-    def _harvest_fields(self, info: ClassInfo, assignments: Dict[int, List[_Assignment]]) -> None:
-        """Bind annotated and ``self.x = ...`` fields (``assignments``
-        memoises each method's binding sites in walk order)."""
+    def _harvest_fields(self, info: ClassInfo) -> None:
+        """Bind annotated and ``self.x = ...`` fields."""
         types = self.field_types.setdefault(info.name, {})
         dict_values = self.field_dict_values.setdefault(info.name, {})
         for item in info.node.body:
@@ -251,15 +254,7 @@ class Corpus:
         for method_name in sorted(info.methods):
             method = info.methods[method_name]
             scope = self._parameters(info, method)
-            found = assignments.get(id(method))
-            if found is None:
-                found = assignments[id(method)] = []
-                for node in ast.walk(method):
-                    if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                        found.append((node.targets[0], node.value, None))
-                    elif isinstance(node, ast.AnnAssign):
-                        found.append((node.target, node.value, node.annotation))
-            for target, value, annotation in found:
+            for target, value, annotation in self._sites(method)[0]:
                 if (
                     isinstance(target, ast.Attribute)
                     and isinstance(target.value, ast.Name)
@@ -304,8 +299,32 @@ class Corpus:
         scope = self._scopes.get(id(func))
         if scope is None:
             scope = self._scopes[id(func)] = self._parameters(info, func)
-            self._collect_locals(func.body, scope)
+            self._collect_locals(func, scope)
         return scope
+
+    def _sites(self, func: FunctionNode) -> _Sites:
+        """``func``'s binding sites, memoised per function.
+
+        Assignments are single-target, annotated, or a ``with`` item's
+        ``as`` target; each body statement is walked in turn. One walk
+        serves both the field harvest and the local scope.
+        """
+        sites = self._sites_memo.get(id(func))
+        if sites is None:
+            assigns: List[_Assignment] = []
+            loops: List[Tuple[ast.AST, ast.AST]] = []
+            for stmt in func.body:
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                        assigns.append((node.targets[0], node.value, None))
+                    elif isinstance(node, ast.AnnAssign):
+                        assigns.append((node.target, node.value, node.annotation))
+                    elif isinstance(node, (ast.For, ast.AsyncFor)):
+                        loops.append((node.target, node.iter))
+                    elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                        assigns.append((node.optional_vars, node.context_expr, None))
+            sites = self._sites_memo[id(func)] = (assigns, loops)
+        return sites
 
     def _parameters(self, info: Optional[ClassInfo], func: FunctionNode) -> Scope:
         scope = Scope(info.name if info is not None else None)
@@ -314,20 +333,9 @@ class Corpus:
             self._bind(scope.var_class, scope.dict_value, arg.arg, None, arg.annotation, scope)
         return scope
 
-    def _collect_locals(self, body: List[ast.stmt], scope: Scope) -> None:
+    def _collect_locals(self, func: FunctionNode, scope: Scope) -> None:
         """Order-insensitive local binds (two passes for chains)."""
-        assigns: List[_Assignment] = []
-        loops: List[Tuple[ast.AST, ast.AST]] = []
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    assigns.append((node.targets[0], node.value, None))
-                elif isinstance(node, ast.AnnAssign):
-                    assigns.append((node.target, node.value, node.annotation))
-                elif isinstance(node, (ast.For, ast.AsyncFor)):
-                    loops.append((node.target, node.iter))
-                elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-                    assigns.append((node.optional_vars, node.context_expr, None))
+        assigns, loops = self._sites(func)
         for _ in range(2):
             # ``for tracker in d.values()`` / ``for k, tracker in d.items()``
             # bind the loop variable to the dict's value class.

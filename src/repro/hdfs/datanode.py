@@ -91,17 +91,15 @@ class DataNode:
         """Physical state (the NameNode's *belief* may lag; see NameNode)."""
         return self._is_up
 
-    def set_up(self, up: bool) -> None:
-        """Toggle physical availability (failure injection)."""
-        self._is_up = up
-
     def handle_node_down(self, event: "NodeDown") -> None:
-        """Bus handler (STORAGE phase, keyed by this node's id)."""
-        self.set_up(False)
+        """Bus handler (STORAGE phase, keyed by this node's id): the node
+        is physically down."""
+        self._is_up = False
 
     def handle_node_up(self, event: "NodeUp") -> None:
-        """Bus handler (STORAGE phase, keyed by this node's id)."""
-        self.set_up(True)
+        """Bus handler (STORAGE phase, keyed by this node's id): the node
+        is physically up again."""
+        self._is_up = True
 
     @property
     def capacity_bytes(self) -> Optional[int]:

@@ -19,14 +19,15 @@ with the instant :class:`~repro.hdfs.detection.OracleDetector`.
 A steady node holds one heap entry: its next beat. Each beat *reserves*
 the sequence number its watchdog would have been scheduled under
 (:meth:`Simulator.reserve`), and the watchdog is only queued, under that
-number, once the beats stop — on ``node_down`` and on the first
-``suppress``. It therefore fires at exactly the ``(time, seq)`` position
-an eagerly armed watchdog held, without the per-beat schedule/cancel pair.
+number, once the beats stop — on a ``NodeDown``, and when the first
+heartbeat-blocking partition cuts the node off. It therefore fires at
+exactly the ``(time, seq)`` position an eagerly armed watchdog held,
+without the per-beat schedule/cancel pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.ids import NodeId
 from repro.hdfs.namenode import NameNode
@@ -78,6 +79,9 @@ class HeartbeatService:
         #: Nodes whose beats are lost in transit (chaos partitions with
         #: heartbeats blocked); counted so overlapping partitions nest.
         self._suppress_counts: Dict[NodeId, int] = {}
+        #: Ids of the active partitions that block heartbeats: only their
+        #: heals release suppressed members.
+        self._blocking_partitions: Set[str] = set()
 
     @property
     def bus(self) -> EventBus:
@@ -156,12 +160,32 @@ class HeartbeatService:
         return sorted(self._is_up)
 
     def handle_node_down(self, event: NodeDown) -> None:
-        """Bus handler (DETECTION phase): the node's beats stop."""
-        self.node_down(event.node_id, event.time)
+        """Bus handler (DETECTION phase): the node is physically down, so
+        its beats stop.
+
+        Idempotent: a second down for an already-down node (overlapping
+        chaos outages) keeps the original ``down_since``, so the beat-gap
+        downtime observation spans the whole silent window.
+        """
+        node_id = event.node_id
+        if node_id not in self._is_up or not self._is_up[node_id]:
+            return
+        self._is_up[node_id] = False
+        self._down_since[node_id] = event.time
+        self._stop_beats(node_id)
 
     def handle_node_up(self, event: NodeUp) -> None:
-        """Bus handler (DETECTION phase): beat immediately, resume cadence."""
-        self.node_up(event.node_id, event.time)
+        """Bus handler (DETECTION phase): the node is physically back, so it
+        beats immediately, then resumes the cadence.
+
+        Idempotent: an up for an already-up node is ignored instead of
+        injecting an off-cadence beat.
+        """
+        node_id = event.node_id
+        if node_id not in self._is_up or self._is_up[node_id]:
+            return
+        self._is_up[node_id] = True
+        self._beat(node_id, returning=True)
 
     def handle_node_purged(self, event: NodePurged) -> None:
         """Bus handler (DETECTION phase): a permanently failed node was
@@ -169,72 +193,51 @@ class HeartbeatService:
         it fire forever."""
         self.untrack(event.node_id)
 
-    def node_down(self, node_id: NodeId, time: float) -> None:
-        """Physical interruption: beats stop (injector callback).
-
-        Idempotent: a second down for an already-down node (overlapping
-        chaos outages) keeps the original ``down_since``, so the beat-gap
-        downtime observation spans the whole silent window.
-        """
-        if node_id not in self._is_up or not self._is_up[node_id]:
-            return
-        self._is_up[node_id] = False
-        self._down_since[node_id] = time
-        self._stop_beats(node_id)
-
-    def node_up(self, node_id: NodeId, time: float) -> None:
-        """Physical return: beat immediately, then resume the cadence.
-
-        Idempotent: an up for an already-up node is ignored instead of
-        injecting an off-cadence beat.
-        """
-        if node_id not in self._is_up or self._is_up[node_id]:
-            return
-        self._is_up[node_id] = True
-        self._beat(node_id, returning=True)
-
     # -- chaos partitions ---------------------------------------------------------
 
     def handle_partition_started(self, event: PartitionStarted) -> None:
         """Bus handler (DETECTION phase): a heartbeat-blocking partition
-        swallows its members' beats — the watchdog then declares them dead
-        even though they are physically up (belief diverges from truth)."""
+        drops its members' beats in transit while they keep running — the
+        watchdog then declares them dead even though they are physically
+        up (belief diverges from truth).
+
+        Untracked members are skipped. The partition's id is remembered, so
+        only its own heal releases the members.
+        """
         if not event.heartbeats_blocked:
             return
+        self._blocking_partitions.add(event.partition_id)
         for node_id in event.members:
-            self.suppress(node_id)
+            if node_id not in self._is_up:
+                continue
+            count = self._suppress_counts.get(node_id, 0)
+            self._suppress_counts[node_id] = count + 1
+            if not count:
+                self._stop_beats(node_id)
 
     def handle_partition_healed(self, event: PartitionHealed) -> None:
-        """Bus handler (DETECTION phase): beats flow again."""
-        for node_id in event.members:
-            self.unsuppress(node_id)
+        """Bus handler (DETECTION phase): a heartbeat-blocking partition
+        healed, so its members' beats flow again — unless another blocking
+        partition still holds them. The heal of a partition that never
+        blocked heartbeats releases nothing.
 
-    def suppress(self, node_id: NodeId) -> None:
-        """Drop the node's beats in transit (it keeps running)."""
-        if node_id not in self._is_up:
-            return
-        count = self._suppress_counts.get(node_id, 0)
-        self._suppress_counts[node_id] = count + 1
-        if count:
-            return
-        self._stop_beats(node_id)
-
-    def unsuppress(self, node_id: NodeId) -> None:
-        """Let the node's beats through again (idempotent).
-
-        If the node is physically up, it beats immediately — the collector
-        sees one long gap, observed as downtime only if the node actually
-        crashed somewhere inside it.
+        A released member that is physically up beats immediately — the
+        collector sees one long gap, observed as downtime only if the node
+        actually crashed somewhere inside it.
         """
-        count = self._suppress_counts.get(node_id, 0)
-        if count == 0:
+        if event.partition_id not in self._blocking_partitions:
             return
-        if count > 1:
-            self._suppress_counts[node_id] = count - 1
-            return
-        del self._suppress_counts[node_id]
-        if self._is_up.get(node_id, False):
-            self._beat(node_id, returning=self._down_since[node_id] is not None)
+        self._blocking_partitions.remove(event.partition_id)
+        for node_id in event.members:
+            count = self._suppress_counts.get(node_id, 0)
+            if count == 0:
+                continue
+            if count > 1:
+                self._suppress_counts[node_id] = count - 1
+                continue
+            del self._suppress_counts[node_id]
+            if self._is_up.get(node_id, False):
+                self._beat(node_id, returning=self._down_since[node_id] is not None)
 
     # -- internals ------------------------------------------------------------------
 

@@ -122,15 +122,8 @@ class ReplicationMonitor:
     # -- detection signals -----------------------------------------------------------
 
     def handle_node_dead(self, event: NodeDeclaredDead) -> None:
-        """Bus handler (STORAGE phase): a detector declared the node dead."""
-        self.on_node_dead(event.node_id, event.time)
-
-    def handle_node_returned(self, event: NodeReturned) -> None:
-        """Bus handler (STORAGE phase): a believed-dead holder is back."""
-        self.on_node_returned(event.node_id, event.time)
-
-    def on_node_dead(self, node_id: NodeId, time: float) -> None:
-        """Failure detection fired: queue the dead node's blocks.
+        """Bus handler (STORAGE phase): a detector declared the node dead,
+        so its blocks are queued.
 
         For a permanent loss the node is first purged from the location
         map (its replicas are destroyed, not merely unreachable) and blocks
@@ -138,21 +131,23 @@ class ReplicationMonitor:
         """
         if self._stopped:
             return
+        node_id = event.node_id
         if self._is_permanent(node_id):
             # Physical accounting (permanent_failures / replicas_lost)
             # happened at wipe time in the injector wiring; here only the
             # metadata consequence is recorded (idempotently).
             affected, lost = self._namenode.purge_node(node_id)
             self._metrics.record_lost_blocks(lost)
-            self._bus.publish(NodePurged(time=time, node_id=node_id))
+            self._bus.publish(NodePurged(time=event.time, node_id=node_id))
         else:
             affected = self._namenode.located_on(node_id)
         for block_id in affected:
             self._consider(block_id)
         self._pump()
 
-    def on_node_returned(self, node_id: NodeId, time: float) -> None:
-        """A believed-dead holder came back: drop redundant work, GC.
+    def handle_node_returned(self, event: NodeReturned) -> None:
+        """Bus handler (STORAGE phase): a believed-dead holder is back, so
+        redundant work is dropped and healed blocks are GC'd.
 
         In-flight copies whose block is no longer under-replicated are
         cancelled (the returned replica made them moot); blocks healed
@@ -161,6 +156,7 @@ class ReplicationMonitor:
         """
         if self._stopped:
             return
+        node_id = event.node_id
         for block_id in [b for b, _t in list(self._inflight.items())]:
             if not self._shortfall(block_id):
                 self._cancel_inflight(block_id)
@@ -240,7 +236,7 @@ class ReplicationMonitor:
                 continue  # healed (or deleted) while queued
             if not self._start_copy(block_id):
                 # No usable source or target right now; the next membership
-                # event re-queues the block via on_node_dead/on_node_returned.
+                # event re-queues the block (handle_node_dead/_returned).
                 continue
 
     def _start_copy(self, block_id: str) -> bool:

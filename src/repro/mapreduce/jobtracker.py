@@ -13,10 +13,10 @@ Implements the Hadoop behaviour the paper describes (Section II.B):
 
 Failure *detection* is decoupled from failure *occurrence*: TaskTrackers do
 the physical accounting instantly, while the JobTracker only requeues work
-when told (``on_node_dead`` from the heartbeat watchdog or an oracle, or
-``on_node_available`` when the node itself returns). Until then a stalled
-task stays "running" from the JobTracker's point of view — which is exactly
-what makes it a speculation candidate.
+when told (``handle_node_dead``, on a ``NodeDeclaredDead`` from the heartbeat
+watchdog or an oracle, or ``on_node_available`` when the node itself
+returns). Until then a stalled task stays "running" from the JobTracker's
+point of view — which is exactly what makes it a speculation candidate.
 
 ``access_during_downtime`` (default True) models interruptions that evict
 guest *computation* while the host's stored blocks stay streamable —
@@ -291,7 +291,7 @@ class JobTracker(SchedulerContext):
             for task in self._running:
                 if not self._speculation.is_straggling(task, now):
                     continue
-                if task.speculative_count() >= self._speculation.max_per_task:
+                if not self._speculation.has_room(task):
                     continue
                 live = task.live
                 if live:
@@ -308,7 +308,7 @@ class JobTracker(SchedulerContext):
         now = self._sim.now
         for task in list(self._straggler_candidates()):
             if not self._speculation.may_speculate(task, node_id, now):
-                if task.is_completed or task.speculative_count() >= self._speculation.max_per_task:
+                if task.is_completed:
                     self._spec_candidates.remove(task)
                 continue
             if node_id in self.holders(task) and self._namenode.datanode(node_id).has_block(
@@ -407,45 +407,69 @@ class JobTracker(SchedulerContext):
         if self._completed + self._abandoned == self._num_tasks:
             self._finish()
 
-    def on_block_lost(self, block_id: str) -> None:
-        """Permanent failures destroyed the block's last physical replica.
+    # -- bus handlers ---------------------------------------------------------------------
+
+    def handle_node_down_physical(self, event: NodeDown) -> None:
+        """Bus handler (ACCOUNTING phase): count the interruption and open
+        the node's downtime interval (recovery-time accounting only)."""
+        self._metrics.interruptions += 1
+        self._down_since[event.node_id] = event.time
+        self._idle.pop(event.node_id, None)
+
+    def handle_node_up_physical(self, event: NodeUp) -> None:
+        """Bus handler (ACCOUNTING phase): count the return and close the
+        node's downtime interval."""
+        self._metrics.node_returns += 1
+        node_id = event.node_id
+        started = self._down_since.get(node_id)
+        self._down_since[node_id] = None
+        if started is None:
+            return
+        if self._job is not None and self._job.submitted_at is not None and not self.is_done:
+            overlap_start = max(started, self._job.submitted_at)
+            if event.time > overlap_start:
+                self._down_overlap[node_id] = (
+                    self._down_overlap.get(node_id, 0.0) + event.time - overlap_start
+                )
+
+    def handle_node_dead(self, event: NodeDeclaredDead) -> None:
+        """Bus handler (SCHEDULING phase): failure detection fired (heartbeat
+        timeout or oracle), so the dead node's limbo is requeued."""
+        for attempt in self._limbo.pop(event.node_id, []):
+            self._maybe_requeue(attempt.task)
+
+    def handle_block_lost(self, event: BlockLost) -> None:
+        """Bus handler (SCHEDULING phase): permanent failures destroyed the
+        block's last physical replica.
 
         Tasks over the block can never (re-)run. A live attempt already
         streamed (or holds) its input, so it may still succeed — if it later
         fails, :meth:`_maybe_requeue` abandons the task then.
         """
-        self._lost_blocks.add(block_id)
+        self._lost_blocks.add(event.block_id)
         if self._job is None or self.is_done:
             return
-        task = self._tasks_by_block.get(block_id)
+        task = self._tasks_by_block.get(event.block_id)
         if task is None or task.is_completed:
             return
         if not task.live:
             self._abandon(task)
 
-    # -- bus adapters ---------------------------------------------------------------------
-
-    def handle_node_down_physical(self, event: NodeDown) -> None:
-        """Bus handler (ACCOUNTING phase): open the downtime interval."""
-        self._metrics.record_interruption()
-        self.on_node_down_physical(event.node_id, event.time)
-
-    def handle_node_up_physical(self, event: NodeUp) -> None:
-        """Bus handler (ACCOUNTING phase): close the downtime interval."""
-        self._metrics.record_node_return()
-        self.on_node_up_physical(event.node_id, event.time)
-
-    def handle_node_dead(self, event: NodeDeclaredDead) -> None:
-        """Bus handler (SCHEDULING phase): requeue the dead node's limbo."""
-        self.on_node_dead(event.node_id, event.time)
-
-    def handle_block_lost(self, event: BlockLost) -> None:
-        """Bus handler (SCHEDULING phase): the block is gone everywhere."""
-        self.on_block_lost(event.block_id)
-
     def handle_replica_added(self, event: ReplicaAdded) -> None:
-        """Bus handler (SCHEDULING phase): fresh locality opportunity."""
-        self.on_replica_added(event.block_id, event.node_id)
+        """Bus handler (SCHEDULING phase): a re-replication copy landed, so
+        the replica map moved under us.
+
+        If the block's task is still pending, the new holder opens a fresh
+        locality opportunity — enqueue it node-locally and poke the node.
+        """
+        if self._job is None or self.is_done or self._scheduler is None:
+            return
+        task = self._tasks_by_block.get(event.block_id)
+        if task is None:
+            return
+        if self.is_assignable(task):
+            self._scheduler.enqueue(task, [event.node_id])
+        self.try_assign(event.node_id)
 
     # -- cluster signals ------------------------------------------------------------------
 
@@ -465,44 +489,6 @@ class JobTracker(SchedulerContext):
             # themselves inside _maybe_requeue).
             for idle_node in list(self._idle):
                 self.try_assign(idle_node)
-
-    def on_node_dead(self, node_id: NodeId, time: float) -> None:
-        """Failure detection fired (heartbeat timeout or oracle)."""
-        for attempt in self._limbo.pop(node_id, []):
-            self._maybe_requeue(attempt.task)
-
-    def on_replica_added(self, block_id: str, node_id: NodeId) -> None:
-        """A re-replication copy landed: the replica map moved under us.
-
-        If the block's task is still pending, the new holder opens a fresh
-        locality opportunity — enqueue it node-locally and poke the node.
-        """
-        if self._job is None or self.is_done or self._scheduler is None:
-            return
-        task = self._tasks_by_block.get(block_id)
-        if task is None:
-            return
-        if self.is_assignable(task):
-            self._scheduler.enqueue(task, [node_id])
-        self.try_assign(node_id)
-
-    def on_node_down_physical(self, node_id: NodeId, time: float) -> None:
-        """Raw injector signal, used only for recovery-time accounting."""
-        self._down_since[node_id] = time
-        self._idle.pop(node_id, None)
-
-    def on_node_up_physical(self, node_id: NodeId, time: float) -> None:
-        """Raw injector signal closing a downtime interval."""
-        started = self._down_since.get(node_id)
-        self._down_since[node_id] = None
-        if started is None:
-            return
-        if self._job is not None and self._job.submitted_at is not None and not self.is_done:
-            overlap_start = max(started, self._job.submitted_at)
-            if time > overlap_start:
-                self._down_overlap[node_id] = (
-                    self._down_overlap.get(node_id, 0.0) + time - overlap_start
-                )
 
     # -- end-game sweep ----------------------------------------------------------------------
 

@@ -29,8 +29,8 @@ class SpeculationPolicy:
     ``slowdown`` — an attempt is a straggler once its elapsed time exceeds
     ``slowdown`` times its expected duration (gamma, plus the nominal fetch
     time for remote attempts). ``max_per_task`` bounds concurrent
-    duplicates. ``enabled=False`` disables speculation entirely (ablation
-    A5).
+    duplicates (:meth:`has_room`). ``enabled=False`` disables speculation
+    entirely (ablation A5).
 
     The remote fetch term is derived per task from the block size and
     ``fetch_rate_bps`` (the network's uncontended host link rate). At zero
@@ -81,11 +81,18 @@ class SpeculationPolicy:
                 break
         return threshold_ok
 
+    def has_room(self, task: MapTask) -> bool:
+        """Whether the task's live speculative attempts are under the cap."""
+        return task.speculative_count() < self.max_per_task
+
     def may_speculate(self, task: MapTask, node_id: NodeId, now: float) -> bool:
-        """Full eligibility: straggling, capacity left, node not already on it."""
+        """Whether ``node_id`` may duplicate a task the straggler scan listed:
+        it still straggles, and the node is not already running it.
+
+        The cap is :meth:`has_room`, checked by the scan: only a pick
+        creates a speculative attempt, and a picked task leaves the list.
+        """
         if not self.is_straggling(task, now):
-            return False
-        if task.speculative_count() >= self.max_per_task:
             return False
         if any(a.node_id == node_id for a in task.live):
             return False

@@ -272,35 +272,8 @@ class TaskTracker:
     # -- interruption handling ---------------------------------------------------------
 
     def handle_node_down(self, event: "NodeDown") -> None:
-        """Bus handler (COMPUTE phase, keyed by this node's id)."""
-        self.on_node_down(event.time)
-
-    def handle_node_up(self, event: "NodeUp") -> None:
-        """Bus handler (SCHEDULING phase, keyed by this node's id): the
-        node asks for work only after storage and detection have settled."""
-        self.on_node_up(event.time)
-
-    def handle_node_degraded(self, event: "NodeDegraded") -> None:
-        """Bus handler (COMPUTE phase, keyed): enter the gray regime."""
-        self.set_exec_factor(event.exec_factor)
-
-    def handle_node_restored(self, event: "NodeRestored") -> None:
-        """Bus handler (COMPUTE phase, keyed): back to nominal speed."""
-        self.set_exec_factor(1.0)
-
-    def set_exec_factor(self, factor: float) -> None:
-        """Scale execution time for attempts that start while in force.
-
-        Attempts already running keep their scheduled completion; their
-        useful-time credit was fixed at start, so accounting stays exact
-        whichever side of a window boundary they straddle.
-        """
-        if factor < 1.0:
-            raise ValueError(f"exec factor must be >= 1, got {factor}")
-        self._exec_factor = factor
-
-    def on_node_down(self, time: float) -> None:
-        """The host was interrupted: every live attempt dies right now."""
+        """Bus handler (COMPUTE phase, keyed by this node's id): the host
+        was interrupted, so every live attempt dies right now."""
         self._is_up = False
         for attempt in list(self._live):
             if attempt.state is AttemptState.RUNNING:
@@ -315,11 +288,29 @@ class TaskTracker:
             assert self._jobtracker is not None
             self._jobtracker.on_attempt_failed(attempt)
 
-    def on_node_up(self, time: float) -> None:
-        """The host returned; ask for work."""
+    def handle_node_up(self, event: "NodeUp") -> None:
+        """Bus handler (SCHEDULING phase, keyed by this node's id): the
+        host returned and asks for work, only after storage and detection
+        have settled."""
         self._is_up = True
         assert self._jobtracker is not None
         self._jobtracker.on_node_available(self._node_id)
+
+    def handle_node_degraded(self, event: "NodeDegraded") -> None:
+        """Bus handler (COMPUTE phase, keyed): enter the gray regime, which
+        scales execution time for attempts that start while it is in force.
+
+        Attempts already running keep their scheduled completion; their
+        useful-time credit was fixed at start, so accounting stays exact
+        whichever side of a window boundary they straddle.
+        """
+        if event.exec_factor < 1.0:
+            raise ValueError(f"exec factor must be >= 1, got {event.exec_factor}")
+        self._exec_factor = event.exec_factor
+
+    def handle_node_restored(self, event: "NodeRestored") -> None:
+        """Bus handler (COMPUTE phase, keyed): back to nominal speed."""
+        self._exec_factor = 1.0
 
     def kill(self, attempt: TaskAttempt) -> None:
         """Abort an attempt that lost a speculation race (or job teardown)."""

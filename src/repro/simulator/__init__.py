@@ -37,7 +37,6 @@ from repro.simulator.events import (
     PermanentFailure,
     Phase,
     ReplicaAdded,
-    Subscription,
     TaskStateChange,
 )
 from repro.simulator.failures import FailureInjector
@@ -64,7 +63,6 @@ __all__ = [
     "OverheadBreakdown",
     "EventBus",
     "Phase",
-    "Subscription",
     "Event",
     "NodeEvent",
     "NodeDown",

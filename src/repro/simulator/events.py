@@ -302,39 +302,6 @@ DispatchInterceptor = Callable[[Callable[[Event], None], Phase, Event], None]
 _Entry = Tuple[int, int, Callable[[Event], None]]
 
 
-class Subscription:
-    """Handle for one registered handler; ``cancel()`` detaches it."""
-
-    __slots__ = ("_entries", "_entry", "_active", "_invalidate")
-
-    def __init__(
-        self,
-        entries: List[_Entry],
-        entry: _Entry,
-        invalidate: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self._entries = entries
-        self._entry = entry
-        self._active = True
-        self._invalidate = invalidate
-
-    @property
-    def active(self) -> bool:
-        return self._active
-
-    def cancel(self) -> None:
-        """Detach the handler; a no-op if already cancelled."""
-        if not self._active:
-            return
-        self._active = False
-        try:
-            self._entries.remove(self._entry)
-        except ValueError:  # pragma: no cover - double bookkeeping guard
-            pass
-        if self._invalidate is not None:
-            self._invalidate()
-
-
 class EventBus:
     """Synchronous, phase-ordered, typed publish/subscribe hub."""
 
@@ -348,12 +315,12 @@ class EventBus:
         #: Optional dispatch wrapper (see :meth:`set_dispatch_interceptor`).
         self._interceptor: Optional[DispatchInterceptor] = None
         #: Per-type frozen snapshot of the unkeyed entry list, rebuilt
-        #: lazily after any (un)subscription to the type. ``publish`` iterates
+        #: lazily after any subscription to the type. ``publish`` iterates
         #: the tuple directly — the no-keyed-match fast path allocates
         #: nothing per event, where the old code copied a list every time.
         self._unkeyed_cache: Dict[Type[Event], Tuple[_Entry, ...]] = {}
-        #: Per-type answer of :meth:`wants`, dropped with the snapshot
-        #: (:meth:`_invalidate`), and all at once by :meth:`add_tap`.
+        #: Per-type answer of :meth:`wants`, dropped with the snapshot by
+        #: :meth:`subscribe_many`, and all at once by :meth:`add_tap`.
         self._wants: Dict[Type[Event], bool] = {}
 
     # -- registration ------------------------------------------------------------
@@ -364,24 +331,16 @@ class EventBus:
         handler: Handler[E],
         phase: Phase,
         key: Optional[RoutingKey] = None,
-    ) -> Subscription:
+    ) -> None:
         """Register ``handler`` for events of exactly ``event_type``.
 
         ``key`` restricts delivery to events whose :attr:`Event.routing_key`
         equals it (used by per-node / per-block agents). Handlers run in
-        (phase, subscription) order; see the module docstring.
+        (phase, subscription) order; see the module docstring. Wiring is
+        permanent: a subscriber's handler is its reaction for the bus's
+        whole life.
         """
-        if not (isinstance(event_type, type) and issubclass(event_type, Event)):
-            raise TypeError(f"event_type must be an Event subclass, got {event_type!r}")
-        entries = self._subs.setdefault(event_type, {}).setdefault(key, [])
-        self._seq += 1
-        entry: _Entry = (int(phase), self._seq, handler)  # type: ignore[arg-type]
-        # Keep each list in (phase, seq) order so dispatch never re-sorts
-        # the common single-list case. Sequence numbers are unique, so the
-        # comparison never reaches the (uncomparable) handler element.
-        bisect.insort(entries, entry)
-        self._invalidate(event_type)
-        return Subscription(entries, entry, lambda: self._invalidate(event_type))
+        self.subscribe_many(event_type, phase, ((key, handler),))
 
     def subscribe_many(
         self,
@@ -389,21 +348,17 @@ class EventBus:
         phase: Phase,
         handlers: Iterable[Tuple[Optional[RoutingKey], Handler[E]]],
     ) -> int:
-        """Bulk-register ``(key, handler)`` pairs for one type and phase.
+        """Register ``(key, handler)`` pairs for one type and phase.
 
-        Dispatch is indistinguishable from calling :meth:`subscribe` once
-        per pair in iteration order — each pair takes the next global
-        sequence number, so phase-major/subscription-order-minor dispatch
-        is preserved exactly (pinned by ``tests/simulator/test_events.py``).
-        The difference is constant-factor: the type is validated once, the
-        per-type dict is resolved once, and the common case of a fresh or
-        tail-appended key skips ``bisect`` — at 226k nodes, cluster bus
-        wiring issues ~6 keyed subscriptions per host through this path.
+        Each pair takes the next global sequence number, so a bulk call
+        dispatches exactly as one :meth:`subscribe` per pair in iteration
+        order (pinned by ``tests/simulator/test_events.py``). The type is
+        validated once, the per-type dict is resolved once, and the common
+        case of a fresh or tail-appended key skips ``bisect`` — at 226k
+        nodes, cluster bus wiring issues ~6 keyed subscriptions per host
+        through this path.
 
-        Returns the number of handlers registered. Bulk wiring is
-        permanent: no :class:`Subscription` handles are created (build-time
-        wiring is never cancelled; use :meth:`subscribe` for cancellable
-        registrations).
+        Returns the number of handlers registered.
         """
         if not (isinstance(event_type, type) and issubclass(event_type, Event)):
             raise TypeError(f"event_type must be an Event subclass, got {event_type!r}")
@@ -415,6 +370,9 @@ class EventBus:
             seq += 1
             count += 1
             entry: _Entry = (phase_int, seq, handler)  # type: ignore[arg-type]
+            # Keep each list in (phase, seq) order so dispatch never
+            # re-sorts the common single-list case. Sequence numbers are
+            # unique, so comparisons never reach the (uncomparable) handler.
             entries = by_key.get(key)
             if entries is None:
                 by_key[key] = [entry]
@@ -423,7 +381,9 @@ class EventBus:
             else:
                 bisect.insort(entries, entry)
         self._seq = seq
-        self._invalidate(event_type)
+        # The type's unkeyed snapshot and ``wants`` answer are stale now.
+        self._unkeyed_cache.pop(event_type, None)
+        self._wants.pop(event_type, None)
         return count
 
     def add_tap(self, tap: Tap) -> None:
@@ -441,7 +401,9 @@ class EventBus:
         tap sees each *event* once at publish entry, the interceptor sees
         each *handler invocation* with its dispatch metadata. One
         interceptor at a time; pass ``None`` to restore direct dispatch.
-        simflow's runtime effect crosscheck is the shipped consumer.
+        Two consumers install one: simflow's runtime effect crosscheck and
+        the benchmark tracer (``bench/tracing.py``), so the two cannot run
+        together (ROADMAP.md, item 5).
         """
         self._interceptor = interceptor
 
@@ -476,8 +438,7 @@ class EventBus:
         try:
             return self._wants[event_type]
         except KeyError:
-            by_key = self._subs.get(event_type)
-            wanted = bool(self._taps) or (bool(by_key) and any(by_key.values()))
+            wanted = bool(self._taps) or bool(self._subs.get(event_type))
             self._wants[event_type] = wanted
             return wanted
 
@@ -526,22 +487,17 @@ class EventBus:
         entries.sort(key=lambda item: item[0])
         return [entry for _seq, entry in entries]
 
-    def _invalidate(self, event_type: Type[Event]) -> None:
-        """Drop the caches a (un)subscription to ``event_type`` staled."""
-        self._unkeyed_cache.pop(event_type, None)
-        self._wants.pop(event_type, None)
-
     # -- dispatch -----------------------------------------------------------------
 
     def publish(self, event: Event) -> None:
         """Deliver ``event`` to its handlers, phase by phase, synchronously.
 
         The common case — no keyed match — iterates a frozen per-type
-        snapshot of the unkeyed entries, so it allocates nothing. The
-        snapshot is immutable, so a handler that (un)subscribes mid-
-        dispatch affects the *next* publish, exactly like the defensive
-        list copy it replaces. A keyed match still merges and sorts into
-        a fresh list (rare: one node's transitions, not every event).
+        snapshot of the unkeyed entries, so it allocates nothing. A keyed
+        match merges and sorts into a fresh list (rare: one node's
+        transitions, not every event). Either way dispatch runs over a
+        copy, so a handler that subscribes mid-dispatch changes only the
+        *next* publish.
         """
         self._published += 1
         event_type = type(event)
@@ -597,6 +553,5 @@ __all__ = [
     "ChaosScenarioStarted",
     "ChaosScenarioEnded",
     "EventBus",
-    "Subscription",
     "DispatchInterceptor",
 ]

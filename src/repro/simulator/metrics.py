@@ -56,17 +56,11 @@ class MapPhaseMetrics:
     speculative_attempts: int = 0
     migrations: int = 0
     #: Physical availability transitions observed over the cluster's whole
-    #: lifetime (counted in the bus's ACCOUNTING phase; the trace
-    #: integration test cross-checks these against the recorded
+    #: lifetime (counted by the JobTracker's ACCOUNTING-phase handlers; the
+    #: trace integration test cross-checks these against the recorded
     #: NodeDown/NodeUp event stream).
     interruptions: int = 0
     node_returns: int = 0
-
-    def record_interruption(self) -> None:
-        self.interruptions += 1
-
-    def record_node_return(self) -> None:
-        self.node_returns += 1
 
     # Per-task adds test the sign inline; the validator is called only to raise.
 

@@ -319,65 +319,54 @@ class Network:
         self.cancel_involving(event.node_id)
 
     def handle_partition_started(self, event: PartitionStarted) -> None:
-        """Chaos partition (NETWORK phase): stall boundary-crossing flows."""
-        self.begin_partition(event.partition_id, event.members)
+        """Chaos partition (NETWORK phase): cut the members off, so flows
+        crossing the boundary stall.
+
+        Stalled transfers keep their progress and resume from it when the
+        partition heals; intra-partition and outside flows are untouched
+        (and, under fair sharing, inherit the freed capacity).
+        """
+        if event.partition_id in self._partitions:
+            raise ValueError(f"partition {event.partition_id!r} already active")
+        self._partitions[event.partition_id] = frozenset(event.members)
+        self._rerate()
 
     def handle_partition_healed(self, event: PartitionHealed) -> None:
-        """Partition healed (NETWORK phase): resume stalled flows."""
-        self.end_partition(event.partition_id)
+        """Partition healed (NETWORK phase): flows it stalled resume from
+        their progress."""
+        if event.partition_id not in self._partitions:
+            raise ValueError(f"partition {event.partition_id!r} is not active")
+        del self._partitions[event.partition_id]
+        self._rerate()
 
     def handle_node_degraded(self, event: NodeDegraded) -> None:
-        """Gray node (NETWORK phase): throttle its links mid-flight."""
-        self.throttle_node(event.node_id, event.link_factor)
-
-    def handle_node_restored(self, event: NodeRestored) -> None:
-        """Gray node recovered (NETWORK phase): lift the throttle."""
-        self.restore_node(event.node_id)
-
-    # -- chaos: partitions and gray throttles ------------------------------------------
-
-    def begin_partition(self, partition_id: str, members: Tuple[NodeId, ...]) -> None:
-        """Cut ``members`` off: transfers crossing the boundary stall.
-
-        Stalled transfers keep their progress and resume from it at
-        :meth:`end_partition`; intra-partition and outside flows are
-        untouched (and, under fair sharing, inherit the freed capacity).
-        """
-        if partition_id in self._partitions:
-            raise ValueError(f"partition {partition_id!r} already active")
-        self._partitions[partition_id] = frozenset(members)
-        self._rerate()
-
-    def end_partition(self, partition_id: str) -> None:
-        """Heal a partition; flows it stalled resume from their progress."""
-        if partition_id not in self._partitions:
-            raise ValueError(f"partition {partition_id!r} is not active")
-        del self._partitions[partition_id]
-        self._rerate()
-
-    def throttle_node(self, node_id: NodeId, link_factor: float) -> None:
-        """Open a gray window: scale both of the node's links by ``link_factor``.
+        """Gray node (NETWORK phase): open a window that scales both of the
+        node's links by ``link_factor`` mid-flight.
 
         The factor is pushed onto the node's ``up`` and ``down`` scale
         stacks, so overlapping windows compose multiplicatively with each
         other and with any mitigation scale on those links, and each
-        :meth:`restore_node` releases exactly one window.
+        :class:`NodeRestored` releases exactly one window.
         """
+        link_factor = event.link_factor
         check_positive("link_factor", link_factor)
+        node_id = event.node_id
         self._windows.setdefault(node_id, []).append(link_factor)
         links = (("up", node_id), ("down", node_id))
         for link in links:
             self._scales.setdefault(link, []).append(link_factor)
         self._rerate(links)
 
-    def restore_node(self, node_id: NodeId) -> None:
-        """Close one gray window (oldest first).
+    def handle_node_restored(self, event: NodeRestored) -> None:
+        """Gray node recovered (NETWORK phase): close one window, oldest
+        first.
 
         Restores are matched to windows first-in-first-out: scenario
         windows close in the order they opened whenever durations are
         equal, and the *product* of the remaining stack is correct under
         any interleaving. A restore with no open window is a no-op.
         """
+        node_id = event.node_id
         windows = self._windows.get(node_id)
         if not windows:
             return

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hdfs.blocks import Block
 from repro.hdfs.datanode import DataNode
+from repro.simulator.events import NodeDown, NodeUp
 
 
 def block(i, size=100):
@@ -48,13 +49,13 @@ class TestStorage:
         # after the node is back" (Section II.B).
         dn = DataNode("n0")
         dn.store(block(0))
-        dn.set_up(False)
+        dn.handle_node_down(NodeDown(time=0.0, node_id="n0"))
         assert dn.has_block("b0")
-        dn.set_up(True)
+        dn.handle_node_up(NodeUp(time=1.0, node_id="n0"))
         assert dn.has_block("b0")
 
     def test_up_state(self):
         dn = DataNode("n0")
         assert dn.is_up
-        dn.set_up(False)
+        dn.handle_node_down(NodeDown(time=0.0, node_id="n0"))
         assert not dn.is_up

@@ -6,7 +6,7 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.heartbeat import HeartbeatService
 from repro.hdfs.namenode import NameNode
 from repro.simulator.engine import Simulator
-from repro.simulator.events import NodeDeclaredDead, NodeReturned, Phase
+from repro.simulator.events import NodeDeclaredDead, NodeDown, NodeReturned, NodeUp, Phase
 
 
 def setup(interval=3.0, misses=3, nodes=1):
@@ -18,6 +18,11 @@ def setup(interval=3.0, misses=3, nodes=1):
     for i in range(nodes):
         hb.track(f"n{i}")
     return sim, nn, hb
+
+
+def at(sim, handler, event):
+    """Deliver ``event`` to the bus handler ``handler`` at the event's time."""
+    sim.schedule_at(event.time, lambda: handler(event))
 
 
 def on_belief(hb, event_type, record):
@@ -35,7 +40,7 @@ class TestLiveness:
         sim, nn, hb = setup()
         deaths = []
         on_belief(hb, NodeDeclaredDead, lambda n, t: deaths.append((n, t)))
-        sim.schedule(10.0, lambda: hb.node_down("n0", 10.0))
+        at(sim, hb.handle_node_down, NodeDown(time=10.0, node_id="n0"))
         sim.run(until=100.0)
         assert not nn.is_live("n0")
         assert len(deaths) == 1
@@ -46,8 +51,8 @@ class TestLiveness:
         sim, nn, hb = setup()
         returns = []
         on_belief(hb, NodeReturned, lambda n, t: returns.append((n, t)))
-        sim.schedule(10.0, lambda: hb.node_down("n0", 10.0))
-        sim.schedule(50.0, lambda: hb.node_up("n0", 50.0))
+        at(sim, hb.handle_node_down, NodeDown(time=10.0, node_id="n0"))
+        at(sim, hb.handle_node_up, NodeUp(time=50.0, node_id="n0"))
         sim.run(until=100.0)
         assert nn.is_live("n0")
         assert len(returns) == 1
@@ -58,8 +63,8 @@ class TestLiveness:
         sim, nn, hb = setup(interval=3.0, misses=3)
         deaths = []
         on_belief(hb, NodeDeclaredDead, lambda n, t: deaths.append(n))
-        sim.schedule(10.0, lambda: hb.node_down("n0", 10.0))
-        sim.schedule(13.0, lambda: hb.node_up("n0", 13.0))
+        at(sim, hb.handle_node_down, NodeDown(time=10.0, node_id="n0"))
+        at(sim, hb.handle_node_up, NodeUp(time=13.0, node_id="n0"))
         sim.run(until=100.0)
         assert deaths == []
         assert nn.is_live("n0")
@@ -75,8 +80,8 @@ class TestPredictorFeeding:
 
     def test_downtime_observed_on_return(self):
         sim, nn, hb = setup()
-        sim.schedule(9.0, lambda: hb.node_down("n0", 9.0))
-        sim.schedule(29.0, lambda: hb.node_up("n0", 29.0))
+        at(sim, hb.handle_node_down, NodeDown(time=9.0, node_id="n0"))
+        at(sim, hb.handle_node_up, NodeUp(time=29.0, node_id="n0"))
         sim.run(until=60.0)
         estimator = nn.predictor._estimators["n0"]
         assert estimator.observed_episodes == 1
@@ -123,7 +128,7 @@ class TestTeardown:
         sim, nn, hb = setup()
         deaths = []
         on_belief(hb, NodeDeclaredDead, lambda n, t: deaths.append(n))
-        sim.schedule(10.0, lambda: hb.node_down("n0", 10.0))
+        at(sim, hb.handle_node_down, NodeDown(time=10.0, node_id="n0"))
         sim.schedule(11.0, lambda: hb.untrack("n0"))
         sim.run(until=1000.0)
         assert deaths == []
@@ -165,8 +170,8 @@ class TestKnownDefects:
     def test_watchdog_declares_death_when_deadline_sum_rounds_down(self):
         sim, nn, hb = setup(interval=3.0, misses=3)
         back = self.BACK
-        sim.schedule_at(1.0, lambda: hb.node_down("n0", 1.0))
-        sim.schedule_at(back, lambda: hb.node_up("n0", back))
-        sim.schedule_at(back + 1.0, lambda: hb.node_down("n0", back + 1.0))
+        at(sim, hb.handle_node_down, NodeDown(time=1.0, node_id="n0"))
+        at(sim, hb.handle_node_up, NodeUp(time=back, node_id="n0"))
+        at(sim, hb.handle_node_down, NodeDown(time=back + 1.0, node_id="n0"))
         sim.run(until=100.0)
         assert not nn.is_live("n0")

@@ -9,7 +9,7 @@ same belief changes at the same times in the same order, fire the same
 events in the same order, and leave every node with the same estimate.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
@@ -17,7 +17,16 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.heartbeat import HeartbeatService
 from repro.hdfs.namenode import NameNode
 from repro.simulator.engine import EventHandle, Simulator
-from repro.simulator.events import EventBus, NodeDeclaredDead, NodeReturned, Phase
+from repro.simulator.events import (
+    EventBus,
+    NodeDeclaredDead,
+    NodeDown,
+    NodeReturned,
+    NodeUp,
+    PartitionHealed,
+    PartitionStarted,
+    Phase,
+)
 from repro.util.validation import check_positive
 
 
@@ -36,6 +45,7 @@ class EagerHeartbeatService:
         self._down_since: Dict[str, Optional[float]] = {}
         self._is_up: Dict[str, bool] = {}
         self._suppress_counts: Dict[str, int] = {}
+        self._blocking_partitions: Set[str] = set()
 
     @property
     def bus(self):
@@ -66,44 +76,54 @@ class EagerHeartbeatService:
         del self._last_beat[node_id]
         self._suppress_counts.pop(node_id, None)
 
-    def node_down(self, node_id, time):
+    def handle_node_down(self, event):
+        node_id = event.node_id
         if node_id not in self._is_up or not self._is_up[node_id]:
             return
         self._is_up[node_id] = False
-        self._down_since[node_id] = time
-        event = self._beat_events.get(node_id)
-        if event is not None:
-            event.cancel()
+        self._down_since[node_id] = event.time
+        beat = self._beat_events.get(node_id)
+        if beat is not None:
+            beat.cancel()
             self._beat_events[node_id] = None
 
-    def node_up(self, node_id, time):
+    def handle_node_up(self, event):
+        node_id = event.node_id
         if node_id not in self._is_up or self._is_up[node_id]:
             return
         self._is_up[node_id] = True
         self._beat(node_id, returning=True)
 
-    def suppress(self, node_id):
-        if node_id not in self._is_up:
+    def handle_partition_started(self, event):
+        if not event.heartbeats_blocked:
             return
-        count = self._suppress_counts.get(node_id, 0)
-        self._suppress_counts[node_id] = count + 1
-        if count:
-            return
-        event = self._beat_events.get(node_id)
-        if event is not None:
-            event.cancel()
-            self._beat_events[node_id] = None
+        self._blocking_partitions.add(event.partition_id)
+        for node_id in event.members:
+            if node_id not in self._is_up:
+                continue
+            count = self._suppress_counts.get(node_id, 0)
+            self._suppress_counts[node_id] = count + 1
+            if count:
+                continue
+            beat = self._beat_events.get(node_id)
+            if beat is not None:
+                beat.cancel()
+                self._beat_events[node_id] = None
 
-    def unsuppress(self, node_id):
-        count = self._suppress_counts.get(node_id, 0)
-        if count == 0:
+    def handle_partition_healed(self, event):
+        if event.partition_id not in self._blocking_partitions:
             return
-        if count > 1:
-            self._suppress_counts[node_id] = count - 1
-            return
-        del self._suppress_counts[node_id]
-        if self._is_up.get(node_id, False):
-            self._beat(node_id, returning=self._down_since[node_id] is not None)
+        self._blocking_partitions.remove(event.partition_id)
+        for node_id in event.members:
+            count = self._suppress_counts.get(node_id, 0)
+            if count == 0:
+                continue
+            if count > 1:
+                self._suppress_counts[node_id] = count - 1
+                continue
+            del self._suppress_counts[node_id]
+            if self._is_up.get(node_id, False):
+                self._beat(node_id, returning=self._down_since[node_id] is not None)
 
     def _schedule_beat(self, node_id):
         self._beat_events[node_id] = self._sim.schedule(
@@ -178,9 +198,10 @@ class FiringLog(Simulator):
 
 NODES = [f"n{i}" for i in range(6)]
 
-#: (time, operation, node). All nodes are tracked at t = 0, so they beat on
-#: one grid (multiples of the interval, in tracking order) until a return
-#: moves a node off it.
+#: (time, operation, node, partition id). All nodes are tracked at t = 0,
+#: so they beat on one grid (multiples of the interval, in tracking order)
+#: until a return moves a node off it. ``cut``/``heal`` start and heal a
+#: heartbeat-blocking partition around the node.
 SCRIPT = (
     # n1 goes silent before n0 but both last beat at t = 9: their
     # watchdogs share a deadline and must declare n0 first (beat order).
@@ -189,25 +210,25 @@ SCRIPT = (
     (30.0, "up", "n0"),
     (31.5, "up", "n1"),
     # A heartbeat-blocking partition with a nested second cut.
-    (20.0, "suppress", "n2"),
-    (22.0, "suppress", "n2"),
-    (25.0, "unsuppress", "n2"),
-    (35.0, "unsuppress", "n2"),
+    (20.0, "cut", "n2", "p1"),
+    (22.0, "cut", "n2", "p2"),
+    (25.0, "heal", "n2", "p1"),
+    (35.0, "heal", "n2", "p2"),
     # A blip shorter than the timeout, then a down exactly on a beat
     # instant (the script event was queued before that beat).
     (40.0, "down", "n3"),
     (42.0, "up", "n3"),
     (51.0, "down", "n3"),
     (60.0, "up", "n3"),
-    # Suppressed while down, returning while still suppressed.
+    # Cut off while down, returning while still cut off.
     (70.0, "down", "n4"),
-    (72.0, "suppress", "n4"),
+    (72.0, "cut", "n4", "p3"),
     (75.0, "up", "n4"),
-    (90.0, "unsuppress", "n4"),
-    # Suppressed first, then down under the partition.
-    (100.0, "suppress", "n4"),
+    (90.0, "heal", "n4", "p3"),
+    # Cut off first, then down inside the partition.
+    (100.0, "cut", "n4", "p4"),
     (102.0, "down", "n4"),
-    (104.0, "unsuppress", "n4"),
+    (104.0, "heal", "n4", "p4"),
     (110.0, "up", "n4"),
     # Idempotent repeats.
     (130.0, "down", "n3"),
@@ -225,6 +246,23 @@ SCRIPT = (
 )
 
 
+def script_action(service, when, op, node, *partition):
+    """The call ``op`` makes on ``service`` at ``when``."""
+    if op == "untrack":
+        return lambda: service.untrack(node)
+    if op == "down":
+        handler, event = service.handle_node_down, NodeDown(when, node)
+    elif op == "up":
+        handler, event = service.handle_node_up, NodeUp(when, node)
+    elif op == "cut":
+        handler = service.handle_partition_started
+        event = PartitionStarted(when, partition[0], (node,), heartbeats_blocked=True)
+    else:
+        handler = service.handle_partition_healed
+        event = PartitionHealed(when, partition[0], (node,))
+    return lambda: handler(event)
+
+
 def drive(service_cls, miss_threshold):
     sim = FiringLog()
     namenode = NameNode()
@@ -238,12 +276,8 @@ def drive(service_cls, miss_threshold):
             lambda e: published.append((e.time, type(e).__name__, e.node_id)),
             Phase.ACCOUNTING,
         )
-    for when, op, node in SCRIPT:
-        if op in ("down", "up"):
-            method = getattr(service, f"node_{op}")
-            sim.schedule_at(when, lambda m=method, n=node, t=when: m(n, t))
-        else:
-            sim.schedule_at(when, lambda m=getattr(service, op), n=node: m(n))
+    for step in SCRIPT:
+        sim.schedule_at(step[0], script_action(service, *step))
     for node in NODES:
         service.track(node)
     sim.run(until=200.0)

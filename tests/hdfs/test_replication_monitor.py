@@ -7,7 +7,14 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.replication_monitor import ReplicationMonitor
 from repro.simulator.engine import Simulator
-from repro.simulator.events import EventBus, NodePurged, Phase, ReplicaAdded
+from repro.simulator.events import (
+    EventBus,
+    NodeDeclaredDead,
+    NodePurged,
+    NodeReturned,
+    Phase,
+    ReplicaAdded,
+)
 from repro.simulator.network import Network
 from repro.util.rng import RandomSource
 
@@ -50,7 +57,7 @@ class TestHealing:
         on_n0 = nn.located_on("n0")
         assert on_n0, "seed must place something on n0"
         nn.mark_dead("n0")
-        mon.on_node_dead("n0", 0.0)
+        mon.handle_node_dead(NodeDeclaredDead(time=0.0, node_id="n0"))
         sim.run()
         assert nn.under_replicated() == {}
         for block in f.blocks:
@@ -67,7 +74,7 @@ class TestHealing:
         )
         sim, nn, net, mon, f = setup(bus=bus)
         nn.mark_dead("n0")
-        mon.on_node_dead("n0", 0.0)
+        mon.handle_node_dead(NodeDeclaredDead(time=0.0, node_id="n0"))
         sim.run()
         assert sorted(b for b, _n in landed) == nn.located_on("n0")
         for block_id, node_id in landed:
@@ -78,7 +85,8 @@ class TestHealing:
         b0, b1 = (block.block_id for block in f.blocks)
         relocate(nn, b0, {"n0", "n1"})  # live 2 of 3
         relocate(nn, b1, {"n0"})        # live 1 of 3: more urgent
-        mon.on_node_dead("n0", 0.0)  # n0 alive: just (re)considers its blocks
+        # n0 alive: the declaration just (re)considers its blocks.
+        mon.handle_node_dead(NodeDeclaredDead(time=0.0, node_id="n0"))
         assert mon.inflight_count == 1
         (active,) = net.active_transfers
         assert active.label == f"rereplicate:{b1}"
@@ -90,13 +98,13 @@ class TestMidCopyFailure:
         sim, nn, net, mon, f = setup(blocks=1, replication=2, **kw)
         block_id = f.blocks[0].block_id
         relocate(nn, block_id, {"n0"})
-        mon.on_node_dead("n0", 0.0)
+        mon.handle_node_dead(NodeDeclaredDead(time=0.0, node_id="n0"))
         assert mon.inflight_count == 1
 
         def die():
             nn.mark_dead("n0")
             net.cancel_involving("n0")
-            mon.on_node_dead("n0", sim.now)
+            mon.handle_node_dead(NodeDeclaredDead(time=sim.now, node_id="n0"))
 
         sim.schedule(4.0, die)
         return sim, nn, net, mon, block_id
@@ -111,7 +119,7 @@ class TestMidCopyFailure:
         assert mon.is_idle()
         # The holder's return re-queues it and the heal completes.
         nn.mark_alive("n0")
-        mon.on_node_returned("n0", 100.0)
+        mon.handle_node_returned(NodeReturned(time=100.0, node_id="n0"))
         sim.run()
         assert mon.metrics.rereplications_completed == 1
         assert len(live_physical(nn, block_id)) == 2
@@ -135,7 +143,7 @@ class TestHolderReturn:
         block_id = f.blocks[0].block_id
         relocate(nn, block_id, {"n0", "n1"})
         nn.mark_dead("n0")
-        mon.on_node_dead("n0", 0.0)
+        mon.handle_node_dead(NodeDeclaredDead(time=0.0, node_id="n0"))
         assert mon.inflight_count == 1
         return sim, nn, net, mon, block_id
 
@@ -144,7 +152,7 @@ class TestHolderReturn:
 
         def back():
             nn.mark_alive("n0")
-            mon.on_node_returned("n0", sim.now)
+            mon.handle_node_returned(NodeReturned(time=sim.now, node_id="n0"))
 
         sim.schedule(2.0, back)
         sim.run(until=2.0)
@@ -162,7 +170,7 @@ class TestHolderReturn:
         sim.run()  # heal completes while n0 is away
         assert len(nn.replica_holders(block_id)) == 3
         nn.mark_alive("n0")
-        mon.on_node_returned("n0", sim.now)
+        mon.handle_node_returned(NodeReturned(time=sim.now, node_id="n0"))
         # The returner's copy is the stale one: dropped first.
         assert "n0" not in nn.replica_holders(block_id)
         assert len(nn.replica_holders(block_id)) == 2
@@ -184,7 +192,7 @@ class TestPermanentLoss:
         relocate(nn, b0, {"n0", "n1"})
         relocate(nn, b1, {"n0"})  # sole replica: unrecoverable
         nn.mark_dead("n0")
-        mon.on_node_dead("n0", 0.0)
+        mon.handle_node_dead(NodeDeclaredDead(time=0.0, node_id="n0"))
         assert purged == ["n0"]
         assert nn.replica_holders(b1) == set()
         assert mon.metrics.blocks_lost == 1
@@ -196,7 +204,7 @@ class TestTeardown:
     def test_stop_cancels_queue_retries_and_copies(self):
         sim, nn, net, mon, f = setup(max_concurrent=1)
         nn.mark_dead("n0")
-        mon.on_node_dead("n0", 0.0)
+        mon.handle_node_dead(NodeDeclaredDead(time=0.0, node_id="n0"))
         assert mon.inflight_count == 1
         mon.stop()
         assert net.active_transfers == []
@@ -204,5 +212,5 @@ class TestTeardown:
         sim.run()
         assert mon.metrics.rereplications_completed == 0
         # A stopped monitor ignores further signals.
-        mon.on_node_dead("n1", 0.0)
+        mon.handle_node_dead(NodeDeclaredDead(time=0.0, node_id="n1"))
         assert mon.is_idle()

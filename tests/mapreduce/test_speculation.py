@@ -57,11 +57,14 @@ class TestEligibility:
 
 class TestMaySpeculate:
     def test_cap_respected(self):
+        # The straggler scan keeps the cap; may_speculate re-tests only
+        # straggling and the node.
         policy = SpeculationPolicy(slowdown=2.0, max_per_task=1)
         task = make_task(gamma=10.0)
         task.new_attempt("n0", local=True, speculative=False, now=0.0)
+        assert policy.has_room(task)
         task.new_attempt("n1", local=True, speculative=True, now=0.0)
-        assert not policy.may_speculate(task, "n2", now=50.0)
+        assert not policy.has_room(task)
 
     def test_same_node_rejected(self):
         policy = SpeculationPolicy(slowdown=2.0)

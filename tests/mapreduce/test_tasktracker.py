@@ -6,6 +6,7 @@ from repro.hdfs.blocks import DfsFile
 from repro.mapreduce.job import AttemptState, JobConf, MapJob
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.simulator.engine import Simulator
+from repro.simulator.events import NodeDegraded, NodeDown, NodeUp
 from repro.simulator.metrics import MapPhaseMetrics
 from repro.simulator.network import Network
 
@@ -76,7 +77,7 @@ class TestLocalExecution:
         assert tracker.free_slots == 1
         tracker.kill(local[0])  # killing a retired attempt frees nothing twice
         assert tracker.free_slots == 1
-        tracker.on_node_down(sim.now)
+        tracker.handle_node_down(NodeDown(time=sim.now, node_id="node"))
         assert tracker.free_slots == 3
         assert tracker.free_slots == tracker.slots - tracker.running_attempts
         assert [a.state for a in (local[1], remote)] == [AttemptState.FAILED] * 2
@@ -116,7 +117,7 @@ class TestInterruption:
         sim, _n, metrics, tracker, jt, job = setup(gamma=10.0)
         attempt = job.tasks[0].new_attempt("node", local=True, speculative=False, now=0.0)
         tracker.execute(attempt)
-        sim.schedule(4.0, lambda: tracker.on_node_down(4.0))
+        sim.schedule(4.0, lambda: tracker.handle_node_down(NodeDown(time=4.0, node_id="node")))
         sim.run()
         assert attempt.state is AttemptState.FAILED
         assert metrics.rework_time == pytest.approx(4.0)
@@ -130,7 +131,7 @@ class TestInterruption:
             "node", local=False, speculative=False, now=0.0, source_node="src"
         )
         tracker.execute(attempt)
-        sim.schedule(3.0, lambda: tracker.on_node_down(3.0))
+        sim.schedule(3.0, lambda: tracker.handle_node_down(NodeDown(time=3.0, node_id="node")))
         sim.run()
         assert attempt.state is AttemptState.FAILED
         assert metrics.migration_time == pytest.approx(3.0)
@@ -138,15 +139,20 @@ class TestInterruption:
 
     def test_node_up_notifies_jobtracker(self):
         sim, _n, _m, tracker, jt, job = setup()
-        sim.schedule(1.0, lambda: tracker.on_node_down(1.0))
-        sim.schedule(5.0, lambda: tracker.on_node_up(5.0))
+        sim.schedule(1.0, lambda: tracker.handle_node_down(NodeDown(time=1.0, node_id="node")))
+        sim.schedule(5.0, lambda: tracker.handle_node_up(NodeUp(time=5.0, node_id="node")))
         sim.run()
         assert jt.available == ["node"]
         assert tracker.is_up
 
+    def test_exec_factor_below_one_rejected(self):
+        sim, _n, _m, tracker, jt, job = setup()
+        with pytest.raises(ValueError, match="exec factor"):
+            tracker.handle_node_degraded(NodeDegraded(0.0, "node", exec_factor=0.5))
+
     def test_execute_while_down_rejected(self):
         sim, _n, _m, tracker, jt, job = setup()
-        tracker.on_node_down(0.0)
+        tracker.handle_node_down(NodeDown(time=0.0, node_id="node"))
         attempt = job.tasks[0].new_attempt("node", local=True, speculative=False, now=0.0)
         with pytest.raises(RuntimeError, match="down"):
             tracker.execute(attempt)

@@ -19,7 +19,7 @@ from repro.core.placement import make_policy
 from repro.mapreduce.job import JobConf, MapJob, TaskState
 from repro.runtime.cluster import ClusterConfig, build_cluster
 from repro.simulator.engine import EventHandle
-from repro.simulator.events import BlockLost, NodePurged, TaskStateChange
+from repro.simulator.events import BlockLost, NodeDown, NodePurged, TaskStateChange
 from repro.simulator.invariants import (
     AUDIT_MODES,
     AuditReport,
@@ -196,7 +196,8 @@ class TestLivenessFaults:
     def test_datanode_liveness_disagreement_caught(self):
         cluster = small_cluster()
         node = cluster.namenode.datanode_ids[0]
-        cluster.namenode.datanode(node).set_up(False)  # injector says up
+        # The injector says up; only the DataNode hears a NodeDown.
+        cluster.namenode.datanode(node).handle_node_down(NodeDown(time=0.0, node_id=node))
         names = violation_names(cluster.auditor.audit())
         assert "liveness-disagreement" in names
 
@@ -270,13 +271,13 @@ class TestEventStreamFaults:
 class TestCounterFaults:
     def test_tampered_interruption_counter_caught(self):
         cluster = small_cluster()
-        cluster.metrics.record_interruption()  # no NodeDown was published
+        cluster.metrics.interruptions += 1  # no NodeDown was published
         names = violation_names(cluster.auditor.audit())
         assert "interruption-count" in names
 
     def test_tampered_node_return_counter_caught(self):
         cluster = small_cluster()
-        cluster.metrics.record_node_return()
+        cluster.metrics.node_returns += 1
         names = violation_names(cluster.auditor.audit())
         assert "node-return-count" in names
 
@@ -330,7 +331,7 @@ class TestConservationFaults:
 class TestStrictMode:
     def test_strict_audit_raises_with_violation_details(self):
         cluster = small_cluster(audit="strict")
-        cluster.metrics.record_interruption()
+        cluster.metrics.interruptions += 1
         with pytest.raises(InvariantViolationError, match="interruption-count"):
             cluster.auditor.audit()
         # The raise still recorded the sweep into the report.
@@ -338,7 +339,7 @@ class TestStrictMode:
 
     def test_report_mode_accumulates_instead(self):
         cluster = small_cluster(audit="report")
-        cluster.metrics.record_interruption()
+        cluster.metrics.interruptions += 1
         found = cluster.auditor.audit()
         assert found  # returned, not raised
         report = cluster.auditor.report

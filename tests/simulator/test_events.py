@@ -154,43 +154,38 @@ class TestTaps:
         assert seen == [(Phase.ACCOUNTING, Phase.SCHEDULING)]
 
 
-class TestSubscriptionLifecycle:
-    def test_cancel_detaches_handler(self):
+class TestMidDispatchSubscription:
+    """A handler that subscribes during dispatch changes only the next
+    publish: unkeyed dispatch runs over the type's frozen snapshot, keyed
+    dispatch over the copy its merge takes."""
+
+    @pytest.mark.parametrize("key", [None, "n1"])
+    def test_new_handler_runs_from_the_next_publish(self, key):
         bus = EventBus()
         hits = []
-        sub = bus.subscribe(NodeDown, hits.append, Phase.STORAGE)
-        assert sub.active
-        sub.cancel()
-        assert not sub.active
-        bus.publish(NodeDown(time=0.0, node_id="n1"))
-        assert hits == []
 
-    def test_cancel_is_idempotent(self):
-        bus = EventBus()
-        sub = bus.subscribe(NodeDown, lambda e: None, Phase.STORAGE)
-        sub.cancel()
-        sub.cancel()  # must not raise
-        assert bus.handler_count(NodeDown) == 0
+        def recruiter(event):
+            hits.append(("recruiter", event.time))
+            if event.time == 0.0:
+                # A later phase: were it dispatched now, it would run now.
+                bus.subscribe(
+                    NodeDown, lambda e: hits.append(("recruit", e.time)), Phase.SCHEDULING, key=key
+                )
 
-    def test_cancel_leaves_other_subscriptions(self):
-        bus = EventBus()
-        hits = []
-        sub = bus.subscribe(NodeDown, lambda e: hits.append("a"), Phase.STORAGE)
-        bus.subscribe(NodeDown, lambda e: hits.append("b"), Phase.STORAGE)
-        sub.cancel()
+        bus.subscribe(NodeDown, recruiter, Phase.STORAGE, key=key)
         bus.publish(NodeDown(time=0.0, node_id="n1"))
-        assert hits == ["b"]
+        assert hits == [("recruiter", 0.0)]
+        bus.publish(NodeDown(time=1.0, node_id="n1"))
+        assert hits == [("recruiter", 0.0), ("recruiter", 1.0), ("recruit", 1.0)]
 
 
 class TestIntrospection:
     def test_wants_reflects_subscriptions(self):
         bus = EventBus()
         assert not bus.wants(TaskStateChange)
-        sub = bus.subscribe(TaskStateChange, lambda e: None, Phase.SCHEDULING)
+        bus.subscribe(TaskStateChange, lambda e: None, Phase.SCHEDULING)
         assert bus.wants(TaskStateChange)
         assert not bus.wants(NodeDown)
-        sub.cancel()
-        assert not bus.wants(TaskStateChange)
 
     def test_taps_make_everything_wanted(self):
         bus = EventBus()
@@ -227,30 +222,18 @@ class TestWantsCache:
     flip it at once, including a type it already answered."""
 
     @pytest.mark.parametrize("key", [None, "n1"])
-    def test_subscribe_and_cancel_flip_it(self, key):
+    def test_subscribe_flips_it(self, key):
         bus = EventBus()
         assert not bus.wants(NodeDown)
-        sub = bus.subscribe(NodeDown, lambda e: None, Phase.COMPUTE, key=key)
+        bus.subscribe(NodeDown, lambda e: None, Phase.COMPUTE, key=key)
         assert bus.wants(NodeDown)
         assert not bus.wants(NodeUp)
-        sub.cancel()
-        assert not bus.wants(NodeDown)
 
     def test_subscribe_many_flips_it(self):
         bus = EventBus()
         assert not bus.wants(NodeDown)
         bus.subscribe_many(NodeDown, Phase.COMPUTE, [("n1", lambda e: None)])
         assert bus.wants(NodeDown)
-
-    def test_cancelling_one_of_two_keeps_it(self):
-        bus = EventBus()
-        first = bus.subscribe(NodeDown, lambda e: None, Phase.COMPUTE, key="n1")
-        second = bus.subscribe(NodeDown, lambda e: None, Phase.COMPUTE)
-        assert bus.wants(NodeDown)
-        first.cancel()
-        assert bus.wants(NodeDown)
-        second.cancel()
-        assert not bus.wants(NodeDown)
 
     def test_add_tap_flips_every_type(self):
         bus = EventBus()

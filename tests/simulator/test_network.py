@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulator.engine import Simulator
+from repro.simulator.events import NodeDegraded, NodeRestored, PartitionStarted
 from repro.simulator.network import Network, TransferState
 from repro.simulator.topology import ClosTopology
 from repro.util.units import MB, mbit_per_s
@@ -12,6 +13,21 @@ def setup_net(fair=True, up=1000.0):
     sim = Simulator()
     net = Network(sim, link_bps=up, fair_sharing=fair)
     return sim, net
+
+
+def degrade(net, node_id, link_factor):
+    """Open a gray window on ``node_id``, as a ``NodeDegraded`` does."""
+    net.handle_node_degraded(NodeDegraded(net._sim.now, node_id, link_factor=link_factor))
+
+
+def restore(net, node_id):
+    """Close ``node_id``'s oldest gray window, as a ``NodeRestored`` does."""
+    net.handle_node_restored(NodeRestored(net._sim.now, node_id))
+
+
+def partition(net, partition_id, members):
+    """Stall flows crossing ``members``' boundary, as a ``PartitionStarted`` does."""
+    net.handle_partition_started(PartitionStarted(net._sim.now, partition_id, members))
 
 
 class Collector:
@@ -166,9 +182,9 @@ class TestSimpleMode:
         net.scale_link(("up", "src"), 0.5)
         assert first.rate == 50.0
         assert net.start_transfer("src", "d2", 1000.0, lambda t: None).rate == 50.0
-        net.throttle_node("d1", 0.25)
+        degrade(net, "d1", 0.25)
         assert first.rate == 25.0
-        net.restore_node("d1")
+        restore(net, "d1")
         assert first.rate == 50.0
 
 
@@ -341,9 +357,9 @@ class TestAllocatorMatchesReference:
 
     def test_throttled_nodes(self):
         net = clos_net()
-        net.throttle_node(0, 0.5)
-        net.throttle_node(0, 0.3)  # stacked windows compose
-        net.throttle_node(5, 0.25)
+        degrade(net, 0, 0.5)
+        degrade(net, 0, 0.3)  # stacked windows compose
+        degrade(net, 5, 0.25)
         start_all(net, CLOS_FLOWS)
         assert_rates_match_reference(net)
 
@@ -358,7 +374,7 @@ class TestAllocatorMatchesReference:
     def test_partitioned_flows_take_no_rate(self):
         net = clos_net()
         start_all(net, CLOS_FLOWS)
-        net.begin_partition("cut", (0, 1, 2, 3))
+        partition(net, "cut", (0, 1, 2, 3))
         assert any(t.rate == 0.0 for t in net._active)
         assert_rates_match_reference(net)
 
@@ -370,9 +386,9 @@ class TestAllocatorMatchesReference:
         start_all(net, CLOS_FLOWS)
         assert_rates_match_reference(net)
         steps = [
-            lambda: net.throttle_node(0, 0.05),
+            lambda: degrade(net, 0, 0.05),
             lambda: net.scale_link(("tor-up", 1), 0.1),
-            lambda: net.restore_node(0),
+            lambda: restore(net, 0),
             lambda: net.unscale_link(("tor-up", 1), 0.1),
         ]
         for step in steps:

@@ -3,7 +3,28 @@
 import pytest
 
 from repro.simulator.engine import Simulator
+from repro.simulator.events import NodeDegraded, NodeRestored, PartitionHealed, PartitionStarted
 from repro.simulator.network import Network, TransferState
+
+
+def degrade(net, node_id, link_factor):
+    """Open a gray window on ``node_id``, as a ``NodeDegraded`` does."""
+    net.handle_node_degraded(NodeDegraded(net._sim.now, node_id, link_factor=link_factor))
+
+
+def restore(net, node_id):
+    """Close ``node_id``'s oldest gray window, as a ``NodeRestored`` does."""
+    net.handle_node_restored(NodeRestored(net._sim.now, node_id))
+
+
+def partition(net, partition_id, members):
+    """Stall flows crossing ``members``' boundary, as a ``PartitionStarted`` does."""
+    net.handle_partition_started(PartitionStarted(net._sim.now, partition_id, members))
+
+
+def heal(net, partition_id, members):
+    """Heal a partition, as a ``PartitionHealed`` does."""
+    net.handle_partition_healed(PartitionHealed(net._sim.now, partition_id, members))
 
 
 class TestZeroAndTiny:
@@ -222,17 +243,17 @@ class TestGrayThrottleRegressions:
         sim = Simulator()
         net = Network(sim, link_bps=1000.0, fair_sharing=False)
         up, down = ("up", "a"), ("down", "a")
-        net.throttle_node("a", 0.5)
+        degrade(net, "a", 0.5)
         assert net.link_capacity(up) == 500.0
         assert net.link_capacity(down) == 500.0
-        net.throttle_node("a", 0.5)  # second overlapping window
+        degrade(net, "a", 0.5)  # second overlapping window
         assert net.link_capacity(up) == 250.0
-        net.restore_node("a")  # first window ends; second still active
+        restore(net, "a")  # first window ends; second still active
         assert net.link_capacity(up) == 500.0
         assert net.link_capacity(down) == 500.0
-        net.restore_node("a")
+        restore(net, "a")
         assert net.link_capacity(up) == 1000.0
-        net.restore_node("a")  # spurious restore stays a no-op
+        restore(net, "a")  # spurious restore stays a no-op
         assert net.link_capacity(up) == 1000.0
 
     def test_overlapping_throttles_drive_transfer_rates(self):
@@ -242,12 +263,12 @@ class TestGrayThrottleRegressions:
         net = Network(sim, link_bps=100.0, fair_sharing=True)
         done = []
         transfer = net.start_transfer("a", "b", 1000.0, done.append)
-        net.throttle_node("a", 0.5)
-        net.throttle_node("a", 0.5)
+        degrade(net, "a", 0.5)
+        degrade(net, "a", 0.5)
         assert transfer.rate == 25.0
-        net.restore_node("a")
+        restore(net, "a")
         assert transfer.rate == 50.0
-        net.restore_node("a")
+        restore(net, "a")
         sim.run()
         assert done and transfer.state is TransferState.COMPLETED
 
@@ -258,14 +279,31 @@ class TestGrayThrottleRegressions:
         # the change).
         sim = Simulator()
         net = Network(sim, link_bps=1000.0, fair_sharing=False)
-        net.throttle_node("a", 0.5)
+        degrade(net, "a", 0.5)
         net.scale_link(("up", "a"), 2.0)
         net.scale_link(("down", "a"), 4.0)
         assert net.link_capacity(("up", "a")) == 1000.0  # 1000 * (0.5 * 2)
         assert net.link_capacity(("down", "a")) == 2000.0
-        net.restore_node("a")
+        restore(net, "a")
         assert net.link_capacity(("up", "a")) == 2000.0
         assert net.link_capacity(("down", "a")) == 4000.0
+
+
+class TestHandlerInputChecks:
+    def test_partition_ids_are_checked(self):
+        net = Network(Simulator(), link_bps=100.0)
+        partition(net, "p", ("a",))
+        with pytest.raises(ValueError, match="already active"):
+            partition(net, "p", ("b",))
+        heal(net, "p", ("a",))
+        with pytest.raises(ValueError, match="is not active"):
+            heal(net, "p", ("a",))
+
+    def test_link_factor_must_be_positive(self):
+        net = Network(Simulator(), link_bps=100.0)
+        with pytest.raises(ValueError, match="link_factor"):
+            degrade(net, "a", 0.0)
+        assert net.link_capacity(("up", "a")) == 100.0
 
 
 class TestOneScaleStack:
@@ -278,13 +316,13 @@ class TestOneScaleStack:
         net = Network(sim, link_bps=1000.0, fair_sharing=fair)
         up, down = ("up", "a"), ("down", "a")
         transfer = net.start_transfer("a", "b", 1e6, lambda t: None)
-        net.throttle_node("a", 0.5)
+        degrade(net, "a", 0.5)
         net.scale_link(up, 0.25)
         assert net.link_capacity(up) == 1000.0 * (0.5 * 0.25)
         assert net.link_capacity(down) == 500.0
         assert transfer.rate == 125.0
         if window_closes_first:
-            net.restore_node("a")
+            restore(net, "a")
             left = 0.25
         else:
             net.unscale_link(up, 0.25)
@@ -295,7 +333,7 @@ class TestOneScaleStack:
         if window_closes_first:
             net.unscale_link(up, 0.25)
         else:
-            net.restore_node("a")
+            restore(net, "a")
         assert net.link_capacity(up) == net.link_capacity(down) == 1000.0
         assert transfer.rate == 1000.0
         assert net.describe()["scaled_links"] == 0
@@ -307,11 +345,11 @@ class TestOneScaleStack:
         sim = Simulator()
         net = Network(sim, link_bps=100.0, fair_sharing=False)
         transfer = net.start_transfer("a", "b", 1e6, lambda t: None)
-        sim.schedule(1.0, lambda: net.throttle_node("a", 0.5))
-        sim.schedule(2.0, lambda: net.begin_partition("p", ("a",)))
+        sim.schedule(1.0, lambda: degrade(net, "a", 0.5))
+        sim.schedule(2.0, lambda: partition(net, "p", ("a",)))
         if not window_open_at_heal:
-            sim.schedule(3.0, lambda: net.restore_node("a"))
-        sim.schedule(4.0, lambda: net.end_partition("p"))
+            sim.schedule(3.0, lambda: restore(net, "a"))
+        sim.schedule(4.0, lambda: heal(net, "p", ("a",)))
         sim.run(until=2.5)
         assert transfer.rate == 0.0
         sim.run(until=4.0)
@@ -331,8 +369,8 @@ class TestSimpleModeEpsilon:
         net = Network(sim, link_bps=1.0, fair_sharing=False)
         done = []
         transfer = net.start_transfer("a", "b", 100.4, done.append)
-        sim.schedule(100.0, lambda: net.begin_partition("p", ("a",)))
-        sim.schedule(110.0, lambda: net.end_partition("p"))
+        sim.schedule(100.0, lambda: partition(net, "p", ("a",)))
+        sim.schedule(110.0, lambda: heal(net, "p", ("a",)))
         sim.run()
         assert transfer.state is TransferState.COMPLETED
         assert transfer.remaining == 0.0
@@ -350,8 +388,8 @@ class TestSimpleModeEpsilon:
         # 0.2 bytes (plus accumulated float error) sit under the epsilon.
         transfer = net.start_transfer("a", "b", 300.2, done.append)
         for cycle in range(1000):
-            sim.schedule(0.1 + cycle * 0.2, lambda: net.begin_partition("p", ("a",)))
-            sim.schedule(0.2 + cycle * 0.2, lambda: net.end_partition("p"))
+            sim.schedule(0.1 + cycle * 0.2, lambda: partition(net, "p", ("a",)))
+            sim.schedule(0.2 + cycle * 0.2, lambda: heal(net, "p", ("a",)))
         sim.run()
         assert len(done) == 1
         assert transfer.state is TransferState.COMPLETED
