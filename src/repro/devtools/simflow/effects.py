@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import ast
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -262,47 +261,11 @@ class _Extractor:
     ) -> None:
         effects = Effects(key=key, module=module.path, line=func.lineno)
         scope = self.corpus.scope(info, func)
-
-        # One ``ast.walk``-order pass: a target that implies a read as well
-        # as a write is flagged by an ancestor, and the walk reaches every
-        # ancestor before its descendants.
-        aug_reads: Set[int] = set()
-        subscript_writes: Set[int] = set()
-        in_targets: Set[int] = set()  # nodes inside an assignment target
-        todo = deque([func])
-        while todo:
-            node = todo.popleft()
-            children = list(ast.iter_child_nodes(node))
-            todo.extend(children)
-            if id(node) in in_targets:
-                in_targets.update(map(id, children))
-                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
-                    subscript_writes.add(id(node.value))
-            if isinstance(node, ast.AugAssign):
-                if isinstance(node.target, ast.Attribute):
-                    aug_reads.add(id(node.target))
-                elif isinstance(node.target, ast.Subscript) and isinstance(
-                    node.target.value, ast.Attribute
-                ):
-                    subscript_writes.add(id(node.target.value))
-            elif isinstance(node, ast.Assign):
-                in_targets.update(map(id, node.targets))
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Attribute
-                    ):
-                        subscript_writes.add(id(target.value))
-            elif isinstance(node, ast.Attribute):
-                self._record_attribute(
-                    node,
-                    effects,
-                    scope,
-                    force_read=id(node) in aug_reads,
-                    force_write=id(node) in subscript_writes,
-                )
-            elif isinstance(node, ast.Call):
-                self._record_call(node, effects, scope, module)
+        sites = self.corpus.sites(func)
+        for node, force_read, force_write in sites.attributes:
+            self._record_attribute(node, effects, scope, force_read, force_write)
+        for call in sites.calls:
+            self._record_call(call, effects, scope, module)
         existing = self.index.direct.get(key)
         if existing is not None:
             existing.merge(effects)  # e.g. single-dispatch overloads sharing a name

@@ -13,12 +13,14 @@ Exemptions are part of the contract the rules enforce, not loopholes:
   documented job is to "see the pre-reaction state" — later phases
   mutating what it read is the architecture, not a hazard.
 * **F001** also ignores the engine's scheduling bookkeeping:
-  ``EventHandle._cancelled`` (one per handle) and
-  ``Simulator._cancelled_in_heap`` (a heap-hygiene counter). Only the
-  engine's own ``cancel()`` idempotence check and heap compaction read
-  them; no handler reads a handle's cancel state. Events pop in
-  ``(time, seq)`` order however the heap is kept, so what a later-phase
-  handler cancels cannot change what an earlier-phase handler observed.
+  ``EventHandle._cancelled`` and ``EventHandle._sim`` (one per handle:
+  its cancel state, and its back-reference to the simulator, which a
+  cancel drops) and ``Simulator._cancelled_in_heap`` (a heap-hygiene
+  counter). Only the engine's own ``cancel()`` and heap compaction read
+  them; no handler reads a handle's cancel state or owner. Events pop
+  in ``(time, seq)`` order however the heap is kept, so what a
+  later-phase handler cancels cannot change what an earlier-phase
+  handler observed.
 * **F002** skips events whose docstring carries ``dispatch-root``: a
   publish starts a *new* dispatch whose phase cycle restarts, and some
   events (the detector belief events) are deliberately published from
@@ -48,7 +50,9 @@ _DEFAULT_PHASES = {
 }
 
 #: Engine scheduling bookkeeping F001 ignores (see module docstring).
-ENGINE_BOOKKEEPING = frozenset({"EventHandle._cancelled", "Simulator._cancelled_in_heap"})
+ENGINE_BOOKKEEPING = frozenset(
+    {"EventHandle._cancelled", "EventHandle._sim", "Simulator._cancelled_in_heap"}
+)
 
 #: Docstring marker exempting an event from F002 (see module docstring).
 DISPATCH_ROOT_MARKER = "dispatch-root"

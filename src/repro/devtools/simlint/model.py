@@ -22,9 +22,11 @@ annotations.
 from __future__ import annotations
 
 import ast
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.devtools.simlint.registry import ModuleContext
 
@@ -40,9 +42,21 @@ _MAPPINGS = {"Dict", "dict", "Mapping", "MutableMapping", "defaultdict"}
 
 #: One binding site: (target, assigned value, annotation).
 _Assignment = Tuple[ast.AST, Optional[ast.AST], Optional[ast.AST]]
-#: A function's binding sites: its assignments and its ``for`` loops
-#: (target, iterable), in walk order.
-_Sites = Tuple[List[_Assignment], List[Tuple[ast.AST, ast.AST]]]
+
+
+class Sites(NamedTuple):
+    """One function's sites, in walk order (see :meth:`Corpus.sites`)."""
+
+    #: Binding sites: single-target, annotated and ``with ... as`` assignments.
+    assigns: List[_Assignment]
+    #: ``for`` loops, as (target, iterable).
+    loops: List[Tuple[ast.AST, ast.AST]]
+    #: Attribute nodes with two flags: an augmented-assignment target
+    #: (read as well as written), and the container of a subscript store
+    #: or delete (written as well as read).
+    attributes: List[Tuple[ast.Attribute, bool, bool]]
+    #: Call nodes.
+    calls: List[ast.Call]
 
 
 def dotted(node: ast.AST) -> Optional[str]:
@@ -153,8 +167,8 @@ class Corpus:
         self.classes = _collect_classes(modules)
         self._mro: Dict[str, Tuple[str, ...]] = {}
         self._scopes: Dict[int, Scope] = {}
-        #: id(function) -> its binding sites (see :meth:`_sites`).
-        self._sites_memo: Dict[int, _Sites] = {}
+        #: id(function) -> its sites (see :meth:`sites`).
+        self._sites_memo: Dict[int, Sites] = {}
         #: class -> field -> inferred class of the field's value.
         self.field_types: Dict[str, Dict[str, str]] = {}
         #: class -> field -> value class of a Dict-typed field.
@@ -254,7 +268,7 @@ class Corpus:
         for method_name in sorted(info.methods):
             method = info.methods[method_name]
             scope = self._parameters(info, method)
-            for target, value, annotation in self._sites(method)[0]:
+            for target, value, annotation in self.sites(method).assigns:
                 if (
                     isinstance(target, ast.Attribute)
                     and isinstance(target.value, ast.Name)
@@ -302,28 +316,71 @@ class Corpus:
             self._collect_locals(func, scope)
         return scope
 
-    def _sites(self, func: FunctionNode) -> _Sites:
-        """``func``'s binding sites, memoised per function.
+    def sites(self, func: FunctionNode) -> Sites:
+        """``func``'s binding, attribute and call sites, memoised per function.
 
-        Assignments are single-target, annotated, or a ``with`` item's
-        ``as`` target; each body statement is walked in turn. One walk
-        serves both the field harvest and the local scope.
+        One breadth-first walk of the whole ``def`` serves the field
+        harvest, the local scope and the effect extractor. It reaches every
+        node after its ancestors: an assignment target marks its
+        descendants before they are reached, which is how an augmented
+        target and the container of a subscript store get their flags.
+        Attribute and call sites keep the walk's order; binding sites are
+        then ordered body statement by body statement (first binding
+        wins), which is each statement's own breadth-first order.
         """
         sites = self._sites_memo.get(id(func))
-        if sites is None:
-            assigns: List[_Assignment] = []
-            loops: List[Tuple[ast.AST, ast.AST]] = []
-            for stmt in func.body:
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                        assigns.append((node.targets[0], node.value, None))
-                    elif isinstance(node, ast.AnnAssign):
-                        assigns.append((node.target, node.value, node.annotation))
-                    elif isinstance(node, (ast.For, ast.AsyncFor)):
-                        loops.append((node.target, node.iter))
-                    elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-                        assigns.append((node.optional_vars, node.context_expr, None))
-            sites = self._sites_memo[id(func)] = (assigns, loops)
+        if sites is not None:
+            return sites
+        sites = Sites([], [], [], [])
+        aug_reads: Set[int] = set()
+        subscript_writes: Set[int] = set()
+        in_targets: Set[int] = set()  # nodes inside an assignment target
+        todo = deque([func])
+        while todo:
+            node = todo.popleft()
+            children = list(ast.iter_child_nodes(node))
+            todo.extend(children)
+            if id(node) in in_targets:
+                in_targets.update(map(id, children))
+                if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+                    subscript_writes.add(id(node.value))
+            if isinstance(node, ast.Attribute):
+                sites.attributes.append((node, id(node) in aug_reads, id(node) in subscript_writes))
+            elif isinstance(node, ast.Call):
+                sites.calls.append(node)
+            elif isinstance(node, ast.Assign):
+                in_targets.update(map(id, node.targets))
+                if len(node.targets) == 1:
+                    sites.assigns.append((node.targets[0], node.value, None))
+            elif isinstance(node, ast.AugAssign):
+                target = node.target
+                if isinstance(target, ast.Attribute):
+                    aug_reads.add(id(target))
+                elif isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute):
+                    subscript_writes.add(id(target.value))
+            elif isinstance(node, ast.Delete):
+                for target in node.targets:
+                    if isinstance(target, ast.Subscript) and isinstance(
+                        target.value, ast.Attribute
+                    ):
+                        subscript_writes.add(id(target.value))
+            elif isinstance(node, ast.AnnAssign):
+                sites.assigns.append((node.target, node.value, node.annotation))
+            elif isinstance(node, (ast.For, ast.AsyncFor)):
+                sites.loops.append((node.target, node.iter))
+            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                sites.assigns.append((node.optional_vars, node.context_expr, None))
+        # A binding site's target lies inside one body statement; the
+        # statements' start positions index them in source order.
+        starts = [(stmt.lineno, stmt.col_offset) for stmt in func.body]
+
+        def statement(site: Tuple[ast.AST, ...]) -> int:
+            target = site[0]
+            return bisect_right(starts, (target.lineno, target.col_offset))
+
+        sites.assigns.sort(key=statement)
+        sites.loops.sort(key=statement)
+        self._sites_memo[id(func)] = sites
         return sites
 
     def _parameters(self, info: Optional[ClassInfo], func: FunctionNode) -> Scope:
@@ -335,11 +392,11 @@ class Corpus:
 
     def _collect_locals(self, func: FunctionNode, scope: Scope) -> None:
         """Order-insensitive local binds (two passes for chains)."""
-        assigns, loops = self._sites(func)
+        sites = self.sites(func)
         for _ in range(2):
             # ``for tracker in d.values()`` / ``for k, tracker in d.items()``
             # bind the loop variable to the dict's value class.
-            for target, iterable in loops:
+            for target, iterable in sites.loops:
                 if not (
                     isinstance(iterable, ast.Call)
                     and isinstance(iterable.func, ast.Attribute)
@@ -360,7 +417,7 @@ class Corpus:
                     bound = target.elts[-1]
                 if isinstance(bound, ast.Name):
                     scope.var_class.setdefault(bound.id, value_cls)
-            for target, value, annotation in assigns:
+            for target, value, annotation in sites.assigns:
                 if isinstance(target, ast.Name):
                     self._bind(
                         scope.var_class, scope.dict_value, target.id, value, annotation, scope

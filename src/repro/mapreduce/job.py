@@ -125,12 +125,16 @@ class MapTask:
 
     Identity semantics (``eq=False``) so tasks can key dicts/sets.
 
-    One slotted record per task (DESIGN.md §10): ``attempts`` (every
-    attempt, in creation order) and ``live`` (the attempts still holding
-    a slot) are tuples, rebuilt on the rare attempt event, so a finished
-    task holds one small tuple and the shared empty one. Read ``live``
-    freely (a reader may iterate it while attempts retire, since a
-    retirement rebinds it); only :meth:`new_attempt` and
+    One slotted record per task (DESIGN.md §10) that keeps only what the
+    running job needs: ``live`` (the attempts still holding a slot, a
+    tuple rebuilt on the rare attempt event) and ``attempt_count`` (for
+    the next attempt's ordinal). The attempt history and the winner live
+    on the :class:`MapJob`, so a finished task holds the shared empty
+    tuple and no task points at a retired attempt: an attempt's
+    ``task`` is the only link between the two records, and dropping a
+    job frees both by reference counting. Read ``live`` freely (a
+    reader may iterate it while attempts retire, since a retirement
+    rebinds it); only :meth:`new_attempt` and
     :meth:`TaskAttempt.retire` assign it.
     """
 
@@ -138,9 +142,8 @@ class MapTask:
     block: Block
     gamma: float
     state: TaskState = TaskState.PENDING
-    attempts: Tuple[TaskAttempt, ...] = ()
-    completed_by: Optional[TaskAttempt] = None
     live: Tuple[TaskAttempt, ...] = ()
+    attempt_count: int = 0
 
     def __post_init__(self) -> None:
         # One task per block: the passing check runs inline, and the
@@ -164,26 +167,36 @@ class MapTask:
         now: float,
         source_node: Optional[NodeId] = None,
     ) -> TaskAttempt:
-        """Create (and register) the next attempt of this task."""
+        """Create the next attempt of this task and count it live.
+
+        The caller that runs a job records the attempt in
+        :attr:`MapJob.attempts`; the task keeps only its count.
+        """
+        ordinal = self.attempt_count + 1
         attempt = TaskAttempt(
             task=self,
-            ordinal=len(self.attempts) + 1,
+            ordinal=ordinal,
             node_id=node_id,
             local=local,
             speculative=speculative,
             created_at=now,
             source_node=source_node,
         )
-        self.attempts += (attempt,)
+        self.attempt_count = ordinal
         self.live += (attempt,)
         return attempt
 
     def __repr__(self) -> str:
-        return f"MapTask({self.task_id}, {self.state.value}, attempts={len(self.attempts)})"
+        return f"MapTask({self.task_id}, {self.state.value}, attempts={self.attempt_count})"
 
 
 class MapJob:
-    """A submitted job: one map task per block of the input file."""
+    """A submitted job: one map task per block of the input file.
+
+    ``attempts`` is the job's attempt history: every attempt the
+    JobTracker started, in creation order. :meth:`attempts_of` and
+    :meth:`completed_by` look a task's attempts and its winner up in it.
+    """
 
     def __init__(self, conf: JobConf, input_file: DfsFile, gammas: List[float]) -> None:
         if len(gammas) != input_file.num_blocks:
@@ -199,6 +212,7 @@ class MapJob:
         ]
         self.submitted_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+        self.attempts: List[TaskAttempt] = []
 
     @property
     def conf(self) -> JobConf:
@@ -221,6 +235,21 @@ class MapJob:
             if task.task_id == task_id:
                 return task
         raise KeyError(task_id)
+
+    def attempts_of(self, task: MapTask) -> List[TaskAttempt]:
+        """``task``'s attempts, in creation order (a scan of :attr:`attempts`)."""
+        return [attempt for attempt in self.attempts if attempt.task is task]
+
+    def completed_by(self, task: MapTask) -> Optional[TaskAttempt]:
+        """The attempt that completed ``task``, or None.
+
+        That is the task's one SUCCEEDED attempt: the JobTracker kills a
+        task's other live attempts when the first one succeeds.
+        """
+        for attempt in self.attempts:
+            if attempt.task is task and attempt.state is AttemptState.SUCCEEDED:
+                return attempt
+        return None
 
     @property
     def total_base_work(self) -> float:

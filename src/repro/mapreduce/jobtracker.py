@@ -247,7 +247,7 @@ class JobTracker(SchedulerContext):
             if picked is None:
                 break
             task, source = picked
-            self._assign(node_id, task, source, speculative)
+            self._assign(job, node_id, task, source, speculative)
         if tracker.free_slots > 0:
             self._idle[node_id] = None
         else:
@@ -255,6 +255,7 @@ class JobTracker(SchedulerContext):
 
     def _assign(
         self,
+        job: MapJob,
         node_id: NodeId,
         task: MapTask,
         source: Optional[NodeId],
@@ -267,6 +268,7 @@ class JobTracker(SchedulerContext):
             now=self._sim.now,
             source_node=source,
         )
+        job.attempts.append(attempt)
         if speculative:
             self._metrics.speculative_attempts += 1
         task.state = TaskState.RUNNING
@@ -331,7 +333,6 @@ class JobTracker(SchedulerContext):
         if task.state is TaskState.COMPLETED:
             return
         task.state = TaskState.COMPLETED
-        task.completed_by = attempt
         self._running.pop(task, None)
         if self._bus.wants(TaskStateChange):
             self._note_task_state(task, attempt.node_id)

@@ -113,8 +113,9 @@ class TaskTracker:
         #: attempts *starting* execution while degraded.
         self._exec_factor = 1.0
 
-    def bind(self, jobtracker: "JobTracker") -> None:
-        """Attach the JobTracker (after construction, to break the cycle)."""
+    def bind(self, jobtracker: Optional["JobTracker"]) -> None:
+        """Attach the JobTracker after construction; ``None`` detaches it
+        again at teardown, so the two no longer reference each other."""
         self._jobtracker = jobtracker
 
     # -- state -------------------------------------------------------------------

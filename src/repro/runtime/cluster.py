@@ -371,15 +371,22 @@ class Cluster:
             )
 
     def stop(self) -> None:
-        """Tear the cluster down: stop every registered service.
+        """Tear the cluster down: stop every service, then release the wiring.
 
         Services stop in reverse registration order (consumers before
-        producers — see :meth:`ServiceRegistry.stop_all`), after which the
-        simulator heap drains naturally: nothing re-arms, so abandoned
-        clusters don't leak beats, watchdogs, interruption streams, or
-        re-replication retries.
+        producers — see :meth:`ServiceRegistry.stop_all`) and cancel
+        everything they armed, so the simulator heap holds no live entry
+        afterwards: abandoned clusters don't leak beats, watchdogs,
+        interruption streams, sweeps or re-replication retries. Then the
+        bus drops its subscriptions and taps and the TaskTrackers drop
+        the JobTracker, which breaks the last cycles between services: a
+        stopped cluster the caller drops is freed by reference counting
+        (DESIGN.md §10, "Teardown"). Counters and reports stay readable.
         """
         self.services.stop_all()
+        self.bus.clear()
+        for tracker in self.trackers.values():
+            tracker.bind(None)
 
 
 def build_cluster(

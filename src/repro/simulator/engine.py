@@ -65,9 +65,10 @@ class EventHandle:
 
     __slots__ = ("time", "action", "label", "_cancelled", "_sim", "resolve")
 
-    #: Set on lazy events only (:meth:`Simulator.schedule_lazy`); an
+    #: Set on lazy events only (:meth:`Simulator.schedule_lazy`): an
     #: unresolved lazy event is the one live handle whose action is None.
-    resolve: Callable[[], Resolution]
+    #: Resolving or cancelling it sets None.
+    resolve: Optional[Callable[[], Resolution]]
 
     def __init__(
         self,
@@ -88,13 +89,21 @@ class EventHandle:
         return self._cancelled
 
     def cancel(self) -> None:
-        """Revoke the event; a no-op if it already fired."""
+        """Revoke the event; a no-op if it already fired.
+
+        A cancelled handle keeps no reference out: it drops its action
+        (or, unresolved lazy, its resolver) and its simulator, so a
+        queued dead entry never closes a cycle through the heap.
+        """
         if self._cancelled:
             return
         self._cancelled = True
         self.action = None  # release the closure promptly
-        if self._sim is not None:
-            self._sim._note_cancelled()
+        self.resolve = None
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._note_cancelled()
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "pending"
@@ -211,7 +220,9 @@ class Simulator:
 
     def _resolve(self, bound: float, seq: int, handle: EventHandle) -> None:
         """Resolve a popped lazy event and re-queue it under ``seq``."""
-        time, action = handle.resolve()
+        resolve = handle.resolve
+        assert resolve is not None
+        time, action = resolve()
         ordered = bound < time if action is None else bound <= time
         if not (ordered and time < math.inf):
             raise ValueError(
@@ -221,7 +232,7 @@ class Simulator:
             )
         if action is not None:
             handle.action = action
-            del handle.resolve
+            handle.resolve = None
         handle.time = time
         heapq.heappush(self._heap, (time, seq, handle))
 

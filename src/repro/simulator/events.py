@@ -300,6 +300,9 @@ DispatchInterceptor = Callable[[Callable[[Event], None], Phase, Event], None]
 #: (phase, sequence, handler) — sequence is global, so sorting by this
 #: tuple yields phase-major, subscription-order-minor dispatch.
 _Entry = Tuple[int, int, Callable[[Event], None]]
+#: One type's dispatch orders: the unkeyed entries, and per routing key
+#: with keyed subscribers, the merged order (see ``EventBus._orders``).
+_Orders = Tuple[Tuple[_Entry, ...], Dict[RoutingKey, Tuple[_Entry, ...]]]
 
 
 class EventBus:
@@ -314,12 +317,14 @@ class EventBus:
         self._dispatched = 0
         #: Optional dispatch wrapper (see :meth:`set_dispatch_interceptor`).
         self._interceptor: Optional[DispatchInterceptor] = None
-        #: Per-type frozen snapshot of the unkeyed entry list, rebuilt
-        #: lazily after any subscription to the type. ``publish`` iterates
-        #: the tuple directly — the no-keyed-match fast path allocates
-        #: nothing per event, where the old code copied a list every time.
-        self._unkeyed_cache: Dict[Type[Event], Tuple[_Entry, ...]] = {}
-        #: Per-type answer of :meth:`wants`, dropped with the snapshot by
+        #: Per-type frozen dispatch orders, rebuilt lazily after any
+        #: subscription to the type: the snapshot of the unkeyed entries,
+        #: and beside it, per key with keyed subscribers, the snapshot
+        #: merged with the key's entries in (phase, seq) order (sorted on
+        #: the key's first publish). ``publish`` iterates these tuples
+        #: directly, so a dispatch allocates and sorts nothing per event.
+        self._orders: Dict[Type[Event], _Orders] = {}
+        #: Per-type answer of :meth:`wants`, dropped with the orders by
         #: :meth:`subscribe_many`, and all at once by :meth:`add_tap`.
         self._wants: Dict[Type[Event], bool] = {}
 
@@ -337,8 +342,8 @@ class EventBus:
         ``key`` restricts delivery to events whose :attr:`Event.routing_key`
         equals it (used by per-node / per-block agents). Handlers run in
         (phase, subscription) order; see the module docstring. Wiring is
-        permanent: a subscriber's handler is its reaction for the bus's
-        whole life.
+        permanent: a subscriber's handler is its reaction until the
+        teardown's :meth:`clear`.
         """
         self.subscribe_many(event_type, phase, ((key, handler),))
 
@@ -381,14 +386,28 @@ class EventBus:
             else:
                 bisect.insort(entries, entry)
         self._seq = seq
-        # The type's unkeyed snapshot and ``wants`` answer are stale now.
-        self._unkeyed_cache.pop(event_type, None)
+        # The type's dispatch orders and ``wants`` answer are stale now.
+        self._orders.pop(event_type, None)
         self._wants.pop(event_type, None)
         return count
 
     def add_tap(self, tap: Tap) -> None:
         """Register an observer of *every* published event (tracing)."""
         self._taps.append(tap)
+        self._wants.clear()
+
+    def clear(self) -> None:
+        """Drop every subscription, tap and cached dispatch order.
+
+        ``Cluster.stop`` calls this once every service has stopped: the
+        bus's handlers are bound methods of the services that hold the
+        bus, so releasing them lets a dropped cluster be freed by
+        reference counting. The counters stay readable; a later publish
+        reaches nothing.
+        """
+        self._subs.clear()
+        self._taps.clear()
+        self._orders.clear()
         self._wants.clear()
 
     def set_dispatch_interceptor(self, interceptor: Optional["DispatchInterceptor"]) -> None:
@@ -494,27 +513,30 @@ class EventBus:
 
         The common case — no keyed match — iterates a frozen per-type
         snapshot of the unkeyed entries, so it allocates nothing. A keyed
-        match merges and sorts into a fresh list (rare: one node's
-        transitions, not every event). Either way dispatch runs over a
-        copy, so a handler that subscribes mid-dispatch changes only the
-        *next* publish.
+        match iterates the key's cached merge of that snapshot with the
+        key's entries, sorted once on the key's first publish. Either way
+        dispatch runs over a frozen tuple, so a handler that subscribes
+        mid-dispatch changes only the *next* publish.
         """
         self._published += 1
         event_type = type(event)
         by_key = self._subs.get(event_type)
-        merged: Tuple[_Entry, ...] | List[_Entry]
+        merged: Tuple[_Entry, ...]
         if by_key is None:
             merged = ()
         else:
-            merged = self._unkeyed_cache.get(event_type)  # type: ignore[assignment]
-            if merged is None:
-                merged = tuple(by_key.get(None, ()))
-                self._unkeyed_cache[event_type] = merged
+            orders = self._orders.get(event_type)
+            if orders is None:
+                orders = self._orders[event_type] = (tuple(by_key.get(None, ())), {})
+            merged, keyed_orders = orders
             key = event.routing_key
             if key is not None:
                 keyed = by_key.get(key)
                 if keyed:
-                    merged = sorted(merged + tuple(keyed))
+                    order = keyed_orders.get(key)
+                    if order is None:
+                        order = keyed_orders[key] = tuple(sorted(merged + tuple(keyed)))
+                    merged = order
         if self._taps:
             phases = tuple(sorted({Phase(entry[0]) for entry in merged}))
             for tap in self._taps:

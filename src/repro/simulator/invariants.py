@@ -531,15 +531,11 @@ class InvariantAuditor:
         failed_exec = 0
         speculative = 0
         for job in self._jobs_seen:
-            for task in job.tasks:
-                for attempt in task.attempts:
-                    if attempt.speculative:
-                        speculative += 1
-                    if (
-                        attempt.state is AttemptState.FAILED
-                        and attempt.exec_started is not None
-                    ):
-                        failed_exec += 1
+            for attempt in job.attempts:
+                if attempt.speculative:
+                    speculative += 1
+                if attempt.state is AttemptState.FAILED and attempt.exec_started is not None:
+                    failed_exec += 1
         if metrics.failed_attempts != failed_exec:
             self._violate(
                 found,

@@ -175,6 +175,13 @@ class Network:
         self._ids = itertools.count()
         self._last_update = sim.now
         self._sweep: Optional[EventHandle] = None
+        #: Sweeps still queued that ``_sweep`` no longer names: a
+        #: reallocation re-entered from a completion callback scheduled
+        #: one, and the outer call overwrote it (or a stray firing cleared
+        #: ``_sweep`` while the current one was queued). They fire as
+        #: redundant sweeps (ROADMAP.md, item 12); kept here only so
+        #: :meth:`stop` can cancel them.
+        self._strays: List[EventHandle] = []
         #: Active partitions: id -> member set. A transfer crossing any
         #: partition boundary is stalled (rate 0) until the cut heals.
         self._partitions: Dict[str, frozenset] = {}
@@ -490,12 +497,15 @@ class Network:
         """No-op: the network is passive until transfers start."""
 
     def stop(self) -> None:
-        """Cancel every active transfer and disarm the rate sweep."""
+        """Cancel every active transfer and disarm every queued sweep."""
         for transfer in list(self._active):
             self.cancel(transfer)
         if self._sweep is not None:
             self._sweep.cancel()
             self._sweep = None
+        for stray in self._strays:
+            stray.cancel()
+        self._strays.clear()
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -560,12 +570,24 @@ class Network:
                 if eta is None or candidate < eta:
                     eta = candidate
         if eta is not None:
-            self._sweep = self._sim.schedule(eta, self._on_sweep, label="net-sweep")
+            sweep = self._sim.schedule(eta, self._on_sweep, label="net-sweep")
+            if self._sweep is not None:
+                self._stray(self._sweep)
+            self._sweep = sweep
 
     def _on_sweep(self) -> None:
+        current = self._sweep
+        if current is not None and not current.cancelled:
+            # A stray fired while the current sweep is still queued.
+            self._stray(current)
         self._sweep = None
         self._advance()
         self._reallocate_and_reschedule()
+
+    def _stray(self, sweep: EventHandle) -> None:
+        """Keep a queued sweep ``_sweep`` stops naming, for :meth:`stop`."""
+        self._strays = [handle for handle in self._strays if not handle.cancelled]
+        self._strays.append(sweep)
 
     def _allocate_rates(self) -> None:
         """Max-min fair (progressive-filling) rate allocation.

@@ -16,82 +16,9 @@ import pytest
 from repro.availability.generator import build_group_hosts
 from repro.devtools.simlint.busgraph import to_dot, to_json
 from repro.devtools.simlint.engine import lint_paths
-from repro.runtime.cluster import ClusterConfig, build_cluster
-from repro.simulator.scenarios import (
-    ChaosCampaign,
-    DegradedLink,
-    DelayedRecovery,
-    FailureStorm,
-    FlappingNode,
-    GrayNode,
-    NetworkPartition,
-)
+from repro.runtime.cluster import build_cluster
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-#: Exercises heartbeat detection, the replication monitor, tracing, the
-#: auditor, permanent failures, and hard-downtime reads.
-CONFIG_FULL = ClusterConfig(
-    seed=3,
-    detection="heartbeat",
-    replication_monitor=True,
-    access_during_downtime=False,
-    trace_events=True,
-    audit="report",
-    permanent_failure_rate=0.2,
-)
-#: Exercises the oracle-detection wiring instead of heartbeats.
-CONFIG_ORACLE = ClusterConfig(seed=3, detection="oracle")
-#: Exercises the chaos-engine wiring (partitions, degradation, metrics).
-CONFIG_CHAOS = ClusterConfig(
-    seed=3,
-    detection="heartbeat",
-    chaos=ChaosCampaign(
-        name="wiring",
-        scenarios=(NetworkPartition(start=10.0, duration=5.0, count=1),),
-    ),
-)
-#: Kitchen-sink Clos config: rack-aware placement, heartbeat detection,
-#: the replication monitor, retransmit-tax link mitigation, and a chaos
-#: campaign spanning every scenario primitive — the widest wiring any
-#: single supported configuration can reach.
-CONFIG_CLOS_FULL = ClusterConfig(
-    seed=3,
-    detection="heartbeat",
-    replication_monitor=True,
-    topology="clos",
-    racks=2,
-    pods=2,
-    rack_aware_placement=True,
-    link_mitigation="retransmit-tax",
-    trace_events=True,
-    audit="report",
-    chaos=ChaosCampaign(
-        name="wiring-clos-full",
-        scenarios=(
-            FailureStorm(start=5.0, duration=4.0, count=2),
-            FlappingNode(start=12.0, cycles=2, down_time=1.0, up_time=1.0, count=1),
-            NetworkPartition(start=20.0, duration=5.0, count=1, isolate_heartbeats=True),
-            GrayNode(start=28.0, duration=4.0, link_factor=0.5, exec_factor=2.0, count=1),
-            DegradedLink(start=34.0, duration=4.0, count=1, capacity_factor=0.5),
-            DelayedRecovery(start=40.0, duration=5.0, stretch=2.0, count=1),
-        ),
-    ),
-)
-#: Exercises the Clos fabric plus the degraded-link mitigation wiring.
-CONFIG_DEGRADED = ClusterConfig(
-    seed=3,
-    detection="oracle",
-    topology="clos",
-    racks=2,
-    link_mitigation="do-nothing",
-    chaos=ChaosCampaign(
-        name="wiring-degraded",
-        scenarios=(
-            DegradedLink(start=10.0, duration=5.0, count=1, capacity_factor=0.5),
-        ),
-    ),
-)
 
 
 @pytest.fixture(scope="module")
@@ -118,14 +45,9 @@ def _runtime_tuples(config):
 
 
 class TestRuntimeSubsetOfStatic:
-    @pytest.mark.parametrize(
-        "config",
-        [CONFIG_FULL, CONFIG_ORACLE, CONFIG_CHAOS, CONFIG_DEGRADED, CONFIG_CLOS_FULL],
-        ids=["full", "oracle", "chaos", "degraded", "clos-full"],
-    )
-    def test_every_live_subscription_was_extracted(self, static_graph, config):
+    def test_every_live_subscription_was_extracted(self, static_graph, wiring_config):
         static = _static_tuples(static_graph)
-        missing = _runtime_tuples(config) - static
+        missing = _runtime_tuples(wiring_config) - static
         assert not missing, (
             "live subscriptions the static graph failed to extract: "
             f"{sorted(missing, key=str)}"
@@ -133,20 +55,14 @@ class TestRuntimeSubsetOfStatic:
 
 
 class TestStaticSubsetOfRuntime:
-    def test_every_cluster_wiring_site_is_reachable(self, static_graph):
+    def test_every_cluster_wiring_site_is_reachable(self, static_graph, wiring_configs):
         """Each subscribe() in cluster.py fires under some supported config."""
         wiring = {
             (site.event, site.owner_class, site.handler, site.phase)
             for site in static_graph.subscribers
             if site.event is not None and site.module.endswith("runtime/cluster.py")
         }
-        live = (
-            _runtime_tuples(CONFIG_FULL)
-            | _runtime_tuples(CONFIG_ORACLE)
-            | _runtime_tuples(CONFIG_CHAOS)
-            | _runtime_tuples(CONFIG_DEGRADED)
-            | _runtime_tuples(CONFIG_CLOS_FULL)
-        )
+        live = set().union(*(_runtime_tuples(config) for config in wiring_configs.values()))
         dead = wiring - live
         assert not dead, f"static subscribe sites no configuration wires: {sorted(dead, key=str)}"
 

@@ -133,19 +133,17 @@ class TestSpeculationOnGrayNode:
         cluster.jobtracker.submit(job)
         cluster.run_until_job_done()
         assert job.is_complete
-        speculated = [
-            a for task in job.tasks for a in task.attempts if a.speculative
-        ]
+        speculated = [a for a in job.attempts if a.speculative]
         assert speculated, "gray-node stragglers never triggered speculation"
         # Every task originally running on the gray node finished elsewhere.
         n0 = cluster.ids.id_of("n0")
         gray_tasks = [
             task
             for task in job.tasks
-            if any(a.node_id == n0 for a in task.attempts)
+            if any(a.node_id == n0 for a in job.attempts_of(task))
         ]
         assert gray_tasks
         for task in gray_tasks:
-            assert task.completed_by.node_id != n0
+            assert job.completed_by(task).node_id != n0
         assert job.makespan < 4.0 * GAMMA * len(job.tasks)
         cluster.stop()

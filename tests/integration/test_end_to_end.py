@@ -89,9 +89,9 @@ class TestMapThenShuffle:
 
         def start_shuffle(finished_job):
             output_nodes = {
-                t.task_id: t.completed_by.node_id for t in finished_job.tasks
+                t.task_id: finished_job.completed_by(t).node_id for t in finished_job.tasks
             }
-            reducers = sorted({t.completed_by.node_id for t in finished_job.tasks})[:4]
+            reducers = sorted(set(output_nodes.values()))[:4]
             phase = ShufflePhase(cluster.sim, cluster.network)
             phase.run(
                 map_output_nodes=output_nodes,

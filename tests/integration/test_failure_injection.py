@@ -57,7 +57,7 @@ class TestFlapping:
         for task in job.tasks:
             holders = cluster.namenode.replica_holders(task.block.block_id)
             if holders == {cluster.ids.id_of("n0")}:
-                assert task.completed_by.node_id == cluster.ids.id_of("n1")
+                assert job.completed_by(task).node_id == cluster.ids.id_of("n1")
 
     def test_flapping_with_hard_storage_still_completes(self):
         # Even unreadable-when-down storage completes: fetches land in the
@@ -89,8 +89,7 @@ class TestFetchInterruption:
         }
         aborted = [
             a
-            for t in job.tasks
-            for a in t.attempts
+            for a in job.attempts
             if a.state is AttemptState.FAILED and a.source_node is not None
         ]
         assert aborted, "expected a fetch torn down by the source's death"
@@ -107,7 +106,8 @@ class TestFetchInterruption:
         assert job.is_complete
         for task in job.tasks:
             n1 = cluster.ids.id_of("n1")
-            assert task.completed_by.node_id != n1 or task.completed_by.finished_at < 15.0
+            winner = job.completed_by(task)
+            assert winner.node_id != n1 or winner.finished_at < 15.0
 
 
 class TestSimultaneousEvents:
@@ -151,7 +151,7 @@ class TestSpeculationRaces:
         # Run well past n0's return: no stray events may fire.
         cluster.sim.run(until=400.0)
         for task in job.tasks:
-            succeeded = [a for a in task.attempts if a.state is AttemptState.SUCCEEDED]
+            succeeded = [a for a in job.attempts_of(task) if a.state is AttemptState.SUCCEEDED]
             assert len(succeeded) == 1
 
     def test_speculation_capped_per_task(self):
@@ -172,7 +172,7 @@ class TestSpeculationRaces:
         cluster.run_until_job_done()
         assert job.is_complete
         (task,) = job.tasks
-        spec = [a for a in task.attempts if a.speculative]
+        spec = [a for a in job.attempts_of(task) if a.speculative]
         assert len(spec) > 1
         assert spec[0].node_id == cluster.ids.id_of("n1")
         assert spec[0].finished_at - spec[0].created_at > 2 * GAMMA

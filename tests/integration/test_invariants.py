@@ -71,9 +71,9 @@ class TestInvariants:
         assert job.is_complete
         for task in job.tasks:
             assert task.state is TaskState.COMPLETED
-            succeeded = [a for a in task.attempts if a.state is AttemptState.SUCCEEDED]
+            succeeded = [a for a in job.attempts_of(task) if a.state is AttemptState.SUCCEEDED]
             assert len(succeeded) == 1
-            assert task.completed_by is succeeded[0]
+            assert job.completed_by(task) is succeeded[0]
             assert not task.live
 
     @given(cluster_params)
@@ -96,13 +96,14 @@ class TestInvariants:
     @settings(max_examples=20, deadline=None)
     def test_locality_consistent_with_attempts(self, p):
         cluster, job, _f = run_scenario(p)
-        local = sum(1 for t in job.tasks if t.completed_by.local)
+        local = sum(1 for t in job.tasks if job.completed_by(t).local)
         assert cluster.metrics.local_tasks == local
         assert cluster.metrics.total_tasks == job.num_tasks
         # A local completion's node must actually hold the block.
         for task in job.tasks:
-            if task.completed_by.local:
-                assert task.completed_by.node_id in cluster.namenode.replica_holders(
+            winner = job.completed_by(task)
+            if winner.local:
+                assert winner.node_id in cluster.namenode.replica_holders(
                     task.block.block_id
                 )
 
@@ -112,8 +113,8 @@ class TestInvariants:
         _c1, job1, _f1 = run_scenario(p)
         _c2, job2, _f2 = run_scenario(p)
         assert job1.makespan == job2.makespan
-        assert [t.completed_by.node_id for t in job1.tasks] == [
-            t.completed_by.node_id for t in job2.tasks
+        assert [job1.completed_by(t).node_id for t in job1.tasks] == [
+            job2.completed_by(t).node_id for t in job2.tasks
         ]
 
     @given(cluster_params)

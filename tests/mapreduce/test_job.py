@@ -106,7 +106,7 @@ class TestAttemptLifecycle:
         assert a1.attempt_id != a2.attempt_id
         # Derived from the task id and the attempt's ordinal, on read.
         assert (a1.attempt_id, a2.attempt_id) == (f"{task.task_id}_a1", f"{task.task_id}_a2")
-        assert task.attempts == (a1, a2)
+        assert task.attempt_count == 2
 
     def test_elapsed(self):
         job = make_job(1)

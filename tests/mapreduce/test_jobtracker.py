@@ -77,7 +77,7 @@ class TestFailureFree:
         cluster.run_until_job_done()
         for task in job.tasks:
             assert task.state is TaskState.COMPLETED
-            assert task.completed_by is not None
+            assert job.completed_by(task) is not None
 
 
 class TestInterruptedExecution:
@@ -88,7 +88,9 @@ class TestInterruptedExecution:
         job = ingest_and_submit(cluster, num_blocks=1)
         cluster.run_until_job_done()
         task = job.tasks[0]
-        assert len(task.attempts) == 2
+        assert len(job.attempts_of(task)) == 2
+        # The job keeps the history in creation order.
+        assert [a.ordinal for a in job.attempts_of(task)] == [1, 2]
         # 5s lost + 3s down + 10s rerun = finishes at 18.
         assert job.makespan == pytest.approx(18.0)
         assert cluster.metrics.rework_time == pytest.approx(5.0)
@@ -103,7 +105,7 @@ class TestInterruptedExecution:
         assert job.makespan < 100.0
         # All completions happened on the surviving node.
         for task in job.tasks:
-            assert task.completed_by.node_id == cluster.ids.id_of("n1")
+            assert job.completed_by(task).node_id == cluster.ids.id_of("n1")
 
     def test_migration_when_no_local_replica(self):
         # Node 0 holds everything (node 1 down during ingest in stock HDFS
@@ -113,7 +115,7 @@ class TestInterruptedExecution:
         job = ingest_and_submit(cluster, num_blocks=4)
         cluster.run_until_job_done()
         assert job.is_complete
-        remote = [t for t in job.tasks if not t.completed_by.local]
+        remote = [t for t in job.tasks if not job.completed_by(t).local]
         # Whatever node 0 held had to migrate to node 1.
         assert cluster.metrics.migrations >= len(remote) > 0
 
@@ -180,10 +182,8 @@ class TestSpeculation:
         cluster.run_until_job_done()
         from repro.mapreduce.job import AttemptState
 
-        killed = [
-            a for t in job.tasks for a in t.attempts if a.state is AttemptState.KILLED
-        ]
-        live = [a for t in job.tasks for a in t.attempts if a.is_live]
+        killed = [a for a in job.attempts if a.state is AttemptState.KILLED]
+        live = [a for a in job.attempts if a.is_live]
         assert not live  # nothing left running after completion
 
 

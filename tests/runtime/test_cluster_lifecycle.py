@@ -2,13 +2,15 @@
 
 Covers the combinations the refactor made first-class: oracle detection
 feeding the replication monitor through belief events, `Cluster.stop()`
-draining the heap via the service registry, and the registry holding
+disarming every event via the service registry, and the registry holding
 every subsystem.
 """
 
 import pytest
 
 from repro.availability.generator import build_group_hosts
+from repro.core.placement import RandomPlacement
+from repro.mapreduce.job import JobConf, MapJob
 from repro.mapreduce.jobtracker import JobTracker
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.runtime.cluster import ClusterConfig, build_cluster
@@ -17,6 +19,11 @@ from repro.simulator.engine import Simulator
 from repro.simulator.events import NodeDeclaredDead, NodeDown, Phase
 from repro.simulator.metrics import MapPhaseMetrics
 from repro.simulator.network import Network
+
+
+def live_events(sim):
+    """Uncancelled entries queued in the simulator heap."""
+    return sim.pending_events - sim.cancelled_pending
 
 
 def _monitor_config(**overrides):
@@ -69,10 +76,11 @@ class TestStopDrainsHeap:
         cluster = build_cluster(hosts, _monitor_config())
         cluster.sim.run(until=90.0)
         cluster.stop()
-        # Nothing re-arms after a full stop: the injector schedules no new
-        # episodes, beats and watchdogs are disarmed, the monitor retries
-        # nothing, so the heap empties in bounded work.
-        cluster.sim.run()
+        # Nothing stays armed after a full stop: the injector's episodes,
+        # beats and watchdogs and the monitor's retries are all cancelled,
+        # so only dead entries remain and the heap empties firing nothing.
+        assert live_events(cluster.sim) == 0
+        assert cluster.sim.run() == 0
         assert cluster.sim.pending_events == 0
 
     def test_stop_with_oracle_lets_heap_drain(self):
@@ -80,8 +88,24 @@ class TestStopDrainsHeap:
         cluster = build_cluster(hosts, _monitor_config(detection="oracle"))
         cluster.sim.run(until=50.0)
         cluster.stop()
-        cluster.sim.run()
+        assert live_events(cluster.sim) == 0
+        assert cluster.sim.run() == 0
         assert cluster.sim.pending_events == 0
+
+    def test_stop_mid_job_leaves_no_live_event(self, wiring_config):
+        # Every supported wiring, stopped with a job's attempts, fetches,
+        # sweeps and re-replications in flight.
+        cluster = build_cluster(build_group_hosts(6, 0.5), wiring_config)
+        cluster.sim.run(until=0.0)
+        dfs_file = cluster.client.copy_from_local(
+            "in", num_blocks=24, replication=2, policy=RandomPlacement(), gamma=10.0
+        )
+        cluster.jobtracker.submit(MapJob.uniform(JobConf(), dfs_file, 10.0))
+        cluster.sim.run(until=30.0)
+        assert not cluster.jobtracker.is_done
+        cluster.stop()
+        assert live_events(cluster.sim) == 0
+        assert cluster.sim.run() == 0
 
     def test_stop_is_idempotent(self):
         hosts = build_group_hosts(4, 0.5)

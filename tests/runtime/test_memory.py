@@ -16,9 +16,11 @@ from repro.mapreduce.job import JobConf, MapJob
 from repro.runtime.cluster import Cluster
 
 #: Traced bytes per task still held when the map phase ends. Measured
-#: on Python 3.11: 939 B with slotted records, 1,429 B with one
-#: ``__dict__`` per record. The bound sits between them, with room for
-#: interpreters whose objects are larger than 3.11's.
+#: on Python 3.11: 893 B now that the attempt history lives on the job
+#: (940 B when each task held its attempts and its winner), 1,429 B with
+#: one ``__dict__`` per record. The bound sits between the slotted and
+#: the ``__dict__`` records, with room for interpreters whose objects are
+#: larger than 3.11's.
 MAX_HELD_BYTES_PER_TASK = 1250
 
 

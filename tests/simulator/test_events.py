@@ -154,6 +154,47 @@ class TestTaps:
         assert seen == [(Phase.ACCOUNTING, Phase.SCHEDULING)]
 
 
+class TestDispatchOrderCache:
+    """Each key's merged dispatch order is cached from its first publish,
+    and every subscription to the type drops the cache."""
+
+    def test_keyed_subscription_between_publishes_runs_from_the_next(self):
+        bus = EventBus()
+        hits = []
+        bus.subscribe(NodeDown, lambda e: hits.append(("compute", e.time)), Phase.COMPUTE, key="n1")
+        bus.publish(NodeDown(time=0.0, node_id="n1"))  # caches n1's order
+        bus.subscribe(NodeDown, lambda e: hits.append(("storage", e.time)), Phase.STORAGE, key="n1")
+        bus.publish(NodeDown(time=1.0, node_id="n1"))
+        assert hits == [("compute", 0.0), ("storage", 1.0), ("compute", 1.0)]
+        assert bus.dispatched_count == 3
+
+    def test_unkeyed_subscription_reaches_cached_keys(self):
+        bus = EventBus()
+        hits = []
+        bus.subscribe(NodeDown, lambda e: hits.append("keyed"), Phase.STORAGE, key="n1")
+        bus.publish(NodeDown(time=0.0, node_id="n1"))
+        bus.subscribe(NodeDown, lambda e: hits.append("unkeyed"), Phase.ACCOUNTING)
+        bus.publish(NodeDown(time=1.0, node_id="n1"))
+        assert hits == ["keyed", "unkeyed", "keyed"]
+
+
+class TestClear:
+    def test_clear_drops_the_wiring_and_keeps_the_counters(self):
+        bus = EventBus()
+        hits = []
+        bus.subscribe(NodeDown, hits.append, Phase.STORAGE, key="n1")
+        bus.subscribe(NodeDown, hits.append, Phase.SCHEDULING)
+        bus.add_tap(lambda e, phases: hits.append("tap"))
+        bus.publish(NodeDown(time=0.0, node_id="n1"))
+        assert len(hits) == 3
+        bus.clear()
+        assert not bus.wants(NodeDown)
+        assert bus.handler_count(NodeDown) == 0
+        bus.publish(NodeDown(time=1.0, node_id="n1"))
+        assert len(hits) == 3
+        assert (bus.published_count, bus.dispatched_count) == (2, 2)
+
+
 class TestMidDispatchSubscription:
     """A handler that subscribes during dispatch changes only the next
     publish: unkeyed dispatch runs over the type's frozen snapshot, keyed
