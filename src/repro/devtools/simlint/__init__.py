@@ -1,4 +1,4 @@
-"""simlint: the static analyzer — determinism, bus-contract and flow rules.
+"""simlint: the static analyzer — determinism, bus-contract, flow and unused-code rules.
 
 Run it as ``python -m repro.devtools.simlint src tests`` or via the
 ``repro lint`` subcommand; one run executes every registered rule. See

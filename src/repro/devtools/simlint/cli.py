@@ -1,10 +1,10 @@
 """simlint command line: ``python -m repro.devtools.simlint`` / ``repro lint``.
 
 One run executes every registered rule — determinism (D), bus contract
-(C) and flow (F) — unless ``--select`` narrows it. Output is one
-``file:line:col CODE message`` line per diagnostic, a stable JSON
-document under ``--format json``, or a SARIF 2.1.0 document under
-``--format sarif`` (for GitHub code-scanning upload). Exit status is 1
+(C), flow (F) and unused code (U) — unless ``--select`` narrows it.
+Output is one ``file:line:col CODE message`` line per diagnostic, a
+stable JSON document under ``--format json``, or a SARIF 2.1.0 document
+under ``--format sarif`` (for GitHub code-scanning upload). Exit status is 1
 when any *error*-severity diagnostic fires — findings in ``src/`` are
 errors, findings elsewhere are warnings unless ``--strict`` promotes
 them — and 2 on a usage error. ``--graph`` additionally writes the

@@ -1,3 +1,3 @@
 """Rule modules; importing this package populates the registry."""
 
-from repro.devtools.simlint.rules import contracts, determinism  # noqa: F401
+from repro.devtools.simlint.rules import contracts, determinism, unused  # noqa: F401

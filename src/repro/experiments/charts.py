@@ -1,6 +1,6 @@
 """ASCII charts for experiment results.
 
-The paper presents Figures 3-5 as bar charts; these helpers render the
+The paper presents Figure 5 as stacked bar charts; this helper renders the
 same visual structure in plain text so a terminal run of the benchmark
 harness communicates shape at a glance (who wins, which component
 dominates), complementing the numeric tables in
@@ -8,8 +8,6 @@ dominates), complementing the numeric tables in
 """
 
 from __future__ import annotations
-
-from typing import List, Mapping, Sequence
 
 from repro.experiments.results import SweepResult
 
@@ -20,35 +18,6 @@ _COMPONENT_GLYPHS = (
     ("migration", "M"),
     ("misc", "#"),
 )
-
-
-def bar_chart(
-    values: Mapping[str, float],
-    width: int = 50,
-    title: str = "",
-) -> str:
-    """Horizontal bars for a label -> value mapping (natural order kept)."""
-    if not values:
-        raise ValueError("nothing to chart")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    peak = max(values.values())
-    if peak < 0:
-        raise ValueError("bar values must be non-negative")
-    label_width = max(len(str(k)) for k in values)
-    lines: List[str] = [title] if title else []
-    for label, value in values.items():
-        if value < 0:
-            raise ValueError(f"bar value for {label!r} is negative")
-        filled = 0 if peak == 0 else int(round(width * value / peak))
-        lines.append(f"{str(label).ljust(label_width)} | {'█' * filled} {value:g}")
-    return "\n".join(lines)
-
-
-def elapsed_chart(sweep: SweepResult, x: float, width: int = 50) -> str:
-    """One x-value of a Figure 3 panel as bars (one bar per strategy)."""
-    values = {key: sweep.row(x, key).elapsed for key in sweep.strategy_keys()}
-    return bar_chart(values, width=width, title=f"{sweep.name} @ {sweep.x_label}={x:g} (s)")
 
 
 def stacked_overhead_chart(
@@ -81,19 +50,3 @@ def stacked_overhead_chart(
             bar += glyph * segment
         lines.append(f"{key.ljust(label_width)} | {bar} {totals[key]:.2f}")
     return "\n".join(lines)
-
-
-def series_sparkline(values: Sequence[float], levels: str = "▁▂▃▄▅▆▇█") -> str:
-    """A one-line sparkline of a metric series (trend at a glance)."""
-    if not values:
-        raise ValueError("nothing to sparkline")
-    low = min(values)
-    high = max(values)
-    if high == low:
-        return levels[0] * len(values)
-    span = high - low
-    out = []
-    for value in values:
-        index = int((value - low) / span * (len(levels) - 1))
-        out.append(levels[index])
-    return "".join(out)

@@ -232,15 +232,6 @@ class SweepExecutor:
         tmp.write_text(blob, encoding="utf-8")
         os.replace(tmp, path)
 
-    def describe(self) -> Dict[str, object]:
-        return {
-            "jobs": self.jobs,
-            "cache_dir": str(self.cache_dir) if self.cache_dir else None,
-            "salt": self.salt,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-
 
 #: One sweep point: its rows' x value, the key its repetition seeds derive
 #: from, and the config its cells run.

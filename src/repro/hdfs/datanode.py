@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.core.ids import NodeId, NodeIds
+from repro.core.ids import NodeId
 from repro.hdfs.blocks import Block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,63 +24,24 @@ class DataNode:
     cluster's registry owns its lifecycle alongside the other per-node
     agents (simlint C002: every bus subscriber is a registered service).
     Storage is passive — it schedules nothing — so start/stop are no-ops.
-
-    Instances are slotted and their service ``name`` renders lazily: at
-    226k nodes, per-instance ``__dict__`` s and eager ``datanode:<host>``
-    f-strings are pure build overhead, so wired clusters pass the
-    cluster's :class:`~repro.core.ids.NodeIds` table (``names=``) and the
-    string materialises on first reporting access.
+    Instances are slotted: at 226k nodes, per-instance ``__dict__`` s are
+    pure build overhead.
     """
 
-    __slots__ = ("_name", "_names", "_node_id", "_capacity", "_blocks", "_used", "_is_up")
+    __slots__ = ("_node_id", "_capacity", "_blocks", "_used", "_is_up")
 
-    def __init__(
-        self,
-        node_id: NodeId,
-        capacity_bytes: Optional[int] = None,
-        name: Optional[str] = None,
-        names: Optional[NodeIds] = None,
-    ) -> None:
-        #: Service-registry name: human-readable at the reporting boundary,
-        #: so wired clusters derive it from the host *name* even though
-        #: runtime routing keys on the dense int id.
-        self._name = name
-        self._names = names
+    def __init__(self, node_id: NodeId, capacity_bytes: Optional[int] = None) -> None:
         self._node_id = node_id
         self._capacity = capacity_bytes
         self._blocks: Dict[str, Block] = {}
         self._used = 0
         self._is_up = True
 
-    @property
-    def name(self) -> str:
-        if self._name is None:
-            if self._names is not None:
-                self._name = f"datanode:{self._names.name_of(self._node_id)}"
-            else:
-                self._name = f"datanode:{self._node_id}"
-        return self._name
-
-    @name.setter
-    def name(self, value: str) -> None:
-        self._name = value
-
     def start(self) -> None:
         """Service lifecycle: nothing to arm (storage is event-driven)."""
 
     def stop(self) -> None:
         """Service lifecycle: nothing to disarm."""
-
-    def describe(self) -> Dict[str, object]:
-        """Structured snapshot (Service protocol)."""
-        return {
-            "service": "datanode",
-            "node_id": self._node_id,
-            "is_up": self._is_up,
-            "blocks": len(self._blocks),
-            "used_bytes": self._used,
-            "capacity_bytes": self._capacity,
-        }
 
     @property
     def node_id(self) -> NodeId:

@@ -18,7 +18,7 @@ belief events only, so swapping detectors is a one-line wiring change in
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.hdfs.namenode import NameNode
 from repro.simulator.events import (
@@ -33,13 +33,9 @@ from repro.simulator.events import (
 class OracleDetector:
     """Zero-lag detector: physical transitions become belief instantly."""
 
-    name = "oracle-detector"
-
     def __init__(self, namenode: NameNode, bus: Optional[EventBus] = None) -> None:
         self._namenode = namenode
         self._bus = bus if bus is not None else EventBus()
-        self._deaths = 0
-        self._returns = 0
 
     def handle_node_down(self, event: NodeDown) -> None:
         """Bus handler (DETECTION phase): declare the node dead now.
@@ -50,7 +46,6 @@ class OracleDetector:
         if not self._namenode.is_live(event.node_id):
             return
         self._namenode.mark_dead(event.node_id)
-        self._deaths += 1
         self._bus.publish(NodeDeclaredDead(time=event.time, node_id=event.node_id))
 
     def handle_node_up(self, event: NodeUp) -> None:
@@ -61,7 +56,6 @@ class OracleDetector:
         if self._namenode.is_live(event.node_id):
             return
         self._namenode.mark_alive(event.node_id)
-        self._returns += 1
         self._bus.publish(NodeReturned(time=event.time, node_id=event.node_id))
 
     def start(self) -> None:
@@ -69,6 +63,3 @@ class OracleDetector:
 
     def stop(self) -> None:
         """Nothing to disarm: the oracle holds no scheduled events."""
-
-    def describe(self) -> Dict[str, object]:
-        return {"deaths_declared": self._deaths, "returns_declared": self._returns}

@@ -23,7 +23,7 @@ its keep.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.hdfs.namenode import NameNode
 from repro.simulator.events import BlockLost, EventBus, PermanentFailure
@@ -32,8 +32,6 @@ from repro.simulator.metrics import DurabilityMetrics
 
 class PermanentFailurePipeline:
     """STORAGE-phase consumer of :class:`PermanentFailure` events."""
-
-    name = "durability-pipeline"
 
     def __init__(
         self,
@@ -44,13 +42,11 @@ class PermanentFailurePipeline:
         self._namenode = namenode
         self._metrics = metrics
         self._bus = bus if bus is not None else EventBus()
-        self._wipes = 0
 
     def handle_permanent_failure(self, event: PermanentFailure) -> None:
         """Wipe the disk, account the loss, announce unrecoverable blocks."""
         node_id = event.node_id
         destroyed = self._namenode.datanode(node_id).wipe()
-        self._wipes += 1
         self._metrics.record_permanent_failure(replicas_destroyed=len(destroyed))
         lost = [
             block_id
@@ -69,10 +65,3 @@ class PermanentFailurePipeline:
 
     def stop(self) -> None:
         """Nothing to disarm: the pipeline holds no scheduled events."""
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "wipes": self._wipes,
-            "replicas_lost": self._metrics.replicas_lost,
-            "blocks_lost": self._metrics.blocks_lost,
-        }

@@ -48,8 +48,6 @@ from repro.util.validation import check_positive
 class HeartbeatService:
     """Schedules beats for every node and turns misses into death marks."""
 
-    name = "heartbeat-detector"
-
     def __init__(
         self,
         sim: Simulator,
@@ -144,13 +142,6 @@ class HeartbeatService:
         """
         for node_id in list(self._is_up):
             self.untrack(node_id)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "tracked_nodes": len(self._is_up),
-            "interval": self._interval,
-            "miss_threshold": self._miss_threshold,
-        }
 
     def is_tracked(self, node_id: NodeId) -> bool:
         return node_id in self._is_up

@@ -58,8 +58,6 @@ from repro.util.validation import check_positive
 class ReplicationMonitor:
     """NameNode-attached service that heals under-replicated blocks."""
 
-    name = "replication-monitor"
-
     def __init__(
         self,
         sim: Simulator,
@@ -193,14 +191,6 @@ class ReplicationMonitor:
             self._cancel_inflight(block_id)
         self._queued.clear()
         self._heap.clear()
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "queued": len(self._queued),
-            "inflight": len(self._inflight),
-            "armed_retries": len(self._retry_events),
-            "stopped": self._stopped,
-        }
 
     # -- scheduling internals --------------------------------------------------------------
 

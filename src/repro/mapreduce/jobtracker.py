@@ -56,8 +56,6 @@ from repro.util.validation import check_positive
 class JobTracker(SchedulerContext):
     """Central scheduler for a single map phase at a time."""
 
-    name = "jobtracker"
-
     def __init__(
         self,
         sim: Simulator,
@@ -553,13 +551,3 @@ class JobTracker(SchedulerContext):
         if self._sweep_event is not None:
             self._sweep_event.cancel()
             self._sweep_event = None
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "job": None if self._job is None else self._job.conf.name,
-            "done": self.is_done,
-            "running_tasks": len(self._running),
-            "completed": self._completed,
-            "abandoned": self._abandoned,
-            "stopped": self._stopped,
-        }

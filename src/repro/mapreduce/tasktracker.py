@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.ids import NodeId, NodeIds
+from repro.core.ids import NodeId
 from repro.mapreduce.job import AttemptState, TaskAttempt
 from repro.simulator.engine import Simulator
 from repro.simulator.metrics import DurabilityMetrics, MapPhaseMetrics
@@ -40,11 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class TaskTracker:
     """Execution agent for one node.
 
-    Instances are slotted and the service ``name`` renders lazily (see
-    :class:`~repro.hdfs.datanode.DataNode` for the rationale — per-host
-    ``__dict__`` s and eager f-strings dominate construction at 226k
-    nodes). Wired clusters pass ``names=`` (the cluster's id table) and
-    the ``tasktracker:<host>`` string materialises on first access.
+    Instances are slotted (see :class:`~repro.hdfs.datanode.DataNode`
+    for the rationale — per-host ``__dict__`` s dominate construction at
+    226k nodes).
 
     The tracker keeps one insertion-ordered map of the attempts holding
     its slots, keyed by the attempt itself. Each attempt's lifecycle
@@ -56,8 +54,6 @@ class TaskTracker:
     __slots__ = (
         "_sim",
         "_node_id",
-        "_name",
-        "_names",
         "_network",
         "_metrics",
         "_slots",
@@ -82,8 +78,6 @@ class TaskTracker:
         fetch_retries: int = 0,
         fetch_backoff: float = 1.0,
         durability: Optional[DurabilityMetrics] = None,
-        name: Optional[str] = None,
-        names: Optional[NodeIds] = None,
     ) -> None:
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
@@ -92,10 +86,6 @@ class TaskTracker:
         check_positive("fetch_backoff", fetch_backoff)
         self._sim = sim
         self._node_id = node_id
-        #: Service name; unique per node so a registry can hold all of
-        #: them. Wired clusters pass the host name (reporting boundary).
-        self._name = name
-        self._names = names
         self._network = network
         self._metrics = metrics
         self._slots = slots
@@ -119,19 +109,6 @@ class TaskTracker:
         self._jobtracker = jobtracker
 
     # -- state -------------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        if self._name is None:
-            if self._names is not None:
-                self._name = f"tasktracker:{self._names.name_of(self._node_id)}"
-            else:
-                self._name = f"tasktracker:{self._node_id}"
-        return self._name
-
-    @name.setter
-    def name(self, value: str) -> None:
-        self._name = value
 
     @property
     def node_id(self) -> NodeId:
@@ -335,15 +312,6 @@ class TaskTracker:
         transfers and armed retries so the simulator heap can drain."""
         for attempt in list(self._live):
             self.kill(attempt)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "node": self._node_id,
-            "up": self._is_up,
-            "live_attempts": len(self._live),
-            "busy_seconds": self._busy_seconds,
-            "exec_factor": self._exec_factor,
-        }
 
     # -- internals -----------------------------------------------------------------------
 

@@ -32,9 +32,10 @@ Permanent failures wipe storage in STORAGE phase
 flows in NETWORK phase — both before the ``NodeDown`` that follows.
 
 Every long-lived subsystem satisfies the
-:class:`~repro.runtime.services.Service` protocol and is owned by the
-cluster's :class:`~repro.runtime.services.ServiceRegistry`, so teardown is
-one loop in reverse registration order.
+:class:`~repro.runtime.services.Service` protocol (``start`` and ``stop``)
+and is owned by the cluster's
+:class:`~repro.runtime.services.ServiceRegistry`, so start-up is one loop
+in registration order and teardown one loop in reverse.
 """
 
 from __future__ import annotations
@@ -487,13 +488,10 @@ def _construct(
     durability = DurabilityMetrics()
     injector = FailureInjector(sim, rng, bus=bus)
 
-    # Per-host objects: slotted, with service names derived lazily from
-    # the id table (eager `datanode:<host>` f-strings are pure build
-    # overhead at 226k nodes; see DataNode/TaskTracker docstrings).
     datanodes: Dict[NodeId, DataNode] = {}
     trackers: Dict[NodeId, TaskTracker] = {}
     for nid, host in zip(node_ids, hosts):
-        datanode = DataNode(nid, names=ids)
+        datanode = DataNode(nid)
         namenode.register_datanode(datanode)
         datanodes[nid] = datanode
         trackers[nid] = TaskTracker(
@@ -503,7 +501,6 @@ def _construct(
             metrics,
             fetch_retries=config.fetch_retries,
             durability=durability,
-            names=ids,
         )
         if config.oracle_estimates:
             predictor.pin_oracle(
@@ -795,9 +792,8 @@ def _register_services(cluster: Cluster) -> None:
     services.register(cluster.network)
     services.register(cluster.injector)
     services.register(cluster.pipeline)
-    # Bulk-registered: per-node service names resolve lazily (see
-    # ServiceRegistry.register_bulk) and the dicts iterate in host order.
-    # Annotated so simlint sees which classes register_bulk registers.
+    # Bulk-registered in host order (the dicts iterate in it). Annotated
+    # so simlint sees which classes register_bulk registers.
     datanodes: Dict[NodeId, DataNode] = cluster.datanodes
     trackers: Dict[NodeId, TaskTracker] = cluster.trackers
     services.register_bulk(datanodes.values())

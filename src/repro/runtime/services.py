@@ -1,41 +1,28 @@
-"""Service lifecycle kernel: uniform start/stop/describe over subsystems.
+"""Service lifecycle kernel: what the cluster starts and stops.
 
 Every long-lived cluster subsystem — failure injector, heartbeat or oracle
-detector, replication monitor, JobTracker, TaskTrackers, network, trace
-recorder — implements the structural :class:`Service` protocol, and
-:class:`Cluster` owns them through a :class:`ServiceRegistry`. Teardown
-becomes a loop (reverse registration order, so consumers stop before
-producers) instead of a hand-maintained list of special cases, and
-``describe()`` gives a uniform introspection surface for debugging and
-tracing.
+detector, replication monitor, JobTracker, DataNodes, TaskTrackers,
+network, trace recorder, auditor — implements the structural
+:class:`Service` protocol, and :class:`Cluster` owns them through a
+:class:`ServiceRegistry`. Teardown is a loop (reverse registration order,
+so consumers stop before producers) instead of a hand-maintained list of
+special cases.
 
 The protocol is structural (:func:`typing.runtime_checkable`): subsystems
-do not import this module or inherit anything — they just grow ``name``,
-``start``, ``stop`` and ``describe`` members.
-
-Scale note: a ``runtime_checkable`` isinstance check walks the protocol's
-members through the attribute machinery every call — ~0.1ms each, which is
-half a minute of cluster build at 226k per-node services. The registry
-therefore caches *positive* verdicts per concrete type: one structural
-check per class, dict lookups for the rest. Negative verdicts are never
-cached, because a class that fails the check can (in tests, typically)
-gain the missing members later. The cache trades one nuance away: a class
-whose *instances* only sometimes carry ``name`` (set conditionally in
-``__init__``) could slip a nameless instance past the check — accepted, as
-every shipped service sets its members unconditionally.
+do not import this module or inherit anything — they just grow ``start``
+and ``stop``. Conformance is checked statically: mypy's typed core covers
+the registration sites, and simlint's C003 keeps ``start`` and ``stop``
+paired.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Set, Type, runtime_checkable
+from typing import Iterable, Iterator, List, Protocol, runtime_checkable
 
 
 @runtime_checkable
 class Service(Protocol):
     """Structural lifecycle contract for cluster subsystems."""
-
-    #: Stable identifier, unique within one cluster (registry key).
-    name: str
 
     def start(self) -> None:
         """Begin operating. Idempotent; wiring happened at construction."""
@@ -47,101 +34,26 @@ class Service(Protocol):
         drain naturally — nothing re-arms.
         """
 
-    def describe(self) -> Dict[str, object]:
-        """Structured snapshot of the service's current state."""
-
-
-#: Concrete types whose instances have passed the structural check.
-_conforming_types: Set[Type[object]] = set()
-
-
-def _check_service(service: object) -> None:
-    """Structural protocol check with a positive-verdict type cache."""
-    cls = type(service)
-    if cls in _conforming_types:
-        return
-    if not isinstance(service, Service):
-        raise TypeError(
-            f"{service!r} does not satisfy the Service protocol "
-            "(needs name/start/stop/describe)"
-        )
-    _conforming_types.add(cls)
-
 
 class ServiceRegistry:
-    """Ordered service collection with loop-based lifecycle management.
-
-    Services live in an ordered list (registration order is start order);
-    the name index used by :meth:`get` / ``in`` / :attr:`names` is
-    materialised lazily, so bulk registration of 226k per-node services
-    never pays a per-service dict insert against a growing table. Name
-    *conflicts* surface either eagerly (``register``) or at the first
-    name lookup after a ``register_bulk`` — always before ``start_all``
-    can run a misconfigured cluster, since ``build_cluster`` resolves
-    services by name while wiring.
-    """
+    """Services in registration order: started in it, stopped in reverse."""
 
     def __init__(self) -> None:
         self._ordered: List[Service] = []
-        #: Lazy name -> service index; None after a bulk registration
-        #: until the next name-based lookup rebuilds it.
-        self._by_name: Optional[Dict[str, Service]] = {}
-
-    def _index(self) -> Dict[str, Service]:
-        if self._by_name is None:
-            index: Dict[str, Service] = {}
-            for service in self._ordered:
-                name = service.name
-                if name in index:
-                    raise ValueError(f"service {name!r} already registered")
-                index[name] = service
-            self._by_name = index
-        return self._by_name
 
     def register(self, service: Service) -> None:
         """Add a service; registration order is start order."""
-        _check_service(service)
-        if service.name in self._index():
-            raise ValueError(f"service {service.name!r} already registered")
         self._ordered.append(service)
-        self._index()[service.name] = service
 
-    def register_bulk(self, services: Iterable[Service]) -> int:
-        """Add many services without touching their ``name`` attributes.
-
-        The bulk path exists for per-node services whose names are derived
-        lazily (``datanode:<host>`` f-strings at 226k nodes are pure build
-        overhead); duplicate names are detected at the next name lookup
-        instead of eagerly. Returns the number of services added.
-        """
-        count = 0
-        for service in services:
-            _check_service(service)
-            self._ordered.append(service)
-            count += 1
-        if count:
-            self._by_name = None
-        return count
-
-    def get(self, name: str) -> Service:
-        try:
-            return self._index()[name]
-        except KeyError:
-            raise KeyError(f"no service named {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index()
+    def register_bulk(self, services: Iterable[Service]) -> None:
+        """Add many services (the per-node agents), in iteration order."""
+        self._ordered.extend(services)
 
     def __len__(self) -> int:
         return len(self._ordered)
 
     def __iter__(self) -> Iterator[Service]:
         return iter(self._ordered)
-
-    @property
-    def names(self) -> List[str]:
-        """Service names in registration order."""
-        return [service.name for service in self._ordered]
 
     def start_all(self) -> None:
         """Start services in registration order (producers first)."""
@@ -156,10 +68,6 @@ class ServiceRegistry:
         """
         for service in reversed(self._ordered):
             service.stop()
-
-    def describe_all(self) -> List[Dict[str, object]]:
-        """Snapshot every service, in registration order."""
-        return [service.describe() for service in self._ordered]
 
 
 __all__ = ["Service", "ServiceRegistry"]

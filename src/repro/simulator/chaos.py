@@ -175,8 +175,6 @@ class ResilienceReport:
 class ChaosEngine:
     """Arms a campaign's scenarios and measures the cluster's recovery."""
 
-    name = "chaos-engine"
-
     def __init__(
         self,
         sim: Simulator,
@@ -258,16 +256,6 @@ class ChaosEngine:
         for handle in self._handles:
             handle.cancel()
         self._handles.clear()
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "service": self.name,
-            "campaign": self._campaign.name,
-            "scenarios": len(self._campaign.scenarios),
-            "interruptions": self._interruptions,
-            "detections": len(self._detect_lags),
-            "rereplications": len(self._rerepl_lags),
-        }
 
     # -- arming -------------------------------------------------------------
 

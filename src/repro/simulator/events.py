@@ -433,10 +433,10 @@ class EventBus:
     ) -> Iterator[Tuple[Type[Event], Optional[RoutingKey], Phase, Handler[Any]]]:
         """Live ``(event type, key, phase, handler)`` tuples, wiring order.
 
-        Unlike :meth:`registry_snapshot` (a name-level view for the static
-        crosscheck), this yields the handler *objects*, so callers can
-        reach bound-method owners — simflow's effect recorder uses it to
-        find the classes to instrument.
+        It yields the handler *objects*, so callers can reach bound-method
+        owners: simflow's effect recorder uses it to find the classes to
+        instrument, and the bus-graph crosscheck to compare the live
+        wiring with simlint's static graph.
         """
         entries: List[Tuple[int, Type[Event], Optional[RoutingKey], Phase, Handler[Any]]] = []
         for event_type, by_key in self._subs.items():
@@ -474,37 +474,6 @@ class EventBus:
     def handler_count(self, event_type: Type[Event]) -> int:
         by_key = self._subs.get(event_type, {})
         return sum(len(entries) for entries in by_key.values())
-
-    def registry_snapshot(self) -> List[Dict[str, object]]:
-        """Structured view of every live subscription, in wiring order.
-
-        Each entry carries the event type name, the phase name, whether
-        the subscription is keyed, the handler's name, and — for bound
-        methods — the owning class name. ``simlint`` cross-checks this
-        against its statically-extracted bus graph, so the wiring the
-        linter reasons about provably matches the wiring that runs.
-        """
-        entries: List[Tuple[int, Dict[str, object]]] = []
-        for event_type, by_key in self._subs.items():
-            for key, subs in by_key.items():
-                for phase, seq, handler in subs:
-                    bound_self = getattr(handler, "__self__", None)
-                    entries.append(
-                        (
-                            seq,
-                            {
-                                "event": event_type.__name__,
-                                "phase": Phase(phase).name,
-                                "keyed": key is not None,
-                                "handler": getattr(handler, "__name__", repr(handler)),
-                                "owner": type(bound_self).__name__
-                                if bound_self is not None
-                                else None,
-                            },
-                        )
-                    )
-        entries.sort(key=lambda item: item[0])
-        return [entry for _seq, entry in entries]
 
     # -- dispatch -----------------------------------------------------------------
 

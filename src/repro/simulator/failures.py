@@ -55,8 +55,6 @@ from repro.util.rng import RandomSource
 class FailureInjector:
     """Schedules downtime episodes and publishes transitions on the bus."""
 
-    name = "failure-injector"
-
     def __init__(
         self, sim: Simulator, rng: RandomSource, bus: Optional[EventBus] = None
     ) -> None:
@@ -270,15 +268,6 @@ class FailureInjector:
 
     def start(self) -> None:
         """No-op: attachment arms the streams (Service protocol)."""
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "service": self.name,
-            "nodes": len(self._is_down),
-            "down": sorted(n for n, down in self._is_down.items() if down),
-            "permanent": sorted(n for n, p in self._permanent.items() if p),
-            "stopped": self._stopped,
-        }
 
     def stop(self) -> None:
         """Cancel every armed event; the injector goes permanently quiet.

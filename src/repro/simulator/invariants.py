@@ -168,8 +168,6 @@ class InvariantAuditor:
     the cluster before trackers kill their live attempts.
     """
 
-    name = "invariant-auditor"
-
     DEFAULT_INTERVAL = 25.0
     RESIDUAL_REL_TOL = 1e-9
     RESIDUAL_ABS_TOL = 1e-6
@@ -587,8 +585,12 @@ class InvariantAuditor:
     # -- service lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        """Arm the periodic audit (teardown still audits when disabled)."""
-        if self._interval is not None:
+        """Arm the periodic audit (teardown still audits when disabled).
+
+        Idempotent: with a timer already queued, or once stopped, a
+        second start arms nothing.
+        """
+        if self._interval is not None and self._audit_event is None and not self._stopped:
             self._arm()
 
     def stop(self) -> None:
@@ -600,16 +602,6 @@ class InvariantAuditor:
             self._audit_event.cancel()
             self._audit_event = None
         self.audit(final=True)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "service": self.name,
-            "mode": self._mode,
-            "interval": self._interval,
-            "audits_run": self._report.audits_run,
-            "events_observed": self._report.events_observed,
-            "violations": len(self._report.violations),
-        }
 
     # -- internals ----------------------------------------------------------------
 

@@ -54,8 +54,6 @@ MITIGATIONS = ("do-nothing", "disable-reroute", "retransmit-tax")
 class LinkMitigationService:
     """Applies one mitigation strategy to every degraded-link window."""
 
-    name = "link-mitigation"
-
     def __init__(
         self,
         network: Network,
@@ -74,7 +72,6 @@ class LinkMitigationService:
         #: entry is (parsed link, applied factor) in arming order so a
         #: restore releases the oldest matching application.
         self._held: Dict[str, List[Tuple[LinkKey, float]]] = {}
-        self._applied_total = 0
 
     @property
     def strategy(self) -> str:
@@ -107,7 +104,6 @@ class LinkMitigationService:
         )
         self._network.scale_link(link, factor)
         self._held.setdefault(event.link, []).append((link, factor))
-        self._applied_total += 1
 
     def handle_link_restored(self, event: LinkRestored) -> None:
         """Window closed (NETWORK phase): release what its opening applied."""
@@ -134,11 +130,3 @@ class LinkMitigationService:
             for link, factor in held:
                 self._network.unscale_link(link, factor)
         self._held.clear()
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "service": self.name,
-            "strategy": self._strategy,
-            "degraded_links_active": len(self._held),
-            "degradations_applied": self._applied_total,
-        }

@@ -154,8 +154,6 @@ class Transfer:
 class Network:
     """Shared network connecting every node in the cluster."""
 
-    name = "network"
-
     def __init__(
         self,
         sim: Simulator,
@@ -506,17 +504,6 @@ class Network:
         for stray in self._strays:
             stray.cancel()
         self._strays.clear()
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "service": self.name,
-            "active_transfers": len(self._active),
-            "fair_sharing": self._fair,
-            "link_bps": self._link_bps,
-            "partitions": len(self._partitions),
-            "throttled_nodes": len(self._windows),
-            "scaled_links": len(self._scales),
-        }
 
     # -- internals: simple mode ----------------------------------------------------
 

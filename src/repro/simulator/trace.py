@@ -60,8 +60,6 @@ class TraceRecord:
 class TraceRecorder:
     """Bus tap that materialises the event stream (a lifecycle service)."""
 
-    name = "trace-recorder"
-
     def __init__(self, bus: EventBus, ids: Optional[NodeIds] = None) -> None:
         self._records: List[TraceRecord] = []
         self._recording = True
@@ -76,13 +74,6 @@ class TraceRecorder:
     def stop(self) -> None:
         """Stop capturing; already-captured records stay readable."""
         self._recording = False
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "service": self.name,
-            "records": len(self._records),
-            "recording": self._recording,
-        }
 
     # -- capture ------------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """The statically-extracted bus graph must match the wiring that runs.
 
 simlint's contract rules (C001-C004) are only as good as its graph
-extraction, so this suite builds real clusters and compares
-:meth:`EventBus.registry_snapshot` — the live registry — against the
-graph extracted from ``src/``. Every runtime subscription must appear as
+extraction, so this suite builds real clusters and compares the live
+subscriptions (:meth:`EventBus.iter_subscriptions`) against the graph
+extracted from ``src/``. Every runtime subscription must appear as
 a static subscribe site with the same (event, owner class, handler,
 phase), and every static site in ``cluster.py`` must be reachable by
 some supported configuration.
@@ -37,11 +37,20 @@ def _static_tuples(graph):
 
 
 def _runtime_tuples(config):
+    """(event, owner class, handler, phase) names of every live subscription."""
     cluster = build_cluster(build_group_hosts(6, 0.5), config)
-    return {
-        (entry["event"], entry["owner"], entry["handler"], entry["phase"])
-        for entry in cluster.bus.registry_snapshot()
-    }
+    tuples = set()
+    for event_type, _key, phase, handler in cluster.bus.iter_subscriptions():
+        owner = getattr(handler, "__self__", None)
+        tuples.add(
+            (
+                event_type.__name__,
+                None if owner is None else type(owner).__name__,
+                getattr(handler, "__name__", repr(handler)),
+                phase.name,
+            )
+        )
+    return tuples
 
 
 class TestRuntimeSubsetOfStatic:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.experiments.charts import (
-    bar_chart,
-    elapsed_chart,
-    series_sparkline,
-    stacked_overhead_chart,
-)
+from repro.experiments.charts import stacked_overhead_chart
 from repro.experiments.results import ExperimentRow, SweepResult
 from repro.runtime.runner import MapPhaseResult
 from repro.simulator.metrics import OverheadBreakdown
@@ -46,39 +41,39 @@ def make_sweep():
     return sweep
 
 
+def rework_sweep(**reworks):
+    """One x=8 row per strategy whose only overhead is rework (misc is 0)."""
+    sweep = SweepResult(name="figX", x_label="bw")
+    for key, rework in reworks.items():
+        row = ExperimentRow(x=8.0, strategy_key=key, policy=key, replication=1)
+        row.add(fake_result((100.0 + rework) / 2, rework=rework, recovery=0.0, migration=0.0))
+        sweep.rows.append(row)
+    return sweep
+
+
 class TestBarChart:
+    """Bar geometry of the stacked overhead chart."""
+
     def test_proportional_lengths(self):
-        out = bar_chart({"a": 10.0, "b": 5.0}, width=20)
+        out = stacked_overhead_chart(rework_sweep(a=20.0, b=10.0), 8.0, width=20)
         lines = out.splitlines()
-        assert lines[0].count("█") == 20
-        assert lines[1].count("█") == 10
+        assert lines[1].count("r") == 20
+        assert lines[2].count("r") == 10
 
     def test_zero_values(self):
-        out = bar_chart({"a": 0.0, "b": 0.0})
-        assert "█" not in out
+        out = stacked_overhead_chart(rework_sweep(a=0.0, b=0.0), 8.0)
+        assert out.splitlines()[1:] == ["a |  0.00", "b |  0.00"]
 
     def test_title(self):
-        out = bar_chart({"a": 1.0}, title="Chart")
-        assert out.splitlines()[0] == "Chart"
+        out = stacked_overhead_chart(rework_sweep(a=1.0), 8.0)
+        assert out.splitlines()[0].startswith("figX @ bw=8 (r=rework")
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bar_chart({})
-        with pytest.raises(ValueError):
-            bar_chart({"a": -1.0})
-        with pytest.raises(ValueError):
-            bar_chart({"a": 1.0}, width=0)
+            stacked_overhead_chart(SweepResult(name="empty", x_label="bw"), 8.0)
 
 
 class TestSweepCharts:
-    def test_elapsed_chart(self):
-        out = elapsed_chart(make_sweep(), 8.0)
-        assert "existingx1" in out and "adaptx1" in out
-        lines = out.splitlines()
-        existing_bar = lines[1].count("█")
-        adapt_bar = lines[2].count("█")
-        assert existing_bar > adapt_bar
-
     def test_stacked_overhead(self):
         out = stacked_overhead_chart(make_sweep(), 8.0, width=40)
         # Components appear with their glyphs.
@@ -87,19 +82,4 @@ class TestSweepCharts:
 
     def test_unknown_x_raises(self):
         with pytest.raises(KeyError):
-            elapsed_chart(make_sweep(), 99.0)
-
-
-class TestSparkline:
-    def test_monotone(self):
-        spark = series_sparkline([1.0, 2.0, 3.0, 4.0])
-        assert spark[0] == "▁"
-        assert spark[-1] == "█"
-        assert len(spark) == 4
-
-    def test_flat(self):
-        assert series_sparkline([5.0, 5.0]) == "▁▁"
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            series_sparkline([])
+            stacked_overhead_chart(make_sweep(), 99.0)

@@ -20,8 +20,8 @@ class TestClusterConfig:
     def test_link_rates(self):
         config = ClusterConfig(bandwidth_mbps=4.0)
         assert config.link_bps == pytest.approx(mbit_per_s(4.0))
-        network = build_cluster(build_group_hosts(2, 0.5), config).network.describe()
-        assert network["link_bps"] == config.link_bps
+        network = build_cluster(build_group_hosts(2, 0.5), config).network
+        assert network.nominal_rate_bps == config.link_bps
 
     def test_nominal_fetch(self):
         # Speculation reads a block's uncontended fetch time off the host
@@ -179,12 +179,15 @@ class TestBuildKernel:
         stable.stop()
 
     def test_lazy_names_render_at_reporting_boundary(self):
+        # Per-host agents carry only the dense int id; host names render
+        # from the id table when a report asks for them.
         hosts = build_group_hosts(4, 0.5)
         cluster = build_cluster(hosts, ClusterConfig(seed=1))
-        names = cluster.services.names
-        for host in hosts:
-            assert f"datanode:{host.host_id}" in names
-            assert f"tasktracker:{host.host_id}" in names
+        for node_id in cluster.node_ids:
+            assert cluster.datanodes[node_id].node_id == node_id
+            assert cluster.trackers[node_id].node_id == node_id
+        assert cluster.node_ids == list(range(len(hosts)))
+        assert cluster.node_names == [host.host_id for host in hosts]
         cluster.stop()
 
     def test_config_validation(self):

@@ -13,10 +13,11 @@ from collections import Counter
 
 import pytest
 
+from repro.availability.generator import build_group_hosts
 from repro.experiments.config import EmulationConfig, SimulationConfig, Strategy
 from repro.experiments.emulation import run_emulation_point
 from repro.experiments.largescale import run_simulation_point
-from repro.runtime.cluster import Cluster
+from repro.runtime.cluster import Cluster, build_cluster
 
 CELLS = {
     "simulation": lambda: run_simulation_point(
@@ -78,3 +79,19 @@ def test_dropped_cell_leaves_no_cyclic_garbage(monkeypatch, cell):
     garbage = cyclic_garbage(CELLS[cell])
     assert live_after_stop == [0]
     assert not garbage, dict(garbage)
+
+
+def test_every_subscriber_is_a_registered_service(wiring_config):
+    """The runtime twin of simlint C002: every object the bus calls back
+    is a service the cluster starts and stops, so teardown reaches it."""
+    cluster = build_cluster(build_group_hosts(6, 0.5), wiring_config)
+    registered = {id(service) for service in cluster.services}
+    owners = {}
+    for _event, _key, _phase, handler in cluster.bus.iter_subscriptions():
+        owner = getattr(handler, "__self__", None)
+        if owner is not None:
+            owners[id(owner)] = owner
+    unregistered = [type(owner).__name__ for key, owner in owners.items() if key not in registered]
+    assert owners
+    assert not unregistered, unregistered
+    cluster.stop()

@@ -113,7 +113,7 @@ class TestApplyRelease:
         svc.stop()
         assert net.link_capacity(("tor-up", 0)) == nominal_tor
         assert net.link_capacity(("tor-down", 1)) == nominal_down
-        assert svc.describe()["degraded_links_active"] == 0
+        assert svc._held == {}
 
     def test_degraded_link_slows_live_transfers(self):
         sim, net = clos_net(oversub=1.0)
@@ -218,10 +218,10 @@ class TestClusterArming:
         assert cluster.network.link_capacity(("tor-up", 0)) == pytest.approx(
             nominal * 0.5
         )
-        assert cluster.mitigation.describe()["degraded_links_active"] == 1
+        assert len(cluster.mitigation._held) == 1
         cluster.sim.run(until=16.0)
         assert cluster.network.link_capacity(("tor-up", 0)) == nominal
-        assert cluster.mitigation.describe()["degraded_links_active"] == 0
+        assert cluster.mitigation._held == {}
         cluster.stop()
 
     def test_host_link_targets_resolve_through_the_id_table(self):

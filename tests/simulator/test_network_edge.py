@@ -336,7 +336,7 @@ class TestOneScaleStack:
             restore(net, "a")
         assert net.link_capacity(up) == net.link_capacity(down) == 1000.0
         assert transfer.rate == 1000.0
-        assert net.describe()["scaled_links"] == 0
+        assert net._scales == {}
 
     @pytest.mark.parametrize("window_open_at_heal", [True, False])
     def test_partition_heal_thaws_at_the_current_scale(self, window_open_at_heal):

@@ -51,11 +51,11 @@ class TestCapture:
         assert [r.key for r in recorder] == ["a", "c"]
 
     def test_describe(self):
+        # The recorder's state: one record held, still recording.
         bus, recorder = _bus_with_recorder()
         bus.publish(NodeDown(time=0.0, node_id="a"))
-        info = recorder.describe()
-        assert info["records"] == 1
-        assert info["recording"] is True
+        assert len(recorder) == 1
+        assert recorder._recording is True
 
 
 class TestExport:
