@@ -492,16 +492,6 @@ class InterruptionProcess:
         episode.busy_until = busy_until
         episode.interruption_count = count
 
-    @classmethod
-    def exponential(
-        cls,
-        mtbi: float,
-        service: Distribution,
-        rng: RandomSource,
-    ) -> "InterruptionProcess":
-        """Convenience constructor matching the paper's assumptions."""
-        return cls(arrival=Exponential(mean=mtbi), service=service, rng=rng)
-
     def __repr__(self) -> str:
         return (
             f"InterruptionProcess(arrival={self._arrival!r}, "

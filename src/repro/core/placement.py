@@ -220,7 +220,6 @@ class _WeightedPlan(PlacementPlan):
         replication: int,
         rate_of: Callable[[NodeView], float],
         capped: bool,
-        chain_weighting: str = "rate",
     ) -> None:
         super().__init__(nodes, num_blocks, replication)
         # The cap and the rates depend only on the plan's inputs, so they
@@ -231,7 +230,6 @@ class _WeightedPlan(PlacementPlan):
             cap = self._num_blocks * (self._replication + 1) / len(self._allocated)
             self._cap = max(int(math.ceil(cap)), 1)
         self._rates = [max(rate_of(n), 0.0) for n in self._nodes]
-        self._chain_weighting = chain_weighting
         self._table: Optional[WeightedHashTable] = None
         self._table_ids: Set[NodeId] = set()
         self._rebuild_table()
@@ -258,7 +256,6 @@ class _WeightedPlan(PlacementPlan):
             ids,
             rates,
             num_slots=max(self._num_blocks, len(members)),
-            chain_weighting=self._chain_weighting,
         )
         self._table_ids = set(ids)
 
@@ -362,9 +359,8 @@ class AdaptPlacement(PlacementPolicy):
 
     name = "adapt"
 
-    def __init__(self, capped: bool = True, chain_weighting: str = "rate") -> None:
+    def __init__(self, capped: bool = True) -> None:
         self._capped = capped
-        self._chain_weighting = chain_weighting
 
     def build_plan(
         self,
@@ -391,7 +387,6 @@ class AdaptPlacement(PlacementPolicy):
             replication,
             rate_of=rate,
             capped=self._capped,
-            chain_weighting=self._chain_weighting,
         )
 
 

@@ -147,7 +147,7 @@ class HeartbeatService:
         return node_id in self._is_up
 
     @property
-    def tracked_nodes(self) -> List[str]:
+    def tracked_nodes(self) -> List[NodeId]:
         return sorted(self._is_up)
 
     def handle_node_down(self, event: NodeDown) -> None:

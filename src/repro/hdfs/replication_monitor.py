@@ -68,7 +68,7 @@ class ReplicationMonitor:
         retry_budget: int = 4,
         backoff_base: float = 5.0,
         backoff_max: float = 60.0,
-        is_permanent: Optional[Callable[[str], bool]] = None,
+        is_permanent: Optional[Callable[[NodeId], bool]] = None,
         bus: Optional[EventBus] = None,
     ) -> None:
         """``is_permanent(node_id)`` tells the monitor whether a detected
@@ -251,7 +251,7 @@ class ReplicationMonitor:
         self._metrics.rereplications_started += 1
         return True
 
-    def _choose_target(self, block_id: str) -> Optional[str]:
+    def _choose_target(self, block_id: str) -> Optional[NodeId]:
         """Best believed-live non-holder: most available, then emptiest."""
         holders = self._namenode.replica_holders(block_id)
         predictor = self._namenode.predictor

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.core.ids import NodeId
 from repro.core.placement import NodeView
 from repro.simulator.engine import Simulator
 from repro.simulator.network import Network, Transfer
@@ -28,7 +29,7 @@ def select_reducer_nodes(
     count: int,
     rng: RandomSource,
     availability_aware: bool = True,
-) -> List[str]:
+) -> List[NodeId]:
     """Choose the nodes to host reduce tasks (future-work extension).
 
     A reducer holds all of its partition's intermediate data for the whole
@@ -79,9 +80,9 @@ class ShufflePhase:
 
     def run(
         self,
-        map_output_nodes: Dict[str, str],
+        map_output_nodes: Dict[str, NodeId],
         map_output_bytes: float,
-        reducer_nodes: Sequence[str],
+        reducer_nodes: Sequence[NodeId],
         reduce_gamma: float,
         on_complete: Optional[Callable[[ShuffleResult], None]] = None,
     ) -> None:
@@ -132,8 +133,8 @@ class ShufflePhase:
 
     def _run_reducer(
         self,
-        reducer: str,
-        sources: List[str],
+        reducer: NodeId,
+        sources: List[NodeId],
         partition: float,
         reduce_gamma: float,
         done: Callable[[], None],

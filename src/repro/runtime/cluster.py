@@ -88,7 +88,7 @@ from repro.simulator.metrics import DurabilityMetrics, MapPhaseMetrics
 from repro.simulator.mitigation import MITIGATIONS, LinkMitigationService
 from repro.simulator.network import Network
 from repro.simulator.scenarios import ChaosCampaign
-from repro.simulator.topology import TOPOLOGIES, make_topology
+from repro.simulator.topology import TOPOLOGIES, ClosTopology
 from repro.simulator.trace import TraceRecorder
 from repro.util.rng import RandomSource
 from repro.util.units import MB, mbit_per_s
@@ -120,24 +120,17 @@ class ClusterConfig:
     access_during_downtime: bool = True
     #: Flow-level max-min fair sharing (True) or uncontended links (False).
     fair_sharing: bool = True
-    #: Network topology: "flat" (every host on one non-blocking switch,
-    #: the golden-bearing default) or "clos" (hosts -> ToR -> aggregation
-    #: fabric with shared, oversubscribable trunks).
+    #: Network fabric: "flat" (every host on one non-blocking switch, the
+    #: paper's network and the default: a one-rack Clos) or "clos" (hosts
+    #: -> ToR -> spine, with shared, oversubscribable ToR trunks).
     topology: str = "flat"
     #: Racks in the Clos fabric; hosts are assigned round-robin
-    #: (``rack_of(n) = n % racks``). With racks=1 and oversubscription=1
-    #: the Clos fabric is byte-identical to the flat star. Ignored by
-    #: "flat".
+    #: (``rack_of(n) = n % racks``). With racks=1 the Clos fabric is the
+    #: flat star. Ignored by "flat".
     racks: int = 1
     #: Clos trunk oversubscription ratio: a trunk carries its downstream
     #: aggregate bandwidth divided by this (1.0 = full bisection).
     oversubscription: float = 1.0
-    #: Aggregation pods (racks grouped per pod); 1 keeps the fabric at
-    #: two tiers (no aggregation links). Ignored by "flat".
-    pods: int = 1
-    #: ECMP members per fabric trunk — only consulted by the
-    #: disable-and-reroute mitigation ((width-1)/width survives).
-    trunk_width: int = 4
     #: Enforce HDFS's off-rack replica rule on ingest placement (only
     #: meaningful with a multi-rack topology; substitution preserves the
     #: placement RNG stream — see NameNode.set_rack_constraint).
@@ -223,10 +216,6 @@ class ClusterConfig:
             raise ValueError(
                 f"oversubscription must be >= 1, got {self.oversubscription}"
             )
-        if self.pods < 1:
-            raise ValueError(f"pods must be >= 1, got {self.pods}")
-        if self.trunk_width < 1:
-            raise ValueError(f"trunk_width must be >= 1, got {self.trunk_width}")
         if self.link_mitigation != "none" and self.link_mitigation not in MITIGATIONS:
             raise ValueError(
                 f"link_mitigation must be 'none' or one of {MITIGATIONS}, "
@@ -466,14 +455,11 @@ def _construct(
     tracer: Optional[TraceRecorder] = None
     if config.trace_events:
         tracer = TraceRecorder(bus, ids=ids)
-    topology = make_topology(
-        config.topology,
+    topology = ClosTopology(
         hosts=len(hosts),
-        link_bps=config.link_bps,
-        racks=config.racks,
+        racks=config.racks if config.topology == "clos" else 1,
+        host_link_bps=config.link_bps,
         oversubscription=config.oversubscription,
-        pods=config.pods,
-        trunk_width=config.trunk_width,
     )
     network = Network(
         sim, link_bps=config.link_bps, fair_sharing=config.fair_sharing, topology=topology

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.availability.generator import HostAvailability
-from repro.availability.traces import AvailabilityTrace
 from repro.core.placement import PlacementPolicy, make_policy
 from repro.mapreduce.job import JobConf, MapJob
 from repro.runtime.cluster import ClusterConfig, build_cluster
@@ -82,7 +81,6 @@ def run_map_phase(
     num_blocks: Optional[int] = None,
     workload: Optional[Workload] = None,
     job_conf: Optional[JobConf] = None,
-    traces: Optional[Sequence[AvailabilityTrace]] = None,
     warmup_seconds: float = 0.0,
     max_events: int = 500_000_000,
     trace_out: Optional[str] = None,
@@ -122,7 +120,7 @@ def run_map_phase(
         config = dataclasses.replace(config, audit=audit)
     chosen_workload = workload if workload is not None else TerasortWorkload()
     gamma = chosen_workload.gamma_seconds(config.block_size_bytes)
-    cluster = build_cluster(hosts, config, traces=traces, default_gamma=gamma)
+    cluster = build_cluster(hosts, config, default_gamma=gamma)
     try:
         # Settle any t=0 transitions (stationary starts put some hosts down
         # at the window origin) before the NameNode takes its placement

@@ -14,8 +14,9 @@ The paper evaluates ADAPT twice: on an emulated non-dedicated environment
   overhead decomposition of Figure 5.
 * :mod:`repro.simulator.events` — the typed event bus every subsystem
   publishes to and subscribes on, with fixed dispatch phases.
-* :mod:`repro.simulator.topology` — the fabric transfers cross: a flat
-  star (default) or a hierarchical Clos with oversubscribable trunks.
+* :mod:`repro.simulator.topology` — the fabric transfers cross: a Clos
+  of racks with oversubscribable ToR trunks, whose one-rack case is the
+  paper's flat star (the default).
 * :mod:`repro.simulator.mitigation` — interchangeable responses to
   degraded-link chaos windows.
 * :mod:`repro.simulator.trace` — bus-event capture and JSONL export.
@@ -43,13 +44,7 @@ from repro.simulator.failures import FailureInjector
 from repro.simulator.metrics import MapPhaseMetrics, OverheadBreakdown
 from repro.simulator.mitigation import MITIGATIONS, LinkMitigationService
 from repro.simulator.network import Network, Transfer, TransferState
-from repro.simulator.topology import (
-    TOPOLOGIES,
-    ClosTopology,
-    FlatStar,
-    Topology,
-    make_topology,
-)
+from repro.simulator.topology import TOPOLOGIES, ClosTopology
 from repro.simulator.trace import TraceRecord, TraceRecorder
 
 __all__ = [
@@ -76,11 +71,8 @@ __all__ = [
     "TaskStateChange",
     "LinkDegraded",
     "LinkRestored",
-    "Topology",
-    "FlatStar",
     "ClosTopology",
     "TOPOLOGIES",
-    "make_topology",
     "LinkMitigationService",
     "MITIGATIONS",
     "TraceRecord",

@@ -30,6 +30,12 @@ degraded-link      ``LinkDegraded`` / ``LinkRestored`` bus events (the
 delayed-recovery   ``FailureInjector.set_recovery_stretch`` over the window
 =================  ==========================================================
 
+The engine belongs to one cluster: it names targets through the
+cluster's host-id table, resolves degraded links against its network's
+fabric (a one-rack, flat fabric has no trunks to sample, so a
+degraded-link scenario there must name its links), and reads block
+holders from its NameNode.
+
 Alongside injection the engine *measures*: it subscribes (ACCOUNTING
 phase, so it observes raw transitions before any reaction) to the
 physical and belief events and produces a :class:`ResilienceReport` —
@@ -75,7 +81,7 @@ from repro.simulator.scenarios import (
     NetworkPartition,
     Scenario,
 )
-from repro.simulator.topology import FlatStar, HOST_TIERS, LinkKey, Topology
+from repro.simulator.topology import HOST_TIERS, LinkKey
 from repro.util.rng import RandomSource
 
 __all__ = ["ChaosEngine", "ResilienceReport", "ScenarioActivation"]
@@ -182,9 +188,9 @@ class ChaosEngine:
         campaign: ChaosCampaign,
         rng: RandomSource,
         injector: FailureInjector,
-        namenode: Optional[NameNode] = None,
-        ids: Optional[NodeIds] = None,
-        network: Optional[Network] = None,
+        namenode: NameNode,
+        ids: NodeIds,
+        network: Network,
     ) -> None:
         self._sim = sim
         self._bus = bus
@@ -193,13 +199,12 @@ class ChaosEngine:
         self._injector = injector
         self._namenode = namenode
         #: Degraded-link scenarios resolve their targets against this
-        #: network's topology; without one they fall back to a flat star
-        #: (explicit link specs only).
+        #: network's fabric.
         self._network = network
-        #: Name <-> int identity table. When present, scenario specs name
-        #: targets by host name, the engine arms them by int id, and the
-        #: resilience report translates back — names at both human edges,
-        #: ints everywhere the cluster routes.
+        #: Name <-> int identity table: scenario specs name targets by
+        #: host name, the engine arms them by int id, and the resilience
+        #: report translates back — names at both human edges, ints
+        #: everywhere the cluster routes.
         self._ids = ids
         self._handles: List[EventHandle] = []
         self._activations: List[ScenarioActivation] = []
@@ -225,12 +230,12 @@ class ChaosEngine:
             return
         self._armed = True
         node_ids = self._injector.node_ids
-        intern = self._ids.id_of if self._ids is not None else None
+        intern = self._ids.id_of
         for index, scenario in enumerate(self._campaign.scenarios):
             rng = self._rng.substream("chaos", index)
             if isinstance(scenario, DegradedLink):
                 links = scenario.resolve_links(
-                    self._topology(), rng, intern=intern
+                    self._network.topology, rng, intern=intern
                 )
                 display = tuple(self._display_link(link) for link in links)
                 self._activations.append(
@@ -241,11 +246,7 @@ class ChaosEngine:
                 self._arm_degraded_links(index, scenario, display)
                 continue
             targets = scenario.resolve_targets(node_ids, rng, intern=intern)
-            display = (
-                targets
-                if self._ids is None
-                else tuple(self._ids.name_of(n) for n in targets)
-            )
+            display = tuple(self._ids.name_of(n) for n in targets)
             self._activations.append(
                 ScenarioActivation(kind=scenario.kind, index=index, targets=display)
             )
@@ -266,15 +267,10 @@ class ChaosEngine:
             )
         )
 
-    def _topology(self) -> Topology:
-        if self._network is not None:
-            return self._network.topology
-        return FlatStar()
-
     def _display_link(self, link: LinkKey) -> str:
         """Render a link key in the campaign's (human) vocabulary."""
         tier, ident = link
-        if tier in HOST_TIERS and self._ids is not None and isinstance(ident, int):
+        if tier in HOST_TIERS and isinstance(ident, int):
             return f"{tier}:{self._ids.name_of(ident)}"
         return f"{tier}:{ident}"
 
@@ -456,16 +452,13 @@ class ChaosEngine:
         down_at = self._pending_detect.pop(event.node_id, None)
         if down_at is not None:
             self._detect_lags.append(event.time - down_at)
-        if self._namenode is not None:
-            for block_id in self._namenode.located_on(event.node_id):
-                self._pending_rerepl.setdefault(block_id, event.time)
+        for block_id in self._namenode.located_on(event.node_id):
+            self._pending_rerepl.setdefault(block_id, event.time)
 
     def handle_node_returned(self, event: NodeReturned) -> None:
         """A believed-dead holder came back: void the pending intervals of
         blocks its return made whole again (another holder may still be
         dead — those intervals stay open)."""
-        if self._namenode is None:
-            return
         for block_id in self._namenode.located_on(event.node_id):
             if block_id not in self._pending_rerepl:
                 continue

@@ -179,7 +179,7 @@ class InvariantAuditor:
         namenode: "NameNode",
         injector: FailureInjector,
         network: Network,
-        trackers: Mapping[str, "TaskTracker"],
+        trackers: Mapping[NodeId, "TaskTracker"],
         metrics: MapPhaseMetrics,
         jobtracker: Optional["JobTracker"] = None,
         durability: Optional[DurabilityMetrics] = None,
@@ -214,7 +214,7 @@ class InvariantAuditor:
         self._node_up_count = 0
         self._permanent_count = 0
         self._lost_announced: Set[str] = set()
-        self._purged: Set[str] = set()
+        self._purged: Set[NodeId] = set()
         self._jobs_seen: List["MapJob"] = []
         self._job_ids_seen: Set[int] = set()
         self._audit_event: Optional[EventHandle] = None
@@ -458,8 +458,8 @@ class InvariantAuditor:
         if not network.fair_sharing:
             return  # the simple model oversubscribes links by design
         # Sum rates over every directed link on every transfer's path, so
-        # oversubscribed fabric trunks (ToR/aggregation) are audited with
-        # exactly the same rule as host access links.
+        # oversubscribed ToR trunks are audited with exactly the same rule
+        # as host access links.
         link_sums: Dict[Tuple[str, object], float] = {}
         for transfer in network.active_transfers:
             for link in transfer.path:

@@ -20,14 +20,12 @@ any uneven or asymmetric link push onto that stack, and every capacity or
 partition change re-rates the flows in flight through one path
 (``_rerate``).
 
-The *links* a transfer crosses come from a pluggable
-:class:`~repro.simulator.topology.Topology`. Under the default
-:class:`~repro.simulator.topology.FlatStar` a path is exactly the classic
-(source uplink, destination downlink) pair — allocations are bit-for-bit
-what the two-link special case produced. Under a
-:class:`~repro.simulator.topology.ClosTopology` cross-rack paths also
-cross oversubscribed ToR/aggregation trunks, and progressive filling runs
-over every link on the path unchanged.
+The *links* a transfer crosses come from the
+:class:`~repro.simulator.topology.ClosTopology` fabric. The default is
+one rack, the paper's flat star: a path is exactly the (source uplink,
+destination downlink) pair. With more racks cross-rack paths also cross
+oversubscribed ToR trunks, and progressive filling runs over every link
+on the path unchanged.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from repro.simulator.events import (
     PartitionStarted,
     PermanentFailure,
 )
-from repro.simulator.topology import HOST_TIERS, FlatStar, LinkKey, Topology
+from repro.simulator.topology import HOST_TIERS, ClosTopology, LinkKey
 from repro.util.validation import check_positive
 
 #: Remaining-bytes tolerance under which a transfer counts as finished.
@@ -159,12 +157,16 @@ class Network:
         sim: Simulator,
         link_bps: float,
         fair_sharing: bool = True,
-        topology: Optional[Topology] = None,
+        topology: Optional[ClosTopology] = None,
     ) -> None:
         self._sim = sim
         self._link_bps = check_positive("link_bps", link_bps)
         self._fair = fair_sharing
-        self._topology: Topology = topology if topology is not None else FlatStar()
+        if topology is None:
+            # One rack, the flat star: it has no trunk, so its host count
+            # (which sizes trunk capacity) is never read.
+            topology = ClosTopology(hosts=1, racks=1, host_link_bps=link_bps)
+        self._topology = topology
         # Insertion-ordered: Transfer hashes by identity, so iterating a
         # plain set would depend on memory addresses and break seed
         # determinism. Every iteration below relies on this ordering.
@@ -212,7 +214,7 @@ class Network:
         return nominal * _product(stack) if stack else nominal
 
     @property
-    def topology(self) -> Topology:
+    def topology(self) -> ClosTopology:
         """The link structure transfers route through."""
         return self._topology
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Dict, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.core.ids import NodeId
-from repro.simulator.topology import LinkKey, Topology, parse_link_spec
+from repro.simulator.topology import ClosTopology, LinkKey, parse_link_spec
 from repro.util.rng import RandomSource
 from repro.util.validation import check_non_negative, check_positive
 
@@ -285,7 +285,7 @@ class DegradedLink(Scenario):
 
     def resolve_links(
         self,
-        topology: Topology,
+        topology: ClosTopology,
         rng: RandomSource,
         intern: Optional[Callable[[str], NodeId]] = None,
     ) -> Tuple[LinkKey, ...]:
@@ -295,8 +295,8 @@ class DegradedLink(Scenario):
         through ``intern`` when given). Without explicit links, ``count``
         links are sampled from the topology's fabric links — already in
         deterministic (tier, index) order — via ``rng``; ``count=0``
-        means every fabric link. A flat star has no fabric, so there the
-        spec must name links explicitly.
+        means every fabric link. A one-rack (flat) fabric has no trunks, so
+        there the spec must name links explicitly.
         """
         if self.links:
             return tuple(parse_link_spec(spec, intern=intern) for spec in self.links)

@@ -1,21 +1,20 @@
-"""Network topologies: the link structure under the flow-level model.
+"""Network fabric: the link structure under the flow-level model.
 
-The paper's network (Section I, V.C) is a flat star — every host hangs
-off an infinitely-fast core through one shaped access link, so a
-transfer touches exactly two directed links: the source's uplink and the
-destination's downlink. That is :class:`FlatStar`, and it remains the
-default (golden trajectories are byte-identical through it).
+The paper's network (Sections V.A and V.C) is a flat star: every host
+hangs off one switch through one shaped access link, so a transfer
+touches exactly two directed links, the source's uplink and the
+destination's downlink.
 
-:class:`ClosTopology` generalises to the datacenter shape the HDFS
-off-rack replica rule presumes: hosts hang off a top-of-rack (ToR)
-switch, racks off an aggregation tier, pods off a spine. A transfer's
-*path* becomes a sequence of directed link keys, and the max-min
-progressive-filling allocator in :mod:`repro.simulator.network` runs
-over every link on the path — the per-link live-member counters
-generalise with no change to the round structure. Fabric tiers carry an
-*oversubscription* ratio: a ToR uplink trunk provides ``1/ratio`` of the
-aggregate access bandwidth beneath it, so cross-rack shuffle contends
-where a flat star never could.
+:class:`ClosTopology` is the one fabric. Hosts hang off top-of-rack
+(ToR) switches, and the ToRs off a non-blocking spine. With one rack it
+*is* the flat star (``topology="flat"``): every path is the two access
+links, and there are no fabric links. With more racks a cross-rack
+transfer also crosses its source rack's ToR uplink trunk and its
+destination rack's downlink trunk, and the max-min progressive-filling
+allocator in :mod:`repro.simulator.network` runs over every link on the
+path. A trunk carries an *oversubscription* ratio: it provides
+``1/ratio`` of the aggregate access bandwidth beneath it, so cross-rack
+traffic contends where a flat star never could.
 
 Link keys
 ---------
@@ -26,10 +25,8 @@ tier         id                            meaning
 ===========  ============================  =================================
 ``up``       host :data:`NodeId`           host access link, host -> ToR
 ``down``     host :data:`NodeId`           host access link, ToR -> host
-``tor-up``   rack index (int)              ToR trunk towards aggregation
-``tor-down`` rack index (int)              aggregation trunk towards the ToR
-``agg-up``   pod index (int)               pod trunk towards the spine
-``agg-down`` pod index (int)               spine trunk towards the pod
+``tor-up``   rack index (int)              ToR trunk towards the spine
+``tor-down`` rack index (int)              spine trunk towards the ToR
 ===========  ============================  =================================
 
 Host tiers carry the :class:`~.network.Network`'s one host link rate;
@@ -42,118 +39,56 @@ Chaos specs name links as ``"tier:id"`` strings — ``"tor-up:3"``,
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from repro.core.ids import NodeId
 from repro.util.validation import check_positive
 
 __all__ = [
     "LinkKey",
-    "Topology",
-    "FlatStar",
     "ClosTopology",
     "FABRIC_TIERS",
     "HOST_TIERS",
+    "TRUNK_WIDTH",
     "parse_link_spec",
-    "format_link_spec",
-    "make_topology",
     "TOPOLOGIES",
 ]
 
 #: One directed link: ``(tier, id)``. Host tiers carry a node id, fabric
-#: tiers an int rack/pod index.
+#: tiers an int rack index.
 LinkKey = Tuple[str, Union[NodeId, str, int]]
 
 #: Tiers whose nominal capacity is the Network's host link rate.
 HOST_TIERS = ("up", "down")
 #: Tiers whose capacity the topology owns (oversubscribed trunks).
-FABRIC_TIERS = ("tor-up", "tor-down", "agg-up", "agg-down")
+FABRIC_TIERS = ("tor-up", "tor-down")
+
+#: ECMP members per fabric trunk. Only disable-and-reroute mitigation
+#: reads it: losing one member leaves ``(w-1)/w`` of the trunk.
+TRUNK_WIDTH = 4
 
 #: Valid ``topology=`` spellings, used by ClusterConfig validation.
 TOPOLOGIES = ("flat", "clos")
 
 
-class Topology(Protocol):
-    """The link structure transfers traverse.
-
-    Implementations must be pure and stateless after construction:
-    ``path`` is called once per transfer and its result is interned on
-    the :class:`~.network.Transfer`, so it must be a deterministic
-    function of the endpoints.
-    """
-
-    def path(self, source: NodeId, destination: NodeId) -> Tuple[LinkKey, ...]:
-        """Directed links a ``source -> destination`` transfer crosses."""
-        ...
-
-    def fabric_capacity(self, link: LinkKey) -> float:
-        """Capacity (bytes/s) of a fabric-tier link; KeyError otherwise."""
-        ...
-
-    def fabric_links(self) -> Tuple[LinkKey, ...]:
-        """Every fabric link, in deterministic (tier, index) order."""
-        ...
-
-    def link_width(self, link: LinkKey) -> int:
-        """Parallel trunk members behind the link (ECMP width).
-
-        Host access links are single cables (width 1); fabric trunks
-        bundle several, which is what makes disable-and-reroute
-        mitigation possible: losing one member leaves ``(w-1)/w`` of the
-        trunk.
-        """
-        ...
-
-    def rack_of(self, node_id: NodeId) -> int:
-        """The rack index a host lives in (0 for rackless topologies)."""
-        ...
-
-
-class FlatStar:
-    """The paper's model: every pair of hosts two access links apart."""
-
-    kind = "flat"
-
-    def path(self, source: NodeId, destination: NodeId) -> Tuple[LinkKey, ...]:
-        return (("up", source), ("down", destination))
-
-    def fabric_capacity(self, link: LinkKey) -> float:
-        raise KeyError(f"flat star has no fabric link {link!r}")
-
-    def fabric_links(self) -> Tuple[LinkKey, ...]:
-        return ()
-
-    def link_width(self, link: LinkKey) -> int:
-        return 1
-
-    def rack_of(self, node_id: NodeId) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "FlatStar()"
-
-
 class ClosTopology:
-    """Hosts -> ToR -> aggregation -> spine, with oversubscribed trunks.
+    """Hosts -> ToR -> spine, with oversubscribed ToR trunks.
 
     ``racks`` partitions hosts by ``node_id % racks`` (dense ids spread
     round-robin, so every rack stays balanced whatever the cluster
-    size); ``pods`` partitions racks the same way. A same-rack transfer
-    crosses only the two host access links — with ``racks=1`` and
-    ``oversubscription=1`` the topology is therefore *path-identical* to
-    :class:`FlatStar`, which the golden byte-identity tests pin.
+    size). A same-rack transfer crosses only the two host access links,
+    so one rack is the paper's flat star, whatever the oversubscription
+    (the golden byte-identity tests pin it).
 
     Trunk capacities derive from the declared shape: a ToR serves
     ``hosts/racks`` hosts, so each of its trunks provides that many host
-    links of aggregate bandwidth divided by ``oversubscription``; an
-    aggregation trunk serves ``racks/pods`` ToR trunks, divided by
-    ``oversubscription`` again. Both directions of a tier carry the same
-    capacity. ``trunk_width`` models the ECMP member count of every
-    fabric trunk (disable-and-reroute mitigation derates a degraded trunk
-    to ``(w-1)/w``).
-    """
+    links of aggregate bandwidth divided by ``oversubscription``. Both
+    directions carry the same capacity.
 
-    kind = "clos"
+    ``path`` is called once per transfer and its result is interned on
+    the :class:`~.network.Transfer`, so it is a pure function of the
+    endpoints.
+    """
 
     def __init__(
         self,
@@ -161,8 +96,6 @@ class ClosTopology:
         racks: int,
         host_link_bps: float,
         oversubscription: float = 1.0,
-        pods: int = 1,
-        trunk_width: int = 4,
     ) -> None:
         if hosts < 1:
             raise ValueError(f"hosts must be >= 1, got {hosts}")
@@ -170,100 +103,63 @@ class ClosTopology:
             raise ValueError(f"racks must be >= 1, got {racks}")
         if racks > hosts:
             raise ValueError(f"racks ({racks}) must not exceed hosts ({hosts})")
-        if pods < 1:
-            raise ValueError(f"pods must be >= 1, got {pods}")
-        if pods > racks:
-            raise ValueError(f"pods ({pods}) must not exceed racks ({racks})")
-        if trunk_width < 1:
-            raise ValueError(f"trunk_width must be >= 1, got {trunk_width}")
         check_positive("host_link_bps", host_link_bps)
         check_positive("oversubscription", oversubscription)
         self._hosts = int(hosts)
         self._racks = int(racks)
-        self._pods = int(pods)
         self._oversub = float(oversubscription)
-        self._trunk_width = int(trunk_width)
-        hosts_per_rack = self._hosts / self._racks
-        racks_per_pod = self._racks / self._pods
-        self._tor = hosts_per_rack * float(host_link_bps) / self._oversub
-        self._agg = racks_per_pod * self._tor / self._oversub
-
-    # -- shape -------------------------------------------------------------
+        self._tor = self._hosts / self._racks * float(host_link_bps) / self._oversub
 
     @property
     def racks(self) -> int:
         return self._racks
 
-    @property
-    def pods(self) -> int:
-        return self._pods
-
-    @property
-    def oversubscription(self) -> float:
-        return self._oversub
-
     def rack_of(self, node_id: NodeId) -> int:
+        """The rack index a host lives in."""
         return int(node_id) % self._racks
 
-    # -- Topology protocol -------------------------------------------------
-
     def path(self, source: NodeId, destination: NodeId) -> Tuple[LinkKey, ...]:
-        src_rack = int(source) % self._racks
-        dst_rack = int(destination) % self._racks
-        if src_rack == dst_rack:
-            # Same rack: the ToR switches locally; only access links count.
-            return (("up", source), ("down", destination))
-        src_pod = src_rack % self._pods
-        dst_pod = dst_rack % self._pods
-        if src_pod == dst_pod:
-            return (
-                ("up", source),
-                ("tor-up", src_rack),
-                ("tor-down", dst_rack),
-                ("down", destination),
-            )
-        return (
-            ("up", source),
-            ("tor-up", src_rack),
-            ("agg-up", src_pod),
-            ("agg-down", dst_pod),
-            ("tor-down", dst_rack),
-            ("down", destination),
-        )
+        """Directed links a ``source -> destination`` transfer crosses."""
+        if self._racks > 1:
+            src_rack = int(source) % self._racks
+            dst_rack = int(destination) % self._racks
+            if src_rack != dst_rack:
+                return (
+                    ("up", source),
+                    ("tor-up", src_rack),
+                    ("tor-down", dst_rack),
+                    ("down", destination),
+                )
+        # Same rack: the ToR switches locally; only access links count.
+        return (("up", source), ("down", destination))
 
     def fabric_capacity(self, link: LinkKey) -> float:
-        tier = link[0]
-        if tier == "tor-up" or tier == "tor-down":
+        """Capacity (bytes/s) of a fabric-tier link; KeyError otherwise."""
+        if link[0] in FABRIC_TIERS:
             return self._tor
-        if tier == "agg-up" or tier == "agg-down":
-            return self._agg
         raise KeyError(f"not a fabric link: {link!r}")
 
     def fabric_links(self) -> Tuple[LinkKey, ...]:
-        links: list = []
-        for tier in ("tor-up", "tor-down"):
-            links.extend((tier, rack) for rack in range(self._racks))
-        if self._pods > 1:
-            for tier in ("agg-up", "agg-down"):
-                links.extend((tier, pod) for pod in range(self._pods))
-        return tuple(links)
+        """Every trunk, in (tier, rack) order; none with one rack."""
+        if self._racks == 1:
+            return ()
+        return tuple(
+            (tier, rack) for tier in FABRIC_TIERS for rack in range(self._racks)
+        )
 
     def link_width(self, link: LinkKey) -> int:
-        return self._trunk_width if link[0] in FABRIC_TIERS else 1
+        """Parallel members behind the link: host access links are single
+        cables, fabric trunks bundle :data:`TRUNK_WIDTH`."""
+        return TRUNK_WIDTH if link[0] in FABRIC_TIERS else 1
 
     def __repr__(self) -> str:
         return (
             f"ClosTopology(hosts={self._hosts}, racks={self._racks}, "
-            f"pods={self._pods}, oversubscription={self._oversub})"
+            f"oversubscription={self._oversub})"
         )
 
 
 # -- link specs (chaos vocabulary) ---------------------------------------------
-
-
-def format_link_spec(link: LinkKey) -> str:
-    """Render a link key as the ``"tier:id"`` string chaos specs use."""
-    return f"{link[0]}:{link[1]}"
 
 
 def parse_link_spec(
@@ -271,11 +167,13 @@ def parse_link_spec(
 ) -> LinkKey:
     """Parse a ``"tier:id"`` link spec into a :data:`LinkKey`.
 
-    Fabric tiers take an integer rack/pod index. Host tiers take either
-    a numeric node id or a host name; names are translated through
-    ``intern`` when given (the cluster's :class:`~repro.core.ids.NodeIds`
-    table) and kept verbatim otherwise (standalone components route by
-    name).
+    Fabric tiers take an integer rack index. Host tiers take a host name
+    or a numeric node id. With ``intern`` (the cluster's
+    :class:`~repro.core.ids.NodeIds` lookup) a known host name wins, so
+    hosts named by number (trace replays) resolve to their own links, and
+    an all-digit ident is a node id only if no host has that name.
+    Without ``intern`` names are kept verbatim (standalone components
+    route by name).
     """
     tier, sep, ident = spec.partition(":")
     if not sep or not ident:
@@ -288,36 +186,14 @@ def parse_link_spec(
                 f"fabric link spec needs an integer index, got {spec!r}"
             ) from None
     if tier in HOST_TIERS:
-        if ident.isdigit():
-            return (tier, int(ident))
         if intern is not None:
-            return (tier, intern(ident))
-        return (tier, ident)
+            try:
+                return (tier, intern(ident))
+            except KeyError:
+                if not ident.isdigit():
+                    raise
+        return (tier, int(ident)) if ident.isdigit() else (tier, ident)
     raise ValueError(
         f"unknown link tier {tier!r}; expected one of "
         f"{HOST_TIERS + FABRIC_TIERS}"
     )
-
-
-def make_topology(
-    kind: str,
-    hosts: int,
-    link_bps: float,
-    racks: int = 1,
-    oversubscription: float = 1.0,
-    pods: int = 1,
-    trunk_width: int = 4,
-) -> Topology:
-    """Build the topology a ``ClusterConfig`` names (``flat`` | ``clos``)."""
-    if kind == "flat":
-        return FlatStar()
-    if kind == "clos":
-        return ClosTopology(
-            hosts=hosts,
-            racks=racks,
-            host_link_bps=link_bps,
-            oversubscription=oversubscription,
-            pods=pods,
-            trunk_width=trunk_width,
-        )
-    raise ValueError(f"unknown topology {kind!r}; expected one of {TOPOLOGIES}")

@@ -67,7 +67,6 @@ WIRING_CONFIGS: Dict[str, ClusterConfig] = {
         replication_monitor=True,
         topology="clos",
         racks=2,
-        pods=2,
         rack_aware_placement=True,
         link_mitigation="retransmit-tax",
         trace_events=True,

@@ -20,14 +20,13 @@ from repro.simulator.scenarios import ChaosCampaign, DegradedLink
 from repro.simulator.topology import ClosTopology
 
 
-def clos_net(hosts=4, racks=2, oversub=1.0, width=4):
+def clos_net(hosts=4, racks=2, oversub=1.0):
     sim = Simulator()
     topo = ClosTopology(
         hosts=hosts,
         racks=racks,
         host_link_bps=100.0,
         oversubscription=oversub,
-        trunk_width=width,
     )
     net = Network(sim, link_bps=100.0, fair_sharing=True, topology=topo)
     return sim, net
@@ -47,13 +46,13 @@ class TestEffectiveFactor:
         assert factor == pytest.approx(0.8 * 0.9)
 
     def test_disable_reroute_keeps_surviving_members(self):
-        _, net = clos_net(width=4)
+        _, net = clos_net()
         svc = LinkMitigationService(net, strategy="disable-reroute")
         # Corruption vanishes entirely; (4-1)/4 of the trunk survives.
         assert svc.effective_factor(("tor-up", 0), 0.5, 0.3) == pytest.approx(0.75)
 
     def test_disable_reroute_falls_back_on_single_cables(self):
-        _, net = clos_net(width=4)
+        _, net = clos_net()
         svc = LinkMitigationService(net, strategy="disable-reroute")
         # A host access link has width 1: nothing to reroute onto.
         factor = svc.effective_factor(("up", 0), 0.5, 0.3)
@@ -252,4 +251,34 @@ class TestClusterArming:
         )
         cluster.sim.run(until=11.0)
         assert cluster.network.link_capacity(("up", nid)) == nominal
+        cluster.stop()
+
+    @pytest.mark.parametrize("spec", ["up:1", "up:101"])
+    def test_numeric_host_names_degrade_their_own_link(self, spec):
+        # Trace replays keep the trace's host ids, and FTA node ids are
+        # numbers. Hosts "100".."103" intern to ids 0..3: the raw id 1 and
+        # the name "101" both name host "101"'s uplink, ("up", 1).
+        hosts = [HostAvailability(host_id=str(100 + i)) for i in range(4)]
+        config = ClusterConfig(
+            seed=3,
+            detection="oracle",
+            link_mitigation="do-nothing",
+            chaos=ChaosCampaign(
+                name="numeric-hosts",
+                scenarios=(
+                    DegradedLink(
+                        start=1.0, duration=10.0, links=(spec,), capacity_factor=0.5
+                    ),
+                ),
+            ),
+        )
+        cluster = build_cluster(hosts, config)
+        assert cluster.chaos.activations[0].targets == ("up:101",)
+        nominal = cluster.network.nominal_rate_bps
+        cluster.sim.run(until=5.0)
+        assert cluster.network.link_capacity(("up", 1)) == pytest.approx(
+            nominal * 0.5
+        )
+        cluster.sim.run(until=12.0)
+        assert cluster.network.link_capacity(("up", 1)) == nominal
         cluster.stop()

@@ -14,7 +14,7 @@ from repro.simulator.scenarios import (
     NetworkPartition,
     scenario_from_jsonable,
 )
-from repro.simulator.topology import ClosTopology, FlatStar
+from repro.simulator.topology import ClosTopology
 from repro.util.rng import RandomSource
 
 NODES = [f"n{i}" for i in range(8)]
@@ -187,7 +187,7 @@ class TestDegradedLink:
         return DegradedLink(**defaults)
 
     def clos(self):
-        return ClosTopology(hosts=8, racks=4, pods=2, host_link_bps=100.0)
+        return ClosTopology(hosts=8, racks=4, host_link_bps=100.0)
 
     def test_must_degrade_something(self):
         with pytest.raises(ValueError, match="degrade something"):
@@ -235,7 +235,9 @@ class TestDegradedLink:
     def test_flat_star_needs_explicit_links(self):
         s = self.window(count=2)
         with pytest.raises(ValueError, match="explicit"):
-            s.resolve_links(FlatStar(), RandomSource(1))
+            s.resolve_links(
+                ClosTopology(hosts=8, racks=1, host_link_bps=100.0), RandomSource(1)
+            )
 
     def test_jsonable_roundtrip(self):
         s = self.window(links=("tor-up:1",), corruption_rate=0.25)

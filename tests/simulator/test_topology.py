@@ -1,45 +1,77 @@
-"""Tests for the hierarchical topology layer.
+"""Tests for the network fabric.
 
-Covers the Topology protocol implementations themselves, the max-min
-allocator's per-link capacity conservation over multi-hop paths, and the
-tentpole's byte-identity promise: a degenerate Clos (one rack, no
-oversubscription) must reproduce the flat star's trajectories exactly —
-including the exported event trace, byte for byte.
+Covers the Clos fabric itself, its one-rack case (the paper's flat star,
+which ``topology="flat"`` builds), the max-min allocator's per-link
+capacity conservation over multi-hop paths, and the byte-identity
+promise: a one-rack Clos named ``"clos"`` must reproduce the flat
+configuration's trajectories exactly — including the exported event
+trace, byte for byte — so no flat-only path can creep back in.
 """
 
 import random
 
 import pytest
 
+from repro.availability.generator import HostAvailability
 from repro.experiments.config import EmulationConfig, Strategy
 from repro.experiments.emulation import run_emulation_point
+from repro.runtime.cluster import ClusterConfig, build_cluster
 from repro.simulator.engine import Simulator
 from repro.simulator.network import Network
+from repro.simulator.scenarios import ChaosCampaign, DegradedLink
 from repro.simulator.topology import (
     FABRIC_TIERS,
     TOPOLOGIES,
+    TRUNK_WIDTH,
     ClosTopology,
-    FlatStar,
-    format_link_spec,
-    make_topology,
     parse_link_spec,
 )
 
 
+def build(hosts=4, **knobs):
+    hosts = [HostAvailability(host_id=f"node-{i:05d}") for i in range(hosts)]
+    return build_cluster(hosts, ClusterConfig(detection="oracle", **knobs))
+
+
+def fabric_of(**knobs):
+    cluster = build(**knobs)
+    cluster.stop()
+    return cluster.network.topology
+
+
 class TestFlatStar:
+    """``topology="flat"``: the one-rack fabric, every host one switch away."""
+
     def test_path_is_two_access_links(self):
-        assert FlatStar().path(3, 7) == (("up", 3), ("down", 7))
+        flat = fabric_of(topology="flat")
+        assert [flat.path(s, d) for s, d in ((3, 1), (0, 2))] == [
+            (("up", 3), ("down", 1)),
+            (("up", 0), ("down", 2)),
+        ]
 
     def test_no_fabric(self):
-        flat = FlatStar()
-        assert flat.fabric_links() == ()
-        with pytest.raises(KeyError):
-            flat.fabric_capacity(("tor-up", 0))
+        assert fabric_of(topology="flat").fabric_links() == ()
 
     def test_single_rack_single_width(self):
-        flat = FlatStar()
-        assert flat.rack_of(42) == 0
-        assert flat.link_width(("up", 42)) == 1
+        flat = fabric_of(topology="flat")
+        assert flat.racks == 1
+        assert [flat.rack_of(n) for n in range(4)] == [0, 0, 0, 0]
+        assert flat.link_width(("up", 2)) == 1
+
+    def test_degraded_link_sampling_needs_explicit_links(self):
+        campaign = ChaosCampaign(
+            name="no-trunks",
+            scenarios=(
+                DegradedLink(start=1.0, duration=5.0, count=1, capacity_factor=0.5),
+            ),
+        )
+        with pytest.raises(ValueError, match="explicit"):
+            build(topology="flat", link_mitigation="do-nothing", chaos=campaign)
+
+    def test_default_network_is_the_flat_star(self):
+        net = Network(Simulator(), link_bps=100.0)
+        assert net.topology.path("a", "b") == (("up", "a"), ("down", "b"))
+        assert net.topology.fabric_links() == ()
 
 
 class TestClosShape:
@@ -55,28 +87,6 @@ class TestClosShape:
             ("tor-up", 0),
             ("tor-down", 1),
             ("down", 1),
-        )
-
-    def test_cross_pod_path_crosses_aggregation(self):
-        clos = ClosTopology(hosts=8, racks=4, pods=2, host_link_bps=100.0)
-        # rack 0 -> pod 0, rack 1 -> pod 1.
-        assert clos.path(0, 1) == (
-            ("up", 0),
-            ("tor-up", 0),
-            ("agg-up", 0),
-            ("agg-down", 1),
-            ("tor-down", 1),
-            ("down", 1),
-        )
-
-    def test_same_pod_cross_rack_skips_aggregation(self):
-        clos = ClosTopology(hosts=8, racks=4, pods=2, host_link_bps=100.0)
-        # racks 0 and 2 both map to pod 0.
-        assert clos.path(0, 2) == (
-            ("up", 0),
-            ("tor-up", 0),
-            ("tor-down", 2),
-            ("down", 2),
         )
 
     def test_round_robin_racks_stay_balanced(self):
@@ -96,34 +106,22 @@ class TestClosShape:
         # 4 hosts per rack at 100, oversubscribed 4:1, in both directions.
         assert clos.fabric_capacity(("tor-up", 0)) == 100.0
         assert clos.fabric_capacity(("tor-down", 1)) == 100.0
-
-    def test_aggregation_capacity_oversubscribes_twice(self):
-        clos = ClosTopology(
-            hosts=8, racks=4, pods=2, host_link_bps=100.0, oversubscription=2.0
-        )
-        # tor-up: 2 hosts * 100 / 2 = 100; agg-up: 2 racks * 100 / 2 = 100.
-        assert clos.fabric_capacity(("agg-up", 0)) == 100.0
+        with pytest.raises(KeyError):
+            clos.fabric_capacity(("up", 0))
 
     def test_fabric_links_deterministic_order(self):
-        clos = ClosTopology(hosts=8, racks=2, pods=2, host_link_bps=100.0)
+        clos = ClosTopology(hosts=8, racks=2, host_link_bps=100.0)
+        assert FABRIC_TIERS == ("tor-up", "tor-down")
         assert clos.fabric_links() == (
             ("tor-up", 0),
             ("tor-up", 1),
             ("tor-down", 0),
             ("tor-down", 1),
-            ("agg-up", 0),
-            ("agg-up", 1),
-            ("agg-down", 0),
-            ("agg-down", 1),
         )
 
-    def test_single_pod_has_no_aggregation_links(self):
-        clos = ClosTopology(hosts=8, racks=2, host_link_bps=100.0)
-        assert all(link[0].startswith("tor") for link in clos.fabric_links())
-
     def test_trunk_width_applies_to_fabric_only(self):
-        clos = ClosTopology(hosts=8, racks=2, host_link_bps=100.0, trunk_width=8)
-        assert clos.link_width(("tor-up", 0)) == 8
+        clos = ClosTopology(hosts=8, racks=2, host_link_bps=100.0)
+        assert clos.link_width(("tor-up", 0)) == TRUNK_WIDTH == 4
         assert clos.link_width(("up", 3)) == 1
 
     @pytest.mark.parametrize(
@@ -132,8 +130,6 @@ class TestClosShape:
             (dict(hosts=0, racks=1), "hosts"),
             (dict(hosts=4, racks=0), "racks"),
             (dict(hosts=4, racks=8), "racks"),
-            (dict(hosts=8, racks=4, pods=8), "pods"),
-            (dict(hosts=8, racks=4, trunk_width=0), "trunk_width"),
         ],
     )
     def test_shape_validation(self, kwargs, match):
@@ -144,8 +140,7 @@ class TestClosShape:
 class TestLinkSpecs:
     def test_fabric_round_trip(self):
         for tier in FABRIC_TIERS:
-            link = (tier, 3)
-            assert parse_link_spec(format_link_spec(link)) == link
+            assert parse_link_spec(f"{tier}:3") == (tier, 3)
 
     def test_host_spec_with_numeric_id(self):
         assert parse_link_spec("up:17") == ("up", 17)
@@ -156,26 +151,41 @@ class TestLinkSpecs:
     def test_host_spec_keeps_name_without_interner(self):
         assert parse_link_spec("up:node-03") == ("up", "node-03")
 
-    @pytest.mark.parametrize("spec", ["nonsense", "spine:1", "tor-up:abc", "up:"])
+    def test_known_numeric_host_name_wins_over_the_raw_id(self):
+        names = {"100": 0, "101": 1}
+        assert parse_link_spec("up:101", intern=names.__getitem__) == ("up", 1)
+        # No host is named "1": the ident is the raw node id.
+        assert parse_link_spec("up:1", intern=names.__getitem__) == ("up", 1)
+
+    def test_unknown_host_name_rejected_with_interner(self):
+        with pytest.raises(KeyError):
+            parse_link_spec("up:node-99", intern={"node-00": 0}.__getitem__)
+
+    @pytest.mark.parametrize(
+        "spec", ["nonsense", "spine:1", "agg-up:0", "tor-up:abc", "up:"]
+    )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             parse_link_spec(spec)
 
 
-class TestMakeTopology:
+class TestFabricByName:
+    """``ClusterConfig.topology`` picks the fabric ``build_cluster`` wires."""
+
     def test_flat_by_name(self):
-        assert isinstance(make_topology("flat", hosts=4, link_bps=100.0), FlatStar)
+        flat = fabric_of(topology="flat", racks=2, oversubscription=4.0)
+        assert isinstance(flat, ClosTopology)
+        assert flat.racks == 1
 
     def test_clos_by_name(self):
-        topo = make_topology(
-            "clos", hosts=8, link_bps=100.0, racks=2, oversubscription=2.0
-        )
-        assert isinstance(topo, ClosTopology)
-        assert topo.racks == 2
+        clos = fabric_of(topology="clos", racks=2, oversubscription=2.0)
+        assert clos.racks == 2
+        # 2 hosts per rack at 1 MB/s, oversubscribed 2:1.
+        assert clos.fabric_capacity(("tor-up", 0)) == 1e6
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="flat"):
-            make_topology("hypercube", hosts=4, link_bps=100.0)
+            ClusterConfig(topology="hypercube")
 
     def test_topologies_registry_covers_both(self):
         assert TOPOLOGIES == ("flat", "clos")
@@ -239,7 +249,7 @@ class TestPathCapacityConservation:
 
 @pytest.mark.slow
 class TestDegenerateClosByteIdentity:
-    """racks=1, oversubscription=1 must be bit-identical to the flat star."""
+    """A one-rack ``"clos"`` must be bit-identical to ``"flat"``."""
 
     CONFIG = dict(
         node_count=12, interrupted_ratio=0.5, blocks_per_node=2.0, seed=7
