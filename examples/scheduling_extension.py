@@ -8,8 +8,8 @@ holders first, draining doomed backlogs before the end-game (see
 ``repro.mapreduce.scheduler.AvailabilityAwareScheduler``).
 
 This example measures all four combinations of {placement, scheduling} x
-{availability-blind, availability-aware} on a wordcount job — a denser
-workload than terasort — plus a shuffle phase.
+{availability-blind, availability-aware} on a wordcount job, a denser
+workload than terasort.
 
 Run: ``python examples/scheduling_extension.py``
 """

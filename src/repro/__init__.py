@@ -29,7 +29,6 @@ from repro.core import (
     NaivePlacement,
     PerformancePredictor,
     RandomPlacement,
-    TaskExecutionModel,
     WeightedHashTable,
     expected_task_time,
     make_policy,
@@ -37,14 +36,13 @@ from repro.core import (
 from repro.hdfs import DfsClient, NameNode
 from repro.mapreduce import JobConf, JobTracker, MapJob
 from repro.runtime import ClusterConfig, MapPhaseResult, build_cluster, run_map_phase
-from repro.workloads import TerasortWorkload, make_workload
+from repro.workloads import TerasortWorkload
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
     "expected_task_time",
-    "TaskExecutionModel",
     "WeightedHashTable",
     "make_policy",
     "RandomPlacement",
@@ -66,5 +64,4 @@ __all__ = [
     "run_map_phase",
     "MapPhaseResult",
     "TerasortWorkload",
-    "make_workload",
 ]

@@ -137,22 +137,3 @@ class InterruptionStatsEstimator:
             recovery_mean=recovery,
             observations=self._episodes,
         )
-
-    def reset(self) -> None:
-        """Forget all observations (keeps the prior)."""
-        self._uptime = 0.0
-        self._episodes = 0
-        self._downtime_total = 0.0
-
-
-def oracle_estimate(
-    arrival_rate: float,
-    recovery_mean: float,
-    observations: int = 1_000_000,
-) -> AvailabilityEstimate:
-    """An estimate carrying the *true* parameters (oracle ablation)."""
-    return AvailabilityEstimate(
-        arrival_rate=arrival_rate,
-        recovery_mean=recovery_mean,
-        observations=observations,
-    )

@@ -34,11 +34,6 @@ class GroupSpec:
         """lambda = 1/MTBI."""
         return 1.0 / self.mtbi
 
-    @property
-    def utilization(self) -> float:
-        """rho = lambda * mu; must stay < 1 for a stable host."""
-        return self.service_mean / self.mtbi
-
 
 def table2_groups() -> List[GroupSpec]:
     """The four interruption groups of the paper's Table 2."""

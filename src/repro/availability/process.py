@@ -195,19 +195,6 @@ class InterruptionProcess:
         self._max_per_episode = max_interruptions_per_episode
 
     @property
-    def arrival(self) -> Distribution:
-        return self._arrival
-
-    @property
-    def max_interruptions_per_episode(self) -> int:
-        """The per-episode fold bound (see the class docstring)."""
-        return self._max_per_episode
-
-    @property
-    def service(self) -> Distribution:
-        return self._service
-
-    @property
     def arrival_rate(self) -> float:
         """lambda = 1 / mean inter-arrival."""
         return 1.0 / self._arrival.mean
@@ -216,27 +203,6 @@ class InterruptionProcess:
     def service_mean(self) -> float:
         """mu = mean recovery time."""
         return self._service.mean
-
-    @property
-    def utilization(self) -> float:
-        """M/G/1 utilisation rho = lambda * mu."""
-        return self.arrival_rate * self.service_mean
-
-    def is_stable(self) -> bool:
-        """Whether the interruption queue is stable (rho < 1).
-
-        An unstable host would eventually be down forever; the paper's
-        formula (3) requires lambda*mu < 1.
-        """
-        return self.utilization < 1.0
-
-    def expected_episode_duration(self) -> float:
-        """Mean busy period mu / (1 - lambda*mu): the model's E(Y)."""
-        if not self.is_stable():
-            raise ValueError(
-                f"interruption process unstable (lambda*mu={self.utilization:.3f} >= 1)"
-            )
-        return self.service_mean / (1.0 - self.utilization)
 
     def episodes(self, horizon: float) -> Iterator[DowntimeEpisode]:
         """Yield downtime episodes whose *start* falls in [0, horizon).

@@ -2,13 +2,12 @@
 
 A trace is the ground truth the large-scale simulation replays (paper
 Section V.C replays SETI@home Failure Trace Archive data). Traces support
-point queries (``is_up``), transition lookup, uptime accounting, and pooled
-event statistics in the form of the paper's Table 1.
+uptime accounting and pooled event statistics in the form of the paper's
+Table 1.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -60,14 +59,8 @@ class AvailabilityTrace:
                 continue
             clipped.append((float(start), float(min(end, self._horizon))))
         self._down = clipped
-        self._starts = [w[0] for w in clipped]
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def always_up(cls, host_id: str, horizon: float) -> "AvailabilityTrace":
-        """A dedicated host that never goes down."""
-        return cls(host_id, horizon, ())
 
     @classmethod
     def from_episodes(
@@ -111,45 +104,6 @@ class AvailabilityTrace:
     def down_windows(self) -> List[Tuple[float, float]]:
         """Copy of the down windows."""
         return list(self._down)
-
-    def up_windows(self) -> List[Tuple[float, float]]:
-        """Complement of the down windows inside [0, horizon)."""
-        windows: List[Tuple[float, float]] = []
-        cursor = 0.0
-        for start, end in self._down:
-            if start > cursor:
-                windows.append((cursor, start))
-            cursor = end
-        if cursor < self._horizon:
-            windows.append((cursor, self._horizon))
-        return windows
-
-    def is_up(self, t: float) -> bool:
-        """Whether the host is up at time ``t``."""
-        if not 0.0 <= t < self._horizon:
-            raise ValueError(f"t={t} outside trace horizon [0, {self._horizon})")
-        idx = bisect.bisect_right(self._starts, t) - 1
-        if idx < 0:
-            return True
-        start, end = self._down[idx]
-        return not (start <= t < end)
-
-    def next_transition(self, t: float) -> float:
-        """Earliest time strictly after ``t`` at which up/down state flips.
-
-        Returns the horizon if the state never flips again.
-        """
-        if not 0.0 <= t < self._horizon:
-            raise ValueError(f"t={t} outside trace horizon [0, {self._horizon})")
-        idx = bisect.bisect_right(self._starts, t) - 1
-        if idx >= 0:
-            start, end = self._down[idx]
-            if start <= t < end:
-                return end
-        nxt = bisect.bisect_right(self._starts, t)
-        if nxt < len(self._down):
-            return self._down[nxt][0]
-        return self._horizon
 
     def total_downtime(self) -> float:
         """Total seconds down inside the horizon."""

@@ -13,7 +13,6 @@
 
 from repro.core.hashtable import WeightedHashTable
 from repro.core.model import (
-    TaskExecutionModel,
     expected_attempts,
     expected_downtime,
     expected_rework,
@@ -32,7 +31,6 @@ from repro.core.predictor import PerformancePredictor
 from repro.core.rebalance import RebalanceMove, plan_rebalance
 
 __all__ = [
-    "TaskExecutionModel",
     "expected_rework",
     "expected_downtime",
     "expected_attempts",

@@ -159,10 +159,6 @@ class WeightedHashTable:
         """The normalised placement rate of a node."""
         return self._rates[self._node_ids.index(node_id)]
 
-    def expected_blocks(self, node_id: NodeId) -> float:
-        """``w_i = m * rate_i``: expected blocks allocated to the node."""
-        return self.rate(node_id) * self._num_slots
-
     def chain(self, slot: int) -> List[NodeId]:
         """The node chain stored at a hash-table key (collision list)."""
         # Indexing a range keeps list semantics: negative keys count from
@@ -217,20 +213,6 @@ class WeightedHashTable:
             for (index, _overlap), weight in zip(chain, weights, strict=True):
                 probs[self._node_ids[index]] += slot_p * weight / omega
         return probs
-
-    @classmethod
-    def from_expected_times(
-        cls,
-        node_ids: Sequence[NodeId],
-        expected_times: Sequence[float],
-        num_blocks: int,
-        chain_weighting: str = "rate",
-    ) -> "WeightedHashTable":
-        """``buildHashTable``: rates are 1/E[T_i], normalised by Phi."""
-        if any(t <= 0 for t in expected_times):
-            raise ValueError("expected task times must be positive")
-        rates = [1.0 / t for t in expected_times]
-        return cls(node_ids, rates, num_blocks, chain_weighting=chain_weighting)
 
     def __repr__(self) -> str:
         return (

@@ -27,7 +27,6 @@ cluster simulator can be benchmarked (ablation A4 in DESIGN.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.availability.distributions import Distribution, Exponential
@@ -80,20 +79,6 @@ def expected_attempts(gamma: float, lam: float) -> float:
     return math.expm1(gamma * lam)
 
 
-def variance_attempts(gamma: float, lam: float) -> float:
-    """Var[S] for the geometric attempt count with success prob e^{-gamma*lam}.
-
-    P(S=s) = (1 - p)^s p with p = e^{-gamma*lambda}, hence
-    Var[S] = (1-p)/p^2 = e^{gamma*lambda}(e^{gamma*lambda} - 1).
-    """
-    check_positive("gamma", gamma)
-    check_non_negative("lam", lam)
-    if lam == 0.0:
-        return 0.0
-    e = math.exp(gamma * lam)
-    return e * (e - 1.0)
-
-
 def expected_task_time(gamma: float, lam: float, mu: float) -> float:
     """E[T]: mean completion time of a gamma-length task (formula 5).
 
@@ -105,55 +90,6 @@ def expected_task_time(gamma: float, lam: float, mu: float) -> float:
     if lam == 0.0:
         return gamma
     return math.expm1(gamma * lam) * (1.0 / lam + mu / (1.0 - lam * mu))
-
-
-def slowdown(gamma: float, lam: float, mu: float) -> float:
-    """E[T] / gamma: expected stretch caused by interruptions."""
-    return expected_task_time(gamma, lam, mu) / gamma
-
-
-@dataclass(frozen=True)
-class TaskExecutionModel:
-    """The model bound to one host's (lambda, mu).
-
-    Convenience wrapper used by the performance predictor: construct once
-    per node from its availability estimate, then query expected times for
-    any task length.
-    """
-
-    arrival_rate: float
-    recovery_mean: float
-
-    def __post_init__(self) -> None:
-        _check_rates(self.arrival_rate, self.recovery_mean)
-
-    @classmethod
-    def from_mtbi(cls, mtbi: float, recovery_mean: float) -> "TaskExecutionModel":
-        """Build from MTBI instead of rate (``mtbi=inf`` for dedicated)."""
-        if mtbi == float("inf"):
-            return cls(arrival_rate=0.0, recovery_mean=0.0)
-        check_positive("mtbi", mtbi)
-        return cls(arrival_rate=1.0 / mtbi, recovery_mean=recovery_mean)
-
-    def expected_rework(self, gamma: float) -> float:
-        """E[X] for a task of length gamma."""
-        return expected_rework(gamma, self.arrival_rate)
-
-    def expected_downtime(self) -> float:
-        """E[Y] (independent of gamma)."""
-        return expected_downtime(self.arrival_rate, self.recovery_mean)
-
-    def expected_attempts(self, gamma: float) -> float:
-        """E[S] for a task of length gamma."""
-        return expected_attempts(gamma, self.arrival_rate)
-
-    def expected_task_time(self, gamma: float) -> float:
-        """E[T] for a task of length gamma."""
-        return expected_task_time(gamma, self.arrival_rate, self.recovery_mean)
-
-    def processing_rate(self, gamma: float) -> float:
-        """1 / E[T]: the node's block-processing efficiency (Algorithm 1)."""
-        return 1.0 / self.expected_task_time(gamma)
 
 
 def monte_carlo_task_time(

@@ -89,10 +89,6 @@ class PlacementPlan(ABC):
         """Nodes the plan may still place blocks on."""
         return [n.node_id for n in self._nodes if not self._at_capacity(n.node_id)]
 
-    def allocation(self, node_id: NodeId) -> int:
-        """Blocks (replica-inclusive) placed on the node by this plan."""
-        return self._allocated.get(node_id, 0)
-
     def allocations(self) -> Dict[NodeId, int]:
         """Copy of all allocation counters."""
         return dict(self._allocated)

@@ -63,10 +63,6 @@ class PerformancePredictor:
         self.register_node(node_id)
         self._oracle[node_id] = estimate
 
-    def unpin_oracle(self, node_id: NodeId) -> None:
-        """Return a node to estimated mode."""
-        self._oracle.pop(node_id, None)
-
     @property
     def node_ids(self) -> List[NodeId]:
         return sorted(self._estimators)

@@ -146,14 +146,6 @@ class DfsClient:
 
     # -- inspection ------------------------------------------------------------------
 
-    def ls(self) -> List[str]:
-        """File names in the namespace."""
-        return self._namenode.file_names
-
-    def rm(self, name: str) -> None:
-        """Delete a file."""
-        self._namenode.delete_file(name)
-
     def block_distribution(self, name: str) -> Dict[NodeId, int]:
         """Replica count per node for a file."""
         return self._namenode.block_distribution(name)

@@ -110,10 +110,6 @@ class NameNode:
 
     # -- file namespace -------------------------------------------------------------
 
-    @property
-    def file_names(self) -> List[str]:
-        return sorted(self._files)
-
     def file(self, name: str) -> DfsFile:
         try:
             return self._files[name]
@@ -164,16 +160,6 @@ class NameNode:
             locations[block.block_id] = tuple(holders)
         self._files[name] = dfs_file
         return dfs_file
-
-    def delete_file(self, name: str) -> None:
-        """Remove a file and all its replicas."""
-        dfs_file = self.file(name)
-        for block in dfs_file.blocks:
-            for node_id in self._locations.get(block.block_id, ()):
-                self._remove_replica(block.block_id, node_id)
-            self._locations.pop(block.block_id, None)
-            self._blocks.pop(block.block_id, None)
-        del self._files[name]
 
     # -- block locations ---------------------------------------------------------------
 

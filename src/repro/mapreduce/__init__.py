@@ -5,8 +5,7 @@ Models the Hadoop runtime pieces the paper's evaluation depends on
 locality-first assignment, data migration for remote tasks, task
 re-execution after interruptions, and speculative execution of stragglers.
 The reduce phase is out of the paper's scope ("we target at improving the
-map phase cost"); a minimal shuffle model ships as an extension in
-:mod:`repro.mapreduce.shuffle`.
+map phase cost"), and no reduce phase is modelled.
 """
 
 from repro.mapreduce.job import (
@@ -24,7 +23,6 @@ from repro.mapreduce.scheduler import (
     TaskScheduler,
     make_scheduler,
 )
-from repro.mapreduce.shuffle import ShufflePhase, ShuffleResult, select_reducer_nodes
 from repro.mapreduce.speculation import SpeculationPolicy
 from repro.mapreduce.tasktracker import TaskTracker
 
@@ -42,7 +40,4 @@ __all__ = [
     "AvailabilityAwareScheduler",
     "make_scheduler",
     "SpeculationPolicy",
-    "ShufflePhase",
-    "ShuffleResult",
-    "select_reducer_nodes",
 ]

@@ -29,7 +29,7 @@ replicas are unreadable (ablation).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.ids import NodeId
 from repro.core.predictor import PerformancePredictor
@@ -104,7 +104,6 @@ class JobTracker(SchedulerContext):
         #: fact, so it survives across jobs.
         self._lost_blocks: Set[str] = set()
         self._sweep_event: Optional[EventHandle] = None
-        self._on_complete: Optional[Callable[[MapJob], None]] = None
         # Straggler scan memoised per timestamp (cleared when time advances).
         self._spec_cache_time = -1.0
         self._spec_candidates: List[MapTask] = []
@@ -123,16 +122,11 @@ class JobTracker(SchedulerContext):
     def predictor(self) -> PerformancePredictor:
         return self._namenode.predictor
 
-    def submit(
-        self,
-        job: MapJob,
-        on_complete: Optional[Callable[[MapJob], None]] = None,
-    ) -> None:
+    def submit(self, job: MapJob) -> None:
         """Start the map phase of ``job`` at the current simulation time."""
         if self._job is not None and not self.is_done:
             raise RuntimeError("a job is already running")
         self._job = job
-        self._on_complete = on_complete
         self._scheduler = make_scheduler(job.conf.scheduler)
         self._running.clear()
         self._limbo.clear()
@@ -535,8 +529,6 @@ class JobTracker(SchedulerContext):
             idle_total += max(idle, 0.0)
         self._metrics.add_recovery(recovery_total)
         self._metrics.add_idle(idle_total)
-        if self._on_complete is not None:
-            self._on_complete(job)
         if self.halt_on_finish:
             self._sim.halt()
 

@@ -292,14 +292,25 @@ class DegradedLink(Scenario):
         """Pick the concrete links this scenario degrades.
 
         Explicit ``links`` specs are parsed verbatim (host names interned
-        through ``intern`` when given). Without explicit links, ``count``
-        links are sampled from the topology's fabric links — already in
-        deterministic (tier, index) order — via ``rng``; ``count=0``
-        means every fabric link. A one-rack (flat) fabric has no trunks, so
-        there the spec must name links explicitly.
+        through ``intern`` when given), and each must name a link of
+        ``topology``: a known host's access link or a fabric trunk;
+        anything else raises ValueError naming the spec. Without explicit
+        links, ``count`` links are sampled from the topology's fabric
+        links — already in deterministic (tier, index) order — via
+        ``rng``; ``count=0`` means every fabric link. A one-rack (flat)
+        fabric has no trunks, so there the spec must name links explicitly.
         """
         if self.links:
-            return tuple(parse_link_spec(spec, intern=intern) for spec in self.links)
+            links = []
+            for spec in self.links:
+                link = parse_link_spec(spec, intern=intern)
+                if not topology.has_link(link):
+                    raise ValueError(
+                        f"degraded-link spec {spec!r} names no link of the "
+                        f"{topology.racks}-rack fabric"
+                    )
+                links.append(link)
+            return tuple(links)
         pool = list(topology.fabric_links())
         if not pool:
             raise ValueError(

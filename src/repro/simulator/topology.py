@@ -147,6 +147,14 @@ class ClosTopology:
             (tier, rack) for tier in FABRIC_TIERS for rack in range(self._racks)
         )
 
+    def has_link(self, link: LinkKey) -> bool:
+        """Whether ``link`` exists here: a known host's access link or a
+        trunk of :meth:`fabric_links`."""
+        tier, ident = link
+        if tier in HOST_TIERS:
+            return isinstance(ident, int) and 0 <= ident < self._hosts
+        return link in self.fabric_links()
+
     def link_width(self, link: LinkKey) -> int:
         """Parallel members behind the link: host access links are single
         cables, fabric trunks bundle :data:`TRUNK_WIDTH`."""

@@ -5,20 +5,13 @@ use them without import cycles.
 """
 
 from repro.util.rng import RandomSource, derive_seed
-from repro.util.stats import RunningStats, SummaryStats, coefficient_of_variation, summarize
+from repro.util.stats import RunningStats, SummaryStats, summarize
 from repro.util.tables import format_table
-from repro.util.units import (
-    MB,
-    Mb,
-    mbit_per_s,
-    megabytes,
-    seconds_to_transfer,
-)
+from repro.util.units import MB, Mb, mbit_per_s
 from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 
 __all__ = [
@@ -26,16 +19,12 @@ __all__ = [
     "derive_seed",
     "RunningStats",
     "SummaryStats",
-    "coefficient_of_variation",
     "summarize",
     "format_table",
     "MB",
     "Mb",
     "mbit_per_s",
-    "megabytes",
-    "seconds_to_transfer",
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_type",
 ]

@@ -38,24 +38,6 @@ class RunningStats:
         for value in values:
             self.add(value)
 
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Return a new accumulator equivalent to both inputs combined."""
-        merged = RunningStats()
-        if self._count == 0:
-            merged.__dict__.update(other.__dict__)
-            return merged
-        if other._count == 0:
-            merged.__dict__.update(self.__dict__)
-            return merged
-        n = self._count + other._count
-        delta = other._mean - self._mean
-        merged._count = n
-        merged._mean = self._mean + delta * other._count / n
-        merged._m2 = self._m2 + other._m2 + delta * delta * self._count * other._count / n
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        return merged
-
     @property
     def count(self) -> int:
         return self._count
@@ -128,11 +110,6 @@ def summarize(values: Sequence[float]) -> SummaryStats:
         minimum=acc.minimum,
         maximum=acc.maximum,
     )
-
-
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """CoV = std/mean of a sample."""
-    return summarize(values).cov
 
 
 def mean(values: Sequence[float]) -> float:

@@ -14,37 +14,8 @@ MB: int = 1024 * 1024
 Mb: float = 1_000_000 / 8.0
 
 
-def megabytes(n: float) -> int:
-    """Convert a size in megabytes to bytes."""
-    return int(n * MB)
-
-
 def mbit_per_s(rate: float) -> float:
     """Convert a rate in megabits/second to bytes/second."""
     if rate <= 0:
         raise ValueError(f"bandwidth must be positive, got {rate}")
     return rate * Mb
-
-
-def seconds_to_transfer(size_bytes: float, rate_bytes_per_s: float) -> float:
-    """Time to move ``size_bytes`` at a fixed ``rate_bytes_per_s``."""
-    if rate_bytes_per_s <= 0:
-        raise ValueError(f"rate must be positive, got {rate_bytes_per_s}")
-    if size_bytes < 0:
-        raise ValueError(f"size must be non-negative, got {size_bytes}")
-    return size_bytes / rate_bytes_per_s
-
-
-def format_bytes(size_bytes: float) -> str:
-    """Human-readable size (binary units), e.g. ``'64.0MB'``."""
-    size = float(size_bytes)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if size < 1024.0 or unit == "TB":
-            return f"{size:.1f}{unit}"
-        size /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def format_rate(rate_bytes_per_s: float) -> str:
-    """Human-readable network rate in Mb/s, e.g. ``'8.0Mb/s'``."""
-    return f"{rate_bytes_per_s / Mb:.1f}Mb/s"

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence, Type, TypeVar, Union, overload
-
-T = TypeVar("T")
+from typing import Optional, Sequence, Union, overload
 
 
 def check_positive(name: str, value: float) -> float:
@@ -36,15 +34,6 @@ def check_probability(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def check_type(name: str, value: object, expected: Type[T]) -> T:
-    """Require ``isinstance(value, expected)``; return the value."""
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be {expected.__name__}, got {type(value).__name__}"
-        )
     return value
 
 

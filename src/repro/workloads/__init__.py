@@ -2,14 +2,11 @@
 
 The paper benchmarks Terasort (Section V.A) with 64 MB blocks and a
 failure-free task execution time of 12 s per block (Table 4). A workload
-maps a block size to gamma — the failure-free map length — plus metadata
-the shuffle extension uses. Additional workloads (wordcount, grep,
-synthetic) exercise the same machinery at different compute densities.
+maps a block size to gamma — the failure-free map length. Wordcount
+exercises the same machinery at a denser compute rate.
 """
 
 from repro.workloads.base import Workload
-from repro.workloads.grepwl import GrepWorkload
-from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.terasort import TerasortWorkload
 from repro.workloads.wordcount import WordCountWorkload
 
@@ -17,23 +14,4 @@ __all__ = [
     "Workload",
     "TerasortWorkload",
     "WordCountWorkload",
-    "GrepWorkload",
-    "SyntheticWorkload",
-    "make_workload",
 ]
-
-
-def make_workload(name: str, **kwargs: object) -> Workload:
-    """Build a workload by name: terasort, wordcount, grep, synthetic."""
-    registry = {
-        "terasort": TerasortWorkload,
-        "wordcount": WordCountWorkload,
-        "grep": GrepWorkload,
-        "synthetic": SyntheticWorkload,
-    }
-    try:
-        factory = registry[name.lower()]
-    except KeyError:
-        known = ", ".join(sorted(registry))
-        raise ValueError(f"unknown workload {name!r}; known: {known}") from None
-    return factory(**kwargs)  # type: ignore[arg-type]

@@ -16,9 +16,6 @@ class Workload(ABC):
     #: Short machine-readable name.
     name: str = "abstract"
 
-    #: Fraction of input bytes emitted as intermediate (shuffle) data.
-    map_output_ratio: float = 1.0
-
     @abstractmethod
     def gamma_seconds(self, block_size_bytes: int) -> float:
         """Failure-free map time for one block of the given size."""
@@ -26,15 +23,6 @@ class Workload(ABC):
     def gammas(self, dfs_file: DfsFile, rng: Optional[RandomSource] = None) -> List[float]:
         """Per-task gammas for a file (uniform unless a subclass varies them)."""
         return [self.gamma_seconds(block.size_bytes) for block in dfs_file.blocks]
-
-    def reduce_gamma_seconds(self, total_input_bytes: int, reducers: int) -> float:
-        """Failure-free reduce time per reducer (for the shuffle extension).
-
-        Default: reducing is as dense as mapping over this reducer's share
-        of the intermediate data.
-        """
-        share = total_input_bytes * self.map_output_ratio / max(reducers, 1)
-        return max(self.gamma_seconds(int(max(share, 1))), 1e-6)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -47,10 +35,6 @@ class RateBasedWorkload(Workload):
         if seconds_per_mb <= 0:
             raise ValueError(f"seconds_per_mb must be positive, got {seconds_per_mb}")
         self._seconds_per_mb = seconds_per_mb
-
-    @property
-    def seconds_per_mb(self) -> float:
-        return self._seconds_per_mb
 
     def gamma_seconds(self, block_size_bytes: int) -> float:
         if block_size_bytes <= 0:

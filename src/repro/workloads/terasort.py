@@ -1,14 +1,11 @@
 """Terasort: the paper's benchmark (Section V.A, Table 4).
 
 Calibrated so a 64 MB block maps in 12 seconds failure-free, matching
-Table 4's "Failure-free Task Execution Time (64MB data block): 12s". The
-map phase of terasort samples/partitions its input, and its intermediate
-data is as large as its input (``map_output_ratio = 1``).
+Table 4's "Failure-free Task Execution Time (64MB data block): 12s".
 """
 
 from __future__ import annotations
 
-from repro.util.units import MB
 from repro.workloads.base import RateBasedWorkload
 
 #: Table 4 calibration: 12 s per 64 MB block.
@@ -19,12 +16,6 @@ class TerasortWorkload(RateBasedWorkload):
     """The paper's terasort benchmark model."""
 
     name = "terasort"
-    map_output_ratio = 1.0
 
     def __init__(self, seconds_per_mb: float = TERASORT_SECONDS_PER_MB) -> None:
         super().__init__(seconds_per_mb)
-
-    @property
-    def gamma_64mb(self) -> float:
-        """Failure-free time for the default 64 MB block."""
-        return self.gamma_seconds(64 * MB)

@@ -1,8 +1,7 @@
-"""Wordcount: a compute-denser workload with tiny intermediate output.
+"""Wordcount: a compute-denser workload than terasort.
 
 Used by the examples to show ADAPT on a second realistic job shape: more
-CPU per byte than terasort, and a shuffle that is a small fraction of the
-input (word histograms compress well).
+CPU per byte than terasort.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ class WordCountWorkload(RateBasedWorkload):
     """Wordcount workload model."""
 
     name = "wordcount"
-    map_output_ratio = 0.05
 
     def __init__(self, seconds_per_mb: float = WORDCOUNT_SECONDS_PER_MB) -> None:
         super().__init__(seconds_per_mb)

@@ -5,7 +5,6 @@ import pytest
 from repro.availability.estimators import (
     AvailabilityEstimate,
     InterruptionStatsEstimator,
-    oracle_estimate,
 )
 
 
@@ -80,24 +79,9 @@ class TestEstimator:
         assert estimate.mtbi == pytest.approx(30.0)
         assert estimate.recovery_mean == pytest.approx(6.0)
 
-    def test_reset(self):
-        est = InterruptionStatsEstimator(prior_mtbi=100.0)
-        est.record_uptime(1.0)
-        est.record_downtime(1.0)
-        est.reset()
-        assert est.observed_episodes == 0
-        assert est.estimate().mtbi == pytest.approx(100.0, rel=0.05)
-
     def test_rejects_negative(self):
         est = InterruptionStatsEstimator()
         with pytest.raises(ValueError):
             est.record_uptime(-1.0)
         with pytest.raises(ValueError):
             est.record_downtime(-1.0)
-
-
-class TestOracle:
-    def test_oracle_estimate(self):
-        est = oracle_estimate(arrival_rate=0.1, recovery_mean=4.0)
-        assert est.mtbi == pytest.approx(10.0)
-        assert est.observations > 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.availability.distributions import Deterministic, Exponential
 from repro.availability.process import DowntimeEpisode, InterruptionProcess
+from repro.core.model import UnstableHostError, expected_downtime
 from repro.util.rng import RandomSource
 from repro.util.stats import RunningStats
 
@@ -57,19 +58,18 @@ class TestEpisodeInvariants:
 class TestQueueingTheory:
     def test_utilization(self):
         p = _process(mtbi=10.0, mu=4.0)
-        assert p.utilization == pytest.approx(0.4)
-        assert p.is_stable()
+        assert p.arrival_rate * p.service_mean == pytest.approx(0.4)
 
     def test_expected_episode_matches_formula3(self):
         # E[Y] = mu / (1 - lambda*mu): the paper's formula (3).
         p = _process(mtbi=10.0, mu=4.0)
-        assert p.expected_episode_duration() == pytest.approx(4.0 / 0.6)
+        assert expected_downtime(p.arrival_rate, p.service_mean) == pytest.approx(4.0 / 0.6)
 
     def test_unstable_has_no_expected_episode(self):
         p = _process(mtbi=2.0, mu=4.0)
-        assert not p.is_stable()
-        with pytest.raises(ValueError, match="unstable"):
-            p.expected_episode_duration()
+        assert p.arrival_rate * p.service_mean >= 1.0
+        with pytest.raises(UnstableHostError):
+            expected_downtime(p.arrival_rate, p.service_mean)
 
     def test_busy_period_mean_empirical(self):
         # Sampled mean episode length should approach mu/(1-rho).

@@ -37,7 +37,7 @@ class TestConstruction:
         assert trace.down_windows == []
 
     def test_always_up(self):
-        trace = AvailabilityTrace.always_up("h", 50.0)
+        trace = make_trace([], horizon=50.0)
         assert trace.uptime_fraction() == 1.0
         assert trace.interruption_count() == 0
 
@@ -51,28 +51,6 @@ class TestQueries:
     def setup_method(self):
         self.trace = make_trace([(10.0, 20.0), (50.0, 60.0)], horizon=100.0)
 
-    def test_is_up(self):
-        assert self.trace.is_up(0.0)
-        assert self.trace.is_up(9.999)
-        assert not self.trace.is_up(10.0)
-        assert not self.trace.is_up(19.999)
-        assert self.trace.is_up(20.0)
-        assert not self.trace.is_up(55.0)
-        assert self.trace.is_up(99.0)
-
-    def test_is_up_out_of_range(self):
-        with pytest.raises(ValueError):
-            self.trace.is_up(-1.0)
-        with pytest.raises(ValueError):
-            self.trace.is_up(100.0)
-
-    def test_next_transition(self):
-        assert self.trace.next_transition(0.0) == 10.0
-        assert self.trace.next_transition(10.0) == 20.0
-        assert self.trace.next_transition(15.0) == 20.0
-        assert self.trace.next_transition(20.0) == 50.0
-        assert self.trace.next_transition(60.0) == 100.0  # horizon
-
     def test_downtime_accounting(self):
         assert self.trace.total_downtime() == pytest.approx(20.0)
         assert self.trace.uptime_fraction() == pytest.approx(0.8)
@@ -83,12 +61,6 @@ class TestQueries:
 
     def test_duration_samples(self):
         assert self.trace.duration_samples() == [10.0, 10.0]
-
-    def test_up_windows_complement(self):
-        ups = self.trace.up_windows()
-        assert ups == [(0.0, 10.0), (20.0, 50.0), (60.0, 100.0)]
-        total = sum(e - s for s, e in ups) + self.trace.total_downtime()
-        assert total == pytest.approx(self.trace.horizon)
 
 
 @st.composite
@@ -110,32 +82,11 @@ def window_lists(draw):
 class TestTraceProperties:
     @given(window_lists())
     @settings(max_examples=100)
-    def test_state_consistent_with_windows(self, windows):
-        trace = make_trace(windows, horizon=100.0)
-        for start, end in trace.down_windows:
-            mid = (start + end) / 2
-            if start < mid < end:  # guard float-degenerate midpoints
-                assert not trace.is_up(mid)
-        for start, end in trace.up_windows():
-            mid = (start + end) / 2
-            if start < mid < end:
-                assert trace.is_up(mid)
-
-    @given(window_lists())
-    @settings(max_examples=100)
     def test_uptime_plus_downtime_is_horizon(self, windows):
         trace = make_trace(windows, horizon=100.0)
-        up = sum(e - s for s, e in trace.up_windows())
-        assert up + trace.total_downtime() == pytest.approx(100.0)
-
-    @given(window_lists(), st.floats(min_value=0.0, max_value=99.0))
-    @settings(max_examples=100)
-    def test_next_transition_flips_state(self, windows, t):
-        trace = make_trace(windows, horizon=100.0)
-        nxt = trace.next_transition(t)
-        assert nxt > t
-        if nxt < trace.horizon:
-            assert trace.is_up(nxt) != trace.is_up(t) or nxt == trace.horizon
+        down = sum(e - s for s, e in windows)
+        assert trace.total_downtime() == pytest.approx(down)
+        assert trace.uptime_fraction() * 100.0 + down == pytest.approx(100.0)
 
 
 class TestFromProcess:
@@ -175,4 +126,4 @@ class TestPooledSummary:
 
     def test_no_interruptions_raises(self):
         with pytest.raises(ValueError, match="no interruptions"):
-            pooled_summary([AvailabilityTrace.always_up("a", 10.0)])
+            pooled_summary([make_trace([], horizon=10.0, host="a")])

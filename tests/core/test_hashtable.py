@@ -93,7 +93,7 @@ class TestConstruction:
         t = table([1.0, 1.0], slots=10)
         assert t.num_slots == 10
         assert t.rate("n0") == pytest.approx(0.5)
-        assert t.expected_blocks("n0") == pytest.approx(5.0)
+        assert t.rate("n0") * t.num_slots == pytest.approx(5.0)
 
     def test_rates_normalised(self):
         t = table([2.0, 6.0])
@@ -123,14 +123,6 @@ class TestConstruction:
             table([0.0, 0.0])
         with pytest.raises(ValueError):
             table([1.0], weighting="magic")
-
-    def test_from_expected_times(self):
-        # Rates must be proportional to 1/E[T].
-        t = WeightedHashTable.from_expected_times(["a", "b"], [10.0, 40.0], 100)
-        assert t.rate("a") == pytest.approx(0.8)
-        assert t.rate("b") == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            WeightedHashTable.from_expected_times(["a"], [0.0], 10)
 
     def test_chain_structure(self):
         # With 2 equal nodes over 10 slots, only the boundary slot at 5 can

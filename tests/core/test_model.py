@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 
 from repro.availability.distributions import Deterministic, Lognormal
 from repro.core.model import (
-    TaskExecutionModel,
     UnstableHostError,
     expected_attempts,
     expected_downtime,
     expected_rework,
     expected_task_time,
     monte_carlo_task_time,
-    slowdown,
-    variance_attempts,
 )
 from repro.util.rng import RandomSource
 
@@ -69,15 +66,10 @@ class TestClosedForms:
         with pytest.raises(UnstableHostError):
             expected_downtime(1.0, 1.0)
 
-    def test_variance_attempts(self):
-        # Geometric with p = e^{-gamma lambda}: Var = (1-p)/p^2.
-        lam = 0.1
-        p = math.exp(-GAMMA * lam)
-        assert variance_attempts(GAMMA, lam) == pytest.approx((1 - p) / p**2)
-
     def test_slowdown(self):
-        assert slowdown(GAMMA, 0.0, 0.0) == 1.0
-        assert slowdown(GAMMA, 0.05, 4.0) > 1.0
+        # The `model` command's slowdown row: E[T] / gamma.
+        assert expected_task_time(GAMMA, 0.0, 0.0) / GAMMA == 1.0
+        assert expected_task_time(GAMMA, 0.05, 4.0) / GAMMA > 1.0
 
     def test_rework_bounded_by_gamma(self):
         # The lost work X is conditioned on arriving inside (0, gamma).
@@ -188,27 +180,3 @@ class TestMonteCarloValidation:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             monte_carlo_task_time(GAMMA, 0.0, RandomSource(1), samples=0)
-
-
-class TestTaskExecutionModel:
-    def test_wrapper_consistency(self):
-        model = TaskExecutionModel(arrival_rate=0.05, recovery_mean=4.0)
-        assert model.expected_task_time(GAMMA) == pytest.approx(
-            expected_task_time(GAMMA, 0.05, 4.0)
-        )
-        assert model.processing_rate(GAMMA) == pytest.approx(
-            1.0 / expected_task_time(GAMMA, 0.05, 4.0)
-        )
-
-    def test_from_mtbi(self):
-        model = TaskExecutionModel.from_mtbi(20.0, 8.0)
-        assert model.arrival_rate == pytest.approx(0.05)
-
-    def test_from_infinite_mtbi(self):
-        model = TaskExecutionModel.from_mtbi(float("inf"), 8.0)
-        assert model.arrival_rate == 0.0
-        assert model.expected_task_time(GAMMA) == GAMMA
-
-    def test_unstable_rejected_on_construction(self):
-        with pytest.raises(UnstableHostError):
-            TaskExecutionModel(arrival_rate=1.0, recovery_mean=2.0)

@@ -55,12 +55,6 @@ class TestEstimates:
         p.observe_uptime("n", 1e9)  # should be ignored while pinned
         assert p.estimate("n").mtbi == pytest.approx(10.0)
 
-    def test_unpin_returns_to_estimates(self):
-        p = PerformancePredictor(prior_mtbi=500.0)
-        p.pin_oracle("n", AvailabilityEstimate(arrival_rate=0.1, recovery_mean=8.0))
-        p.unpin_oracle("n")
-        assert p.estimate("n").mtbi == pytest.approx(500.0, rel=0.1)
-
     def test_expected_task_time(self):
         p = PerformancePredictor()
         p.pin_oracle("n", AvailabilityEstimate(arrival_rate=0.05, recovery_mean=4.0))

@@ -1,7 +1,7 @@
 """The docs name only code that exists.
 
-DESIGN.md, README.md and the verify notes cite code by name in
-backticks. Outside fenced code blocks, every cited name must resolve
+DESIGN.md, README.md, EXPERIMENTS.md and the verify notes cite code by
+name in backticks. Outside fenced code blocks, every cited name must resolve
 against the tree (``src``, ``tests``, ``bench``, ``benchmarks``, ``tools``
 and ``examples``; the deliberately violating simlint fixtures excluded):
 
@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, Set
 import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
-DOCS = ("DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md")
+DOCS = ("DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
 CODE_DIRS = ("src", "tests", "bench", "benchmarks", "tools", "examples")
 FIXTURES = ROOT / "tests" / "devtools" / "fixtures"
 #: This file quotes stale names on purpose; its strings are not the tree's.

@@ -65,16 +65,6 @@ class TestFileLifecycle:
         with pytest.raises(ValueError, match="already exists"):
             nn.create_file("f", 1, 10, 1, RandomPlacement(), GAMMA, RandomSource(1))
 
-    def test_delete_removes_everything(self):
-        nn = make_namenode(3)
-        f = nn.create_file("f", 6, 10, 1, RandomPlacement(), GAMMA, RandomSource(1))
-        nn.delete_file("f")
-        assert nn.file_names == []
-        for dn_id in nn.datanode_ids:
-            assert nn.datanode(dn_id).block_count == 0
-        with pytest.raises(KeyError):
-            nn.replica_holders(f.blocks[0].block_id)
-
     def test_missing_file(self):
         nn = make_namenode(1)
         with pytest.raises(KeyError):

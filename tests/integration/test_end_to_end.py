@@ -1,9 +1,8 @@
 """End-to-end integration tests across the whole stack."""
 
 from repro.availability.generator import build_group_hosts
-from repro.core.placement import AdaptPlacement, RandomPlacement
+from repro.core.placement import RandomPlacement
 from repro.mapreduce.job import JobConf, MapJob
-from repro.mapreduce.shuffle import ShufflePhase
 from repro.runtime.cluster import ClusterConfig, build_cluster
 from repro.runtime.runner import run_map_phase
 from repro.workloads import TerasortWorkload
@@ -74,40 +73,6 @@ class TestEstimatedPredictorLoop:
             hosts, config, "adapt", blocks_per_node=8, warmup_seconds=600.0
         )
         assert adapt.elapsed < existing.elapsed
-
-
-class TestMapThenShuffle:
-    def test_full_job_with_reduce_phase(self):
-        hosts = build_group_hosts(8, 0.0)  # failure-free for determinism
-        config = ClusterConfig(seed=8)
-        workload = TerasortWorkload()
-        gamma = workload.gamma_seconds(config.block_size_bytes)
-        cluster = build_cluster(hosts, config, default_gamma=gamma)
-        f = cluster.client.copy_from_local("in", num_blocks=16, policy=AdaptPlacement(), gamma=gamma)
-        job = MapJob.uniform(JobConf(), f, gamma)
-        done = {}
-
-        def start_shuffle(finished_job):
-            output_nodes = {
-                t.task_id: finished_job.completed_by(t).node_id for t in finished_job.tasks
-            }
-            reducers = sorted(set(output_nodes.values()))[:4]
-            phase = ShufflePhase(cluster.sim, cluster.network)
-            phase.run(
-                map_output_nodes=output_nodes,
-                map_output_bytes=f.size_bytes * workload.map_output_ratio / f.num_blocks,
-                reducer_nodes=reducers,
-                reduce_gamma=workload.reduce_gamma_seconds(f.size_bytes, 4),
-                on_complete=lambda r: done.update(result=r),
-            )
-
-        cluster.jobtracker.submit(job, on_complete=start_shuffle)
-        cluster.run_until_job_done()
-        # Drain the shuffle phase.
-        while "result" not in done and cluster.sim.step():
-            pass
-        assert "result" in done
-        assert done["result"].finished_at > job.finished_at
 
 
 class TestScaleSanity:

@@ -7,7 +7,7 @@ from repro.core.placement import AdaptPlacement
 from repro.mapreduce.job import JobConf
 from repro.runtime.cluster import ClusterConfig
 from repro.runtime.runner import run_map_phase
-from repro.workloads import GrepWorkload, TerasortWorkload
+from repro.workloads import TerasortWorkload
 
 
 class TestRunMapPhase:
@@ -55,7 +55,7 @@ class TestRunMapPhase:
         )
         fast = run_map_phase(
             hosts, ClusterConfig(seed=1), "existing", blocks_per_node=2,
-            workload=GrepWorkload(),
+            workload=TerasortWorkload(seconds_per_mb=0.1),
         )
         assert fast.elapsed < slow.elapsed
 

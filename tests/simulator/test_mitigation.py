@@ -253,6 +253,32 @@ class TestClusterArming:
         assert cluster.network.link_capacity(("up", nid)) == nominal
         cluster.stop()
 
+    @pytest.mark.parametrize(
+        "fabric, spec",
+        [
+            (dict(topology="clos", racks=2), "tor-up:9"),  # rack past the last
+            (dict(), "tor-up:0"),  # the flat fabric has no trunks
+            (dict(), "up:7"),  # raw id past the last host
+        ],
+    )
+    def test_a_link_the_fabric_lacks_is_rejected(self, fabric, spec):
+        config = ClusterConfig(
+            seed=3,
+            detection="oracle",
+            link_mitigation="do-nothing",
+            chaos=ChaosCampaign(
+                name="phantom-link",
+                scenarios=(
+                    DegradedLink(
+                        start=1.0, duration=10.0, links=(spec,), capacity_factor=0.5
+                    ),
+                ),
+            ),
+            **fabric,
+        )
+        with pytest.raises(ValueError, match=spec):
+            build_cluster(self.hosts(), config)
+
     @pytest.mark.parametrize("spec", ["up:1", "up:101"])
     def test_numeric_host_names_degrade_their_own_link(self, spec):
         # Trace replays keep the trace's host ids, and FTA node ids are

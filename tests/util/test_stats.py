@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.util.stats import (
     RunningStats,
-    coefficient_of_variation,
     mean,
     percentile,
     summarize,
@@ -43,29 +42,6 @@ class TestRunningStats:
         with pytest.raises(ValueError):
             _ = acc.mean
 
-    def test_merge_matches_bulk(self):
-        left, right, bulk = RunningStats(), RunningStats(), RunningStats()
-        data_l = [1.0, 2.0, 3.0]
-        data_r = [10.0, 20.0]
-        left.extend(data_l)
-        right.extend(data_r)
-        bulk.extend(data_l + data_r)
-        merged = left.merge(right)
-        assert merged.count == bulk.count
-        assert merged.mean == pytest.approx(bulk.mean)
-        assert merged.variance == pytest.approx(bulk.variance)
-        assert merged.minimum == bulk.minimum
-        assert merged.maximum == bulk.maximum
-
-    def test_merge_with_empty(self):
-        acc = RunningStats()
-        acc.extend([1.0, 2.0])
-        merged = acc.merge(RunningStats())
-        assert merged.count == 2
-        assert merged.mean == pytest.approx(1.5)
-        merged2 = RunningStats().merge(acc)
-        assert merged2.mean == pytest.approx(1.5)
-
     @given(st.lists(finite_floats, min_size=2, max_size=50))
     @settings(max_examples=100)
     def test_matches_reference(self, values):
@@ -76,20 +52,6 @@ class TestRunningStats:
         assert acc.mean == pytest.approx(ref_mean, abs=1e-6)
         assert acc.variance == pytest.approx(ref_var, rel=1e-6, abs=1e-6)
 
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=30),
-        st.lists(finite_floats, min_size=1, max_size=30),
-    )
-    @settings(max_examples=50)
-    def test_merge_property(self, lhs, rhs):
-        a, b, bulk = RunningStats(), RunningStats(), RunningStats()
-        a.extend(lhs)
-        b.extend(rhs)
-        bulk.extend(lhs + rhs)
-        merged = a.merge(b)
-        assert merged.mean == pytest.approx(bulk.mean, abs=1e-6)
-        assert merged.variance == pytest.approx(bulk.variance, rel=1e-5, abs=1e-5)
-
 
 class TestSummaries:
     def test_summarize_cov(self):
@@ -99,7 +61,7 @@ class TestSummaries:
 
     def test_cov_known(self):
         # mean 2, std 1 -> CoV 0.5 for [1, 2, 3] sample std = 1.
-        assert coefficient_of_variation([1.0, 2.0, 3.0]) == pytest.approx(0.5)
+        assert summarize([1.0, 2.0, 3.0]).cov == pytest.approx(0.5)
 
     def test_summarize_empty_raises(self):
         with pytest.raises(ValueError):

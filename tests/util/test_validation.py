@@ -6,7 +6,6 @@ from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
     env_override,
 )
 
@@ -37,11 +36,6 @@ class TestValidation:
             check_probability("p", 1.01)
         with pytest.raises(ValueError):
             check_probability("p", -0.01)
-
-    def test_check_type(self):
-        assert check_type("s", "hello", str) == "hello"
-        with pytest.raises(TypeError, match="s must be str"):
-            check_type("s", 5, str)
 
     def test_nan_rejected_by_positive(self):
         with pytest.raises(ValueError):

@@ -3,15 +3,8 @@
 import pytest
 
 from repro.hdfs.blocks import DfsFile
-from repro.util.rng import RandomSource
 from repro.util.units import MB
-from repro.workloads import (
-    GrepWorkload,
-    SyntheticWorkload,
-    TerasortWorkload,
-    WordCountWorkload,
-    make_workload,
-)
+from repro.workloads import TerasortWorkload, WordCountWorkload
 
 
 class TestTerasort:
@@ -19,27 +12,19 @@ class TestTerasort:
         # "Failure-free Task Execution Time (64MB data block): 12s".
         wl = TerasortWorkload()
         assert wl.gamma_seconds(64 * MB) == pytest.approx(12.0)
-        assert wl.gamma_64mb == pytest.approx(12.0)
 
     def test_gamma_scales_with_block_size(self):
         wl = TerasortWorkload()
         assert wl.gamma_seconds(128 * MB) == pytest.approx(24.0)
         assert wl.gamma_seconds(16 * MB) == pytest.approx(3.0)
 
-    def test_shuffle_heavy(self):
-        assert TerasortWorkload().map_output_ratio == 1.0
-
 
 class TestOtherWorkloads:
     def test_relative_densities(self):
         block = 64 * MB
-        grep = GrepWorkload().gamma_seconds(block)
         tera = TerasortWorkload().gamma_seconds(block)
         wc = WordCountWorkload().gamma_seconds(block)
-        assert grep < tera < wc
-
-    def test_grep_tiny_shuffle(self):
-        assert GrepWorkload().map_output_ratio < 0.01
+        assert tera < wc
 
     def test_gammas_uniform_by_default(self):
         wl = TerasortWorkload()
@@ -52,51 +37,4 @@ class TestOtherWorkloads:
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            GrepWorkload(seconds_per_mb=0.0)
-
-    def test_reduce_gamma_positive(self):
-        wl = TerasortWorkload()
-        assert wl.reduce_gamma_seconds(640 * MB, reducers=4) > 0
-
-
-class TestSynthetic:
-    def test_no_jitter_is_uniform(self):
-        wl = SyntheticWorkload(gamma_cov=0.0)
-        f = DfsFile.build("f", 3, 64 * MB, 1)
-        gammas = wl.gammas(f)
-        assert len(set(gammas)) == 1
-
-    def test_jitter_varies_and_centers(self):
-        wl = SyntheticWorkload(seconds_per_mb=0.1875, gamma_cov=0.5)
-        f = DfsFile.build("f", 400, 64 * MB, 1)
-        gammas = wl.gammas(f, rng=RandomSource(3))
-        assert len(set(gammas)) > 300
-        mean = sum(gammas) / len(gammas)
-        assert mean == pytest.approx(12.0, rel=0.15)
-
-    def test_jitter_requires_rng(self):
-        wl = SyntheticWorkload(gamma_cov=0.5)
-        f = DfsFile.build("f", 2, 64 * MB, 1)
-        with pytest.raises(ValueError, match="rng"):
-            wl.gammas(f)
-
-    def test_jitter_deterministic(self):
-        wl = SyntheticWorkload(gamma_cov=0.3)
-        f = DfsFile.build("f", 10, 64 * MB, 1)
-        assert wl.gammas(f, rng=RandomSource(5)) == wl.gammas(f, rng=RandomSource(5))
-
-
-class TestFactory:
-    def test_known_names(self):
-        assert make_workload("terasort").name == "terasort"
-        assert make_workload("wordcount").name == "wordcount"
-        assert make_workload("grep").name == "grep"
-        assert make_workload("synthetic").name == "synthetic"
-
-    def test_kwargs_forwarded(self):
-        wl = make_workload("terasort", seconds_per_mb=0.375)
-        assert wl.gamma_seconds(64 * MB) == pytest.approx(24.0)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError, match="unknown workload"):
-            make_workload("bitcoin")
+            WordCountWorkload(seconds_per_mb=0.0)
