@@ -13,6 +13,7 @@ Run: ``python examples/volunteer_traces.py [--nodes 400]``
 import argparse
 
 from repro.availability.seti import (
+    CALIBRATED_TABLE1_PARAMS,
     TABLE1_DURATION_COV,
     TABLE1_DURATION_MEAN,
     TABLE1_MTBI_COV,
@@ -33,9 +34,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    config = SimulationConfig(node_count=args.nodes, seed=args.seed)
     generator = SetiTraceGenerator(
-        config.seti_params(), RandomSource(args.seed).substream("example")
+        CALIBRATED_TABLE1_PARAMS, RandomSource(args.seed).substream("example")
     )
 
     # -- Table 1 -----------------------------------------------------------

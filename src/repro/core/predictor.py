@@ -4,8 +4,9 @@ The predictor keeps one :class:`InterruptionStatsEstimator` per registered
 node — "a data structure with two double data types ... updated whenever
 the heart beat arrivals/misses are sufficient to change its values" — and
 the failure-free map-task length gamma obtained "from the logging services
-of Hadoop". From these it produces the per-node expected task times that
-Algorithm 1 consumes.
+of Hadoop". It serves the per-node (lambda, mu) estimates from which
+Algorithm 1's expected task times are computed (``NameNode.node_views``
+builds the placement views from them).
 
 Two operating modes:
 
@@ -17,20 +18,17 @@ Two operating modes:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.core.ids import NodeId
 from repro.availability.estimators import (
     AvailabilityEstimate,
     InterruptionStatsEstimator,
 )
-from repro.core.model import UnstableHostError, expected_task_time
-from repro.core.placement import NodeView
-from repro.util.validation import check_positive
 
 
 class PerformancePredictor:
-    """Tracks per-node interruption statistics and predicts task times."""
+    """Tracks per-node interruption statistics and serves their estimates."""
 
     def __init__(
         self,
@@ -102,41 +100,3 @@ class PerformancePredictor:
         if node_id in self._oracle:
             return self._oracle[node_id]
         return self._estimators[node_id].estimate()
-
-    def expected_task_time(self, node_id: NodeId, gamma: float) -> float:
-        """E[T] on the node for a task of failure-free length gamma.
-
-        Unstable nodes (lambda*mu >= 1) have no finite E[T]; infinity is
-        returned so callers can rank them last without special-casing.
-        """
-        check_positive("gamma", gamma)
-        est = self.estimate(node_id)
-        try:
-            return expected_task_time(gamma, est.arrival_rate, est.recovery_mean)
-        except UnstableHostError:
-            return float("inf")
-
-    def node_views(
-        self,
-        up_nodes: Optional[Iterable[NodeId]] = None,
-    ) -> List[NodeView]:
-        """Placement-ready views of every registered node.
-
-        ``up_nodes``, when given, marks exactly those nodes as up; by
-        default all registered nodes are considered up.
-        """
-        up = set(up_nodes) if up_nodes is not None else None
-        views = []
-        for node_id in self.node_ids:
-            views.append(
-                NodeView(
-                    node_id=node_id,
-                    estimate=self.estimate(node_id),
-                    is_up=(up is None or node_id in up),
-                )
-            )
-        return views
-
-    def snapshot(self) -> Dict[NodeId, AvailabilityEstimate]:
-        """All current estimates keyed by node id."""
-        return {node_id: self.estimate(node_id) for node_id in self.node_ids}

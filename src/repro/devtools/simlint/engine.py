@@ -100,21 +100,6 @@ class LintResult:
     def graph(self) -> BusGraph:
         return self.corpus.graph
 
-    @property
-    def errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "error"]
-
-    @property
-    def warnings(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "warning"]
-
-    def exit_code(self, strict: bool = False) -> int:
-        if self.errors:
-            return 1
-        if strict and self.warnings:
-            return 1
-        return 0
-
 
 def known_codes() -> Set[str]:
     """Every code a run can emit: the registered rules, P001 and U001."""

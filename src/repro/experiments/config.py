@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from typing import List, Optional, TypeVar
 
 from repro.availability.generator import HostAvailability, build_group_hosts
-from repro.availability.seti import SetiModelParams, SetiTraceGenerator
+from repro.availability.seti import CALIBRATED_TABLE1_PARAMS, SetiTraceGenerator
 from repro.runtime.cluster import ClusterConfig
 from repro.util.rng import RandomSource
 from repro.util.units import MB
@@ -71,7 +71,6 @@ class ExperimentConfigBase:
     block_size_bytes: int = 64 * MB
     seed: int = 0
     detection: str = "heartbeat"
-    access_during_downtime: bool = True
     oracle_estimates: bool = True
     speculation_enabled: bool = True
     #: Network topology (see ClusterConfig): "flat" or "clos", with rack
@@ -157,30 +156,17 @@ class SimulationConfig(ExperimentConfigBase):
     #: placement cannot condition on momentary liveness — only on the
     #: long-run availability statistics ADAPT models (Section III).
     placement_liveness_filter: bool = False
-    #: Within-host duration CoV of the synthetic SETI model.
-    duration_within_cov: float = 2.0
 
     def __post_init__(self) -> None:
         check_count("node_count", self.node_count)
         super().__post_init__()
         check_positive("tasks_per_node", self.tasks_per_node)
 
-    def seti_params(self) -> SetiModelParams:
-        from repro.availability.seti import CALIBRATED_TABLE1_PARAMS
-
-        if self.duration_within_cov == CALIBRATED_TABLE1_PARAMS.duration_within_cov:
-            # The empirically calibrated fit (see seti.py); matches Table 1
-            # far better than the closed form, which ignores window merging
-            # and horizon censoring.
-            return CALIBRATED_TABLE1_PARAMS
-        return SetiModelParams.calibrated_to_table1(
-            duration_within_cov=self.duration_within_cov
-        )
-
     def hosts(self, seed: Optional[int] = None) -> List[HostAvailability]:
-        """Draw the SETI host population (host k is seed-stable)."""
+        """Draw the SETI host population from the pinned Table 1
+        calibration (host k is seed-stable)."""
         generator = SetiTraceGenerator(
-            self.seti_params(),
+            CALIBRATED_TABLE1_PARAMS,
             RandomSource(self.seed if seed is None else seed).substream("seti"),
         )
         return generator.sample_hosts(self.node_count)

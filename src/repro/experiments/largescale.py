@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.availability.seti import SetiTraceGenerator
+from repro.availability.seti import CALIBRATED_TABLE1_PARAMS, SetiTraceGenerator
 from repro.availability.traces import pooled_summary
 from repro.experiments.config import SIMULATION_STRATEGIES, SimulationConfig, Strategy
 from repro.experiments.parallel import CellSpec, SweepExecutor, SweepPoint, run_sweep
@@ -43,17 +43,15 @@ def table1_statistics(
     node_count: int = 4096,
     horizon: float = 0.5 * 365 * 86400.0,
     seed: int = 0,
-    config: Optional[SimulationConfig] = None,
 ) -> Dict[str, SummaryStats]:
-    """Regenerate Table 1 from the synthetic SETI trace model.
+    """Regenerate Table 1 from the calibrated synthetic SETI trace model.
 
     Materialises ``node_count`` host traces over ``horizon`` seconds and
     pools their interruption inter-arrivals and durations. Larger counts
     and horizons tighten the heavy-tail estimates at linear cost.
     """
-    base = config if config is not None else SimulationConfig(seed=seed)
     generator = SetiTraceGenerator(
-        base.seti_params(), RandomSource(seed).substream("table1")
+        CALIBRATED_TABLE1_PARAMS, RandomSource(seed).substream("table1")
     )
     traces = generator.sample_traces(node_count, horizon)
     return pooled_summary(traces)

@@ -18,13 +18,12 @@ watchdog or an oracle, or ``on_node_available`` when the node itself
 returns). Until then a stalled task stays "running" from the JobTracker's
 point of view — which is exactly what makes it a speculation candidate.
 
-``access_during_downtime`` (default True) models interruptions that evict
-guest *computation* while the host's stored blocks stay streamable —
-consistent with the paper's own semantics ("the interrupted task could also
-be considered as a straggler, and be scheduled to another idle node,
-leading to non-trivial data migration", with no replica constraints).
-Setting it to False gives hard process-kill semantics where a down node's
-replicas are unreadable (ablation).
+Interruptions evict guest *computation* while the host's stored blocks
+stay streamable — the paper's own semantics ("the interrupted task could
+also be considered as a straggler, and be scheduled to another idle node,
+leading to non-trivial data migration", with no replica constraints). So
+an assignable task always has a readable holder: a block whose last
+replica is wiped is lost, and its task is abandoned in the same dispatch.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class JobTracker(SchedulerContext):
         network: Network,
         trackers: Dict[NodeId, TaskTracker],
         metrics: MapPhaseMetrics,
-        access_during_downtime: bool = True,
         speculation: Optional[SpeculationPolicy] = None,
         sweep_interval: float = 3.0,
         bus: Optional[EventBus] = None,
@@ -74,7 +72,6 @@ class JobTracker(SchedulerContext):
         self._network = network
         self._trackers = dict(sorted(trackers.items()))
         self._metrics = metrics
-        self._access_down = access_during_downtime
         if speculation is None:
             # Default policy: derive the remote-fetch term from the wired
             # network's uncontended rate. A bare SpeculationPolicy() would
@@ -166,15 +163,12 @@ class JobTracker(SchedulerContext):
 
     def readable_holders(self, task: MapTask) -> Sequence[NodeId]:
         block_id = task.block.block_id
-        # A holder whose physical storage lost the block (permanently failed
-        # node, wiped but not yet purged from the location map) can never
-        # serve it — even under soft access_during_downtime semantics.
-        holders = [
+        # A down holder still serves its blocks, but one whose physical
+        # storage lost the block (permanently failed node, wiped but not
+        # yet purged from the location map) can never serve it.
+        return [
             h for h in self._locations[block_id] if self._namenode.datanode(h).has_block(block_id)
         ]
-        if self._access_down:
-            return holders
-        return [h for h in holders if self._namenode.datanode(h).is_up]
 
     def alternative_source(
         self,
@@ -470,18 +464,9 @@ class JobTracker(SchedulerContext):
         """The node (physically) returned and is asking for work."""
         for attempt in self._limbo.pop(node_id, []):
             self._maybe_requeue(attempt.task)
-        released = 0
-        if self._scheduler is not None:
-            released = self._scheduler.on_node_returned(node_id)
         if self._job is None or self.is_done:
             return
         self.try_assign(node_id)
-        if released:
-            # Previously-unreachable blocks are streamable again; starved
-            # nodes can pick them up (requeues above poke idle nodes
-            # themselves inside _maybe_requeue).
-            for idle_node in list(self._idle):
-                self.try_assign(idle_node)
 
     # -- end-game sweep ----------------------------------------------------------------------
 

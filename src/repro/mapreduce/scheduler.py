@@ -62,17 +62,6 @@ class TaskScheduler(ABC):
     def pick(self, node_id: NodeId, ctx: SchedulerContext) -> Optional[Assignment]:
         """Choose work for an idle node, or None if nothing is assignable."""
 
-    @abstractmethod
-    def on_node_returned(self, node_id: NodeId) -> int:
-        """A holder came back: blocked tasks may be streamable again.
-
-        Returns the number of parked tasks released back into the queue.
-        """
-
-    @abstractmethod
-    def pending_hint(self) -> int:
-        """Upper bound on pending entries (may include stale ones)."""
-
 
 class LocalityFirstScheduler(TaskScheduler):
     """Hadoop's locality-first FIFO."""
@@ -80,22 +69,11 @@ class LocalityFirstScheduler(TaskScheduler):
     def __init__(self) -> None:
         self._local: Dict[NodeId, Deque[MapTask]] = {}
         self._global: Deque[MapTask] = deque()
-        self._blocked: List[MapTask] = []
 
     def enqueue(self, task: MapTask, holders: Sequence[NodeId]) -> None:
         for node_id in holders:
             self._local.setdefault(node_id, deque()).append(task)
         self._global.append(task)
-
-    def on_node_returned(self, node_id: NodeId) -> int:
-        released = len(self._blocked)
-        if released:
-            self._global.extend(self._blocked)
-            self._blocked.clear()
-        return released
-
-    def pending_hint(self) -> int:
-        return len(self._global) + len(self._blocked)
 
     def pick(self, node_id: NodeId, ctx: SchedulerContext) -> Optional[Assignment]:
         local = self._local.get(node_id)
@@ -113,13 +91,7 @@ class LocalityFirstScheduler(TaskScheduler):
                 continue  # stale entry (running or completed)
             if node_id in ctx.holders(task):
                 return task, None  # turned out to be local after all
-            sources = ctx.readable_holders(task)
-            if not sources:
-                # No replica is streamable right now; park it until a
-                # holder returns.
-                self._blocked.append(task)
-                continue
-            return task, ctx.choose_source(task, sources)
+            return task, ctx.choose_source(task, ctx.readable_holders(task))
         return None
 
 
@@ -149,12 +121,9 @@ class AvailabilityAwareScheduler(LocalityFirstScheduler):
                 # Local work trumps any steal ordering.
                 self._global.extendleft(reversed(scanned))
                 return task, None
-            sources = ctx.readable_holders(task)
-            if not sources:
-                self._blocked.append(task)
-                continue
             score = min(ctx.holder_unavailability(h) for h in ctx.holders(task))
-            candidates.append((score, task, ctx.choose_source(task, sources)))
+            source = ctx.choose_source(task, ctx.readable_holders(task))
+            candidates.append((score, task, source))
             scanned.append(task)
         if not candidates:
             return None

@@ -193,7 +193,7 @@ class TaskTracker:
         self._start_exec(attempt)
 
     def _on_fetch_cancelled(self, attempt: TaskAttempt, transfer: Transfer) -> None:
-        """The network tore the fetch down (source side went unreadable).
+        """The network tore the fetch down (a permanent failure wiped an endpoint).
 
         If the node itself is still up, another readable replica exists and
         the retry budget allows, the fetch is retried against a surviving

@@ -19,10 +19,12 @@ Phase              NodeDown / NodeUp reaction
 ACCOUNTING         JobTracker opens/closes the downtime interval
 STORAGE            DataNode toggles physical availability
 COMPUTE            TaskTracker kills the attempts that lived on the node
-NETWORK            (hard mode only) in-flight flows of a down node torn down
 DETECTION          heartbeat bookkeeping, or the oracle marking belief
 SCHEDULING         the returned node's TaskTracker asks for work
 =================  ==========================================================
+
+An interruption evicts guest computation only: a down host's stored
+blocks stay streamable, so no flow reacts to ``NodeDown``.
 
 Belief events (``NodeDeclaredDead`` / ``NodeReturned``) are published by
 whichever detector is configured; the replication monitor reacts in
@@ -116,8 +118,6 @@ class ClusterConfig:
     detection: str = "heartbeat"
     heartbeat_interval: float = 3.0
     heartbeat_miss_threshold: int = 3
-    #: Whether a down host's stored blocks stay streamable (see JobTracker).
-    access_during_downtime: bool = True
     #: Flow-level max-min fair sharing (True) or uncontended links (False).
     fair_sharing: bool = True
     #: Network fabric: "flat" (every host on one non-blocking switch, the
@@ -508,7 +508,6 @@ def _construct(
         network,
         trackers,
         metrics,
-        access_during_downtime=config.access_during_downtime,
         speculation=speculation,
         bus=bus,
     )
@@ -637,8 +636,6 @@ def _wire(cluster: Cluster) -> None:
         Phase.SCHEDULING,
         ((nid, trackers[nid].handle_node_up) for nid in ordered_ids),
     )
-    if not cluster.config.access_during_downtime:
-        bus.subscribe(NodeDown, network.handle_node_down, Phase.NETWORK)
     if heartbeats is not None:
         bus.subscribe(NodeDown, heartbeats.handle_node_down, Phase.DETECTION)
         bus.subscribe(NodeUp, heartbeats.handle_node_up, Phase.DETECTION)

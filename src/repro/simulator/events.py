@@ -64,8 +64,8 @@ class Phase(enum.IntEnum):
                 replica-map maintenance (re-replication queueing, purges).
     COMPUTE     execution-layer state: TaskTrackers killing or accounting
                 the attempts that lived on the transitioning node.
-    NETWORK     in-flight transfer teardown (hard-downtime semantics,
-                wiped sources).
+    NETWORK     link state: wiped nodes' transfers torn down, partitions
+                and capacity scales re-rating the flows in flight.
     DETECTION   belief updates: heartbeat bookkeeping or oracle marking,
                 which may publish NodeDeclaredDead / NodeReturned.
     SCHEDULING  reactions that hand out new work (requeues, assignment

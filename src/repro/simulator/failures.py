@@ -64,10 +64,7 @@ class FailureInjector:
         self._episode_streams: Dict[NodeId, Iterator[Episode]] = {}
         self._is_down: Dict[NodeId, bool] = {}
         self._episode_counts: Dict[NodeId, int] = {}
-        self._downtime_totals: Dict[NodeId, float] = {}
         self._permanent: Dict[NodeId, bool] = {}
-        #: When each currently-down node went down (downtime accounting).
-        self._down_since: Dict[NodeId, Optional[float]] = {}
         #: Chaos delayed-recovery: per-node multiplier applied to the
         #: remaining downtime of episodes that *begin* while it is set.
         self._recovery_stretch: Dict[NodeId, float] = {}
@@ -170,9 +167,7 @@ class FailureInjector:
     def _register(self, node_id: NodeId) -> None:
         self._is_down[node_id] = False
         self._episode_counts[node_id] = 0
-        self._downtime_totals[node_id] = 0.0
         self._permanent[node_id] = False
-        self._down_since[node_id] = None
         self._stream_events[node_id] = None
 
     # -- injected failures ---------------------------------------------------------
@@ -261,7 +256,6 @@ class FailureInjector:
         if not self._is_down[node_id]:
             self._is_down[node_id] = True
             self._episode_counts[node_id] += 1
-            self._down_since[node_id] = now
             self._bus.publish(NodeDown(time=now, node_id=node_id))
 
     # -- lifecycle --------------------------------------------------------------------
@@ -307,10 +301,6 @@ class FailureInjector:
         """Downtime episodes this node has *started* so far."""
         return self._episode_counts[node_id]
 
-    def downtime_total(self, node_id: NodeId) -> float:
-        """Seconds of completed downtime so far."""
-        return self._downtime_totals[node_id]
-
     def _require_node(self, node_id: NodeId) -> None:
         if node_id not in self._is_down:
             raise KeyError(f"unknown node {node_id!r}")
@@ -344,7 +334,6 @@ class FailureInjector:
         self._is_down[node_id] = True
         self._episode_counts[node_id] += 1
         now = self._sim.now
-        self._down_since[node_id] = now
         self._bus.publish(NodeDown(time=now, node_id=node_id))
         stretch = self._recovery_stretch.get(node_id)
         if type(episode) is OpenEpisode and not episode.extend(
@@ -394,13 +383,6 @@ class FailureInjector:
                 self._schedule_next(node_id)
             return
         self._is_down[node_id] = False
-        now = self._sim.now
-        down_since = self._down_since[node_id]
-        self._down_since[node_id] = None
-        # Account the downtime actually served: a stretched or clipped
-        # episode's wall window, not the sampled episode length.
-        if down_since is not None:  # begin always records it
-            self._downtime_totals[node_id] += now - down_since
-        self._bus.publish(NodeUp(time=now, node_id=node_id))
+        self._bus.publish(NodeUp(time=self._sim.now, node_id=node_id))
         if from_stream:
             self._schedule_next(node_id)

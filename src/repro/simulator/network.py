@@ -9,16 +9,19 @@ filling), and rates are recomputed at every flow arrival, completion or
 cancellation — the standard flow-level approximation of TCP fair sharing.
 
 ``fair_sharing=False`` selects a cheaper model where each transfer runs at
-the smallest capacity on its path with no contention; the large-scale
-simulations (Section V.C, up to 16384 nodes) use it for speed, matching the
-paper's own simulator granularity.
+the smallest capacity on its path with no contention, fixed when it
+starts; the large-scale simulations (Section V.C, up to 16384 nodes) use
+it for speed, matching the paper's own simulator granularity. Nothing
+re-rates a fixed-cost transfer in flight, so a partition, or a capacity
+change while a transfer is in flight, raises there: chaos needs fair
+sharing.
 
 A link's capacity is its nominal rate — the host link rate on the host
 tiers, the topology's trunk capacity on fabric tiers — times the product of
 the link's *scale stack*. Gray-node windows, degraded-link mitigation and
 any uneven or asymmetric link push onto that stack, and every capacity or
-partition change re-rates the flows in flight through one path
-(``_rerate``).
+partition change re-rates the flows in flight through the max-min
+allocator (``_rerate``).
 
 The *links* a transfer crosses come from the
 :class:`~repro.simulator.topology.ClosTopology` fabric. The default is
@@ -40,7 +43,6 @@ from repro.core.ids import NodeId
 from repro.simulator.engine import EventHandle, Simulator
 from repro.simulator.events import (
     NodeDegraded,
-    NodeDown,
     NodeRestored,
     PartitionHealed,
     PartitionStarted,
@@ -87,7 +89,6 @@ class Transfer:
         "remaining",
         "rate",
         "started_at",
-        "anchor",
         "finished_at",
         "state",
         "label",
@@ -116,9 +117,6 @@ class Transfer:
         self.remaining = float(size)
         self.rate = 0.0
         self.started_at = started_at
-        #: Time the current constant-rate segment began (simple mode).
-        #: Equals ``started_at`` until a stall or re-rate moves it.
-        self.anchor = started_at
         self.finished_at: Optional[float] = None
         self.state = TransferState.ACTIVE
         self.label = label
@@ -194,7 +192,7 @@ class Network:
         #: even when a mitigation scale shares the node's links.
         self._windows: Dict[NodeId, List[float]] = {}
         #: :meth:`link_capacity` per link, filled by the allocator and
-        #: simple-mode thaws, cleared by every capacity change.
+        #: fixed-cost starts, cleared by every capacity change.
         self._capacity_memo: Dict[LinkKey, float] = {}
 
     # -- configuration ----------------------------------------------------------
@@ -275,10 +273,7 @@ class Network:
             self._reallocate_and_reschedule()
         else:
             self._active[transfer] = None
-            if self._partitions and self._is_stalled(transfer):
-                transfer.rate = 0.0  # born into a partition; thawed on heal
-            else:
-                self._thaw_simple(transfer)
+            self._start_simple(transfer)
         return transfer
 
     def cancel(self, transfer: Transfer) -> None:
@@ -293,9 +288,9 @@ class Network:
         else:
             if transfer._event is not None:
                 transfer._event.cancel()
-            # Record partial progress for accounting (since the last
-            # constant-rate anchor; == started_at unless a stall moved it).
-            elapsed = self._sim.now - transfer.anchor
+            # Record partial progress for accounting: the rate is fixed
+            # from the start.
+            elapsed = self._sim.now - transfer.started_at
             transfer.remaining = max(transfer.remaining - transfer.rate * elapsed, 0.0)
             self._active.pop(transfer, None)
             self._finalize(transfer, TransferState.CANCELLED)
@@ -311,15 +306,6 @@ class Network:
 
     # -- bus handlers --------------------------------------------------------------
 
-    def handle_node_down(self, event: NodeDown) -> None:
-        """Hard-downtime semantics (NETWORK phase): a down node's flows die.
-
-        Only wired when ``access_during_downtime`` is off — under the
-        paper's default soft semantics a down host's stored blocks stay
-        streamable.
-        """
-        self.cancel_involving(event.node_id)
-
     def handle_permanent_failure(self, event: PermanentFailure) -> None:
         """Wiped disk (NETWORK phase): nothing is left to stream, either
         direction — tear down every flow touching the node."""
@@ -331,10 +317,15 @@ class Network:
 
         Stalled transfers keep their progress and resume from it when the
         partition heals; intra-partition and outside flows are untouched
-        (and, under fair sharing, inherit the freed capacity).
+        and inherit the freed capacity. Only fair sharing can stall a flow
+        in flight, so a fixed-cost network raises.
         """
         if event.partition_id in self._partitions:
             raise ValueError(f"partition {event.partition_id!r} already active")
+        if not self._fair:
+            raise ValueError(
+                "a partition stalls flows mid-flight, which needs fair_sharing=True"
+            )
         self._partitions[event.partition_id] = frozenset(event.members)
         self._rerate()
 
@@ -420,32 +411,21 @@ class Network:
         """Re-rate in-flight transfers after the capacities of ``links``
         or the partitions changed.
 
-        Under fair sharing this advances and reallocates once. Under the
-        fixed-cost model it makes one pass over the active transfers: a
-        running flow a partition now stalls freezes, a frozen flow no
-        partition stalls thaws (at the capacities of the moment), and a
-        running flow crossing a changed link restarts at its new rate.
+        Under fair sharing this advances and reallocates once. A
+        fixed-cost transfer keeps its start rate, so a capacity change
+        while one is in flight raises; with none in flight the next
+        transfer simply starts at the new capacities.
         """
         if links:
             self._capacity_memo.clear()
         if self._fair:
             self._advance()
             self._reallocate_and_reschedule()
-            return
-        partitions = self._partitions
-        for transfer in list(self._active):
-            stalled = bool(partitions) and self._is_stalled(transfer)
-            if transfer._event is None:
-                if not stalled:
-                    self._thaw_simple(transfer)
-            elif stalled:
-                self._freeze_simple(transfer)
-            else:
-                for link in links:
-                    if link in transfer.path:
-                        self._freeze_simple(transfer)
-                        self._thaw_simple(transfer)
-                        break
+        elif self._active:
+            raise ValueError(
+                "a capacity change re-rates transfers in flight, which needs "
+                "fair_sharing=True"
+            )
 
     def _is_stalled(self, transfer: Transfer) -> bool:
         """Whether the transfer crosses any active partition boundary."""
@@ -455,19 +435,9 @@ class Network:
                 return True
         return False
 
-    def _freeze_simple(self, transfer: Transfer) -> None:
-        """Stop a simple-mode transfer, banking progress at its old rate."""
-        if transfer._event is not None:
-            transfer._event.cancel()
-            transfer._event = None
-        elapsed = self._sim.now - transfer.anchor
-        transfer.remaining = max(transfer.remaining - transfer.rate * elapsed, 0.0)
-        transfer.anchor = self._sim.now
-        transfer.rate = 0.0
-
-    def _thaw_simple(self, transfer: Transfer) -> None:
-        """(Re)start a simple-mode transfer at current link capacities,
-        read through the allocator's memo."""
+    def _start_simple(self, transfer: Transfer) -> None:
+        """Start a fixed-cost transfer at current link capacities, read
+        through the allocator's memo."""
         memo = self._capacity_memo
         rate = math.inf
         for link in transfer.path:
@@ -477,16 +447,13 @@ class Network:
             if capacity < rate:
                 rate = capacity
         transfer.rate = rate
-        transfer.anchor = now = self._sim.now
         # Residue within _DONE_EPSILON counts as finished — the same
-        # tolerance the fair path applies — so progress banked across many
-        # freeze/thaw cycles by repeated float subtraction can never leave
-        # a sub-epsilon remainder that still schedules a timed completion.
+        # tolerance the fair path applies.
         eta = (
             transfer.remaining / rate if transfer.remaining > _DONE_EPSILON else 0.0
         )
         transfer._event = self._sim.schedule_at(
-            now + eta,
+            self._sim.now + eta,
             lambda: self._complete_simple(transfer),
             f"xfer:{transfer.transfer_id}",
         )

@@ -133,10 +133,6 @@ class RandomSource:
         """Uniform float in [low, high]."""
         return self._random.uniform(low, high)
 
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
-        return self._random.randint(low, high)
-
     def randrange(self, stop: int) -> int:
         """Uniform integer in [0, stop)."""
         return self._random.randrange(stop)
@@ -145,17 +141,9 @@ class RandomSource:
         """Exponential sample with the given rate (1/mean)."""
         return self._random.expovariate(rate)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normal sample."""
-        return self._random.gauss(mu, sigma)
-
     def lognormvariate(self, mu: float, sigma: float) -> float:
         """Lognormal sample with underlying normal parameters (mu, sigma)."""
         return self._random.lognormvariate(mu, sigma)
-
-    def choice(self, seq: Sequence[T]) -> T:
-        """Uniform choice from a non-empty sequence."""
-        return self._random.choice(seq)
 
     def sample(self, population: Sequence[T], k: int) -> List[T]:
         """Sample ``k`` distinct elements."""
@@ -164,21 +152,6 @@ class RandomSource:
     def shuffle(self, items: List[T]) -> None:
         """Shuffle ``items`` in place."""
         self._random.shuffle(items)
-
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Choose one item with probability proportional to its weight."""
-        if len(items) != len(weights):
-            raise ValueError("items and weights must have the same length")
-        total = float(sum(weights))
-        if total <= 0.0:
-            raise ValueError("weights must sum to a positive value")
-        point = self.random() * total
-        cumulative = 0.0
-        for item, weight in zip(items, weights, strict=True):
-            cumulative += weight
-            if point < cumulative:
-                return item
-        return items[-1]
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self._seed}, path={self._path!r})"

@@ -21,13 +21,12 @@ from repro.util.rng import RandomSource
 #: The supported wiring configurations, by name. Together they reach
 #: every subscribe site in ``runtime/cluster.py``.
 WIRING_CONFIGS: Dict[str, ClusterConfig] = {
-    # Heartbeat detection, the replication monitor, tracing, the auditor,
-    # permanent failures, and hard-downtime reads.
+    # Heartbeat detection, the replication monitor, tracing, the auditor
+    # and permanent failures.
     "full": ClusterConfig(
         seed=3,
         detection="heartbeat",
         replication_monitor=True,
-        access_during_downtime=False,
         trace_events=True,
         audit="report",
         permanent_failure_rate=0.2,

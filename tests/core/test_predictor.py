@@ -3,10 +3,7 @@
 import pytest
 
 from repro.availability.estimators import AvailabilityEstimate
-from repro.core.model import expected_task_time
 from repro.core.predictor import PerformancePredictor
-
-GAMMA = 12.0
 
 
 class TestRegistration:
@@ -54,39 +51,3 @@ class TestEstimates:
         p.pin_oracle("n", AvailabilityEstimate(arrival_rate=0.1, recovery_mean=8.0))
         p.observe_uptime("n", 1e9)  # should be ignored while pinned
         assert p.estimate("n").mtbi == pytest.approx(10.0)
-
-    def test_expected_task_time(self):
-        p = PerformancePredictor()
-        p.pin_oracle("n", AvailabilityEstimate(arrival_rate=0.05, recovery_mean=4.0))
-        assert p.expected_task_time("n", GAMMA) == pytest.approx(
-            expected_task_time(GAMMA, 0.05, 4.0)
-        )
-
-    def test_unstable_node_reports_infinity(self):
-        p = PerformancePredictor()
-        p.pin_oracle("n", AvailabilityEstimate(arrival_rate=1.0, recovery_mean=5.0))
-        assert p.expected_task_time("n", GAMMA) == float("inf")
-
-    def test_snapshot(self):
-        p = PerformancePredictor()
-        p.register_node("a")
-        p.register_node("b")
-        snap = p.snapshot()
-        assert set(snap) == {"a", "b"}
-
-
-class TestNodeViews:
-    def test_default_all_up(self):
-        p = PerformancePredictor()
-        p.register_node("a")
-        p.register_node("b")
-        views = p.node_views()
-        assert all(v.is_up for v in views)
-
-    def test_up_filter(self):
-        p = PerformancePredictor()
-        p.register_node("a")
-        p.register_node("b")
-        views = p.node_views(up_nodes=["b"])
-        states = {v.node_id: v.is_up for v in views}
-        assert states == {"a": False, "b": True}

@@ -22,8 +22,8 @@ from repro.simulator.scenarios import ChaosCampaign, NetworkPartition
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Heartbeat detection, the replication monitor, permanent failures and
-#: hard-downtime reads: the widest handler set the flat topology wires.
+#: Heartbeat detection, the replication monitor and permanent failures:
+#: the widest handler set the flat topology wires.
 #: The strict auditor's bus tap reads other services' fields from inside
 #: nested publishes; none of that may be attributed to the handler.
 CONFIG_HEARTBEAT = ClusterConfig(
@@ -31,7 +31,6 @@ CONFIG_HEARTBEAT = ClusterConfig(
     audit="strict",
     detection="heartbeat",
     replication_monitor=True,
-    access_during_downtime=False,
     permanent_failure_rate=0.2,
 )
 #: Oracle detection plus a chaos partition (the chaos-engine handlers).

@@ -1,10 +1,11 @@
 """Engine behaviours: suppression, severity policy, discovery, CLI output."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.devtools.simlint.cli import main as simlint_main
+from repro.devtools.simlint.cli import emit_diagnostics, main as simlint_main
 from repro.devtools.simlint.engine import lint_paths
 from repro.devtools.simlint.registry import all_rules
 
@@ -14,6 +15,12 @@ def write(tmp_path, rel, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path
+
+
+def exit_code(result, strict=False):
+    """The exit code the CLI gives a run's diagnostics."""
+    args = argparse.Namespace(format="json", strict=strict)
+    return emit_diagnostics(result.diagnostics, len(result.modules), args)
 
 
 WALL_CLOCK = "import time\n\n\ndef stamp():\n    return time.time()\n"
@@ -143,15 +150,15 @@ class TestSeverityAndSelect:
         result = lint_paths([tmp_path / "src"], root=tmp_path)
         (diag,) = result.diagnostics
         assert diag.severity == "error"
-        assert result.exit_code(strict=False) == 1
+        assert exit_code(result) == 1
 
     def test_tests_findings_are_warnings_unless_strict(self, tmp_path):
         write(tmp_path, "tests/test_mod.py", WALL_CLOCK)
         result = lint_paths([tmp_path / "tests"], root=tmp_path)
         (diag,) = result.diagnostics
         assert diag.severity == "warning"
-        assert result.exit_code(strict=False) == 0
-        assert result.exit_code(strict=True) == 1
+        assert exit_code(result) == 0
+        assert exit_code(result, strict=True) == 1
 
     def test_select_restricts_reported_rules(self, tmp_path):
         write(
@@ -200,7 +207,7 @@ class TestDiscovery:
         result = lint_paths([tmp_path / "src"], root=tmp_path)
         (diag,) = result.diagnostics
         assert diag.code == "P001"
-        assert result.exit_code(strict=False) == 1
+        assert exit_code(result) == 1
 
 
 class TestCli:

@@ -9,11 +9,13 @@ trip its own rule and nothing else. The fixture corpus itself lives in
 ``simlint src tests`` run never sees these intentionally-broken modules.
 """
 
+import argparse
 import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.devtools.simlint.cli import emit_diagnostics
 from repro.devtools.simlint.engine import lint_paths
 from repro.devtools.simlint.registry import all_rules
 
@@ -28,6 +30,12 @@ def lint_fixture(tmp_path, name):
     return lint_paths([str(src)], root=str(tmp_path))
 
 
+def exit_code(result, strict=False):
+    """The exit code the CLI gives a run's diagnostics."""
+    args = argparse.Namespace(format="json", strict=strict)
+    return emit_diagnostics(result.diagnostics, len(result.modules), args)
+
+
 @pytest.mark.parametrize("rule", RULES)
 class TestFixturePairs:
     def test_bad_fixture_flags_exactly_that_rule(self, tmp_path, rule):
@@ -35,12 +43,12 @@ class TestFixturePairs:
         codes = {d.code for d in result.diagnostics}
         assert codes == {rule}, [d.render() for d in result.diagnostics]
         assert all(d.severity == "error" for d in result.diagnostics)
-        assert result.exit_code(strict=False) == 1
+        assert exit_code(result) == 1
 
     def test_clean_fixture_produces_no_diagnostics(self, tmp_path, rule):
         result = lint_fixture(tmp_path, f"{rule.lower()}_ok")
         assert result.diagnostics == [], [d.render() for d in result.diagnostics]
-        assert result.exit_code(strict=False) == 0
+        assert exit_code(result) == 0
 
 
 class TestChaosServicePair:
@@ -53,12 +61,12 @@ class TestChaosServicePair:
         codes = {d.code for d in result.diagnostics}
         assert codes == {"C002", "C003"}, [d.render() for d in result.diagnostics]
         assert all(d.severity == "error" for d in result.diagnostics)
-        assert result.exit_code(strict=False) == 1
+        assert exit_code(result) == 1
 
     def test_clean_fixture_produces_no_diagnostics(self, tmp_path):
         result = lint_fixture(tmp_path, "chaos_service_ok")
         assert result.diagnostics == [], [d.render() for d in result.diagnostics]
-        assert result.exit_code(strict=False) == 0
+        assert exit_code(result) == 0
 
 
 class TestDiagnosticShape:

@@ -19,7 +19,6 @@ from repro.util.units import MB
 #: of the config and bench records compare it, so a field added, dropped
 #: or renamed here moves every cached cell.
 EMULATION_FIELDS = [
-    "access_during_downtime",
     "bandwidth_mbps",
     "block_size_bytes",
     "blocks_per_node",
@@ -41,11 +40,9 @@ EMULATION_FIELDS = [
     "topology",
 ]
 SIMULATION_FIELDS = [
-    "access_during_downtime",
     "bandwidth_mbps",
     "block_size_bytes",
     "detection",
-    "duration_within_cov",
     "fair_sharing",
     "heartbeat_interval",
     "heartbeat_miss_threshold",
@@ -184,14 +181,18 @@ class TestSimulationConfig:
             h.mtbi for h in config.hosts(seed=2)
         ]
 
-    def test_seti_params_pinned_for_default_cov(self):
-        from repro.availability.seti import CALIBRATED_TABLE1_PARAMS
+    def test_hosts_draw_from_pinned_calibration(self):
+        from repro.availability.seti import CALIBRATED_TABLE1_PARAMS, SetiTraceGenerator
+        from repro.util.rng import RandomSource
 
-        assert SimulationConfig().seti_params() is CALIBRATED_TABLE1_PARAMS
+        generator = SetiTraceGenerator(
+            CALIBRATED_TABLE1_PARAMS, RandomSource(3).substream("seti")
+        )
+        def laws(hosts):
+            return [(h.host_id, h.arrival_rate, h.service_mean) for h in hosts]
 
-    def test_seti_params_closed_form_otherwise(self):
-        params = SimulationConfig(duration_within_cov=1.0).seti_params()
-        assert params.duration_within_cov == 1.0
+        expected = laws(generator.sample_hosts(16))
+        assert laws(SimulationConfig(node_count=16).hosts(seed=3)) == expected
 
 
 class TestConfigRecords:
@@ -207,12 +208,12 @@ class TestConfigRecords:
             (
                 "emulation",
                 EmulationConfig(),
-                "bdc2d0e8b78addafebd0a6e864055303222a945909efc2e2886b7d1c8a4e29ce",
+                "53f333bcecc90cb1d575d4d0b7201c2004db943a40f016110228b53b70789877",
             ),
             (
                 "simulation",
                 SimulationConfig(),
-                "8c72cae46b5c1b5dece55f154a86697c9aa2ff0fc7e05cb44751fd79fa49eedf",
+                "c683bd8cb7247eef672adb82cd0b9c9655dbfa06cc16817ed1beb87f5d5f04f3",
             ),
         ],
         ids=["emulation", "simulation"],
@@ -225,7 +226,7 @@ class TestConfigRecords:
     def test_cluster_config_carries_every_shared_field(self, cls):
         cluster_defaults = {f.name: f.default for f in dataclasses.fields(ClusterConfig)}
         shared = [f for f in dataclasses.fields(cls) if f.name in cluster_defaults]
-        assert len(shared) == 17
+        assert len(shared) == 16
         for f in shared:
             if isinstance(f.default, bool):
                 values = (True, False)  # one of them differs from ClusterConfig's

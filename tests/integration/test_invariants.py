@@ -32,7 +32,6 @@ cluster_params = st.fixed_dictionaries(
         "bandwidth": st.sampled_from([4.0, 8.0, 32.0]),
         "seed": st.integers(min_value=0, max_value=10_000),
         "detection": st.sampled_from(["oracle", "heartbeat"]),
-        "access": st.booleans(),
         "speculation": st.booleans(),
     }
 )
@@ -43,7 +42,6 @@ def run_scenario(p):
     config = ClusterConfig(
         bandwidth_mbps=p["bandwidth"],
         detection=p["detection"],
-        access_during_downtime=p["access"],
         speculation_enabled=p["speculation"],
         seed=p["seed"],
     )

@@ -17,7 +17,7 @@ GAMMA = 10.0
 HORIZON = 100_000.0
 
 
-def build(n=3, windows=None, detection="oracle", access=True, **config_kwargs):
+def build(n=3, windows=None, detection="oracle", **config_kwargs):
     """A cluster of n hosts; ``windows[i]`` scripts host i's downtime."""
     hosts = [HostAvailability(host_id=f"n{i}") for i in range(n)]
     traces = [
@@ -27,7 +27,6 @@ def build(n=3, windows=None, detection="oracle", access=True, **config_kwargs):
     config = ClusterConfig(
         bandwidth_mbps=8.0,
         detection=detection,
-        access_during_downtime=access,
         seed=1,
         **config_kwargs,
     )
@@ -119,24 +118,11 @@ class TestInterruptedExecution:
         # Whatever node 0 held had to migrate to node 1.
         assert cluster.metrics.migrations >= len(remote) > 0
 
-    def test_hard_downtime_blocks_until_return(self):
-        # access_during_downtime=False and a single replica on the downed
-        # node: the job cannot finish before the node returns.
-        cluster = build(n=2, windows={0: [(1.0, 500.0)]}, access=False)
-        f = cluster.client.copy_from_local("in", num_blocks=2, policy=RandomPlacement(), gamma=GAMMA)
-        holders = {h for b in f.blocks for h in cluster.namenode.replica_holders(b.block_id)}
-        job = MapJob.uniform(JobConf(), f, GAMMA)
-        cluster.jobtracker.submit(job)
-        cluster.run_until_job_done()
-        if cluster.ids.id_of("n0") in holders:
-            assert job.makespan >= 500.0
-        else:
-            assert job.makespan < 500.0
-
     def test_readable_storage_allows_early_finish(self):
-        # Same scenario with access_during_downtime=True: blocks stream
-        # from the down node and the job finishes long before its return.
-        cluster = build(n=2, windows={0: [(1.0, 5000.0)]}, access=True)
+        # A single replica on a node that goes down: its blocks still
+        # stream from the down node, so the job finishes long before its
+        # return.
+        cluster = build(n=2, windows={0: [(1.0, 5000.0)]})
         job = ingest_and_submit(cluster, num_blocks=2)
         cluster.run_until_job_done()
         assert job.makespan < 500.0

@@ -17,9 +17,8 @@ from repro.mapreduce.scheduler import (
 class FakeContext(SchedulerContext):
     """Scheduler context backed by plain dicts."""
 
-    def __init__(self, holders: Dict[str, List[str]], readable=None, unavailability=None):
+    def __init__(self, holders: Dict[str, List[str]], unavailability=None):
         self._holders = holders
-        self._readable = readable if readable is not None else holders
         self._unavail = unavailability or {}
 
     def is_assignable(self, task: MapTask) -> bool:
@@ -29,7 +28,7 @@ class FakeContext(SchedulerContext):
         return self._holders[task.task_id]
 
     def readable_holders(self, task: MapTask) -> Sequence[str]:
-        return self._readable.get(task.task_id, [])
+        return self._holders[task.task_id]
 
     def choose_source(self, task: MapTask, sources: Sequence[str]) -> str:
         return sorted(sources)[0]
@@ -83,20 +82,6 @@ class TestLocalityFirst:
         task, source = sched.pick("A", ctx)
         assert task is t0
         assert source is None
-
-    def test_blocked_tasks_parked_and_released(self):
-        sched = LocalityFirstScheduler()
-        t0 = make_task(0)
-        ctx = FakeContext({"t0": ["B"]}, readable={"t0": []})
-        sched.enqueue(t0, ["B"])
-        assert sched.pick("A", ctx) is None
-        assert sched.pending_hint() == 1  # parked, not lost
-        released = sched.on_node_returned("B")
-        assert released == 1
-        ctx2 = FakeContext({"t0": ["B"]})
-        task, source = sched.pick("A", ctx2)
-        assert task is t0
-        assert source == "B"
 
     def test_fifo_order_for_steals(self):
         sched = LocalityFirstScheduler()

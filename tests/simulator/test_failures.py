@@ -41,6 +41,20 @@ class Recorder:
                 Phase.ACCOUNTING,
             )
 
+    def downtime(self, node_id):
+        """Seconds of completed downtime served: each return minus the
+        down before it, read from the bus."""
+        served = 0.0
+        down_at = None
+        for kind, node, time in self.events:
+            if node != node_id:
+                continue
+            if kind == "down":
+                down_at = time
+            else:
+                served += time - down_at
+        return served
+
 
 def record_permanent(injector):
     """The (node, time) of every PermanentFailure the injector publishes."""
@@ -87,10 +101,11 @@ class TestAttachment:
 
     def test_accounting(self):
         sim, injector = make_injector()
+        rec = Recorder(injector)
         injector.attach_host(interrupted_host())
         sim.run(until=1000.0)
         assert injector.episode_count("h0") > 0
-        assert injector.downtime_total("h0") > 0.0
+        assert rec.downtime("h0") > 0.0
 
 
 class TestTraceReplay:
@@ -264,7 +279,7 @@ class TestIdempotentTransitions:
         # down); its end event is never armed, so exactly one pair fires.
         assert rec.events == [("down", "h0", 10.0), ("up", "h0", 30.0)]
         assert injector.episode_count("h0") == 1
-        assert injector.downtime_total("h0") == pytest.approx(20.0)
+        assert rec.downtime("h0") == pytest.approx(20.0)
 
     def test_outage_overlapping_stream_episode_keeps_stream_alive(self):
         sim, injector = make_injector()
@@ -283,9 +298,10 @@ class TestIdempotentTransitions:
 
     def test_downtime_accounts_actual_elapsed_window(self):
         sim, injector = make_injector()
+        rec = Recorder(injector)
         injector.attach_trace(AvailabilityTrace("t0", 1000.0, [(10.0, 30.0)]))
         sim.run(until=1000.0)
-        assert injector.downtime_total("t0") == pytest.approx(20.0)
+        assert rec.downtime("t0") == pytest.approx(20.0)
 
 
 class TestRecoveryStretch:
@@ -297,7 +313,7 @@ class TestRecoveryStretch:
         sim.run(until=1000.0)
         # Sampled 10s of downtime, served 30s.
         assert rec.events == [("down", "t0", 10.0), ("up", "t0", 40.0)]
-        assert injector.downtime_total("t0") == pytest.approx(30.0)
+        assert rec.downtime("t0") == pytest.approx(30.0)
 
     def test_stretch_spares_episode_already_in_progress(self):
         sim, injector = make_injector()

@@ -189,20 +189,31 @@ class TestSimpleMode:
         kind, _, ident = transfer._event.label.partition(":")
         assert (kind, ident) == ("xfer", str(transfer.transfer_id))
 
-
-    def test_thaws_read_capacity_changes(self):
-        # Simple-mode rates come through the capacity memo; each change
-        # clears it and re-rates, so running and new transfers see it.
+    def test_capacity_change_sets_the_next_start_rate(self):
+        # Fixed-cost rates come through the capacity memo; each change
+        # clears it, so the next transfer starts at the new capacity.
         sim, net = setup_net(fair=False, up=100.0)
-        first = net.start_transfer("src", "d1", 1000.0, lambda t: None)
-        assert first.rate == 100.0
         net.scale_link(("up", "src"), 0.5)
+        first = net.start_transfer("src", "d1", 1000.0, lambda t: None)
         assert first.rate == 50.0
-        assert net.start_transfer("src", "d2", 1000.0, lambda t: None).rate == 50.0
-        degrade(net, "d1", 0.25)
-        assert first.rate == 25.0
-        restore(net, "d1")
-        assert first.rate == 50.0
+        sim.run()
+        degrade(net, "d2", 0.25)
+        assert net.start_transfer("src", "d2", 1000.0, lambda t: None).rate == 25.0
+
+    def test_capacity_change_in_flight_needs_fair_sharing(self):
+        # A fixed-cost transfer keeps its start rate: nothing re-rates it.
+        _, net = setup_net(fair=False, up=100.0)
+        transfer = net.start_transfer("src", "d1", 1000.0, lambda t: None)
+        with pytest.raises(ValueError, match="fair_sharing"):
+            net.scale_link(("up", "src"), 0.5)
+        with pytest.raises(ValueError, match="fair_sharing"):
+            degrade(net, "d1", 0.5)
+        assert transfer.rate == 100.0
+
+    def test_partition_needs_fair_sharing(self):
+        _, net = setup_net(fair=False, up=100.0)
+        with pytest.raises(ValueError, match="fair_sharing"):
+            partition(net, "p", ("a",))
 
 
 class TestCancellation:

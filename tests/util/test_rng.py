@@ -1,6 +1,5 @@
 """Tests for deterministic random-stream management."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,33 +66,9 @@ class TestRandomSource:
         values = {src.randrange(5) for _ in range(200)}
         assert values == {0, 1, 2, 3, 4}
 
-    def test_randint_bounds(self):
-        src = RandomSource(1)
-        values = {src.randint(2, 4) for _ in range(200)}
-        assert values == {2, 3, 4}
-
     def test_expovariate_positive(self):
         src = RandomSource(1)
         assert all(src.expovariate(0.5) > 0 for _ in range(100))
-
-    def test_weighted_choice_respects_zero_weight(self):
-        src = RandomSource(1)
-        for _ in range(100):
-            assert src.weighted_choice(["a", "b"], [1.0, 0.0]) == "a"
-
-    def test_weighted_choice_rejects_bad_inputs(self):
-        src = RandomSource(1)
-        with pytest.raises(ValueError):
-            src.weighted_choice(["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            src.weighted_choice(["a", "b"], [0.0, 0.0])
-
-    def test_weighted_choice_distribution(self):
-        src = RandomSource(42)
-        counts = {"a": 0, "b": 0}
-        for _ in range(3000):
-            counts[src.weighted_choice(["a", "b"], [3.0, 1.0])] += 1
-        assert 0.65 < counts["a"] / 3000 < 0.85
 
     def test_shuffle_is_permutation(self):
         src = RandomSource(9)
