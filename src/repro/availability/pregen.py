@@ -1,27 +1,26 @@
-"""Availability pregeneration: the cluster-build episode kernel.
+"""Per-host episode streams: what the failure injector is handed.
 
-``build_cluster`` with ``pregen_horizon`` set materialises every host's
-episode prefix up to the horizon before the run and hands each prefix to
-``FailureInjector.attach_host(episodes=...)``, so the run loop pays no
-sampling cost and keeps no suspended generator per host.
+``build_cluster`` picks each host's stream here and hands it to
+``FailureInjector.attach_host``. :func:`host_stream` is the lazy stream
+(the default); with ``ClusterConfig.pregen_horizon`` set,
+:func:`episode_prefix` materialises it up to the horizon instead, so the
+run loop pays no sampling cost and keeps no suspended generator per host.
 
-A prefix reads the stream the lazy injector path reads
-(:func:`host_stream`): the same draws in the same order, with long busy
-periods left open
-(:meth:`~repro.availability.process.InterruptionProcess.lazy_episodes`)
+Both read the same draws in the same order, with long busy periods left
+open (:meth:`~repro.availability.process.InterruptionProcess.lazy_episodes`)
 and a burn-in folded only as far as it reaches (:func:`shift_episodes`).
-An open period is folded only until it closes or passes the horizon
+A prefix folds an open period only until it closes or passes the horizon
 (:func:`~repro.availability.process.cut_at_horizon`); one still open
 there ends the prefix, closed at the bound its fold reached. So a ρ ≥ 1
 host's period is folded through the burn-in and the horizon only, not
 to the fold bound, and within the horizon the prefix fires the lazy
-path's transitions.
+stream's transitions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import Iterable, Iterator, List, Optional, TypeVar
 
 from repro.availability.generator import HostAvailability
 from repro.availability.process import (
@@ -91,7 +90,7 @@ def materialise_prefix(stream: Iterator[Episode], horizon: float) -> List[Downti
 def host_process(
     host: HostAvailability, rng: RandomSource
 ) -> Optional[InterruptionProcess]:
-    """The host's interruption process under the injector root ``rng``.
+    """The host's interruption process under the cluster root ``rng``.
 
     Keyed by ``substream("failures", host.host_id)``, so a realisation
     depends on the root and the host's name alone. None for dedicated
@@ -105,8 +104,13 @@ def host_stream(
 ) -> Optional[Iterator[Episode]]:
     """The host's open episode stream, shifted ``burn_in`` seconds.
 
-    What the lazy injector path reads (see :func:`host_process`). None for
-    dedicated hosts.
+    What a lazily built cluster hands the injector (see
+    :func:`host_process`). None for dedicated hosts.
+
+    ``burn_in`` shifts the process that far into its own past, so the run
+    starts in (approximately) stationary state, like a random window cut
+    out of a long trace: the host may already be down at t=0, with the
+    right residual downtime. 0 starts the host up.
     """
     process = host_process(host, rng)
     if process is None:
@@ -121,45 +125,19 @@ def episode_prefix(
     horizon: float,
     burn_in: float = 0.0,
 ) -> Optional[List[DowntimeEpisode]]:
-    """One host's episode prefix: the lazy injector path's, up to ``horizon``.
+    """One host's episode prefix: :func:`host_stream`'s, up to ``horizon``.
 
-    ``rng`` is the injector's stream root (the one ``attach_host`` passes
-    to :func:`host_stream`). Returns None for dedicated hosts — they have
-    no interruption stream at all.
+    ``rng`` is the cluster's root stream. Returns None for dedicated
+    hosts — they have no interruption stream at all.
     """
     stream = host_stream(host, rng, burn_in)
     return None if stream is None else materialise_prefix(stream, horizon)
 
 
-#: Per host: the materialised prefix, or None for a dedicated host.
-Prefixes = List[Optional[List[DowntimeEpisode]]]
-
-
-def pregenerate_prefixes(
-    hosts: Sequence[HostAvailability],
-    rng: RandomSource,
-    horizon: float,
-    burn_in: float = 0.0,
-) -> Prefixes:
-    """Materialise every host's episode prefix for ``horizon``.
-
-    The result parallels ``hosts``: :func:`episode_prefix` per host, None
-    for dedicated hosts. Every stream is keyed by ``(rng, host name)``
-    alone, so no state passes between hosts.
-    """
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError(f"horizon must be finite and non-negative, got {horizon}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be non-negative, got {burn_in}")
-    return [episode_prefix(host, rng, horizon, burn_in) for host in hosts]
-
-
 __all__ = [
-    "Prefixes",
     "episode_prefix",
     "host_process",
     "host_stream",
     "materialise_prefix",
-    "pregenerate_prefixes",
     "shift_episodes",
 ]

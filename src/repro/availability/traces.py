@@ -9,7 +9,7 @@ Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.availability.process import DowntimeEpisode, InterruptionProcess, cut_at_horizon
 from repro.util.stats import SummaryStats, summarize
@@ -104,6 +104,14 @@ class AvailabilityTrace:
     def down_windows(self) -> List[Tuple[float, float]]:
         """Copy of the down windows."""
         return list(self._down)
+
+    def episodes(self) -> Iterator[DowntimeEpisode]:
+        """The down windows as one-interruption episodes, in order: the
+        stream a replay hands the failure injector."""
+        return (
+            DowntimeEpisode(start=start, end=end, interruption_count=1)
+            for start, end in self._down
+        )
 
     def total_downtime(self) -> float:
         """Total seconds down inside the horizon."""

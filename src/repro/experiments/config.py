@@ -85,8 +85,9 @@ class ExperimentConfigBase:
     link_mitigation: str = "none"
 
     def __post_init__(self) -> None:
-        check_positive("bandwidth_mbps", self.bandwidth_mbps)
-        check_positive("block_size_bytes", self.block_size_bytes)
+        # Every field ClusterConfig also declares is checked there, once,
+        # so a bad value is rejected here rather than when a run builds.
+        self.cluster_config()
 
     def with_(self: _Config, **overrides: object) -> _Config:
         """Immutable update (sweep axes replace one field at a time)."""
@@ -124,7 +125,6 @@ class EmulationConfig(ExperimentConfigBase):
         check_probability("interrupted_ratio", self.interrupted_ratio)
         super().__post_init__()
         check_positive("blocks_per_node", self.blocks_per_node)
-        check_probability("permanent_failure_rate", self.permanent_failure_rate)
 
     def hosts(self) -> List[HostAvailability]:
         """The Table 2 host population at this config's size and ratio."""
@@ -136,9 +136,11 @@ class SimulationConfig(ExperimentConfigBase):
     """Table 4 defaults for the large-scale simulation (Figure 5).
 
     The network uses the fixed-cost transfer model (``fair_sharing=False``,
-    one block always costs blocksize/bandwidth) and oracle failure
-    detection, matching the granularity of the paper's own discrete-event
-    simulator; the emulation config keeps the full contention model.
+    one block always costs blocksize/bandwidth), matching the granularity
+    of the paper's own discrete-event simulator; the emulation config keeps
+    the full contention model. Failures are detected by heartbeats at
+    Hadoop's cadence: one every 60 s, and a node is declared dead after
+    10 misses.
     """
 
     node_count: int = 8196

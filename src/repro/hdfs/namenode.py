@@ -27,6 +27,7 @@ class NameNode:
         self,
         predictor: Optional[PerformancePredictor] = None,
         placement_liveness_filter: bool = True,
+        is_down: Optional[Callable[[NodeId], bool]] = None,
     ) -> None:
         """``placement_liveness_filter`` controls whether ingest placement
         is restricted to currently-live nodes. Disabling it models data
@@ -35,9 +36,13 @@ class NameNode:
         *momentary* liveness is impossible and only long-run availability
         (what ADAPT's model predicts) matters. The large-scale trace-driven
         experiments disable it; the emulated testbed keeps it on.
+
+        ``is_down(node_id)`` reports a node's *physical* state (injector
+        knowledge; every node up when omitted).
         """
         self._predictor = predictor if predictor is not None else PerformancePredictor()
         self._placement_liveness_filter = placement_liveness_filter
+        self._is_down = is_down if is_down is not None else lambda _n: False
         self._rack_of: Optional[Callable[[NodeId], int]] = None
         self._datanodes: Dict[NodeId, DataNode] = {}
         self._files: Dict[str, DfsFile] = {}
@@ -307,7 +312,7 @@ class NameNode:
         """
         views = []
         for node_id in self.datanode_ids:
-            live = self._live[node_id] and self._datanodes[node_id].is_up
+            live = self._live[node_id] and not self._is_down(node_id)
             if live_only and not live:
                 continue
             views.append(

@@ -17,7 +17,8 @@ DESIGN.md, "Event bus & dispatch phases"):
 Phase              NodeDown / NodeUp reaction
 =================  ==========================================================
 ACCOUNTING         JobTracker opens/closes the downtime interval
-STORAGE            DataNode toggles physical availability
+STORAGE            nothing: the disk keeps its blocks, and the injector
+                   alone holds the node's physical state
 COMPUTE            TaskTracker kills the attempts that lived on the node
 DETECTION          heartbeat bookkeeping, or the oracle marking belief
 SCHEDULING         the returned node's TaskTracker asks for work
@@ -45,11 +46,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.availability.estimators import AvailabilityEstimate
 from repro.availability.generator import HostAvailability, count_unstable
-from repro.availability.pregen import pregenerate_prefixes
+from repro.availability.pregen import episode_prefix, host_stream
+from repro.availability.process import Episode
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId, NodeIds
 from repro.core.predictor import PerformancePredictor
@@ -202,6 +204,10 @@ class ClusterConfig:
             raise ValueError("permanent_failure_rate must be in [0, 1]")
         if self.permanent_failure_rate > 0.0:
             check_positive("permanent_failure_horizon", self.permanent_failure_horizon)
+        if not self.stationary_burn_in >= 0.0:
+            raise ValueError(
+                f"stationary_burn_in must be non-negative, got {self.stationary_burn_in}"
+            )
         if self.pregen_horizon is not None and not 0.0 <= self.pregen_horizon < math.inf:
             raise ValueError(
                 f"pregen_horizon must be finite and non-negative, got {self.pregen_horizon}"
@@ -464,15 +470,19 @@ def _construct(
     network = Network(
         sim, link_bps=config.link_bps, fair_sharing=config.fair_sharing, topology=topology
     )
+    # The injector owns physical state, so it comes first: placement reads
+    # it through the NameNode. Attaching the streams is stage 3's.
+    injector = FailureInjector(sim, bus=bus)
     predictor = PerformancePredictor()
     namenode = NameNode(
-        predictor, placement_liveness_filter=config.placement_liveness_filter
+        predictor,
+        placement_liveness_filter=config.placement_liveness_filter,
+        is_down=injector.is_down,
     )
     if config.rack_aware_placement:
         namenode.set_rack_constraint(topology.rack_of)
     metrics = MapPhaseMetrics()
     durability = DurabilityMetrics()
-    injector = FailureInjector(sim, rng, bus=bus)
 
     datanodes: Dict[NodeId, DataNode] = {}
     trackers: Dict[NodeId, TaskTracker] = {}
@@ -606,7 +616,6 @@ def _wire(cluster: Cluster) -> None:
     detector = cluster.detector
     chaos = cluster.chaos
     # Annotated: simlint types handler owners through annotated locals.
-    datanodes: Dict[NodeId, DataNode] = cluster.datanodes
     trackers: Dict[NodeId, TaskTracker] = cluster.trackers
     ordered_ids = cluster.node_ids
 
@@ -616,16 +625,6 @@ def _wire(cluster: Cluster) -> None:
     # instead of by host dispatches identically.
     bus.subscribe(NodeDown, jobtracker.handle_node_down_physical, Phase.ACCOUNTING)
     bus.subscribe(NodeUp, jobtracker.handle_node_up_physical, Phase.ACCOUNTING)
-    bus.subscribe_many(
-        NodeDown,
-        Phase.STORAGE,
-        ((nid, datanodes[nid].handle_node_down) for nid in ordered_ids),
-    )
-    bus.subscribe_many(
-        NodeUp,
-        Phase.STORAGE,
-        ((nid, datanodes[nid].handle_node_up) for nid in ordered_ids),
-    )
     bus.subscribe_many(
         NodeDown,
         Phase.COMPUTE,
@@ -699,36 +698,30 @@ def _wire(cluster: Cluster) -> None:
 def _attach_availability(
     cluster: Cluster, traces: Optional[Sequence[AvailabilityTrace]]
 ) -> None:
-    """Stage 3: hand the injector each host's interruptions — replayed
-    traces, pregenerated prefixes or lazy per-host streams."""
+    """Stage 3: hand the injector each host's episode stream, in host order.
+
+    The one place a stream is chosen: a replayed trace, the host's stream
+    materialised to ``pregen_horizon``, or the lazy stream. Streams are
+    keyed by (seed, host name) alone, so within the horizon a prefix
+    fires the lazy stream's transitions, and the id representation never
+    changes a realisation.
+    """
     config = cluster.config
-    hosts = cluster.hosts
     ids = cluster.ids
-    injector = cluster.injector
-    if traces is not None:
-        if [trace.host_id for trace in traces] != ids.names():
-            raise ValueError("traces must parallel hosts (same ids, same order)")
-        for trace in traces:
-            injector.attach_trace(trace, node_id=ids.id_of(trace.host_id))
-    elif config.pregen_horizon is not None:
-        # Bulk pregeneration: every host's episode prefix is materialised
-        # up front and injected ready-made, so attach_host never constructs
-        # a process or suspends a generator frame. Within the horizon this
-        # is byte-identical to per-host lazy sampling (streams keyed by
-        # (seed, host name) alone); prefixes arrive burn-in-shifted.
-        prefixes = pregenerate_prefixes(
-            hosts, cluster.rng, config.pregen_horizon, burn_in=config.stationary_burn_in
-        )
-        for host, prefix in zip(hosts, prefixes, strict=True):
-            injector.attach_host(host, node_id=ids.id_of(host.host_id), episodes=prefix)
-    else:
-        for host in hosts:
-            # The int id keys the injector's runtime state; the RNG
-            # substream stays keyed by *name* inside attach_host, so
-            # failure realisations are identity-representation-invariant.
-            injector.attach_host(
-                host, burn_in=config.stationary_burn_in, node_id=ids.id_of(host.host_id)
-            )
+    rng = cluster.rng
+    horizon = config.pregen_horizon
+    burn_in = config.stationary_burn_in
+    if traces is not None and [trace.host_id for trace in traces] != ids.names():
+        raise ValueError("traces must parallel hosts (same ids, same order)")
+    for index, host in enumerate(cluster.hosts):
+        episodes: Optional[Iterable[Episode]]
+        if traces is not None:
+            episodes = traces[index].episodes()
+        elif horizon is not None:
+            episodes = episode_prefix(host, rng, horizon, burn_in)
+        else:
+            episodes = host_stream(host, rng, burn_in)
+        cluster.injector.attach_host(ids.id_of(host.host_id), episodes)
 
 
 def _arm_permanent_failures(cluster: Cluster) -> None:
@@ -775,11 +768,9 @@ def _register_services(cluster: Cluster) -> None:
     services.register(cluster.network)
     services.register(cluster.injector)
     services.register(cluster.pipeline)
-    # Bulk-registered in host order (the dicts iterate in it). Annotated
-    # so simlint sees which classes register_bulk registers.
-    datanodes: Dict[NodeId, DataNode] = cluster.datanodes
+    # Bulk-registered in host order (the dict iterates in it). Annotated
+    # so simlint sees which class register_bulk registers.
     trackers: Dict[NodeId, TaskTracker] = cluster.trackers
-    services.register_bulk(datanodes.values())
     if cluster.heartbeats is not None:
         services.register(cluster.heartbeats)
     if cluster.detector is not None:

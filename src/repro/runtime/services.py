@@ -1,8 +1,8 @@
 """Service lifecycle kernel: what the cluster starts and stops.
 
 Every long-lived cluster subsystem — failure injector, heartbeat or oracle
-detector, replication monitor, JobTracker, DataNodes, TaskTrackers,
-network, trace recorder, auditor — implements the structural
+detector, replication monitor, JobTracker, TaskTrackers, network,
+trace recorder, auditor — implements the structural
 :class:`Service` protocol, and :class:`Cluster` owns them through a
 :class:`ServiceRegistry`. Teardown is a loop (reverse registration order,
 so consumers stop before producers) instead of a hand-maintained list of

@@ -3,7 +3,7 @@
 Every availability transition in the simulated deployment fans out to many
 subsystems — accounting, storage, compute, network, failure detection,
 scheduling — and the *order* of those reactions is load-bearing (a
-DataNode must be marked down before detection requeues its work; a wiped
+node's attempts must be dead before detection requeues its work; a wiped
 disk must be accounted before the scheduler abandons tasks). The seed
 cluster enforced that order implicitly, through the subscription order of
 ~15 callbacks in ``build_cluster``; this module makes the contract
@@ -28,7 +28,7 @@ Dispatch contract
 * Subscriptions may be *keyed* by the event's routing key (a node id or
   block id). A keyed handler only runs for events carrying that key, and
   delivery cost is O(handlers that care), not O(nodes) — per-node agents
-  (TaskTrackers, DataNodes) subscribe keyed so a 10k-node cluster pays two
+  (TaskTrackers) subscribe keyed so a 10k-node cluster pays two
   dict lookups per transition, not 10k predicate calls.
 * Taps (:meth:`EventBus.add_tap`) observe every published event once, at
   publish entry, before any handler runs — so a trace reads in causal
@@ -60,8 +60,9 @@ class Phase(enum.IntEnum):
 
     ACCOUNTING  raw bookkeeping of the physical transition (metrics,
                 downtime intervals) — must see the pre-reaction state.
-    STORAGE     storage-layer state: DataNode up/down toggles, disk wipes,
-                replica-map maintenance (re-replication queueing, purges).
+    STORAGE     storage-layer state: disk wipes and replica-map
+                maintenance (re-replication queueing, purges). A plain
+                NodeDown / NodeUp touches no disk here.
     COMPUTE     execution-layer state: TaskTrackers killing or accounting
                 the attempts that lived on the transitioning node.
     NETWORK     link state: wiped nodes' transfers torn down, partitions

@@ -1,15 +1,18 @@
-"""Failure injection: drives per-node up/down state during a simulation.
+"""Failure injection: the one owner of each node's physical up/down state.
 
-Each attached node is driven by one episode stream: its
+Each attached node is driven by the one episode stream it is handed
+(:meth:`FailureInjector.attach_host`). Which stream that is, ``build_cluster``
+decides per host: its
 :class:`~repro.availability.process.InterruptionProcess` sampled lazily,
-an episode prefix materialised up to a horizon before the run
-(:mod:`repro.availability.pregen`, with ``ClusterConfig.pregen_horizon``;
-within the horizon it fires the lazy stream's transitions), or a
+an episode prefix materialised up to ``ClusterConfig.pregen_horizon``
+(within the horizon it fires the lazy stream's transitions), or a
 recorded :class:`~repro.availability.traces.AvailabilityTrace` replayed
 as is. A lazily sampled busy period that is still open when it
 begins (:class:`~repro.availability.process.OpenEpisode`) queues its
 return with :meth:`~repro.simulator.engine.Simulator.schedule_lazy`, so
-its fold runs only as far as the clock gets.
+its fold runs only as far as the clock gets. Everything else reads a
+node's physical state here (:meth:`FailureInjector.is_down`) or reacts
+to its transitions; nothing keeps a copy.
 
 Transitions are published on the cluster's typed event bus
 (:mod:`repro.simulator.events`) as :class:`~repro.simulator.events.NodeDown`
@@ -36,12 +39,9 @@ state.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.availability.generator import HostAvailability
-from repro.availability.pregen import host_stream
 from repro.availability.process import DowntimeEpisode, Episode, OpenEpisode
-from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId
 from repro.simulator.engine import EventHandle, Resolution, Simulator
 from repro.simulator.events import (
@@ -50,16 +50,12 @@ from repro.simulator.events import (
     NodeUp,
     PermanentFailure,
 )
-from repro.util.rng import RandomSource
 
 class FailureInjector:
     """Schedules downtime episodes and publishes transitions on the bus."""
 
-    def __init__(
-        self, sim: Simulator, rng: RandomSource, bus: Optional[EventBus] = None
-    ) -> None:
+    def __init__(self, sim: Simulator, bus: Optional[EventBus] = None) -> None:
         self._sim = sim
-        self._rng = rng
         self._bus = bus if bus is not None else EventBus()
         self._episode_streams: Dict[NodeId, Iterator[Episode]] = {}
         self._is_down: Dict[NodeId, bool] = {}
@@ -83,92 +79,28 @@ class FailureInjector:
 
     # -- attachment ---------------------------------------------------------------
 
-    def attach_host(
-        self,
-        host: HostAvailability,
-        burn_in: float = 0.0,
-        node_id: Optional[NodeId] = None,
-        episodes: Optional[Sequence[DowntimeEpisode]] = None,
-    ) -> None:
-        """Drive a node from its availability description.
+    def attach_host(self, node_id: NodeId, episodes: Optional[Iterable[Episode]]) -> None:
+        """Drive ``node_id`` from ``episodes``, or never interrupt it (None).
 
-        Dedicated hosts are registered but never interrupted.
-
-        ``burn_in`` shifts the interruption process ``burn_in`` seconds into
-        its own past, so the simulation window starts in (approximately)
-        stationary state — like cutting a random window out of a long trace:
-        a host may already be down at t=0, with the correct residual
-        downtime. A burn-in of several population MTBIs is enough; 0 keeps
-        the legacy fresh start. The stream leaves long busy periods open
-        (:meth:`~repro.availability.process.InterruptionProcess.lazy_episodes`),
-        so a period that outlasts the burn-in, as a rho >= 1 host's does,
-        folds only as far as the run reaches.
-
-        ``node_id`` is the dense int id the injector keys its runtime
-        state (and published events) by; it defaults to ``host.host_id``
-        so standalone components keep routing by name. The RNG substream
-        is *always* keyed by the host's name, so failure realisations are
-        invariant under the identity representation.
-
-        ``episodes`` injects a materialised episode prefix
-        (:func:`~repro.availability.pregen.pregenerate_prefixes`) instead
-        of sampling one here: no per-host RNG substream is derived and no
-        generator is built, so attach becomes pure bookkeeping. The prefix
-        must already include any burn-in shift, which is why combining
-        ``episodes`` with a non-zero ``burn_in`` is rejected. Pass None
-        (not an empty sequence) for dedicated hosts. A prefix ends at its
-        horizon; a busy period still open there is its last episode,
-        closed at a bound past the horizon and at or before its true end
-        (:func:`~repro.availability.process.cut_at_horizon`). Past the
-        horizon the node's transitions are therefore no longer its
-        stream's, which ``Cluster.run_until_job_done`` turns into an error.
+        ``episodes`` yields the node's downtime episodes in start order;
+        the injector pulls one at a time, when the previous one has ended.
+        ``build_cluster`` chooses each host's stream (a lazy
+        :func:`~repro.availability.pregen.host_stream`, a materialised
+        :func:`~repro.availability.pregen.episode_prefix`, or a replayed
+        :meth:`~repro.availability.traces.AvailabilityTrace.episodes`);
+        this is the one place any of them enters the run. Attach order
+        is the order the first episodes take engine sequence numbers in.
         """
-        if node_id is None:
-            node_id = host.host_id  # type: ignore[assignment]
         if node_id in self._is_down:
             raise ValueError(f"node {node_id!r} already attached")
-        if burn_in < 0:
-            raise ValueError(f"burn_in must be non-negative, got {burn_in}")
-        if episodes is not None and burn_in > 0.0:
-            raise ValueError(
-                "episodes is an already-materialised prefix; it cannot be "
-                "combined with a non-zero burn_in"
-            )
-        self._register(node_id)
-        if episodes is not None:
-            stream: Optional[Iterator[Episode]] = iter(episodes)
-        else:
-            stream = host_stream(host, self._rng, burn_in)
-        if stream is None:
-            return
-        self._episode_streams[node_id] = stream
-        self._schedule_next(node_id)
-
-    def attach_trace(
-        self, trace: AvailabilityTrace, node_id: Optional[NodeId] = None
-    ) -> None:
-        """Drive a node by replaying a materialised trace.
-
-        ``node_id`` defaults to the trace's host name (standalone use);
-        ``build_cluster`` passes the interned int id.
-        """
-        if node_id is None:
-            node_id = trace.host_id  # type: ignore[assignment]
-        if node_id in self._is_down:
-            raise ValueError(f"node {node_id!r} already attached")
-        self._register(node_id)
-        episodes = (
-            DowntimeEpisode(start=start, end=end, interruption_count=1)
-            for start, end in trace.down_windows
-        )
-        self._episode_streams[node_id] = episodes
-        self._schedule_next(node_id)
-
-    def _register(self, node_id: NodeId) -> None:
         self._is_down[node_id] = False
         self._episode_counts[node_id] = 0
         self._permanent[node_id] = False
         self._stream_events[node_id] = None
+        if episodes is None:
+            return
+        self._episode_streams[node_id] = iter(episodes)
+        self._schedule_next(node_id)
 
     # -- injected failures ---------------------------------------------------------
 

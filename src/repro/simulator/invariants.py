@@ -25,8 +25,9 @@ configurable cadence plus mandatorily at teardown:
   zero surviving physical replicas among its recorded holders.
 * **unannounced-block-loss** — a block with zero surviving physical
   replicas was announced (catches a dropped ``BlockLost`` publication).
-* **liveness-disagreement** — TaskTracker, DataNode, and injector agree on
-  each node's physical up/down state between events.
+* **liveness-disagreement** — each TaskTracker agrees with the injector
+  (the one owner of physical state) on its node's up/down state between
+  events.
 * **purged-node-believed-live** — a node erased from the location map
   (``NodePurged``) is never believed alive again.
 * **attempt-on-down-node** / **slot-overcommit** / **live-attempt-task-state**
@@ -377,17 +378,6 @@ class InvariantAuditor:
                     found,
                     "liveness-disagreement",
                     f"TaskTracker {node_id} is_up={tracker.is_up} but the "
-                    f"injector says up={physically_up}",
-                )
-            try:
-                datanode_up = namenode.datanode(node_id).is_up
-            except KeyError:
-                continue
-            if datanode_up != physically_up:
-                self._violate(
-                    found,
-                    "liveness-disagreement",
-                    f"DataNode {node_id} is_up={datanode_up} but the "
                     f"injector says up={physically_up}",
                 )
         for node_id in sorted(self._purged):

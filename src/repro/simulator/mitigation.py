@@ -21,7 +21,7 @@ rewires the bus:
     fraction of the link's remaining capacity:
     ``capacity_factor * (1 - corruption_rate)``.
 
-``disable-and-reroute``
+``disable-reroute``
     The degraded trunk member is administratively disabled and its
     traffic rerouted over the remaining ECMP members: corruption
     disappears entirely and the trunk keeps ``(width-1)/width`` of its

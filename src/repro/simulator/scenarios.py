@@ -248,7 +248,7 @@ class DegradedLink(Scenario):
     (``"tor-up:3"``, ``"up:node-00042"``) or ``count`` links sampled
     deterministically from the topology's fabric links. How much of the
     degradation reaches transfers depends on the cluster's link
-    mitigation service (do-nothing, disable-and-reroute, retransmit-tax).
+    mitigation service (do-nothing, disable-reroute, retransmit-tax).
     """
 
     duration: float

@@ -63,7 +63,7 @@ HOST_TIERS = ("up", "down")
 #: Tiers whose capacity the topology owns (oversubscribed trunks).
 FABRIC_TIERS = ("tor-up", "tor-down")
 
-#: ECMP members per fabric trunk. Only disable-and-reroute mitigation
+#: ECMP members per fabric trunk. Only the disable-reroute mitigation
 #: reads it: losing one member leaves ``(w-1)/w`` of the trunk.
 TRUNK_WIDTH = 4
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -62,9 +62,8 @@ class RandomSource:
             _hash = _hash_path(self._seed, self._path)
         #: SHA-256 state covering (seed, path); kept so substream derivation
         #: copies it and hashes only the new trailing keys instead of
-        #: re-hashing the whole path. None after unpickling until first
-        #: needed.
-        self._h: Optional["hashlib._Hash"] = _hash
+        #: re-hashing the whole path.
+        self._h: "hashlib._Hash" = _hash
         self._random = random.Random(int.from_bytes(_hash.digest()[:8], "big") & _MASK_64)
 
     @property
@@ -77,11 +76,6 @@ class RandomSource:
         """The key path identifying this substream."""
         return self._path
 
-    def _hash_state(self) -> "hashlib._Hash":
-        if self._h is None:
-            self._h = _hash_path(self._seed, self._path)
-        return self._h
-
     def substream(self, *keys: object) -> "RandomSource":
         """Return an independent stream keyed by ``keys`` under this path.
 
@@ -90,27 +84,11 @@ class RandomSource:
         construction cheap at 226k hosts. The digest — and therefore every
         sampled value — is bit-identical to a from-scratch derivation.
         """
-        h = self._hash_state().copy()
+        h = self._h.copy()
         for key in keys:
             h.update(b"\x1f")
             h.update(str(key).encode("utf-8"))
         return RandomSource(self._seed, self._path + tuple(keys), _hash=h)
-
-    # SHA-256 objects are not picklable; drop the cached hash state and let
-    # it rebuild lazily, while preserving the generator state exactly.
-    def __getstate__(self) -> Dict[str, object]:
-        return {
-            "seed": self._seed,
-            "path": self._path,
-            "random_state": self._random.getstate(),
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._seed = state["seed"]  # type: ignore[assignment]
-        self._path = tuple(state["path"])  # type: ignore[arg-type]
-        self._h = None
-        self._random = random.Random()  # simlint: ignore[D001]
-        self._random.setstate(state["random_state"])  # type: ignore[arg-type]
 
     # -- sampling primitives -------------------------------------------------
 

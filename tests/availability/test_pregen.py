@@ -1,4 +1,4 @@
-"""Tests for episode pregeneration (repro.availability.pregen).
+"""Tests for per-host episode prefixes (repro.availability.pregen).
 
 The load-bearing property is *bit-identity*: within the horizon, per-host
 prefixes must deliver exactly the episodes the lazy per-host path
@@ -11,13 +11,10 @@ import pytest
 
 from repro.availability import process
 from repro.availability.generator import build_group_hosts
-from repro.availability.pregen import (
-    episode_prefix,
-    materialise_prefix,
-    pregenerate_prefixes,
-    shift_episodes,
-)
+from repro.availability.pregen import episode_prefix, materialise_prefix, shift_episodes
 from repro.experiments.config import SimulationConfig
+from repro.runtime.cluster import ClusterConfig, build_cluster
+from repro.simulator.failures import FailureInjector
 from repro.util.rng import RandomSource
 
 
@@ -55,11 +52,28 @@ def assert_cut_from(prefix, full, horizon):
     return True
 
 
+def attached_prefixes(monkeypatch, hosts, **config):
+    """The episodes a pregen build hands the injector, per host in order."""
+    attached = []
+    attach_host = FailureInjector.attach_host
+
+    def spy(injector, node_id, episodes):
+        episodes = None if episodes is None else list(episodes)
+        attached.append(episodes)
+        attach_host(injector, node_id, episodes)
+
+    monkeypatch.setattr(FailureInjector, "attach_host", spy)
+    build_cluster(hosts, ClusterConfig(detection="oracle", **config))
+    return attached
+
+
 class TestScalarBitIdentity:
-    def test_bulk_equals_lazy_per_host(self):
+    def test_bulk_equals_lazy_per_host(self, monkeypatch):
         hosts = hosts_for(40)
         horizon, burn_in = 50_000.0, 300.0
-        prefixes = pregenerate_prefixes(hosts, RandomSource(3), horizon, burn_in=burn_in)
+        prefixes = attached_prefixes(
+            monkeypatch, hosts, seed=3, pregen_horizon=horizon, stationary_burn_in=burn_in
+        )
         cut = 0
         for host, prefix in zip(hosts, prefixes, strict=True):
             expected = closed_prefix(host, RandomSource(3), horizon, burn_in)
@@ -81,8 +95,8 @@ class TestScalarBitIdentity:
 
     def test_dedicated_hosts_get_none(self):
         hosts = hosts_for(10, seed_ratio=0.5)
-        prefixes = pregenerate_prefixes(hosts, RandomSource(1), 1000.0)
-        for host, prefix in zip(hosts, prefixes, strict=True):
+        for host in hosts:
+            prefix = episode_prefix(host, RandomSource(1), 1000.0)
             if host.is_dedicated:
                 assert prefix is None
             else:
@@ -91,7 +105,8 @@ class TestScalarBitIdentity:
     def test_prefix_contract_boundary_episode(self):
         hosts = [h for h in hosts_for(6) if not h.is_dedicated]
         horizon = 5_000.0
-        for prefix in pregenerate_prefixes(hosts, RandomSource(2), horizon):
+        for host in hosts:
+            prefix = episode_prefix(host, RandomSource(2), horizon)
             assert prefix[-1].start >= horizon
             for episode in prefix[:-1]:
                 assert episode.start < horizon
@@ -99,13 +114,16 @@ class TestScalarBitIdentity:
 
 class TestKnobResolution:
     def test_validation(self):
+        # The horizon and the burn-in are outside input: the config that
+        # carries them rejects a bad value before any prefix is drawn.
         with pytest.raises(ValueError):
-            pregenerate_prefixes(hosts_for(2), RandomSource(0), -1.0)
+            ClusterConfig(pregen_horizon=-1.0)
         for horizon in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
-                pregenerate_prefixes(hosts_for(2), RandomSource(0), horizon)
-        with pytest.raises(ValueError, match="burn_in"):
-            pregenerate_prefixes(hosts_for(2), RandomSource(0), 10.0, burn_in=-1.0)
+                ClusterConfig(pregen_horizon=horizon)
+        for burn_in in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="stationary_burn_in"):
+                ClusterConfig(pregen_horizon=10.0, stationary_burn_in=burn_in)
 
 
 def unstable_seti_hosts():

@@ -22,6 +22,12 @@ a bracketed word is not a name, and in a file name it matches anything.
 Math-style names whose parts are single letters (``a_i``, ``s_b``) are
 not checked.
 
+DESIGN.md §2's module tree is a fenced block, so the span rules skip it;
+it is checked on its own. Every file it lists must exist, every module
+under ``src/repro`` (package ``__init__.py`` files aside) must be listed,
+and every capitalised word on a tree line must be a name the code uses,
+so the tree's prose stays lower case.
+
 A name deleted from the code then fails here in the change that deletes
 it, instead of lingering in the prose; the history of deleted code
 belongs in CHANGES.md.
@@ -258,9 +264,103 @@ def unresolved(corpus: Corpus, span: str) -> List[str]:
     return missing
 
 
+#: The leading file names of a tree line: ``model.py``, or ``a.py, b.py``.
+_TREE_FILES = re.compile(r"\s*((?:[\w]+\.py[, ]*)+)")
+_TREE_DIR = re.compile(r"\s*([\w/]+/)(?:\s|$)")
+_TREE_WORD = re.compile(r"(?<![\w@])[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*")
+
+
+def module_tree(text: str) -> List[str]:
+    """The lines of the fenced block that opens with ``src/repro/``."""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        if line.strip() == "src/repro/" and _FENCE.match(lines[index - 1]):
+            end = next(i for i in range(index, len(lines)) if _FENCE.match(lines[i]))
+            return lines[index:end]
+    raise AssertionError("no fenced module tree starting with src/repro/")
+
+
+def tree_files(lines: List[str]) -> List[str]:
+    """The files the tree lists, as root-relative paths."""
+    stack: List[tuple] = []  # (indent, directory path)
+    files: List[str] = []
+    for line in lines:
+        indent = len(line) - len(line.lstrip())
+        while stack and stack[-1][0] >= indent:
+            stack.pop()
+        parent = stack[-1][1] if stack else ""
+        directory = _TREE_DIR.match(line)
+        if directory:
+            stack.append((indent, parent + directory.group(1)))
+            continue
+        names = _TREE_FILES.match(line)
+        if names:
+            files.extend(parent + name for name in re.findall(r"\w+\.py", names.group(1)))
+    return files
+
+
 @pytest.fixture(scope="module")
 def corpus() -> Corpus:
     return build_corpus()
+
+
+class TestModuleTree:
+    """DESIGN.md §2's tree lists exactly the modules there are."""
+
+    @pytest.fixture(scope="class")
+    def tree(self) -> List[str]:
+        return module_tree((ROOT / "DESIGN.md").read_text(encoding="utf-8"))
+
+    def test_listed_files_exist(self, tree, corpus):
+        missing = [path for path in tree_files(tree) if path not in corpus.files]
+        assert not missing, f"the module tree lists files that do not exist: {missing}"
+
+    def test_every_module_is_listed(self, tree):
+        listed = set(tree_files(tree))
+        modules = sorted(
+            path.relative_to(ROOT).as_posix()
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if path.name != "__init__.py"
+        )
+        unlisted = [path for path in modules if path not in listed]
+        assert not unlisted, f"the module tree leaves out: {unlisted}"
+
+    def test_names_resolve(self, tree, corpus):
+        stale = sorted(
+            {
+                word
+                for line in tree
+                for word in _TREE_WORD.findall(line)
+                if not _word_resolves(corpus, word)
+            }
+        )
+        assert not stale, f"the module tree names code that does not exist: {stale}"
+
+    def test_parser(self):
+        lines = [
+            "src/repro/",
+            "  cli.py           the shell",
+            "  core/            the paper's contribution",
+            "    model.py         formula 5",
+            "    ids.py, placement.py",
+            "  util/",
+            "    rng.py units.py",
+            "  devtools/",
+            "    simlint/",
+            "      rules/",
+            "        unused.py",
+            "      cli.py",
+        ]
+        assert tree_files(lines) == [
+            "src/repro/cli.py",
+            "src/repro/core/model.py",
+            "src/repro/core/ids.py",
+            "src/repro/core/placement.py",
+            "src/repro/util/rng.py",
+            "src/repro/util/units.py",
+            "src/repro/devtools/simlint/rules/unused.py",
+            "src/repro/devtools/simlint/cli.py",
+        ]
 
 
 @pytest.mark.parametrize("doc", DOCS)

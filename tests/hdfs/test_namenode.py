@@ -7,7 +7,6 @@ from repro.core.placement import AdaptPlacement, RandomPlacement
 from repro.core.predictor import PerformancePredictor
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
-from repro.simulator.events import NodeDown
 from repro.util.rng import RandomSource
 
 GAMMA = 12.0
@@ -134,15 +133,16 @@ class TestPlacementIntegration:
         assert nn.block_distribution("f")["n0"] == 0
 
     def test_physically_down_nodes_excluded(self):
-        nn = make_namenode(4)
-        nn.datanode("n1").handle_node_down(NodeDown(time=0.0, node_id="n1"))
+        # Believed live, but the injector says down: never placed on.
+        nn = make_namenode(4, is_down=lambda node_id: node_id == "n1")
         nn.create_file("f", 40, 10, 1, RandomPlacement(), GAMMA, RandomSource(1))
         assert nn.block_distribution("f")["n1"] == 0
 
     def test_no_liveness_filter_places_on_down_nodes(self):
         # Models data loaded before the measured window (Section V.C).
-        nn = make_namenode(4, placement_liveness_filter=False)
-        nn.datanode("n1").handle_node_down(NodeDown(time=0.0, node_id="n1"))
+        nn = make_namenode(
+            4, placement_liveness_filter=False, is_down=lambda node_id: node_id == "n1"
+        )
         nn.create_file("f", 400, 10, 1, RandomPlacement(), GAMMA, RandomSource(1))
         assert nn.block_distribution("f")["n1"] > 0
 

@@ -128,8 +128,12 @@ class TestInvalidConfigValues:
                 ["chaos", "--campaign", str(CAMPAIGN_PATH), "--blocks-per-node", "0"],
                 "blocks_per_node",
             ),
+            # Fields the deployment config checks: rejected with the rest.
+            (["emulate", "--racks", "0"], "racks"),
+            (["emulate", "--oversubscription", "0.5"], "oversubscription"),
+            (["emulate", "--fetch-retries", "-1"], "fetch_retries"),
         ],
-        ids=["emulate", "simulate", "chaos"],
+        ids=["emulate", "simulate", "chaos", "racks", "oversubscription", "fetch-retries"],
     )
     def test_rejected_value_is_usage_error(self, capsys, argv, field):
         with pytest.raises(SystemExit) as exit_info:

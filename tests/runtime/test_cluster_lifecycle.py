@@ -10,13 +10,14 @@ import pytest
 
 from repro.availability.generator import build_group_hosts
 from repro.core.placement import RandomPlacement
+from repro.hdfs.datanode import DataNode
 from repro.mapreduce.job import JobConf, MapJob
 from repro.mapreduce.jobtracker import JobTracker
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.runtime.cluster import ClusterConfig, build_cluster
 from repro.runtime.services import Service
 from repro.simulator.engine import Simulator
-from repro.simulator.events import NodeDeclaredDead, NodeDown, Phase
+from repro.simulator.events import NodeDeclaredDead, NodeDown, NodeUp, Phase
 from repro.simulator.metrics import MapPhaseMetrics
 from repro.simulator.network import Network
 
@@ -53,8 +54,8 @@ class TestOracleWithMonitor:
         # belief stream is non-empty and the monitor reacted to each event.
         assert declared
         # Zero lag: the NameNode's belief is each node's physical state.
-        for node_id, datanode in cluster.datanodes.items():
-            assert cluster.namenode.is_live(node_id) == datanode.is_up
+        for node_id in cluster.node_ids:
+            assert cluster.namenode.is_live(node_id) != cluster.injector.is_down(node_id)
         # Permanent failures were purged through the belief path: the wiped
         # nodes no longer appear in the monitor's tracked queue state and
         # the durability metrics saw the wipes.
@@ -142,7 +143,6 @@ class TestServiceRegistryWiring:
             cluster.monitor,
             cluster.jobtracker,
             cluster.tracer,
-            *cluster.datanodes.values(),
             *cluster.trackers.values(),
         ]
         for subsystem in subsystems:
@@ -150,6 +150,21 @@ class TestServiceRegistryWiring:
         # Consumers registered after producers: stop_all (reverse order)
         # then tears down schedulers before the network they publish into.
         assert position[id(cluster.jobtracker)] > position[id(cluster.network)]
+
+    @pytest.mark.parametrize("detection", ["heartbeat", "oracle"])
+    def test_datanodes_are_disks_only(self, detection):
+        # The injector alone owns physical state: no STORAGE-phase reaction
+        # to a physical transition, and no DataNode to start or stop.
+        hosts = build_group_hosts(4, 0.5)
+        cluster = build_cluster(hosts, _monitor_config(detection=detection))
+        storage = [
+            (event_type.__name__, handler)
+            for event_type, _key, phase, handler in cluster.bus.iter_subscriptions()
+            if event_type in (NodeDown, NodeUp) and phase is Phase.STORAGE
+        ]
+        assert storage == []
+        assert not any(isinstance(service, DataNode) for service in cluster.services)
+        assert len(cluster.datanodes) == 4
 
     def test_registered_objects_satisfy_protocol(self):
         hosts = build_group_hosts(3, 0.5)

@@ -193,11 +193,11 @@ class TestStorageFaults:
 
 
 class TestLivenessFaults:
-    def test_datanode_liveness_disagreement_caught(self):
+    def test_tracker_liveness_disagreement_caught(self):
         cluster = small_cluster()
-        node = cluster.namenode.datanode_ids[0]
-        # The injector says up; only the DataNode hears a NodeDown.
-        cluster.namenode.datanode(node).handle_node_down(NodeDown(time=0.0, node_id=node))
+        node = cluster.node_ids[0]
+        # The injector says up; only the TaskTracker hears a NodeDown.
+        cluster.trackers[node].handle_node_down(NodeDown(time=0.0, node_id=node))
         names = violation_names(cluster.auditor.audit())
         assert "liveness-disagreement" in names
 

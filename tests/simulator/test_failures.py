@@ -5,19 +5,31 @@ import pytest
 from repro.availability import process
 from repro.availability.distributions import Deterministic, Exponential
 from repro.availability.generator import HostAvailability, build_group_hosts
-from repro.availability.pregen import episode_prefix, materialise_prefix
+from repro.availability.pregen import episode_prefix, host_stream, materialise_prefix
 from repro.availability.process import DowntimeEpisode
 from repro.availability.traces import AvailabilityTrace
 from repro.experiments.config import SimulationConfig
+from repro.runtime.cluster import ClusterConfig
 from repro.simulator.engine import Simulator
 from repro.simulator.events import NodeDown, NodeUp, PermanentFailure, Phase
 from repro.simulator.failures import FailureInjector
 from repro.util.rng import RandomSource
 
 
-def make_injector(seed=1):
+def make_injector():
     sim = Simulator()
-    return sim, FailureInjector(sim, RandomSource(seed))
+    return sim, FailureInjector(sim)
+
+
+def attach(injector, host, seed=1, burn_in=0.0):
+    """Drive ``host`` by its lazy stream under root ``seed``, as a lazily
+    built cluster does (here the node id is the host name)."""
+    injector.attach_host(host.host_id, host_stream(host, RandomSource(seed), burn_in))
+
+
+def replay(injector, trace):
+    """Drive the trace's host by replaying the trace."""
+    injector.attach_host(trace.host_id, trace.episodes())
 
 
 def interrupted_host(host_id="h0", mtbi=10.0, mu=2.0):
@@ -69,7 +81,7 @@ class TestAttachment:
     def test_dedicated_never_fails(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_host(HostAvailability(host_id="d"))
+        attach(injector, HostAvailability(host_id="d"))
         sim.run(until=10000.0)
         assert rec.events == []
         assert not injector.is_down("d")
@@ -77,7 +89,7 @@ class TestAttachment:
     def test_interrupted_host_cycles(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_host(interrupted_host())
+        attach(injector, interrupted_host())
         sim.run(until=500.0)
         downs = [e for e in rec.events if e[0] == "down"]
         ups = [e for e in rec.events if e[0] == "up"]
@@ -87,7 +99,7 @@ class TestAttachment:
     def test_down_up_alternate(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_host(interrupted_host())
+        attach(injector, interrupted_host())
         sim.run(until=300.0)
         kinds = [e[0] for e in rec.events]
         for a, b in zip(kinds, kinds[1:], strict=False):
@@ -95,14 +107,14 @@ class TestAttachment:
 
     def test_double_attach_rejected(self):
         _, injector = make_injector()
-        injector.attach_host(interrupted_host())
+        attach(injector, interrupted_host())
         with pytest.raises(ValueError, match="already attached"):
-            injector.attach_host(interrupted_host())
+            attach(injector, interrupted_host())
 
     def test_accounting(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_host(interrupted_host())
+        attach(injector, interrupted_host())
         sim.run(until=1000.0)
         assert injector.episode_count("h0") > 0
         assert rec.downtime("h0") > 0.0
@@ -113,7 +125,7 @@ class TestTraceReplay:
         sim, injector = make_injector()
         rec = Recorder(injector)
         trace = AvailabilityTrace("t0", 100.0, [(10.0, 15.0), (40.0, 42.0)])
-        injector.attach_trace(trace)
+        replay(injector, trace)
         sim.run(until=100.0)
         assert rec.events == [
             ("down", "t0", 10.0),
@@ -125,7 +137,7 @@ class TestTraceReplay:
     def test_state_queries_during_replay(self):
         sim, injector = make_injector()
         trace = AvailabilityTrace("t0", 100.0, [(10.0, 20.0)])
-        injector.attach_trace(trace)
+        replay(injector, trace)
         sim.run(until=12.0)
         assert injector.is_down("t0")
         sim.run(until=25.0)
@@ -135,7 +147,7 @@ class TestTraceReplay:
 class TestBurnIn:
     def test_zero_burn_in_starts_up(self):
         sim, injector = make_injector()
-        injector.attach_host(interrupted_host())
+        attach(injector, interrupted_host())
         assert not injector.is_down("h0")
 
     def test_burn_in_can_start_down(self):
@@ -144,14 +156,14 @@ class TestBurnIn:
         found_down = False
         for seed in range(30):
             sim = Simulator()
-            injector = FailureInjector(sim, RandomSource(seed))
+            injector = FailureInjector(sim)
             host = HostAvailability(
                 host_id="h0",
                 arrival=Exponential(mean=10.0),
                 service=Deterministic(value=50.0),
                 group="test",
             )
-            injector.attach_host(host, burn_in=10_000.0)
+            attach(injector, host, seed=seed, burn_in=10_000.0)
             sim.run(until=0.0)
             if injector.is_down("h0"):
                 found_down = True
@@ -159,9 +171,9 @@ class TestBurnIn:
         assert found_down
 
     def test_burn_in_preserves_event_validity(self):
-        sim, injector = make_injector(seed=9)
+        sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_host(interrupted_host(), burn_in=500.0)
+        attach(injector, interrupted_host(), seed=9, burn_in=500.0)
         sim.run(until=200.0)
         # Events stay ordered and alternating after the shift.
         times = [t for _k, _n, t in rec.events]
@@ -171,9 +183,9 @@ class TestBurnIn:
             assert a != b
 
     def test_negative_burn_in_rejected(self):
-        _, injector = make_injector()
-        with pytest.raises(ValueError):
-            injector.attach_host(interrupted_host(), burn_in=-1.0)
+        # The burn-in is outside input: its config rejects it at construction.
+        with pytest.raises(ValueError, match="stationary_burn_in"):
+            ClusterConfig(stationary_burn_in=-1.0)
 
 
 class TestPermanentFailures:
@@ -181,7 +193,7 @@ class TestPermanentFailures:
         sim, injector = make_injector()
         rec = Recorder(injector)
         perms = record_permanent(injector)
-        injector.attach_host(interrupted_host())
+        attach(injector, interrupted_host())
         injector.schedule_permanent_failure("h0", at_time=50.0)
         sim.run(until=5000.0)
         assert perms == [("h0", 50.0)]
@@ -193,7 +205,7 @@ class TestPermanentFailures:
     def test_permanent_while_already_down_fires_no_extra_down(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_trace(AvailabilityTrace("t0", 100.0, [(10.0, 20.0)]))
+        replay(injector, AvailabilityTrace("t0", 100.0, [(10.0, 20.0)]))
         injector.schedule_permanent_failure("t0", at_time=15.0)
         sim.run(until=100.0)
         assert rec.events == [("down", "t0", 10.0)]
@@ -202,7 +214,7 @@ class TestPermanentFailures:
     def test_second_permanent_failure_is_noop(self):
         sim, injector = make_injector()
         perms = record_permanent(injector)
-        injector.attach_host(HostAvailability(host_id="h0"))
+        attach(injector, HostAvailability(host_id="h0"))
         injector.schedule_permanent_failure("h0", at_time=10.0)
         injector.schedule_permanent_failure("h0", at_time=20.0)
         sim.run(until=100.0)
@@ -219,7 +231,7 @@ class TestCorrelatedOutage:
         sim, injector = make_injector()
         rec = Recorder(injector)
         for i in range(3):
-            injector.attach_host(HostAvailability(host_id=f"h{i}"))
+            attach(injector, HostAvailability(host_id=f"h{i}"))
         injector.schedule_outage(["h0", "h1", "h2"], start=10.0, duration=5.0)
         sim.run(until=100.0)
         downs = sorted(e for e in rec.events if e[0] == "down")
@@ -230,8 +242,8 @@ class TestCorrelatedOutage:
     def test_outage_skips_already_down_node(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_trace(AvailabilityTrace("t0", 100.0, [(5.0, 30.0)]))
-        injector.attach_trace(AvailabilityTrace("t1", 100.0, []))
+        replay(injector, AvailabilityTrace("t0", 100.0, [(5.0, 30.0)]))
+        replay(injector, AvailabilityTrace("t1", 100.0, []))
         injector.schedule_outage(["t0", "t1"], start=10.0, duration=5.0)
         sim.run(until=100.0)
         # t0's own episode governs its return; t1 follows the outage.
@@ -243,7 +255,7 @@ class TestCorrelatedOutage:
 
     def test_rejects_nonpositive_duration(self):
         _, injector = make_injector()
-        injector.attach_host(HostAvailability(host_id="h0"))
+        attach(injector, HostAvailability(host_id="h0"))
         with pytest.raises(ValueError):
             injector.schedule_outage(["h0"], start=1.0, duration=0.0)
 
@@ -252,7 +264,7 @@ class TestInjectorTeardown:
     def test_stop_silences_everything(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_host(interrupted_host())
+        attach(injector, interrupted_host())
         injector.schedule_outage(["h0"], start=500.0, duration=5.0)
         injector.schedule_permanent_failure("h0", at_time=600.0)
         sim.run(until=100.0)
@@ -271,7 +283,7 @@ class TestIdempotentTransitions:
     def test_overlapping_outages_publish_one_down_up_pair(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_host(HostAvailability(host_id="h0"))
+        attach(injector, HostAvailability(host_id="h0"))
         injector.schedule_outage(["h0"], start=10.0, duration=20.0)
         injector.schedule_outage(["h0"], start=15.0, duration=30.0)
         sim.run(until=100.0)
@@ -285,7 +297,7 @@ class TestIdempotentTransitions:
         sim, injector = make_injector()
         rec = Recorder(injector)
         trace = AvailabilityTrace("t0", 1000.0, [(10.0, 30.0), (60.0, 70.0)])
-        injector.attach_trace(trace)
+        replay(injector, trace)
         injector.schedule_outage(["t0"], start=5.0, duration=10.0)
         sim.run(until=1000.0)
         downs = [e for e in rec.events if e[0] == "down"]
@@ -299,7 +311,7 @@ class TestIdempotentTransitions:
     def test_downtime_accounts_actual_elapsed_window(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_trace(AvailabilityTrace("t0", 1000.0, [(10.0, 30.0)]))
+        replay(injector, AvailabilityTrace("t0", 1000.0, [(10.0, 30.0)]))
         sim.run(until=1000.0)
         assert rec.downtime("t0") == pytest.approx(20.0)
 
@@ -308,7 +320,7 @@ class TestRecoveryStretch:
     def test_stretch_applies_to_episodes_beginning_inside_window(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_trace(AvailabilityTrace("t0", 1000.0, [(10.0, 20.0)]))
+        replay(injector, AvailabilityTrace("t0", 1000.0, [(10.0, 20.0)]))
         injector.set_recovery_stretch("t0", 3.0)
         sim.run(until=1000.0)
         # Sampled 10s of downtime, served 30s.
@@ -318,7 +330,7 @@ class TestRecoveryStretch:
     def test_stretch_spares_episode_already_in_progress(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_trace(AvailabilityTrace("t0", 1000.0, [(10.0, 20.0)]))
+        replay(injector, AvailabilityTrace("t0", 1000.0, [(10.0, 20.0)]))
         sim.schedule_at(15.0, lambda: injector.set_recovery_stretch("t0", 5.0))
         sim.run(until=1000.0)
         assert rec.events == [("down", "t0", 10.0), ("up", "t0", 20.0)]
@@ -326,9 +338,7 @@ class TestRecoveryStretch:
     def test_cleared_stretch_restores_sampled_durations(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_trace(
-            AvailabilityTrace("t0", 1000.0, [(10.0, 20.0), (100.0, 110.0)])
-        )
+        replay(injector, AvailabilityTrace("t0", 1000.0, [(10.0, 20.0), (100.0, 110.0)]))
         injector.set_recovery_stretch("t0", 2.0)
         sim.schedule_at(50.0, lambda: injector.clear_recovery_stretch("t0"))
         sim.run(until=1000.0)
@@ -337,7 +347,7 @@ class TestRecoveryStretch:
 
     def test_stretch_validation(self):
         _, injector = make_injector()
-        injector.attach_host(HostAvailability(host_id="h0"))
+        attach(injector, HostAvailability(host_id="h0"))
         with pytest.raises(ValueError):
             injector.set_recovery_stretch("h0", 0.5)
         with pytest.raises(KeyError):
@@ -394,7 +404,7 @@ class TestPregenerateClosesSource:
         # plain list and never resumes a suspended generator frame.
         assert [state["closed"] for state in states] == [True]
         sim, injector = make_injector()
-        injector.attach_host(interrupted_host(), episodes=prefix)
+        injector.attach_host("h0", prefix)
         sim.run(until=100.0)
         assert injector.episode_count("h0") > 0
 
@@ -404,24 +414,23 @@ class TestPregenerateClosesSource:
         sim, injector = make_injector()
         rec = Recorder(injector)
         prefix = episode_prefix(interrupted_host(), RandomSource(1), 0.0)
-        injector.attach_host(interrupted_host(), episodes=prefix)
+        injector.attach_host("h0", prefix)
         sim.run(until=50.0)
         assert any(e[0] == "down" for e in rec.events)
 
 
 class TestInjectedEpisodePrefix:
-    """attach_host(episodes=...): where pregenerated prefixes enter."""
+    """An attached prefix fires its lazy stream's transitions."""
 
     def _events(self, seed, horizon, burn_in, injected):
         """Transitions up to ``horizon``, lazy or from an injected prefix."""
-        sim = Simulator()
-        injector = FailureInjector(sim, RandomSource(seed))
+        sim, injector = make_injector()
         rec = Recorder(injector)
         if injected:
             prefix = episode_prefix(interrupted_host(), RandomSource(seed), horizon, burn_in)
-            injector.attach_host(interrupted_host(), episodes=prefix)
+            injector.attach_host("h0", prefix)
         else:
-            injector.attach_host(interrupted_host(), burn_in=burn_in)
+            attach(injector, interrupted_host(), seed=seed, burn_in=burn_in)
         sim.run(until=horizon)
         return rec.events
 
@@ -435,16 +444,10 @@ class TestInjectedEpisodePrefix:
         assert lazy
         assert self._events(2, 300.0, 77.0, injected=True) == lazy
 
-    def test_episodes_excludes_other_knobs(self):
-        _, injector = make_injector()
-        prefix = [DowntimeEpisode(1.0, 2.0, 1)]
-        with pytest.raises(ValueError, match="cannot be combined"):
-            injector.attach_host(interrupted_host(), episodes=prefix, burn_in=5.0)
-
     def test_empty_prefix_means_never_interrupted(self):
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_host(interrupted_host(), episodes=[])
+        injector.attach_host("h0", [])
         sim.run(until=1000.0)
         assert rec.events == []
         assert not injector.is_down("h0")
@@ -477,22 +480,22 @@ class TestOpenEpisodes:
         self, hosts, burn_in, horizon, injected, stretch=None, outage=None, attach_at=0.0
     ):
         """Transitions and fired events up to ``horizon``."""
-        sim, injector = make_injector(seed=3)
+        sim, injector = make_injector()
         rec = Recorder(injector)
 
-        def attach():
+        def attach_all():
             for host in hosts:
                 if injected:
                     prefix = episode_prefix(host, RandomSource(3), horizon, burn_in)
-                    injector.attach_host(host, episodes=prefix)
+                    injector.attach_host(host.host_id, prefix)
                 else:
-                    injector.attach_host(host, burn_in=burn_in)
+                    attach(injector, host, seed=3, burn_in=burn_in)
                 if stretch is not None:
                     injector.set_recovery_stretch(host.host_id, stretch)
             if outage is not None:
                 injector.schedule_outage([host.host_id for host in hosts], *outage)
 
-        sim.schedule_at(attach_at, attach)
+        sim.schedule_at(attach_at, attach_all)
         sim.run(until=horizon)
         return rec.events, sim.events_fired
 
@@ -560,7 +563,7 @@ class TestOpenEpisodes:
         host = next(h for h in hosts if h.arrival_rate * h.service_mean >= 1.0)
         sim, injector = make_injector()
         rec = Recorder(injector)
-        injector.attach_host(host, burn_in=burn_in)
+        attach(injector, host, burn_in=burn_in)
         injector.schedule_permanent_failure(host.host_id, 100.0)
         sim.run()
         assert rec.events == [("down", host.host_id, 0.0)]
@@ -582,7 +585,7 @@ class TestOpenEpisodes:
 
         monkeypatch.setattr(process.InterruptionProcess, "lazy_episodes", spied)
         sim, injector = make_injector()
-        injector.attach_host(host, burn_in=burn_in)
+        attach(injector, host, burn_in=burn_in)
         sim.run(until=86_400.0)
         assert injector.is_down(host.host_id)
         folded = sum(episode.interruption_count for episode in pulled)
